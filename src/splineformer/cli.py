@@ -49,6 +49,15 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _parse_betas(text: str) -> list:
+    """Comma-separated positive betas ("inf" is the relu itself)."""
+    betas = [float(b) for b in text.split(",") if b.strip()] if text else []
+    for beta in betas:
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+    return betas
+
+
 def _layout_path(out_path: str) -> str:
     if out_path.endswith(".json"):
         return out_path[: -len(".json")] + ".layout.json"
@@ -156,7 +165,10 @@ def cmd_smooth(args) -> int:
         _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs),
                "finite_outputs": finite, **checks})
         return EXIT_OK
-    betas = [float(b) for b in args.betas.split(",") if b.strip()] if args.betas else []
+    try:
+        betas = _parse_betas(args.betas)
+    except ValueError as exc:
+        return _fail(EXIT_INPUT_ERROR, f"bad --betas: {exc}")
     rows = smooth_convergence_table(model.blocks, xs, betas)
     _emit({"kind": "smooth", "activation": "softplus", "samples": len(xs),
            "rows": rows})
@@ -209,6 +221,11 @@ def main(argv=None) -> int:
     s.set_defaults(fn=cmd_smooth)
 
     args = parser.parse_args(argv)
+    # a check on zero samples or trials would pass on no evidence
+    for flag in ("samples", "trials"):
+        count = getattr(args, flag, 1)
+        if count < 1:
+            return _fail(EXIT_INPUT_ERROR, f"--{flag} must be at least 1, got {count}")
     return args.fn(args)
 
 

@@ -31,24 +31,16 @@ class NotAutoregressiveError(ValueError):
 
 # -- feed-forward assembly helpers -------------------------------------------
 
-def _zeros(r: int, c: int) -> Mat:
-    return Mat.zeros(r, c)
-
-
-def _mat(rows) -> Mat:
-    return Mat.rational(rows)
-
-
 def _sparse(rows: int, cols: int, entries: dict) -> Mat:
     data = [[Fraction(0)] * cols for _ in range(rows)]
     for (r, c), v in entries.items():
         data[r][c] = Fraction(v)
-    return _mat(data)
+    return Mat.rational(data)
 
 
 def ffn_affine(a: Mat, b: Optional[Mat] = None) -> FeedForwardNet:
     if b is None:
-        b = _zeros(a.rows, 1)
+        b = Mat.zeros(a.rows, 1)
     return FeedForwardNet(((a, b),))
 
 
@@ -73,7 +65,7 @@ def ffn_deepen(f: FeedForwardNet, levels: int) -> FeedForwardNet:
         ident = Mat.identity(d)
         post = (Mat(ident.backend, tuple(ra + rb for ra, rb in
                                          zip(ident.data, scale(ident, Fraction(-1)).data))),
-                _zeros(d, 1))
+                Mat.zeros(d, 1))
         out = FeedForwardNet(out.layers[:-1] + (pre, post))
     return out
 
@@ -114,20 +106,6 @@ def ffn_stack(in_dim: int, parts: Sequence[tuple]) -> FeedForwardNet:
             r0 += a.rows
         layers.append((_sparse(out_rows, in_cols, entries), Mat.column(bias)))
     return FeedForwardNet(tuple(layers))
-
-
-def _selection_ffn(sel_rows: Sequence[Sequence[Fraction]], width: int) -> FeedForwardNet:
-    """One-hidden-layer net computing u -> C u via relu(u) - relu(-u)."""
-    ident = Mat.identity(width)
-    a1 = stack_rows([ident, scale(ident, Fraction(-1))])
-    entries: dict = {}
-    for r, row in enumerate(sel_rows):
-        for c, v in enumerate(row):
-            if v:
-                entries[(r, c)] = v
-                entries[(r, width + c)] = -v
-    a2 = _sparse(len(sel_rows), 2 * width, entries)
-    return FeedForwardNet(((a1, _zeros(2 * width, 1)), (a2, _zeros(len(sel_rows), 1))))
 
 
 # -- max-min networks ----------------------------------------------------------
@@ -185,7 +163,7 @@ def _maxmin_ffn(groups: Sequence[Sequence[tuple]], in_dim: int) -> FeedForwardNe
     """Net computing max over groups of (min within each group) of affine
     pieces given as (coefficient list, bias) pairs."""
     pieces = [piece for grp in groups for piece in grp]
-    a0 = _mat([list(coefs) for coefs, _ in pieces])
+    a0 = Mat.rational([list(coefs) for coefs, _ in pieces])
     b0 = Mat.column([bias for _, bias in pieces])
     layers = []
     cur_a, cur_b = a0, b0
@@ -195,7 +173,7 @@ def _maxmin_ffn(groups: Sequence[Sequence[tuple]], in_dim: int) -> FeedForwardNe
     def push(m: Mat, r: Mat):
         nonlocal cur_a, cur_b, count
         layers.append((matmul(m, cur_a), matmul(m, cur_b)))
-        cur_a, cur_b = r, _zeros(r.rows, 1)
+        cur_a, cur_b = r, Mat.zeros(r.rows, 1)
         count = r.rows
 
     while any(s > 1 for s in sizes):
@@ -252,9 +230,9 @@ def build_copy_head(i_hat: int, j_hat: int, j: int, n: int, p: int,
     if not (1 <= i_hat <= n and 1 <= j_hat <= p and 1 <= j <= p):
         raise ValueError(f"copy head index ({i_hat},{j_hat},{j}) outside {n}x{p}")
     return AttentionHead(
-        a_q=_zeros(1, n), b_q=Mat.basis(1, p, 1, j),
-        a_k=_zeros(1, n), b_k=Mat.basis(1, p, 1, j_hat),
-        a_v=Mat.basis(1, n, 1, i_hat), b_v=_zeros(1, p),
+        a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, j),
+        a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, j_hat),
+        a_v=Mat.basis(1, n, 1, i_hat), b_v=Mat.zeros(1, p),
         activation=RELU, masked=masked)
 
 
@@ -263,9 +241,9 @@ def build_const_head(j: int, n: int, p: int, masked: bool = False) -> AttentionH
     if not 1 <= j <= p:
         raise ValueError(f"const head column {j} outside 1..{p}")
     return AttentionHead(
-        a_q=_zeros(1, n), b_q=Mat.basis(1, p, 1, j),
-        a_k=_zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
-        a_v=_zeros(1, n), b_v=Mat.basis(1, p, 1, 1),
+        a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, j),
+        a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
+        a_v=Mat.zeros(1, n), b_v=Mat.basis(1, p, 1, 1),
         activation=RELU, masked=masked)
 
 
@@ -275,9 +253,9 @@ def _quad_head(v_row: int, q_row: int, col: int, in_rows: int, p: int,
     at column col when row q_row is nonzero only in that column (0-based)."""
     return AttentionHead(
         a_q=scale(Mat.basis(1, in_rows, 1, q_row + 1), Fraction(sign)),
-        b_q=_zeros(1, p),
-        a_k=_zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
-        a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=_zeros(1, p),
+        b_q=Mat.zeros(1, p),
+        a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
+        a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=Mat.zeros(1, p),
         activation=RELU, masked=masked)
 
 
@@ -287,9 +265,9 @@ def _const_row_head(values: Sequence[Fraction], in_rows: int, p: int,
     if any(v < 0 for v in values):
         raise ValueError("constant rows must be nonnegative (relu passthrough)")
     return AttentionHead(
-        a_q=_zeros(1, in_rows), b_q=_mat([list(values)]),
-        a_k=_zeros(1, in_rows), b_k=Mat.basis(1, p, 1, 1),
-        a_v=_zeros(1, in_rows), b_v=Mat.basis(1, p, 1, 1),
+        a_q=Mat.zeros(1, in_rows), b_q=Mat.rational([list(values)]),
+        a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, 1),
+        a_v=Mat.zeros(1, in_rows), b_v=Mat.basis(1, p, 1, 1),
         activation=RELU, masked=masked)
 
 
@@ -411,11 +389,14 @@ class _Stage:
     def head_count(self) -> int:
         return len(self.heads)
 
+    def selection(self) -> FeedForwardNet:
+        """The affine map from head outputs to the stage's slots: an affine
+        map is already a linear spline, so it needs no hidden layer."""
+        entries = {(r, h): v for r, row in enumerate(self.sel) for h, v in row.items()}
+        return ffn_affine(_sparse(len(self.sel), len(self.heads), entries))
+
     def finish(self) -> EncoderBlock:
-        sel = [[row.get(h, Fraction(0)) for h in range(len(self.heads))]
-               for row in self.sel]
-        return EncoderBlock(MultiheadAttention(tuple(self.heads)),
-                            _selection_ffn(sel, len(self.heads)),
+        return EncoderBlock(MultiheadAttention(tuple(self.heads)), self.selection(),
                             residual=self.residual)
 
 
@@ -767,7 +748,7 @@ def ffn_to_encoder_blocks(phi: FeedForwardNet, n: int, p: int) -> tuple:
             pieces.append(FeedForwardNet((layers[k], layers[k + 1])))
         else:
             d = layers[k][0].rows
-            pieces.append(FeedForwardNet((layers[k], (Mat.identity(d), _zeros(d, 1)))))
+            pieces.append(FeedForwardNet((layers[k], (Mat.identity(d), Mat.zeros(d, 1)))))
     blocks = []
     width = phi.in_dim
     for piece in pieces:
@@ -881,12 +862,8 @@ def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) 
             psi_entries[(i, base + j * r + i)] = Fraction(1)
     psi = ffn_affine(_sparse(r, base + p * r, psi_entries))
 
-    # the readout consumes the head rows directly, so the selection can be
-    # merged affinely into its first layer (no relu pair needed here)
-    sel_entries = {(r, h): v for r, row in enumerate(last.sel)
-                   for h, v in row.items()}
-    sel_affine = ffn_affine(_sparse(len(last.sel), len(last.heads), sel_entries))
-    final_ffn = ffn_compose(ffn_compose(sel_affine, lhat), psi)
+    # the affine selection merges into the readout's first layer
+    final_ffn = ffn_compose(ffn_compose(last.selection(), lhat), psi)
     final_block = EncoderBlock(MultiheadAttention(tuple(last.heads)), final_ffn)
 
     blocks = tuple(st.finish() for _, st in stages[:-1]) + (final_block,)

@@ -150,24 +150,40 @@ def _require_same_backend(a: Mat, b: Mat, op: str):
         raise BackendError(f"{op}: mixed backends {a.backend}/{b.backend}")
 
 
+def nonzero_rows(rows: Sequence) -> tuple:
+    """Per row, the (column, value) pairs of its nonzero entries."""
+    return tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in rows)
+
+
+def sparse_product(rows: Sequence, bdata: Sequence, width: int, zero: Scalar) -> list:
+    """Row lists of the product of sparse rows (as from `nonzero_rows`)
+    with the dense rows `bdata` of a matrix `width` columns wide.
+
+    Terms are summed in column order and zero terms are skipped, so the
+    float result does not depend on how the left factor is stored.  The
+    first term of a sum replaces the starting zero instead of being added
+    to it (`t or zero` is 0 + t, also for t = -0.0), which saves one
+    `Fraction` addition per entry.
+    """
+    out = []
+    for nz in rows:
+        acc = [zero] * width
+        for k, c in nz:
+            for j, v in enumerate(bdata[k]):
+                if v:
+                    a = acc[j]
+                    acc[j] = (c * v or zero) if a is zero else a + c * v
+        out.append(acc)
+    return out
+
+
 def matmul(a: Mat, b: Mat) -> Mat:
     _require_same_backend(a, b, "matmul")
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
     zero = Fraction(0) if a.backend == RATIONAL else 0.0
-    bdata = b.data
-    out = []
-    for arow in a.data:
-        acc = [zero] * b.cols
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = bdata[k]
-            for j, bkj in enumerate(brow):
-                if bkj:
-                    acc[j] = acc[j] + aik * bkj
-        out.append(tuple(acc))
-    return Mat(a.backend, tuple(out))
+    return Mat(a.backend, tuple(map(tuple, sparse_product(nonzero_rows(a.data), b.data,
+                                                          b.cols, zero))))
 
 
 def add(a: Mat, b: Mat) -> Mat:
@@ -215,14 +231,24 @@ def broadcast_cols(v: Mat, p: int) -> Mat:
 
 def relu(m) -> Mat:
     """Entrywise max(x, 0); accepts masked scores and zeroes their lower triangle."""
-    if isinstance(m, MaskedScores):
-        inner = m.mat
-        zero = Fraction(0) if inner.backend == RATIONAL else 0.0
+    masked = isinstance(m, MaskedScores)
+    inner = m.mat if masked else m
+    if inner.backend == RATIONAL:
+        zero = Fraction(0)
+        # a Fraction has the sign of its numerator, which compares much faster
+
+        def pos(x):
+            return x if x.numerator > 0 else zero
+    else:
+        zero = 0.0
+
+        def pos(x):
+            return x if x > 0 else zero
+    if masked:
         return Mat(inner.backend, tuple(
-            tuple((x if x > 0 else zero) if i <= j else zero for j, x in enumerate(row))
+            tuple(pos(x) if i <= j else zero for j, x in enumerate(row))
             for i, row in enumerate(inner.data)))
-    zero = Fraction(0) if m.backend == RATIONAL else 0.0
-    return Mat(m.backend, tuple(tuple(x if x > 0 else zero for x in row) for row in m.data))
+    return Mat(inner.backend, tuple(tuple(map(pos, row)) for row in inner.data))
 
 
 def softmax_columns(m) -> Mat:
@@ -293,10 +319,14 @@ def mat_to_json(m: Mat):
 
 
 def mat_from_json(obj) -> Mat:
+    """Inverse of `mat_to_json`.  The matrix is read as float only when it
+    holds a JSON float or "-inf"; integers and strings are exact rationals."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
     entries = [x for row in obj for x in row]
-    rational = any(isinstance(x, str) and x != "-inf" for x in entries)
-    if rational:
-        if any(x == "-inf" for x in entries):
-            raise BackendError("rational matrices cannot hold -inf")
-        return Mat.rational(obj)
-    return Mat.from_floats(obj)
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise BackendError(f"matrix entry {x!r} is not a number or a rational string")
+    if any(isinstance(x, float) or x == "-inf" for x in entries):
+        return Mat.from_floats(obj)
+    return Mat.rational(obj)

@@ -1,20 +1,23 @@
 """Attention modules, feed-forward networks, and encoder/decoder stacks.
 
 All evaluation is pure: parameter containers are frozen dataclasses and
-may be shared freely across threads.
+may be shared freely across threads.  The sparse forms of their weights
+are derived on first evaluation and kept; deriving them twice gives the
+same value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .tensor import (FLOAT, RATIONAL, BackendError, Mat, ShapeError, add,
-                     apply_mask, broadcast_cols, mat_from_json, mat_to_json,
-                     matmul, relu, scale, softmax_columns, softplus_beta,
-                     stack_rows, transpose)
+                     apply_mask, mat_from_json, mat_to_json, nonzero_rows,
+                     relu, scale, softmax_columns, softplus_beta,
+                     sparse_product, stack_rows)
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,6 @@ class AttentionHead:
         return self.b_q.cols
 
 
-def _affine(a: Mat, x: Mat, b: Mat) -> Mat:
-    return add(matmul(a, x), b)
-
-
 def _activate(activation: Activation, scores):
     if activation.kind == "relu":
         return relu(scores)
@@ -97,8 +96,8 @@ def _activate(activation: Activation, scores):
     return softplus_beta(scores, activation.beta)
 
 
-def _scores(head: AttentionHead, kx: Mat, qy: Mat):
-    s = matmul(transpose(kx), qy)
+def _shape_scores(head: AttentionHead, s: Mat):
+    """Optional 1/sqrt(d) scaling, then the mask; both precede the activation."""
     if head.scaled:
         if s.backend != FLOAT:
             raise BackendError("score scaling needs the float backend (1/sqrt(d) is irrational)")
@@ -108,33 +107,25 @@ def _scores(head: AttentionHead, kx: Mat, qy: Mat):
     return s
 
 
-def eval_attention(head: AttentionHead, x: Mat) -> Mat:
-    """Self-attention on an n x p input; masking happens before the activation."""
-    if x.shape != (head.n, head.p):
-        raise ShapeError(f"attention input {x.shape}, head expects {(head.n, head.p)}")
-    if head.n_q != head.n:
-        raise ShapeError("head has distinct query input size; use eval_encdec_attention")
-    if x.backend == RATIONAL and head.activation.kind != "relu":
-        raise BackendError(f"{head.activation.kind} attention needs the float backend")
-    q = _affine(head.a_q, x, head.b_q)
-    k = _affine(head.a_k, x, head.b_k)
-    v = _affine(head.a_v, x, head.b_v)
-    return matmul(v, _activate(head.activation, _scores(head, k, q)))
+def _backends(mats) -> frozenset:
+    return frozenset(m.backend for m in mats)
 
 
-def eval_encdec_attention(head: AttentionHead, x: Mat, y: Mat) -> Mat:
-    """Cross-attention: keys and values from x, queries from y."""
-    if x.rows != head.n or y.rows != head.n_q:
-        raise ShapeError(f"cross-attention inputs {x.shape}/{y.shape}, "
-                         f"head expects rows {head.n}/{head.n_q}")
-    if x.cols != head.p or y.cols != head.p:
-        raise ShapeError("cross-attention inputs must share the sequence length")
-    if x.backend == RATIONAL and head.activation.kind != "relu":
-        raise BackendError(f"{head.activation.kind} attention needs the float backend")
-    q = _affine(head.a_q, y, head.b_q)
-    k = _affine(head.a_k, x, head.b_k)
-    v = _affine(head.a_v, x, head.b_v)
-    return matmul(v, _activate(head.activation, _scores(head, k, q)))
+def _require_backend(op: str, weights: frozenset, *inputs: Mat):
+    found = weights | {m.backend for m in inputs}
+    if len(found) != 1:
+        raise BackendError(f"{op}: mixed backends {'/'.join(sorted(found))}")
+
+
+def _affine_rows(rows, bias, xdata, p: int, zero) -> list:
+    """Stacked A X + B as row lists; zero bias entries are skipped."""
+    out = sparse_product(rows, xdata, p, zero)
+    for acc, b in zip(out, bias):
+        if b is not None:
+            for j, bj in enumerate(b):
+                if bj:
+                    acc[j] = acc[j] + bj
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,9 +140,30 @@ class MultiheadAttention:
             if (h.n, h.n_q, h.p, h.m) != (h0.n, h0.n_q, h0.p, h0.m):
                 raise ShapeError("heads must share input shape and output rows")
 
+    @cached_property
+    def stacked(self) -> tuple:
+        """For Q, K and V in turn: the A rows of every head, stacked, as
+        nonzero (col, coef) pairs, and the B rows, None where zero.  Built
+        on the first evaluation and kept; not a dataclass field, so
+        equality still compares `heads` only."""
+        return tuple(
+            (nonzero_rows(row for h in self.heads for row in getattr(h, a).data),
+             tuple(row if any(row) else None
+                   for h in self.heads for row in getattr(h, b).data))
+            for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")))
+
+    @cached_property
+    def backends(self) -> frozenset:
+        return _backends(getattr(h, name) for h in self.heads
+                         for name in ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v"))
+
     @property
     def n(self) -> int:
         return self.heads[0].n
+
+    @property
+    def n_q(self) -> int:
+        return self.heads[0].n_q
 
     @property
     def p(self) -> int:
@@ -162,12 +174,64 @@ class MultiheadAttention:
         return sum(h.m for h in self.heads)
 
 
+def _attend(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
+    """Every head of the layer at once: keys and values read x, queries y.
+
+    Q, K and V of all heads come from one sparse product each; per head
+    only the p x p score block K_h^T Q_h is formed, masked and activated,
+    and multiplied by the head's value rows.  Outputs stack in head order.
+    """
+    backend = x.backend
+    if backend == RATIONAL:
+        for h in mh.heads:
+            if h.activation.kind != "relu":
+                raise BackendError(f"{h.activation.kind} attention needs the float backend")
+    _require_backend("attention", mh.backends, x, y)
+    zero = Fraction(0) if backend == RATIONAL else 0.0
+    p = x.cols
+    (aq, bq), (ak, bk), (av, bv) = mh.stacked
+    q = _affine_rows(aq, bq, y.data, p, zero)
+    k = _affine_rows(ak, bk, x.data, p, zero)
+    v = _affine_rows(av, bv, x.data, p, zero)
+    out = []
+    t = 0
+    for i, h in enumerate(mh.heads):
+        qk = slice(t, t + h.d)
+        t += h.d
+        s = sparse_product(nonzero_rows(zip(*k[qk])), q[qk], p, zero)
+        a = _activate(h.activation, _shape_scores(h, Mat(backend, tuple(map(tuple, s)))))
+        vh = nonzero_rows(v[i * h.m:(i + 1) * h.m])
+        out.extend(map(tuple, sparse_product(vh, a.data, p, zero)))
+    return Mat(backend, tuple(out))
+
+
 def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
-    return stack_rows([eval_attention(h, x) for h in mh.heads])
+    """Self-attention on an n x p input; masking happens before the activation."""
+    if x.shape != (mh.n, mh.p):
+        raise ShapeError(f"attention input {x.shape}, head expects {(mh.n, mh.p)}")
+    if mh.n_q != mh.n:
+        raise ShapeError("head has distinct query input size; use eval_encdec_attention")
+    return _attend(mh, x, x)
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
-    return stack_rows([eval_encdec_attention(h, x, y) for h in mh.heads])
+    """Cross-attention: keys and values from x, queries from y."""
+    if x.rows != mh.n or y.rows != mh.n_q:
+        raise ShapeError(f"cross-attention inputs {x.shape}/{y.shape}, "
+                         f"head expects rows {mh.n}/{mh.n_q}")
+    if x.cols != mh.p or y.cols != mh.p:
+        raise ShapeError("cross-attention inputs must share the sequence length")
+    return _attend(mh, x, y)
+
+
+def eval_attention(head: AttentionHead, x: Mat) -> Mat:
+    """One self-attention head: the layer kernel with a single head."""
+    return eval_multihead(MultiheadAttention((head,)), x)
+
+
+def eval_encdec_attention(head: AttentionHead, x: Mat, y: Mat) -> Mat:
+    """One cross-attention head: the layer kernel with a single head."""
+    return eval_multihead_encdec(MultiheadAttention((head,)), x, y)
 
 
 @dataclass(frozen=True)
@@ -204,15 +268,29 @@ class FeedForwardNet:
         """Number of affine layers."""
         return len(self.layers)
 
+    @cached_property
+    def sparse(self) -> tuple:
+        """Per layer, each row's nonzero (col, coef) pairs and the bias
+        entries; built on the first evaluation and kept, like
+        `MultiheadAttention.stacked`."""
+        return tuple((nonzero_rows(a.data), b.col_entries(0)) for a, b in self.layers)
+
+    @cached_property
+    def backends(self) -> frozenset:
+        return _backends(m for layer in self.layers for m in layer)
+
 
 def eval_ffn(ffn: FeedForwardNet, x: Mat) -> Mat:
     if x.rows != ffn.in_dim:
         raise ShapeError(f"ffn expects {ffn.in_dim} input rows, got {x.rows}")
-    p = x.cols
+    _require_backend("ffn", ffn.backends, x)
+    zero = Fraction(0) if x.backend == RATIONAL else 0.0
     out = x
-    last = len(ffn.layers) - 1
-    for idx, (a, b) in enumerate(ffn.layers):
-        out = add(matmul(a, out), broadcast_cols(b, p))
+    last = len(ffn.sparse) - 1
+    for idx, (nz, bias) in enumerate(ffn.sparse):
+        rows = sparse_product(nz, out.data, x.cols, zero)
+        out = Mat(x.backend, tuple(tuple(u + b for u in acc) if b else tuple(acc)
+                                   for acc, b in zip(rows, bias)))
         if idx != last:
             out = relu(out)
     return out

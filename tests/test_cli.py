@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from splineformer.cli import main
 
 ABS_SPLINE = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
@@ -187,3 +189,41 @@ class TestSmooth:
         capsys.readouterr()
         assert main(["smooth", out, "--betas", "", "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
+class TestInputErrors:
+    """Bad counts and unreadable inputs exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "W", "S", "--samples", "0"],
+        ["degree", "W", "--trials", "0"],
+        ["smooth", "W", "--samples", "0"],
+    ])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, argv):
+        spath, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        argv = [{"W": out, "S": spath}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 1" in captured.err
+
+    def test_non_matrix_input_exits_2(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        assert main(["eval", out, write(tmp_path / "x.json", 5)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("betas", ["10,abc", "-1"])
+    def test_bad_betas_exit_2(self, tmp_path, capsys, betas):
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        assert main(["smooth", out, "--betas", betas, "--samples", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--betas" in err and len(err.strip().splitlines()) == 1
+
+    def test_integer_input_is_exact(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        assert main(["eval", out, write(tmp_path / "x.json", [[-3]])]) == 0
+        assert json.loads(capsys.readouterr().out) == [["3"]]

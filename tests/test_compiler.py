@@ -113,6 +113,12 @@ class TestEps2:
                     row_b = b.layout.row_of(mon, col)
                     assert out_a.at(row_a, col - 1) == out_b.at(row_b, col - 1)
 
+    def test_faithful_selection_is_affine(self):
+        # linear selections need no relu(u) - relu(-u) round trip
+        for n, p in [(1, 2), (2, 2)]:
+            enc = build_eps2(n, p, CompileOptions(mode="faithful"))
+            assert all(b.ffn.hidden_layers == 0 for b in enc.blocks[:-1])
+
     def test_layout_soundness(self):
         for mode in ("faithful", "pruned"):
             enc = build_eps2(2, 2, CompileOptions(mode=mode))

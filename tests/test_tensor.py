@@ -198,3 +198,18 @@ class TestJson:
 
     def test_rational_strings(self):
         assert mat_to_json(Mat.rational([[F(3, 2)]])) == [["3/2"]]
+
+    def test_integer_entries_are_rational(self):
+        m = mat_from_json([[-3, "1/2"], [0, 4]])
+        assert m.backend == "rational"
+        assert m == Mat.rational([[-3, F(1, 2)], [0, 4]])
+        assert mat_from_json([[-3]]) == Mat.rational([[-3]])
+
+    def test_floats_or_neg_inf_make_a_float_matrix(self):
+        assert mat_from_json([[2.0, 1]]).backend == "float"
+        assert mat_from_json([["-inf", 1]]) == Mat.from_floats([[NEG_INF, 1.0]])
+
+    @pytest.mark.parametrize("obj", [5, "x", [5], [[True]], [[None]], [[[1]]]])
+    def test_non_matrix_rejected(self, obj):
+        with pytest.raises(ValueError):
+            mat_from_json(obj)

@@ -1,9 +1,14 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from splineformer.tensor import BackendError, Mat, ShapeError
+from splineformer.tensor import (BackendError, Mat, ShapeError, add,
+                                 apply_mask, matmul, relu, scale,
+                                 softmax_columns, softplus_beta, stack_rows,
+                                 transpose)
 from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       EncDecStack, EncDecStage, EncoderBlock,
                                       FeedForwardNet,
@@ -11,7 +16,8 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       blocks_to_json, eval_attention,
                                       eval_encdec, eval_encdec_attention,
                                       eval_encoder, eval_ffn, eval_multihead,
-                                      identity_ffn, softplus)
+                                      eval_multihead_encdec, identity_ffn,
+                                      softplus)
 from splineformer.verifier import random_rational_mat, trial_rng
 
 
@@ -128,6 +134,134 @@ class TestMultihead:
                           a_v=Mat.zeros(1, 2), b_v=Mat.zeros(1, 2))
         mh = MultiheadAttention((z, z, z))
         assert eval_multihead(mh, rmat([[1, 2], [3, 4]])) == Mat.zeros(3, 2)
+
+
+def sparse_random_mat(rng, rows, cols):
+    """Random rationals with about half the entries zero."""
+    return Mat.rational([[random_fraction_or_zero(rng) for _ in range(cols)]
+                         for _ in range(rows)])
+
+
+def random_fraction_or_zero(rng):
+    return F(rng.randint(-10, 10), rng.randint(1, 7)) if rng.random() < 0.5 else F(0)
+
+
+def random_multihead(rng, n, n_q, p, m, masked):
+    heads = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.randint(1, 3)
+        heads.append(AttentionHead(
+            a_q=sparse_random_mat(rng, d, n_q), b_q=sparse_random_mat(rng, d, p),
+            a_k=sparse_random_mat(rng, d, n), b_k=sparse_random_mat(rng, d, p),
+            a_v=sparse_random_mat(rng, m, n), b_v=sparse_random_mat(rng, m, p),
+            masked=masked))
+    return MultiheadAttention(tuple(heads))
+
+
+def reference_attention(mh, x, y):
+    """V . act(K^T Q) per head, stacked, from tensor primitives alone."""
+    outs = []
+    for h in mh.heads:
+        q = add(matmul(h.a_q, y), h.b_q)
+        k = add(matmul(h.a_k, x), h.b_k)
+        v = add(matmul(h.a_v, x), h.b_v)
+        s = matmul(transpose(k), q)
+        if h.scaled:
+            s = scale(s, 1.0 / math.sqrt(h.d))
+        if h.masked:
+            s = apply_mask(s)
+        if h.activation.kind == "relu":
+            a = relu(s)
+        elif h.activation.kind == "softmax":
+            a = softmax_columns(s)
+        else:
+            a = softplus_beta(s, h.activation.beta)
+        outs.append(matmul(v, a))
+    return stack_rows(outs)
+
+
+def float_heads(mh, activation, scaled):
+    return MultiheadAttention(tuple(
+        AttentionHead(a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
+                      a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
+                      a_v=h.a_v.to_float(), b_v=h.b_v.to_float(),
+                      activation=activation, masked=h.masked, scaled=scaled)
+        for h in mh.heads))
+
+
+def max_gap(a, b):
+    return max(abs(u - v) for ra, rb in zip(a.data, b.data) for u, v in zip(ra, rb))
+
+
+KERNEL_CASES = [(d_in, m, masked, cross)
+                for d_in in (1, 2, 3) for m in (1, 2, 3)
+                for masked in (False, True) for cross in (False, True)]
+
+
+class TestStackedKernel:
+    """The stacked-head kernel against the per-head definition."""
+
+    @staticmethod
+    def inputs(rng, n, n_q, p, cross):
+        x = sparse_random_mat(rng, n, p)
+        return x, (sparse_random_mat(rng, n_q, p) if cross else x)
+
+    @staticmethod
+    def evaluate(mh, x, y, cross):
+        return eval_multihead_encdec(mh, x, y) if cross else eval_multihead(mh, x)
+
+    @pytest.mark.parametrize("n,m,masked,cross", KERNEL_CASES)
+    def test_relu_rational_exact(self, n, m, masked, cross):
+        rng = random.Random(f"kernel:{n}:{m}:{masked}:{cross}")
+        for _ in range(5):
+            p = rng.randint(1, 3)
+            n_q = rng.randint(1, 3) if cross else n
+            mh = random_multihead(rng, n, n_q, p, m, masked)
+            x, y = self.inputs(rng, n, n_q, p, cross)
+            got = self.evaluate(mh, x, y, cross)
+            assert got.backend == "rational"
+            assert got == reference_attention(mh, x, y)
+
+    @pytest.mark.parametrize("n,m,masked,cross", KERNEL_CASES)
+    def test_smooth_float_close(self, n, m, masked, cross):
+        rng = random.Random(f"kernel-float:{n}:{m}:{masked}:{cross}")
+        for activation in (Activation("softmax"), softplus(10.0)):
+            for scaled in (False, True):
+                p = rng.randint(1, 3)
+                n_q = rng.randint(1, 3) if cross else n
+                mh = float_heads(random_multihead(rng, n, n_q, p, m, masked),
+                                 activation, scaled)
+                x, y = self.inputs(rng, n, n_q, p, cross)
+                x, y = x.to_float(), y.to_float()
+                got = self.evaluate(mh, x, y, cross)
+                assert got.backend == "float"
+                assert max_gap(got, reference_attention(mh, x, y)) <= 1e-12
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_rational_heads_reject_float_input(self, cross):
+        rng = random.Random(20)
+        mh = random_multihead(rng, 2, 2, 2, 1, False)
+        x, y = self.inputs(rng, 2, 2, 2, cross)
+        with pytest.raises(BackendError):
+            self.evaluate(mh, x.to_float(), y.to_float(), cross)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_rational_attention_is_relu_only(self, cross):
+        rng = random.Random(21)
+        mh = random_multihead(rng, 2, 2, 2, 1, False)
+        for activation in (Activation("softmax"), softplus(10.0)):
+            smooth = MultiheadAttention(
+                mh.heads[:-1] + (replace(mh.heads[-1], activation=activation),))
+            x, y = self.inputs(rng, 2, 2, 2, cross)
+            with pytest.raises(BackendError):
+                self.evaluate(smooth, x, y, cross)
+
+    def test_stacked_maps_are_not_compared(self):
+        rng = random.Random(22)
+        mh = random_multihead(rng, 2, 2, 2, 1, False)
+        twin = MultiheadAttention(mh.heads)
+        eval_multihead(mh, sparse_random_mat(rng, 2, 2))
+        assert mh == twin and hash(mh) == hash(twin)
 
 
 class TestFfn:
