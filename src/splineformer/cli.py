@@ -135,6 +135,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degree(args) -> int:
+    if args.max_deg is not None and args.max_deg < 0:
+        # fewer than two line points leave no difference to test, so any bound would pass
+        return _fail(EXIT_INPUT_ERROR, f"--max-deg must be at least 0, got {args.max_deg}")
     try:
         model = _load_model(args.weights)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -161,7 +164,7 @@ def cmd_smooth(args) -> int:
             out = swapped(x)
             if any(not math.isfinite(v) for row in out.data for v in row):
                 finite = False
-        checks = softmax_probability_check(model.blocks, xs)
+        checks = softmax_probability_check(swapped, xs)
         _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs),
                "finite_outputs": finite, **checks})
         return EXIT_OK

@@ -502,13 +502,20 @@ def _parse_var_key(key: str) -> tuple:
     return (int(parts[1]), int(parts[2]))
 
 
+def _parse_exponent(key: str, e) -> int:
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise ValueError(f"exponent of {key} must be a whole number, got {e!r}")
+    return e
+
+
 def expr_from_json(obj):
     """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression."""
     op = obj.get("op")
     if op == "poly":
         terms: dict = {}
         for t in obj["terms"]:
-            m = Monomial.from_dict({_parse_var_key(k): e for k, e in t["exps"].items()})
+            m = Monomial.from_dict({_parse_var_key(k): _parse_exponent(k, e)
+                                    for k, e in t["exps"].items()})
             terms[m] = terms.get(m, Fraction(0)) + Fraction(t["coef"])
         p = Polynomial.from_terms(terms)
         args = []

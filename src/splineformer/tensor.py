@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, float]
@@ -33,10 +34,20 @@ class DegenerateColumnError(ValueError):
     """SoftMax column with no finite entry."""
 
 
+@lru_cache(maxsize=1024)
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), parsed once per distinct string: a weights file
+    repeats a few strings many times, and a Fraction is immutable, so one
+    can be shared by every entry that spells it."""
+    return Fraction(text)
+
+
 def _coerce_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        return _parse_rational(x)
+    if isinstance(x, int):
         return Fraction(x)
     raise BackendError(f"cannot place {x!r} in a rational matrix")
 
@@ -45,7 +56,7 @@ def _coerce_float(x) -> float:
     if isinstance(x, str):
         if x == "-inf":
             return NEG_INF
-        return float(Fraction(x))
+        return float(_parse_rational(x))
     return float(x)
 
 

@@ -111,20 +111,73 @@ def _backends(mats) -> frozenset:
     return frozenset(m.backend for m in mats)
 
 
-def _require_backend(op: str, weights: frozenset, *inputs: Mat):
-    found = weights | {m.backend for m in inputs}
+def _require_backend(op: str, weights: frozenset, *inputs: str):
+    found = weights | set(inputs)
     if len(found) != 1:
         raise BackendError(f"{op}: mixed backends {'/'.join(sorted(found))}")
 
 
-def _affine_rows(rows, bias, xdata, p: int, zero) -> list:
-    """Stacked A X + B as row lists; zero bias entries are skipped."""
-    out = sparse_product(rows, xdata, p, zero)
+# -- integer evaluation --------------------------------------------------------
+#
+# A rational forward pass runs on plain ints: every matrix is a list of
+# integer numerator rows over one positive shared denominator, and every
+# weight map is cached the same way over the lcm of its coefficient
+# denominators.  Products multiply the denominators, ReLU is a sign test
+# on the numerator, and only the output becomes `Fraction`s again.  Float
+# matrices take the same loops over a denominator of 1; their sums keep
+# the term order and zero skipping of `sparse_product`.
+
+def _integer_scale(rational: bool, *groups) -> tuple:
+    """The lcm of the denominators of every value in `groups` and a map
+    from a rational to its integer numerator over that lcm; floats stay as
+    they are, over 1."""
+    if not rational:
+        return 1, lambda v: v
+    den = math.lcm(*{v.denominator for g in groups for v in g})
+    return den, lambda v: v.numerator * (den // v.denominator)
+
+
+def _numerators(x: Mat) -> tuple:
+    """x as numerator rows over one shared denominator, the lcm of its own."""
+    den, num = _integer_scale(x.backend == RATIONAL, *x.data)
+    return [list(map(num, row)) for row in x.data], den
+
+
+def _to_mat(backend: str, rows: list, den: int) -> Mat:
+    if backend == RATIONAL:
+        return Mat(RATIONAL, tuple(tuple(Fraction(v, den) for v in row) for row in rows))
+    return Mat(backend, tuple(map(tuple, rows)))
+
+
+def _reduced(rows: list, den: int) -> tuple:
+    """(rows, den) with the gcd of den and every numerator divided out."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
+    if g == 1:
+        return rows, den
+    return [[v // g for v in row] for row in rows], den // g
+
+
+def _added(a: list, da: int, b: list, db: int) -> tuple:
+    """a / da + b / db as numerator rows over lcm(da, db)."""
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    return [[u * fa + v * fb for u, v in zip(ra, rb)] for ra, rb in zip(a, b)], den
+
+
+def _affine(rows, bias, x: list, dx: int, zero) -> list:
+    """Numerators of stacked A X + B over den * dx, where A and B are
+    numerator `rows` and `bias` rows (None where zero) over den and x is
+    over dx; zero bias entries are skipped."""
+    out = sparse_product(rows, x, len(x[0]), zero)
     for acc, b in zip(out, bias):
         if b is not None:
             for j, bj in enumerate(b):
                 if bj:
-                    acc[j] = acc[j] + bj
+                    acc[j] += bj * dx
     return out
 
 
@@ -143,14 +196,22 @@ class MultiheadAttention:
     @cached_property
     def stacked(self) -> tuple:
         """For Q, K and V in turn: the A rows of every head, stacked, as
-        nonzero (col, coef) pairs, and the B rows, None where zero.  Built
-        on the first evaluation and kept; not a dataclass field, so
-        equality still compares `heads` only."""
-        return tuple(
-            (nonzero_rows(row for h in self.heads for row in getattr(h, a).data),
-             tuple(row if any(row) else None
-                   for h in self.heads for row in getattr(h, b).data))
-            for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")))
+        nonzero (col, coef) pairs, the B rows (None where zero), and the
+        denominator both share.  Rational coefficients are integer
+        numerators over the lcm of the map's denominators; float ones are
+        kept, over 1.  Built on the first evaluation and kept; not a
+        dataclass field, so equality still compares `heads` only."""
+        rational = RATIONAL in self.backends
+        maps = []
+        for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")):
+            rows = nonzero_rows(row for h in self.heads for row in getattr(h, a).data)
+            bias = [row if any(row) else None for h in self.heads for row in getattr(h, b).data]
+            den, num = _integer_scale(rational, (c for row in rows for _, c in row),
+                                      *filter(None, bias))
+            maps.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
+                         tuple(row and tuple(map(num, row)) for row in bias),
+                         den))
+        return tuple(maps)
 
     @cached_property
     def backends(self) -> frozenset:
@@ -174,44 +235,77 @@ class MultiheadAttention:
         return sum(h.m for h in self.heads)
 
 
-def _attend(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
-    """Every head of the layer at once: keys and values read x, queries y.
+def _attend(mh: MultiheadAttention, backend: str, x: list, dx: int,
+            y: list, dy: int) -> tuple:
+    """Every head of the layer at once, on numerator rows: keys and values
+    read x (over dx), queries y (over dy).  Returns the output numerators,
+    stacked in head order, and their shared denominator.
 
-    Q, K and V of all heads come from one sparse product each; per head
-    only the p x p score block K_h^T Q_h is formed, masked and activated,
-    and multiplied by the head's value rows.  Outputs stack in head order.
+    Q, K and V of all heads come from one sparse product each.  Per head
+    only the p x p score block K_h^T Q_h is formed.  A ReLU head masks it
+    and keeps its positive entries in the same loop (a sign test on the
+    numerator); softmax, softplus and scaled heads, which are float only,
+    pass it through `_shape_scores` and `_activate`.  The head's value rows
+    then multiply the nonzero activations.
     """
-    backend = x.backend
     if backend == RATIONAL:
         for h in mh.heads:
             if h.activation.kind != "relu":
                 raise BackendError(f"{h.activation.kind} attention needs the float backend")
-    _require_backend("attention", mh.backends, x, y)
-    zero = Fraction(0) if backend == RATIONAL else 0.0
-    p = x.cols
-    (aq, bq), (ak, bk), (av, bv) = mh.stacked
-    q = _affine_rows(aq, bq, y.data, p, zero)
-    k = _affine_rows(ak, bk, x.data, p, zero)
-    v = _affine_rows(av, bv, x.data, p, zero)
+    _require_backend("attention", mh.backends, backend)
+    zero = 0 if backend == RATIONAL else 0.0
+    p = len(x[0])
+    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = mh.stacked
+    q = _affine(aq, bq, y, dy, zero)
+    k = _affine(ak, bk, x, dx, zero)
+    v = _affine(av, bv, x, dx, zero)
     out = []
-    t = 0
-    for i, h in enumerate(mh.heads):
-        qk = slice(t, t + h.d)
-        t += h.d
-        s = sparse_product(nonzero_rows(zip(*k[qk])), q[qk], p, zero)
-        a = _activate(h.activation, _shape_scores(h, Mat(backend, tuple(map(tuple, s)))))
-        vh = nonzero_rows(v[i * h.m:(i + 1) * h.m])
-        out.extend(map(tuple, sparse_product(vh, a.data, p, zero)))
-    return Mat(backend, tuple(out))
+    t = u = 0
+    for h in mh.heads:
+        relu_head = h.activation.kind == "relu" and not h.scaled
+        cut = relu_head and h.masked
+        d = h.d
+        act = []
+        for a in range(p):
+            lo = a if cut else 0  # masked entries are zero after the ReLU
+            srow = [zero] * p
+            for r in range(t, t + d):
+                c = k[r][a]
+                if c:
+                    qr = q[r]
+                    for b in range(lo, p):
+                        w = qr[b]
+                        if w:
+                            srow[b] += c * w
+            act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0]
+                       if relu_head else srow)
+        if not relu_head:
+            s = _activate(h.activation, _shape_scores(h, Mat(backend, tuple(map(tuple, act)))))
+            act = [[(b, w) for b, w in enumerate(row) if w] for row in s.data]
+        t += d
+        for vrow in v[u:u + h.m]:
+            acc = [zero] * p
+            for a, c in enumerate(vrow):
+                if c:
+                    for b, w in act[a]:
+                        acc[b] += c * w
+            out.append(acc)
+        u += h.m
+    return out, dq * dy * dk * dx * dv * dx
+
+
+def _check_self_input(mh: MultiheadAttention, shape: tuple):
+    if shape != (mh.n, mh.p):
+        raise ShapeError(f"attention input {shape}, head expects {(mh.n, mh.p)}")
+    if mh.n_q != mh.n:
+        raise ShapeError("head has distinct query input size; use eval_encdec_attention")
 
 
 def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     """Self-attention on an n x p input; masking happens before the activation."""
-    if x.shape != (mh.n, mh.p):
-        raise ShapeError(f"attention input {x.shape}, head expects {(mh.n, mh.p)}")
-    if mh.n_q != mh.n:
-        raise ShapeError("head has distinct query input size; use eval_encdec_attention")
-    return _attend(mh, x, x)
+    _check_self_input(mh, x.shape)
+    rows, den = _numerators(x)
+    return _to_mat(x.backend, *_attend(mh, x.backend, rows, den, rows, den))
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -221,7 +315,8 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
                          f"head expects rows {mh.n}/{mh.n_q}")
     if x.cols != mh.p or y.cols != mh.p:
         raise ShapeError("cross-attention inputs must share the sequence length")
-    return _attend(mh, x, y)
+    _require_backend("attention", mh.backends, x.backend, y.backend)
+    return _to_mat(x.backend, *_attend(mh, x.backend, *_numerators(x), *_numerators(y)))
 
 
 def eval_attention(head: AttentionHead, x: Mat) -> Mat:
@@ -270,30 +365,46 @@ class FeedForwardNet:
 
     @cached_property
     def sparse(self) -> tuple:
-        """Per layer, each row's nonzero (col, coef) pairs and the bias
-        entries; built on the first evaluation and kept, like
-        `MultiheadAttention.stacked`."""
-        return tuple((nonzero_rows(a.data), b.col_entries(0)) for a, b in self.layers)
+        """Per layer, each row's nonzero (col, coef) pairs, the bias
+        entries and the denominator both share, as in
+        `MultiheadAttention.stacked`; built on the first evaluation and kept."""
+        rational = RATIONAL in self.backends
+        layers = []
+        for a, b in self.layers:
+            rows = nonzero_rows(a.data)
+            bias = b.col_entries(0)
+            den, num = _integer_scale(rational, (c for row in rows for _, c in row), bias)
+            layers.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
+                           tuple(map(num, bias)), den))
+        return tuple(layers)
 
     @cached_property
     def backends(self) -> frozenset:
         return _backends(m for layer in self.layers for m in layer)
 
 
+def _feed(ffn: FeedForwardNet, backend: str, x: list, dx: int) -> tuple:
+    """The net on numerator rows over dx: output numerators and denominator."""
+    _require_backend("ffn", ffn.backends, backend)
+    zero = 0 if backend == RATIONAL else 0.0
+    p = len(x[0])
+    last = len(ffn.sparse) - 1
+    for idx, (rows, bias, den) in enumerate(ffn.sparse):
+        out = sparse_product(rows, x, p, zero)
+        for acc, b in zip(out, bias):
+            if b:
+                b *= dx
+                for j in range(p):
+                    acc[j] += b
+        x = out if idx == last else [[w if w > 0 else zero for w in acc] for acc in out]
+        dx *= den
+    return x, dx
+
+
 def eval_ffn(ffn: FeedForwardNet, x: Mat) -> Mat:
     if x.rows != ffn.in_dim:
         raise ShapeError(f"ffn expects {ffn.in_dim} input rows, got {x.rows}")
-    _require_backend("ffn", ffn.backends, x)
-    zero = Fraction(0) if x.backend == RATIONAL else 0.0
-    out = x
-    last = len(ffn.sparse) - 1
-    for idx, (nz, bias) in enumerate(ffn.sparse):
-        rows = sparse_product(nz, out.data, x.cols, zero)
-        out = Mat(x.backend, tuple(tuple(u + b for u in acc) if b else tuple(acc)
-                                   for acc, b in zip(rows, bias)))
-        if idx != last:
-            out = relu(out)
-    return out
+    return _to_mat(x.backend, *_feed(ffn, x.backend, *_numerators(x)))
 
 
 @dataclass(frozen=True)
@@ -323,15 +434,22 @@ class DecoderBlock(EncoderBlock):
 
 
 def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
-    """Compose blocks left to right; an empty list is the identity."""
-    out = x
+    """Compose blocks left to right; an empty list is the identity.  The
+    input is scaled to numerators once and carried through every block;
+    each block's output is reduced by the gcd of its denominator and
+    numerators."""
+    backend = x.backend
+    rows, den = _numerators(x)
     for i, blk in enumerate(blocks):
         try:
-            y = eval_ffn(blk.ffn, eval_multihead(blk.attn, out))
-            out = add(y, out) if blk.residual else y
+            _check_self_input(blk.attn, (len(rows), len(rows[0])))
         except ShapeError as exc:
             raise ShapeError(f"block {i}: {exc}") from exc
-    return out
+        y, dy = _feed(blk.ffn, backend, *_attend(blk.attn, backend, rows, den, rows, den))
+        if blk.residual:
+            y, dy = _added(y, dy, rows, den)
+        rows, den = _reduced(y, dy)
+    return _to_mat(backend, rows, den)
 
 
 @dataclass(frozen=True)
@@ -423,15 +541,31 @@ def _head_to_json(h: AttentionHead):
     return obj
 
 
+class WeightsFormatError(ValueError):
+    """A weights document is not shaped as blocks of heads and layers."""
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], where obj must be a JSON object and the value a `kind`."""
+    if not isinstance(obj, dict):
+        raise WeightsFormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise WeightsFormatError(f"{where} has no valid {key!r}, got {type(value).__name__}")
+    return value
+
+
+def _mat_field(obj, key: str, where: str) -> Mat:
+    return mat_from_json(_field(obj, key, list, where))
+
+
 def _head_from_json(obj) -> AttentionHead:
-    act = Activation(obj.get("activation", "relu"),
-                     obj.get("beta") if obj.get("activation") == "softplus" else None)
-    return AttentionHead(
-        a_q=mat_from_json(obj["A_Q"]), b_q=mat_from_json(obj["B_Q"]),
-        a_k=mat_from_json(obj["A_K"]), b_k=mat_from_json(obj["B_K"]),
-        a_v=mat_from_json(obj["A_V"]), b_v=mat_from_json(obj["B_V"]),
-        activation=act, masked=bool(obj.get("masked", False)),
-        scaled=bool(obj.get("scaled", False)))
+    mats = [_mat_field(obj, key, "a head") for key in ("A_Q", "B_Q", "A_K", "B_K", "A_V", "B_V")]
+    kind = _field(obj, "activation", str, "a head") if "activation" in obj else "relu"
+    beta = _field(obj, "beta", (int, float), "a softplus head") if kind == "softplus" else None
+    return AttentionHead(*mats, activation=Activation(kind, beta),
+                         masked=bool(obj.get("masked", False)),
+                         scaled=bool(obj.get("scaled", False)))
 
 
 def blocks_to_json(blocks: Sequence[EncoderBlock]):
@@ -444,10 +578,14 @@ def blocks_to_json(blocks: Sequence[EncoderBlock]):
 
 
 def blocks_from_json(obj) -> tuple:
+    """Inverse of `blocks_to_json`; a document of any other shape raises
+    `WeightsFormatError`."""
     out = []
-    for b in obj["blocks"]:
-        heads = MultiheadAttention(tuple(_head_from_json(h) for h in b["heads"]))
-        ffn = FeedForwardNet(tuple((mat_from_json(l["A"]), mat_from_json(l["b"]))
-                                   for l in b["ffn"]["layers"]))
+    for b in _field(obj, "blocks", list, "a weights document"):
+        heads = MultiheadAttention(tuple(
+            _head_from_json(h) for h in _field(b, "heads", list, "a block")))
+        layers = _field(_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
+        ffn = FeedForwardNet(tuple((_mat_field(l, "A", "a layer"), _mat_field(l, "b", "a layer"))
+                                   for l in layers))
         out.append(EncoderBlock(heads, ffn, bool(b.get("residual", False))))
     return tuple(out)

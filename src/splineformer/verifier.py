@@ -232,19 +232,24 @@ def _model_blocks(model) -> tuple:
     return tuple(model)
 
 
-def smooth_swap(model, activation: Activation) -> SmoothModel:
-    """Replace every attention activation (the nets keep ReLU)."""
-    blocks = _model_blocks(model)
+def _require_relu(blocks):
     for blk in blocks:
         for h in blk.attn.heads:
             if h.activation.kind != "relu":
                 raise ValueError("smooth swap expects a relu-activated model")
+
+
+def smooth_swap(model, activation: Activation) -> SmoothModel:
+    """Replace every attention activation (the nets keep ReLU)."""
+    blocks = _model_blocks(model)
+    _require_relu(blocks)
     return SmoothModel(blocks_to_float(blocks), activation, blocks)
 
 
 def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
     """Max |softplus-swapped - relu| per beta, rows in the given order;
-    math.inf is accepted as the relu-itself sentinel (error 0)."""
+    math.inf is accepted as the relu-itself sentinel (error 0).  The
+    weights are converted to floats once and shared by every swap."""
     blocks = _model_blocks(model)
     float_blocks = blocks_to_float(blocks)
     base = [eval_encoder(float_blocks, x.to_float()) for x in xs]
@@ -253,7 +258,8 @@ def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
         if beta == math.inf:
             rows.append({"beta": "inf", "max_abs_error": 0.0})
             continue
-        swapped = smooth_swap(model, Activation("softplus", float(beta)))
+        _require_relu(blocks)
+        swapped = SmoothModel(float_blocks, Activation("softplus", float(beta)), blocks)
         err = 0.0
         for x, want in zip(xs, base):
             got = swapped(x)

@@ -227,3 +227,27 @@ class TestInputErrors:
         capsys.readouterr()
         assert main(["eval", out, write(tmp_path / "x.json", [[-3]])]) == 0
         assert json.loads(capsys.readouterr().out) == [["3"]]
+
+    @pytest.mark.parametrize("weights", [5, {"blocks": 5}, {"blocks": [{"heads": 5}]}],
+                             ids=["number", "blocks-number", "heads-number"])
+    def test_malformed_weights_exit_2(self, tmp_path, capsys, weights):
+        w = write(tmp_path / "w.json", weights)
+        assert main(["eval", w, write(tmp_path / "x.json", [["1"]])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_float_exponent_exits_2(self, tmp_path, capsys):
+        spline = {"n": 1, "p": 1, "grid": [[
+            {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1.5}}]}]]}
+        spath = write(tmp_path / "spline.json", spline)
+        assert main(["compile", spath, "-o", str(tmp_path / "w.json")]) == 2
+        err = capsys.readouterr().err
+        assert "exponent" in err and len(err.strip().splitlines()) == 1
+
+    def test_negative_max_deg_exits_2(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        assert main(["degree", out, "--trials", "1", "--max-deg", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-deg" in captured.err

@@ -5,15 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from splineformer.compiler import CompileOptions, compile_spline
+from splineformer.spline import grid_from_json
 from splineformer.tensor import (BackendError, Mat, ShapeError, add,
-                                 apply_mask, matmul, relu, scale,
+                                 apply_mask, broadcast_cols, matmul, relu, scale,
                                  softmax_columns, softplus_beta, stack_rows,
                                  transpose)
 from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       EncDecStack, EncDecStage, EncoderBlock,
                                       FeedForwardNet,
                                       MultiheadAttention, blocks_from_json,
-                                      blocks_to_json, eval_attention,
+                                      blocks_to_float, blocks_to_json, eval_attention,
                                       eval_encdec, eval_encdec_attention,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec, identity_ffn,
@@ -146,10 +148,10 @@ def random_fraction_or_zero(rng):
     return F(rng.randint(-10, 10), rng.randint(1, 7)) if rng.random() < 0.5 else F(0)
 
 
-def random_multihead(rng, n, n_q, p, m, masked):
+def random_multihead(rng, n, n_q, p, m, masked, head_dim=None):
     heads = []
     for _ in range(rng.randint(1, 4)):
-        d = rng.randint(1, 3)
+        d = rng.randint(1, 3) if head_dim is None else head_dim
         heads.append(AttentionHead(
             a_q=sparse_random_mat(rng, d, n_q), b_q=sparse_random_mat(rng, d, p),
             a_k=sparse_random_mat(rng, d, n), b_k=sparse_random_mat(rng, d, p),
@@ -262,6 +264,110 @@ class TestStackedKernel:
         twin = MultiheadAttention(mh.heads)
         eval_multihead(mh, sparse_random_mat(rng, 2, 2))
         assert mh == twin and hash(mh) == hash(twin)
+
+
+def reference_ffn(ffn, h):
+    """The net from tensor primitives alone."""
+    last = len(ffn.layers) - 1
+    for i, (a, b) in enumerate(ffn.layers):
+        h = add(matmul(a, h), broadcast_cols(b, h.cols))
+        if i != last:
+            h = relu(h)
+    return h
+
+
+def reference_encoder(blocks, x):
+    """Block by block from tensor primitives alone."""
+    for blk in blocks:
+        y = reference_ffn(blk.ffn, reference_attention(blk.attn, x, x))
+        x = add(y, x) if blk.residual else y
+    return x
+
+
+def random_ffn(rng, in_dim, out_dim):
+    dims = [in_dim] + [rng.randint(1, 3) for _ in range(rng.randint(0, 2))] + [out_dim]
+    return FeedForwardNet(tuple((sparse_random_mat(rng, o, i), sparse_random_mat(rng, o, 1))
+                                for i, o in zip(dims, dims[1:])))
+
+
+def random_chain(rng, n, p, d, m):
+    """Plain, residual, masked, then masked residual block."""
+    blocks = []
+    for masked, residual in ((False, False), (False, True), (True, False), (True, True)):
+        mh = random_multihead(rng, n, n, p, m, masked, head_dim=d)
+        out = n if residual else rng.randint(1, 3)
+        blocks.append(EncoderBlock(mh, random_ffn(rng, mh.out_rows, out), residual))
+        n = out
+    return blocks
+
+
+def all_fractions(m):
+    return all(isinstance(v, F) for row in m.data for v in row)
+
+
+class TestIntegerCore:
+    """Forward passes on integer numerators over one shared denominator,
+    against definitions built from tensor primitives."""
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+    def test_chain_matches_block_by_block_reference(self, d, m):
+        rng = random.Random(f"chain:{d}:{m}")
+        for _ in range(3):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks = random_chain(rng, n, p, d, m)
+            x = sparse_random_mat(rng, n, p)
+            got = eval_encoder(blocks, x)
+            assert got == reference_encoder(blocks, x)
+            assert all_fractions(got)
+            # the weight maps sit over shared denominators above 1
+            assert all(max(den for *_, den in blk.attn.stacked) > 1 for blk in blocks)
+            assert max(den for blk in blocks for *_, den in blk.ffn.sparse) > 1
+
+    def test_float_chain_matches_reference(self):
+        rng = random.Random("chain-float")
+        for _ in range(5):
+            blocks = blocks_to_float(random_chain(rng, 2, 2, 2, 2)[:2])
+            x = sparse_random_mat(rng, 2, 2).to_float()
+            got = eval_encoder(blocks, x)
+            assert got.backend == "float"
+            assert got == reference_encoder(blocks, x)
+
+    def test_deep_monomial_equals_oracle(self):
+        grid = grid_from_json({"n": 2, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "-2/3", "exps": {"x_1_1": 9, "x_2_1": 7}}]}]]})
+        compiled = compile_spline(grid, CompileOptions(mode="pruned"))
+        assert compiled.stages >= 4
+        for t in range(10):
+            x = random_rational_mat(trial_rng(3, t), 2, 1)
+            got = compiled(x)
+            assert got == grid.eval(x)
+            assert all_fractions(got)
+
+    def test_encdec_matches_stage_by_stage_reference(self):
+        rng = random.Random("encdec")
+        for _ in range(5):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            encoder = tuple(random_chain(rng, n, p, 2, 1)[:2])
+            memo_rows = encoder[-1].ffn.out_dim
+            stages = []
+            t_rows = n
+            for residual in (False, True, True):
+                sa = random_multihead(rng, t_rows, t_rows, p, 2, True)
+                ca = random_multihead(rng, memo_rows, sa.out_rows, p, 1, False)
+                out = t_rows if residual else rng.randint(1, 3)
+                stages.append(EncDecStage(sa, ca, random_ffn(rng, ca.out_rows, out), residual))
+                t_rows = out
+            stack = EncDecStack(encoder=encoder, stages=tuple(stages))
+            x, y = sparse_random_mat(rng, n, p), sparse_random_mat(rng, n, p)
+            memo = reference_encoder(encoder, x)
+            t = y
+            for stage in stages:
+                s = reference_attention(stage.self_attn, t, t)
+                out = reference_ffn(stage.ffn, reference_attention(stage.cross_attn, memo, s))
+                t = add(out, t) if stage.residual else out
+            got = eval_encdec(stack, x, y)
+            assert got == t
+            assert all_fractions(got)
 
 
 class TestFfn:
