@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ from .compiler import (CompileOptions, NotAutoregressiveError,
                        ResourceLimitError, compile_autoregressive, compile_spline)
 from .spline import grid_from_json
 from .tensor import BackendError, ShapeError, mat_from_json, mat_to_json
-from .transformer import (Activation, EncoderModel, blocks_from_json,
+from .transformer import (SOFTMAX, EncoderModel, blocks_from_json,
                           blocks_to_float, blocks_to_json)
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        smooth_convergence_table, smooth_swap,
@@ -144,8 +143,11 @@ def cmd_degree(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     bound = args.bound if args.bound is not None else 3 ** len(model.blocks)
     max_deg = args.max_deg if args.max_deg is not None else bound + 2
-    report = estimate_degree(model, max_deg=max_deg, trials=args.trials,
-                             seed=args.seed, bound=bound)
+    try:
+        report = estimate_degree(model, max_deg=max_deg, trials=args.trials,
+                                 seed=args.seed, bound=bound)
+    except (ShapeError, BackendError) as exc:
+        return _fail(EXIT_INPUT_ERROR, f"degree estimation could not run: {exc}")
     _emit(report.to_json())
     return EXIT_OK
 
@@ -157,22 +159,22 @@ def cmd_smooth(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples)]
+    # weights whose attention is not ReLU, or whose blocks do not chain, raise ValueError
     if args.activation == "softmax":
-        swapped = smooth_swap(model.blocks, Activation("softmax"))
-        finite = True
-        for x in xs:
-            out = swapped(x)
-            if any(not math.isfinite(v) for row in out.data for v in row):
-                finite = False
-        checks = softmax_probability_check(swapped, xs)
-        _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs),
-               "finite_outputs": finite, **checks})
+        try:
+            checks = softmax_probability_check(smooth_swap(model.blocks, SOFTMAX), xs)
+        except ValueError as exc:
+            return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
+        _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs), **checks})
         return EXIT_OK
     try:
         betas = _parse_betas(args.betas)
     except ValueError as exc:
         return _fail(EXIT_INPUT_ERROR, f"bad --betas: {exc}")
-    rows = smooth_convergence_table(model.blocks, xs, betas)
+    try:
+        rows = smooth_convergence_table(model.blocks, xs, betas)
+    except ValueError as exc:
+        return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
     _emit({"kind": "smooth", "activation": "softplus", "samples": len(xs),
            "rows": rows})
     return EXIT_OK

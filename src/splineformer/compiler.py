@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .spline import ONE, Monomial, PBForm, SplineGrid
-from .tensor import Mat, ShapeError, add, matmul, scale, stack_rows
+from .tensor import RATIONAL, Mat, ShapeError, add, matmul, scale, stack_rows
 from .transformer import (AttentionHead, EncoderBlock, FeedForwardNet,
                           MultiheadAttention, RELU, eval_encoder, eval_ffn)
 from .veronese import factor_pair, graded_lex_monomials
@@ -247,12 +247,18 @@ def build_const_head(j: int, n: int, p: int, masked: bool = False) -> AttentionH
         activation=RELU, masked=masked)
 
 
+def _signed_row(cols: int, j: int, sign: int) -> Mat:
+    """The 1 x cols row holding sign at column j (0-based), zeros elsewhere."""
+    zero = Fraction(0)
+    return Mat(RATIONAL, ((zero,) * j + (Fraction(sign),) + (zero,) * (cols - j - 1),))
+
+
 def _quad_head(v_row: int, q_row: int, col: int, in_rows: int, p: int,
                masked: bool, sign: int) -> AttentionHead:
     """Head whose output row holds u_{v_row,col} * relu(sign * u_{q_row,col})
     at column col when row q_row is nonzero only in that column (0-based)."""
     return AttentionHead(
-        a_q=scale(Mat.basis(1, in_rows, 1, q_row + 1), Fraction(sign)),
+        a_q=_signed_row(in_rows, q_row, sign),
         b_q=Mat.zeros(1, p),
         a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
         a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=Mat.zeros(1, p),

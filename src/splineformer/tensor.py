@@ -104,7 +104,9 @@ class Mat:
             raise ShapeError(f"basis index ({i},{j}) outside {rows}x{cols}")
         one = Fraction(1) if backend == RATIONAL else 1.0
         zero = Fraction(0) if backend == RATIONAL else 0.0
-        return Mat(backend, tuple(tuple(one if (r + 1, c + 1) == (i, j) else zero for c in range(cols)) for r in range(rows)))
+        blank = (zero,) * cols
+        hot = blank[:j - 1] + (one,) + blank[j:]
+        return Mat(backend, tuple(hot if r == i - 1 else blank for r in range(rows)))
 
     @staticmethod
     def column(entries: Sequence, backend: str = RATIONAL) -> "Mat":
@@ -135,7 +137,7 @@ class Mat:
     def to_float(self) -> "Mat":
         if self.backend == FLOAT:
             return self
-        return Mat(FLOAT, tuple(tuple(float(x) for x in row) for row in self.data))
+        return Mat(FLOAT, tuple(tuple(float(x) if x else 0.0 for x in row) for row in self.data))
 
     def max_abs(self) -> Scalar:
         return max(abs(x) for row in self.data for x in row)
@@ -334,6 +336,9 @@ def mat_from_json(obj) -> Mat:
     holds a JSON float or "-inf"; integers and strings are exact rationals."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
+    if {type(x) for row in obj for x in row} == {str} and not any("-inf" in row for row in obj):
+        # the common case, a file of rational strings
+        return Mat(RATIONAL, tuple(tuple(map(_parse_rational, row)) for row in obj))
     entries = [x for row in obj for x in row]
     for x in entries:
         if isinstance(x, bool) or not isinstance(x, (int, float, str)):

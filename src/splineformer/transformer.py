@@ -181,6 +181,17 @@ def _affine(rows, bias, x: list, dx: int, zero) -> list:
     return out
 
 
+def _float_rows(rows, den: int) -> tuple:
+    """Integer (col, coef) rows over den as float rows over 1.  Python
+    rounds int / int correctly, so each coefficient is float(Fraction(coef,
+    den)); one that rounds to 0.0 is dropped, as from a float copy's rows."""
+    return tuple(tuple((j, f) for j, c in row if (f := c / den)) for row in rows)
+
+
+def _nonzero_or_none(row: tuple):
+    return row if any(row) else None
+
+
 @dataclass(frozen=True)
 class MultiheadAttention:
     heads: tuple
@@ -205,13 +216,26 @@ class MultiheadAttention:
         maps = []
         for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")):
             rows = nonzero_rows(row for h in self.heads for row in getattr(h, a).data)
-            bias = [row if any(row) else None for h in self.heads for row in getattr(h, b).data]
+            bias = [_nonzero_or_none(row) for h in self.heads for row in getattr(h, b).data]
             den, num = _integer_scale(rational, (c for row in rows for _, c in row),
                                       *filter(None, bias))
             maps.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
                          tuple(row and tuple(map(num, row)) for row in bias),
                          den))
         return tuple(maps)
+
+    @cached_property
+    def floats(self) -> tuple:
+        """`stacked` in floats, over 1, for float passes; built on first use
+        and kept, so every float pass (and every softplus beta) reuses it."""
+        if self.backends == {RATIONAL}:
+            return tuple((_float_rows(rows, den),
+                          tuple(row and _nonzero_or_none(tuple(v / den for v in row))
+                                for row in bias), 1)
+                         for rows, bias, den in self.stacked)
+        if self.backends == {FLOAT}:
+            return self.stacked
+        return MultiheadAttention(tuple(map(_float_head, self.heads))).stacked
 
     @cached_property
     def backends(self) -> frozenset:
@@ -235,34 +259,38 @@ class MultiheadAttention:
         return sum(h.m for h in self.heads)
 
 
-def _attend(mh: MultiheadAttention, backend: str, x: list, dx: int,
-            y: list, dy: int) -> tuple:
+def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
+            y: list, dy: int, observer=None, activation: Activation | None = None) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
-    read x (over dx), queries y (over dy).  Returns the output numerators,
-    stacked in head order, and their shared denominator.
+    read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
+    `mh.floats`).  Returns the output numerators, stacked in head order,
+    and their shared denominator.
 
     Q, K and V of all heads come from one sparse product each.  Per head
     only the p x p score block K_h^T Q_h is formed.  A ReLU head masks it
     and keeps its positive entries in the same loop (a sign test on the
     numerator); softmax, softplus and scaled heads, which are float only,
     pass it through `_shape_scores` and `_activate`.  The head's value rows
-    then multiply the nonzero activations.
+    then multiply the nonzero activations.  `activation`, if given, stands
+    in for every head's own.  `observer.head` is handed each head with its
+    q, k and v rows and its activation rows ((col, value) pairs of the
+    nonzero entries).
     """
     if backend == RATIONAL:
         for h in mh.heads:
             if h.activation.kind != "relu":
                 raise BackendError(f"{h.activation.kind} attention needs the float backend")
-    _require_backend("attention", mh.backends, backend)
     zero = 0 if backend == RATIONAL else 0.0
     p = len(x[0])
-    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = mh.stacked
+    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
     q = _affine(aq, bq, y, dy, zero)
     k = _affine(ak, bk, x, dx, zero)
     v = _affine(av, bv, x, dx, zero)
     out = []
     t = u = 0
     for h in mh.heads:
-        relu_head = h.activation.kind == "relu" and not h.scaled
+        head_act = activation or h.activation
+        relu_head = head_act.kind == "relu" and not h.scaled
         cut = relu_head and h.masked
         d = h.d
         act = []
@@ -280,8 +308,10 @@ def _attend(mh: MultiheadAttention, backend: str, x: list, dx: int,
             act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0]
                        if relu_head else srow)
         if not relu_head:
-            s = _activate(h.activation, _shape_scores(h, Mat(backend, tuple(map(tuple, act)))))
+            s = _activate(head_act, _shape_scores(h, Mat(backend, tuple(map(tuple, act)))))
             act = [[(b, w) for b, w in enumerate(row) if w] for row in s.data]
+        if observer is not None:
+            observer.head(h, q[t:t + d], k[t:t + d], v[u:u + h.m], act)
         t += d
         for vrow in v[u:u + h.m]:
             acc = [zero] * p
@@ -304,8 +334,9 @@ def _check_self_input(mh: MultiheadAttention, shape: tuple):
 def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     """Self-attention on an n x p input; masking happens before the activation."""
     _check_self_input(mh, x.shape)
+    _require_backend("attention", mh.backends, x.backend)
     rows, den = _numerators(x)
-    return _to_mat(x.backend, *_attend(mh, x.backend, rows, den, rows, den))
+    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend, rows, den, rows, den))
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -316,7 +347,8 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
     if x.cols != mh.p or y.cols != mh.p:
         raise ShapeError("cross-attention inputs must share the sequence length")
     _require_backend("attention", mh.backends, x.backend, y.backend)
-    return _to_mat(x.backend, *_attend(mh, x.backend, *_numerators(x), *_numerators(y)))
+    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend,
+                                       *_numerators(x), *_numerators(y)))
 
 
 def eval_attention(head: AttentionHead, x: Mat) -> Mat:
@@ -379,17 +411,27 @@ class FeedForwardNet:
         return tuple(layers)
 
     @cached_property
+    def floats(self) -> tuple:
+        """`sparse` in floats, over 1, as `MultiheadAttention.floats`."""
+        if self.backends == {RATIONAL}:
+            return tuple((_float_rows(rows, den), tuple(v / den for v in bias), 1)
+                         for rows, bias, den in self.sparse)
+        if self.backends == {FLOAT}:
+            return self.sparse
+        return _float_ffn(self).sparse
+
+    @cached_property
     def backends(self) -> frozenset:
         return _backends(m for layer in self.layers for m in layer)
 
 
-def _feed(ffn: FeedForwardNet, backend: str, x: list, dx: int) -> tuple:
-    """The net on numerator rows over dx: output numerators and denominator."""
-    _require_backend("ffn", ffn.backends, backend)
+def _feed(layers: tuple, backend: str, x: list, dx: int) -> tuple:
+    """A net, given as its `sparse` or `floats` layers, on numerator rows
+    over dx: output numerators and denominator."""
     zero = 0 if backend == RATIONAL else 0.0
     p = len(x[0])
-    last = len(ffn.sparse) - 1
-    for idx, (rows, bias, den) in enumerate(ffn.sparse):
+    last = len(layers) - 1
+    for idx, (rows, bias, den) in enumerate(layers):
         out = sparse_product(rows, x, p, zero)
         for acc, b in zip(out, bias):
             if b:
@@ -404,7 +446,8 @@ def _feed(ffn: FeedForwardNet, backend: str, x: list, dx: int) -> tuple:
 def eval_ffn(ffn: FeedForwardNet, x: Mat) -> Mat:
     if x.rows != ffn.in_dim:
         raise ShapeError(f"ffn expects {ffn.in_dim} input rows, got {x.rows}")
-    return _to_mat(x.backend, *_feed(ffn, x.backend, *_numerators(x)))
+    _require_backend("ffn", ffn.backends, x.backend)
+    return _to_mat(x.backend, *_feed(ffn.sparse, x.backend, *_numerators(x)))
 
 
 @dataclass(frozen=True)
@@ -433,11 +476,20 @@ class DecoderBlock(EncoderBlock):
             raise ValueError("decoder blocks require every head to be masked")
 
 
-def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
-    """Compose blocks left to right; an empty list is the identity.  The
-    input is scaled to numerators once and carried through every block;
-    each block's output is reduced by the gcd of its denominator and
-    numerators."""
+def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
+          activation: Activation | None = None) -> Mat:
+    """The block walk behind every encoder pass.  The input is scaled to
+    numerators once and carried through every block; each block's output
+    is reduced by the gcd of its denominator and numerators.
+
+    A rational pass reads the integer caches (`stacked`, `sparse`); a float
+    pass reads their float image (`floats`), so rational weights run in
+    floats with no float copy of the matrices.  `activation`, if given,
+    stands in for every head's own.  An `observer` sees every head through
+    `observer.head` (see `_attend`) and then each block through
+    `observer.block(blk, maps, layers)`, with the weight rows the pass read.
+    The caller checks the weights' backends.
+    """
     backend = x.backend
     rows, den = _numerators(x)
     for i, blk in enumerate(blocks):
@@ -445,11 +497,27 @@ def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
             _check_self_input(blk.attn, (len(rows), len(rows[0])))
         except ShapeError as exc:
             raise ShapeError(f"block {i}: {exc}") from exc
-        y, dy = _feed(blk.ffn, backend, *_attend(blk.attn, backend, rows, den, rows, den))
+        if backend == RATIONAL:
+            maps, layers = blk.attn.stacked, blk.ffn.sparse
+        else:
+            maps, layers = blk.attn.floats, blk.ffn.floats
+        y, dy = _feed(layers, backend, *_attend(blk.attn, maps, backend, rows, den,
+                                                rows, den, observer, activation))
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)
+        if observer is not None:
+            observer.block(blk, maps, layers)
     return _to_mat(backend, rows, den)
+
+
+def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
+    """Compose blocks left to right; an empty list is the identity.  Every
+    weight matrix must share the input's backend."""
+    for blk in blocks:
+        _require_backend("attention", blk.attn.backends, x.backend)
+        _require_backend("ffn", blk.ffn.backends, x.backend)
+    return _walk(blocks, x)
 
 
 @dataclass(frozen=True)
@@ -515,16 +583,19 @@ def identity_ffn(dim: int) -> FeedForwardNet:
     return FeedForwardNet(((a1, Mat.zeros(2 * dim, 1)), (a2, Mat.zeros(dim, 1))))
 
 
+def _float_head(h: AttentionHead) -> AttentionHead:
+    return replace(h, a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
+                   a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
+                   a_v=h.a_v.to_float(), b_v=h.b_v.to_float())
+
+
+def _float_ffn(ffn: FeedForwardNet) -> FeedForwardNet:
+    return FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in ffn.layers))
+
+
 def blocks_to_float(blocks: Sequence[EncoderBlock]) -> tuple:
-    out = []
-    for blk in blocks:
-        heads = tuple(replace(h, a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
-                              a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
-                              a_v=h.a_v.to_float(), b_v=h.b_v.to_float())
-                      for h in blk.attn.heads)
-        ffn = FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in blk.ffn.layers))
-        out.append(EncoderBlock(MultiheadAttention(heads), ffn, blk.residual))
-    return tuple(out)
+    return tuple(EncoderBlock(MultiheadAttention(tuple(map(_float_head, blk.attn.heads))),
+                              _float_ffn(blk.ffn), blk.residual) for blk in blocks)
 
 
 # -- JSON wire format ----------------------------------------------------------

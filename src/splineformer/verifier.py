@@ -11,10 +11,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import (FLOAT, Mat, add, apply_mask, broadcast_cols, mat_to_json,
-                     matmul, softmax_columns, stack_rows, transpose)
-from .transformer import (Activation, EncoderBlock, MultiheadAttention,
-                          blocks_to_float, eval_encoder, relu)
+from .tensor import Mat, mat_to_json, nonzero_rows, sparse_product
+from .transformer import (RELU, SOFTMAX, Activation, EncoderBlock,
+                          MultiheadAttention, _walk, blocks_to_float, eval_encoder)
 from .compiler import CompiledEncoder
 
 
@@ -236,7 +235,8 @@ def _require_relu(blocks):
     for blk in blocks:
         for h in blk.attn.heads:
             if h.activation.kind != "relu":
-                raise ValueError("smooth swap expects a relu-activated model")
+                raise ValueError(f"smooth swap expects a relu-activated model, "
+                                 f"found {h.activation.kind} attention")
 
 
 def smooth_swap(model, activation: Activation) -> SmoothModel:
@@ -248,29 +248,84 @@ def smooth_swap(model, activation: Activation) -> SmoothModel:
 
 def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
     """Max |softplus-swapped - relu| per beta, rows in the given order;
-    math.inf is accepted as the relu-itself sentinel (error 0).  The
-    weights are converted to floats once and shared by every swap."""
+    math.inf is accepted as the relu-itself sentinel (error 0).  Every pass
+    reads the float image of the same weights, so a new beta copies none."""
     blocks = _model_blocks(model)
-    float_blocks = blocks_to_float(blocks)
-    base = [eval_encoder(float_blocks, x.to_float()) for x in xs]
+    _require_relu(blocks)
+    fxs = [x.to_float() for x in xs]
+    base = [_walk(blocks, x) for x in fxs]
     rows = []
     for beta in betas:
         if beta == math.inf:
             rows.append({"beta": "inf", "max_abs_error": 0.0})
             continue
-        _require_relu(blocks)
-        swapped = SmoothModel(float_blocks, Activation("softplus", float(beta)), blocks)
+        activation = Activation("softplus", float(beta))
         err = 0.0
-        for x, want in zip(xs, base):
-            got = swapped(x)
+        for x, want in zip(fxs, base):
+            got = _walk(blocks, x, activation=activation)
             err = max(err, max(abs(a - b) for ra, rb in zip(got.data, want.data)
                                for a, b in zip(ra, rb)))
         rows.append({"beta": beta, "max_abs_error": err})
     return rows
 
 
-def _abs_mat(m: Mat) -> Mat:
-    return Mat(FLOAT, tuple(tuple(abs(v) for v in row) for row in m.data))
+def _abs_rows(rows) -> list:
+    return [[abs(v) for v in row] for row in rows]
+
+
+def _abs_map(rows) -> list:
+    """|coef| of (col, coef) rows."""
+    return [[(j, abs(c)) for j, c in row] for row in rows]
+
+
+def _product(a, b: list) -> list:
+    """a b for row lists, summed as `matmul` sums it."""
+    return sparse_product(nonzero_rows(a), b, len(b[0]), 0.0)
+
+
+def _sum(a: list, b: list) -> list:
+    return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+class _ErrorBound:
+    """Observer of a float ReLU pass that carries an entrywise bound on
+    |softplus-swapped - relu| beside it, block by block, in `err`."""
+
+    def __init__(self, gap: float, x: Mat):
+        self.gap = gap
+        self.err = [[0.0] * x.cols for _ in range(x.rows)]
+        self.heads = []
+
+    def head(self, h, q, k, v, act):
+        self.heads.append((h.masked, q, k, v, act))
+
+    def block(self, blk, maps, layers):
+        p = len(self.err[0])
+        # the error maps are |coef| of the rows the pass read
+        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in maps)
+        out = []
+        t = u = 0
+        for masked, q, k, v, act in self.heads:
+            eqh, ekt = eq[t:t + len(q)], list(zip(*ek[t:t + len(q)]))
+            # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
+            es = _sum(_sum(_product(zip(*_abs_rows(k)), eqh), _product(ekt, _abs_rows(q))),
+                      _product(ekt, eqh))
+            # masked entries are exactly 0 under both activations
+            es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
+                  for i, row in enumerate(es)]
+            a = [[0.0] * p for _ in range(p)]
+            for i, row in enumerate(act):
+                for j, w in row:
+                    a[i][j] = w
+            # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
+            out += _sum(_product(ev[u:u + len(v)], _sum(a, es)), _product(_abs_rows(v), es))
+            t += len(q)
+            u += len(v)
+        for rows, _, _ in layers:
+            # relu is 1-Lipschitz: error carries over
+            out = sparse_product(_abs_map(rows), out, p, 0.0)
+        self.err = _sum(out, self.err) if blk.residual else out
+        self.heads = []
 
 
 def softplus_error_bound(model, x: Mat, beta: float) -> float:
@@ -278,92 +333,52 @@ def softplus_error_bound(model, x: Mat, beta: float) -> float:
 
     Per attention layer the activation gap is at most ln2/beta entrywise
     (and softplus is 1-Lipschitz); the gap is pushed through the affine
-    maps, the score products, and the ReLU nets by interval propagation.
+    maps, the score products, and the ReLU nets by interval propagation,
+    beside one float pass of the ReLU model.
     """
-    gap = math.log(2) / beta
-    blocks = blocks_to_float(_model_blocks(model))
-    cur = x.to_float()
-    err = Mat.zeros(cur.rows, cur.cols, FLOAT)
-    for blk in blocks:
-        outs = []
-        errs = []
-        for h in blk.attn.heads:
-            q = add(matmul(h.a_q, cur), h.b_q)
-            k = add(matmul(h.a_k, cur), h.b_k)
-            v = add(matmul(h.a_v, cur), h.b_v)
-            eq = matmul(_abs_mat(h.a_q), err)
-            ek = matmul(_abs_mat(h.a_k), err)
-            ev = matmul(_abs_mat(h.a_v), err)
-            s = matmul(transpose(k), q)
-            # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
-            es = add(add(matmul(transpose(_abs_mat(k)), eq),
-                         matmul(transpose(ek), _abs_mat(q))),
-                     matmul(transpose(ek), eq))
-            if h.masked:
-                act = relu(apply_mask(s))
-                # masked entries are exactly 0 under both activations
-                es = Mat(FLOAT, tuple(
-                    tuple((es.at(i, j) + gap) if i <= j else 0.0
-                          for j in range(es.cols)) for i in range(es.rows)))
-            else:
-                act = relu(s)
-                es = Mat(FLOAT, tuple(tuple(e + gap for e in row) for row in es.data))
-            # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
-            outs.append(matmul(v, act))
-            errs.append(add(matmul(ev, add(_abs_mat(act), es)),
-                            matmul(_abs_mat(v), es)))
-        h_out = stack_rows(outs)
-        e_out = stack_rows(errs)
-        last = len(blk.ffn.layers) - 1
-        for i, (a, b) in enumerate(blk.ffn.layers):
-            h_out = add(matmul(a, h_out), broadcast_cols(b, h_out.cols))
-            e_out = matmul(_abs_mat(a), e_out)
-            if i != last:
-                h_out = relu(h_out)  # relu is 1-Lipschitz: error carries over
-        if blk.residual:
-            h_out = add(h_out, cur)
-            e_out = add(e_out, err)
-        cur, err = h_out, e_out
-    return err.max_abs()
+    bound = _ErrorBound(math.log(2) / beta, x)
+    _walk(_model_blocks(model), x.to_float(), bound, RELU)
+    return max(abs(e) for row in bound.err for e in row)
+
+
+class _ProbabilityColumns:
+    """Observer of a float softmax pass that checks every head's
+    activations, column by column."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.columns_ok = True
+        self.masked_zeros_ok = True
+
+    def head(self, h, q, k, v, act):
+        # act holds the nonzero entries only; adding 0.0 changes no column sum
+        cols = [[] for _ in act]
+        for i, row in enumerate(act):
+            for j, w in row:
+                cols[j].append(w)
+                if h.masked and i > j:
+                    self.masked_zeros_ok = False
+        for col in cols:
+            if abs(sum(col) - 1.0) > self.tol or any(e < 0 or e > 1 for e in col):
+                self.columns_ok = False
+
+    def block(self, blk, maps, layers):
+        pass
 
 
 def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> dict:
-    """Walk a softmax-swapped evaluation and verify every attention score
-    matrix maps to probability columns (sums within tol of 1, entries in
-    [0, 1]); on masked heads the strictly-lower entries must be exactly 0."""
-    blocks = blocks_to_float(_model_blocks(model))
-    columns_ok = True
-    masked_zeros_ok = True
+    """Watch one softmax-swapped pass per input: every attention score
+    matrix must map to probability columns (sums within tol of 1, entries
+    in [0, 1]), on masked heads the strictly-lower entries must be exactly
+    0, and every output must be finite."""
+    blocks = _model_blocks(model)
+    check = _ProbabilityColumns(tol)
+    finite = True
     for x in xs:
-        cur = x.to_float()
-        for blk in blocks:
-            outs = []
-            for h in blk.attn.heads:
-                q = add(matmul(h.a_q, cur), h.b_q)
-                k = add(matmul(h.a_k, cur), h.b_k)
-                v = add(matmul(h.a_v, cur), h.b_v)
-                s = matmul(transpose(k), q)
-                if h.masked:
-                    s = apply_mask(s)
-                probs = softmax_columns(s)
-                for j in range(probs.cols):
-                    col = probs.col_entries(j)
-                    if abs(sum(col) - 1.0) > tol or any(e < 0 or e > 1 for e in col):
-                        columns_ok = False
-                if h.masked:
-                    for i in range(probs.rows):
-                        for j in range(probs.cols):
-                            if i > j and probs.at(i, j) != 0.0:
-                                masked_zeros_ok = False
-                outs.append(matmul(v, probs))
-            h_out = stack_rows(outs)
-            last = len(blk.ffn.layers) - 1
-            for i, (a, b) in enumerate(blk.ffn.layers):
-                h_out = add(matmul(a, h_out), broadcast_cols(b, h_out.cols))
-                if i != last:
-                    h_out = relu(h_out)
-            cur = add(h_out, cur) if blk.residual else h_out
-    return {"probability_columns": columns_ok, "masked_zeros": masked_zeros_ok}
+        out = _walk(blocks, x.to_float(), check, SOFTMAX)
+        finite = finite and all(math.isfinite(v) for row in out.data for v in row)
+    return {"finite_outputs": finite, "probability_columns": check.columns_ok,
+            "masked_zeros": check.masked_zeros_ok}
 
 
 # -- layout soundness ------------------------------------------------------------

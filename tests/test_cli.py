@@ -251,3 +251,27 @@ class TestInputErrors:
         assert main(["degree", out, "--trials", "1", "--max-deg", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-deg" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["smooth", "W", "--activation", "softplus", "--samples", "2"],
+        ["smooth", "W", "--activation", "softplus", "--betas", "inf", "--samples", "2"],
+        ["smooth", "W", "--activation", "softplus", "--betas", "", "--samples", "2"],
+        ["smooth", "W", "--activation", "softmax", "--samples", "2"],
+        ["degree", "W", "--trials", "1", "--bound", "3"],
+    ], ids=["smooth-softplus", "smooth-inf", "smooth-no-betas", "smooth-softmax", "degree"])
+    @pytest.mark.parametrize("activation", [{"activation": "softmax"},
+                                            {"activation": "softplus", "beta": 10.0}],
+                             ids=["softmax-heads", "softplus-heads"])
+    def test_non_relu_weights_exit_2(self, tmp_path, capsys, argv, activation):
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        for blk in doc["blocks"]:
+            for head in blk["heads"]:
+                head.update(activation)
+        w = write(tmp_path / "smooth_heads.json", doc)
+        assert main([w if a == "W" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert activation["activation"] in captured.err
+        assert len(captured.err.strip().splitlines()) == 1

@@ -213,3 +213,17 @@ class TestJson:
     def test_non_matrix_rejected(self, obj):
         with pytest.raises(ValueError):
             mat_from_json(obj)
+
+    def test_string_matrix_reads_as_rational(self):
+        m = mat_from_json([["1/2", "-3"], ["0", "1.25"]])
+        assert m == Mat.rational([[F(1, 2), -3], [0, F(5, 4)]])
+        assert m.backend == "rational"
+        assert mat_from_json([["1/2", "-inf"]]) == Mat.from_floats([[0.5, NEG_INF]])
+
+    @pytest.mark.parametrize("obj,error", [
+        ([["1/2", "abc"]], ValueError), ([["1/0"]], ZeroDivisionError),
+        ([["1"], ["1", "2"]], ShapeError), ([["1", ["2"]]], BackendError),
+        ([["1", True]], BackendError), ([["-inf", "abc"]], ValueError)])
+    def test_bad_string_matrices(self, obj, error):
+        with pytest.raises(error):
+            mat_from_json(obj)

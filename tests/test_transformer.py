@@ -19,7 +19,7 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       eval_encdec, eval_encdec_attention,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec, identity_ffn,
-                                      softplus)
+                                      softplus, _walk)
 from splineformer.verifier import random_rational_mat, trial_rng
 
 
@@ -527,3 +527,52 @@ class TestWeightJson:
         blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
         loaded = blocks_from_json(blocks_to_json([blk]))
         assert loaded[0].attn.heads[0].activation == softplus(50.0)
+
+
+class TestFloatImage:
+    """Float passes over rational weights read float rows taken from the
+    integer caches; they must equal the caches of a float copy."""
+
+    @staticmethod
+    def assert_image_of_copy(blocks):
+        for blk, twin in zip(blocks, blocks_to_float(blocks)):
+            assert blk.attn.floats == twin.attn.stacked
+            assert blk.ffn.floats == twin.ffn.sparse
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+    def test_random_chains(self, d, m):
+        rng = random.Random(f"image:{d}:{m}")
+        for _ in range(3):
+            self.assert_image_of_copy(random_chain(rng, rng.randint(1, 3), rng.randint(1, 3), d, m))
+
+    def test_underflow_is_dropped(self):
+        tiny = F(1, 10 ** 400)  # a nonzero rational that rounds to 0.0
+        head = scalar_head(a_q=rmat([[tiny, F(1, 3)]]), b_q=rmat([[tiny]]),
+                           a_k=rmat([[1, tiny]]), a_v=rmat([[tiny, 2]]))
+        ffn = FeedForwardNet(((rmat([[tiny], [F(-2, 7)]]), rmat([[tiny], [1]])),))
+        blocks = [EncoderBlock(MultiheadAttention((head,)), ffn)]
+        self.assert_image_of_copy(blocks)
+        (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.floats
+        assert aq == (((1, 1 / 3),),) and bq == (None,)
+        assert ak == (((0, 1.0),),) and av == (((1, 2.0),),)
+        assert blocks[0].ffn.floats[0][0] == ((), ((0, -2 / 7),))
+
+    def test_float_weights_are_their_own_image(self):
+        blk = blocks_to_float(random_chain(random.Random(7), 2, 2, 1, 1))[0]
+        assert blk.attn.floats is blk.attn.stacked
+        assert blk.ffn.floats is blk.ffn.sparse
+
+    def test_mixed_backend_layer(self):
+        head = scalar_head(a_q=Mat.from_floats([[0.5]]))
+        ffn = FeedForwardNet(((rmat([[F(1, 3)]]), Mat.from_floats([[0.25]])),))
+        self.assert_image_of_copy([EncoderBlock(MultiheadAttention((head,)), ffn)])
+
+    def test_float_pass_over_rational_weights(self):
+        # eval_encoder still refuses mixed backends; the private walk reads the image
+        rng = random.Random("image-pass")
+        for _ in range(5):
+            blocks = random_chain(rng, 2, 2, 2, 2)
+            x = sparse_random_mat(rng, 2, 2).to_float()
+            with pytest.raises(BackendError):
+                eval_encoder(blocks, x)
+            assert _walk(blocks, x) == eval_encoder(blocks_to_float(blocks), x)

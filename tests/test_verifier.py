@@ -6,18 +6,21 @@ from fractions import Fraction as F
 import pytest
 
 from splineformer.compiler import CompileOptions, compile_spline
-from splineformer.spline import PBForm, Polynomial, SplineGrid
-from splineformer.tensor import Mat
-from splineformer.transformer import (AttentionHead, EncoderBlock,
+from splineformer.spline import PBForm, Polynomial, SplineGrid, grid_from_json
+from splineformer.tensor import (FLOAT, Mat, add, apply_mask, broadcast_cols,
+                                 matmul, relu, softmax_columns, stack_rows,
+                                 transpose)
+from splineformer.transformer import (Activation, AttentionHead, EncoderBlock,
                                       EncoderModel, FeedForwardNet,
-                                      MultiheadAttention, blocks_to_float,
+                                      MultiheadAttention, _walk, blocks_to_float,
                                       eval_attention, eval_encoder,
                                       identity_ffn, softplus)
-from splineformer.verifier import (FnModel, autoregressive_check,
+from splineformer.verifier import (FnModel, SmoothModel, autoregressive_check,
                                    estimate_degree, oracle_equiv,
                                    random_rational_mat, smooth_convergence_table,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
+from test_transformer import random_chain, reference_ffn, sparse_random_mat
 
 
 def x(i, j=1):
@@ -276,3 +279,160 @@ class TestSmoothSwap:
                 err = max(abs(a - b) for ra, rb in zip(got.data, want.data)
                           for a, b in zip(ra, rb))
                 assert err <= softplus_error_bound(c, X, beta)
+
+
+# -- the observers against the dense walks they replaced -------------------------
+
+def _abs_mat(m):
+    return Mat(FLOAT, tuple(tuple(abs(v) for v in row) for row in m.data))
+
+
+def dense_error_bound(blocks, x, beta):
+    """softplus_error_bound as a dense head-by-head walk on a float copy."""
+    gap = math.log(2) / beta
+    cur = x.to_float()
+    err = Mat.zeros(cur.rows, cur.cols, FLOAT)
+    for blk in blocks_to_float(blocks):
+        outs, errs = [], []
+        for h in blk.attn.heads:
+            q = add(matmul(h.a_q, cur), h.b_q)
+            k = add(matmul(h.a_k, cur), h.b_k)
+            v = add(matmul(h.a_v, cur), h.b_v)
+            eq = matmul(_abs_mat(h.a_q), err)
+            ek = matmul(_abs_mat(h.a_k), err)
+            ev = matmul(_abs_mat(h.a_v), err)
+            s = matmul(transpose(k), q)
+            es = add(add(matmul(transpose(_abs_mat(k)), eq),
+                         matmul(transpose(ek), _abs_mat(q))),
+                     matmul(transpose(ek), eq))
+            if h.masked:
+                act = relu(apply_mask(s))
+                es = Mat(FLOAT, tuple(
+                    tuple((es.at(i, j) + gap) if i <= j else 0.0
+                          for j in range(es.cols)) for i in range(es.rows)))
+            else:
+                act = relu(s)
+                es = Mat(FLOAT, tuple(tuple(e + gap for e in row) for row in es.data))
+            outs.append(matmul(v, act))
+            errs.append(add(matmul(ev, add(_abs_mat(act), es)),
+                            matmul(_abs_mat(v), es)))
+        h_out, e_out = stack_rows(outs), stack_rows(errs)
+        last = len(blk.ffn.layers) - 1
+        for i, (a, b) in enumerate(blk.ffn.layers):
+            h_out = add(matmul(a, h_out), broadcast_cols(b, h_out.cols))
+            e_out = matmul(_abs_mat(a), e_out)
+            if i != last:
+                h_out = relu(h_out)
+        if blk.residual:
+            h_out, e_out = add(h_out, cur), add(e_out, err)
+        cur, err = h_out, e_out
+    return err.max_abs()
+
+
+def dense_probability_check(blocks, xs, tol):
+    """softmax_probability_check as a dense head-by-head walk on a float
+    copy; finiteness from the softmax-swapped model."""
+    columns_ok = masked_zeros_ok = True
+    for x in xs:
+        cur = x.to_float()
+        for blk in blocks_to_float(blocks):
+            outs = []
+            for h in blk.attn.heads:
+                q = add(matmul(h.a_q, cur), h.b_q)
+                k = add(matmul(h.a_k, cur), h.b_k)
+                v = add(matmul(h.a_v, cur), h.b_v)
+                s = matmul(transpose(k), q)
+                probs = softmax_columns(apply_mask(s) if h.masked else s)
+                for j in range(probs.cols):
+                    col = probs.col_entries(j)
+                    if abs(sum(col) - 1.0) > tol or any(e < 0 or e > 1 for e in col):
+                        columns_ok = False
+                    if h.masked and any(probs.at(i, j) != 0.0 for i in range(j + 1, probs.rows)):
+                        masked_zeros_ok = False
+                outs.append(matmul(v, probs))
+            cur = reference_ffn(blk.ffn, stack_rows(outs)) if not blk.residual else \
+                add(reference_ffn(blk.ffn, stack_rows(outs)), cur)
+    swapped = smooth_swap(blocks, Activation("softmax"))
+    finite = all(math.isfinite(v) for x in xs for row in swapped(x).data for v in row)
+    return {"finite_outputs": finite, "probability_columns": columns_ok,
+            "masked_zeros": masked_zeros_ok}
+
+
+CHAIN_SHAPES = [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)]
+
+
+def chains(tag, d, m, count=3):
+    """Random 4-block chains (plain, residual, masked, masked residual) and
+    an input for each."""
+    rng = random.Random(f"{tag}:{d}:{m}")
+    for _ in range(count):
+        n, p = rng.randint(1, 3), rng.randint(1, 3)
+        yield random_chain(rng, n, p, d, m), sparse_random_mat(rng, n, p)
+
+
+class TestObservedPasses:
+    """The error bound and the probability check watch one kernel pass and
+    must equal the dense walks bit for bit."""
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    def test_error_bound_equals_dense_walk(self, d, m):
+        for blocks, x in chains("bound", d, m):
+            for beta in (0.5, 10.0, 1000.0):
+                want = dense_error_bound(blocks, x, beta)
+                assert want > 0
+                assert softplus_error_bound(blocks, x, beta) == want
+
+    def test_error_bound_of_compiled_chain(self):
+        grid = grid_from_json({"n": 2, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "-2/3", "exps": {"x_1_1": 3, "x_2_1": 2}}]}]]})
+        compiled = compile_spline(grid, CompileOptions(mode="pruned"))
+        assert len(compiled.blocks) >= 2
+        for t in range(5):
+            X = random_rational_mat(trial_rng(12, t), 2, 1)
+            for beta in (10.0, 100.0):
+                want = dense_error_bound(compiled.blocks, X, beta)
+                assert softplus_error_bound(compiled, X, beta) == want
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    def test_probability_check_equals_dense_walk(self, d, m):
+        rng = random.Random(f"columns:{d}:{m}")
+        for blocks, x in chains("columns", d, m):
+            xs = [x, sparse_random_mat(rng, x.rows, x.cols)]
+            for tol in (1e-12, 1.5e-16, 0.0):
+                want = dense_probability_check(blocks, xs, tol)
+                assert softmax_probability_check(blocks, xs, tol) == want
+                swapped = smooth_swap(blocks, Activation("softmax"))
+                assert softmax_probability_check(swapped, xs, tol) == want
+
+    def test_probability_check_verdicts_vary(self):
+        # at tol 0 some column sums miss 1 by rounding; at 1e-12 none does
+        verdicts = set()
+        for d, m in CHAIN_SHAPES:
+            for blocks, x in chains("columns", d, m):
+                verdicts.add(softmax_probability_check(blocks, [x], 0.0)["probability_columns"])
+                assert softmax_probability_check(blocks, [x])["probability_columns"]
+        assert verdicts == {False, True}
+
+    def test_probability_check_sees_overflow(self):
+        # the value map overflows to inf, so the outputs are not finite
+        head = cubic_head()
+        head = replace(head, a_v=Mat.rational([[F(10) ** 300]]))
+        blocks = [EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))]
+        xs = [Mat.rational([[F(10) ** 10]]), Mat.rational([[F(1, 2)]])]
+        want = dense_probability_check(blocks, xs, 1e-12)
+        assert want["finite_outputs"] is False
+        assert softmax_probability_check(blocks, xs) == want
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    def test_swapped_passes_equal_smooth_model(self, d, m):
+        for blocks, x in chains("swap", d, m):
+            relu_float = blocks_to_float(blocks)
+            want_base = eval_encoder(relu_float, x.to_float())
+            for beta in (1.0, 10.0, 100.0):
+                got = _walk(blocks, x.to_float(), activation=softplus(beta))
+                want = SmoothModel(relu_float, softplus(beta), blocks)(x)
+                assert got == want
+                gap = max(abs(a - b) for ra, rb in zip(want.data, want_base.data)
+                          for a, b in zip(ra, rb))
+                assert smooth_convergence_table(blocks, [x], [beta]) == [
+                    {"beta": beta, "max_abs_error": gap}]
