@@ -5,8 +5,8 @@ from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
                      DegenerateColumnError, Mat, MaskedScores, ShapeError,
                      apply_mask, matmul, relu, softmax_columns, softplus_beta,
                      stack_rows)
-from .spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
-                     UnsupportedProductError, eval_maxdef, eval_pbform,
+from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
+                     SplineGrid, UnsupportedProductError, eval_maxdef, eval_pbform,
                      eval_poly, normalize_to_pbform)
 from .veronese import (VeroneseIndex, compose_cover, factor_pair, factor_split,
                        graded_lex_monomials, veronese_dim, veronese_eval)

@@ -15,18 +15,20 @@ import sys
 
 from .compiler import (CompileOptions, NotAutoregressiveError,
                        ResourceLimitError, compile_autoregressive, compile_spline)
-from .spline import grid_from_json
+from .spline import FormSizeError, grid_from_json
 from .tensor import BackendError, ShapeError, mat_from_json, mat_to_json
-from .transformer import (SOFTMAX, EncoderModel, blocks_from_json,
-                          blocks_to_float, blocks_to_json)
+from .transformer import EncoderModel, _walk, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
-                       smooth_convergence_table, smooth_swap,
+                       require_relu, smooth_convergence_table,
                        softmax_probability_check, trial_rng)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
+
+# model evaluations per `degree` trial (max_deg + 2 line points)
+MAX_LINE_POINTS = 1024
 
 
 def _default_seed() -> int:
@@ -66,6 +68,8 @@ def _layout_path(out_path: str) -> str:
 def cmd_compile(args) -> int:
     try:
         spline = grid_from_json(_load_json(args.spline))
+    except FormSizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read spline: {exc}")
     opts = CompileOptions(mode=args.mode, masked=args.masked)
@@ -107,12 +111,12 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     if args.backend == "float":
-        model = EncoderModel(blocks_to_float(model.blocks))
         x = x.to_float()
     elif args.backend == "rational" and x.backend != "rational":
         return _fail(EXIT_INPUT_ERROR, "rational backend requested but input is float")
     try:
-        out = model(x)
+        # a float pass reads the float image of the weights, whatever their backend
+        out = _walk(model.blocks, x) if args.backend == "float" else model(x)
     except (ShapeError, BackendError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"evaluation failed: {exc}")
     _emit(mat_to_json(out))
@@ -123,6 +127,8 @@ def cmd_verify(args) -> int:
     try:
         model = _load_model(args.weights)
         spline = grid_from_json(_load_json(args.spline))
+    except FormSizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     try:
@@ -143,6 +149,10 @@ def cmd_degree(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     bound = args.bound if args.bound is not None else 3 ** len(model.blocks)
     max_deg = args.max_deg if args.max_deg is not None else bound + 2
+    if max_deg + 2 > MAX_LINE_POINTS:
+        return _fail(EXIT_RESOURCE_ERROR,
+                     f"degree needs {max_deg + 2} model evaluations per trial, above the "
+                     f"cap of {MAX_LINE_POINTS}; pass a smaller --max-deg")
     try:
         report = estimate_degree(model, max_deg=max_deg, trials=args.trials,
                                  seed=args.seed, bound=bound)
@@ -162,7 +172,8 @@ def cmd_smooth(args) -> int:
     # weights whose attention is not ReLU, or whose blocks do not chain, raise ValueError
     if args.activation == "softmax":
         try:
-            checks = softmax_probability_check(smooth_swap(model.blocks, SOFTMAX), xs)
+            require_relu(model.blocks)
+            checks = softmax_probability_check(model.blocks, xs)
         except ValueError as exc:
             return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
         _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs), **checks})

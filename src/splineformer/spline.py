@@ -8,6 +8,7 @@ an exact oracle.  Variables are matrix coordinates (i, j), 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,6 +22,19 @@ class VariableRangeError(ValueError):
 
 class UnsupportedProductError(ValueError):
     """Product whose factors both contain max/min; not reducible here."""
+
+
+class FormSizeError(RuntimeError):
+    """Normalizing would build a max-min form above MAX_FORM_SIZE."""
+
+
+# Polynomials in one max-min form, summed over its rows.  Min, sum and
+# negation multiply sizes, so a short expression can ask for billions;
+# each is sized from its operands before anything is built.  The readout
+# network compiled from a form grows faster than the form: min of 8
+# two-way maxes (256 rows, 2048 polynomials) compiles in about 10 s and
+# 150 MB, min of 9 (4608) in about 66 s and 840 MB.
+MAX_FORM_SIZE = 1 << 12
 
 
 # -- monomials -------------------------------------------------------------
@@ -195,8 +209,20 @@ def pb_max(forms: Sequence[PBForm]) -> PBForm:
     return PBForm(tuple(row for f in forms for row in f.rows))
 
 
+def _form_size(f: PBForm) -> int:
+    return sum(map(len, f.rows))
+
+
+def _check_size(rows: int, size: int):
+    if size > MAX_FORM_SIZE:
+        raise FormSizeError(f"max-min form would hold {size} polynomials in {rows} rows, "
+                            f"above the cap of {MAX_FORM_SIZE}")
+
+
 def pb_min(forms: Sequence[PBForm]) -> PBForm:
     # min of max-min forms: distribute, one row drawn from each operand
+    count = math.prod(len(f.rows) for f in forms)
+    _check_size(count, sum(_form_size(f) * (count // len(f.rows)) for f in forms))
     rows = [()]
     for f in forms:
         rows = [acc + r for acc in rows for r in f.rows]
@@ -205,6 +231,7 @@ def pb_min(forms: Sequence[PBForm]) -> PBForm:
 
 def pb_sum(a: PBForm, b: PBForm) -> PBForm:
     # max distributes over + on the outside, min on the inside
+    _check_size(len(a.rows) * len(b.rows), _form_size(a) * _form_size(b))
     return PBForm(tuple(
         tuple(p.add(q) for p in ra for q in rb)
         for ra in a.rows for rb in b.rows))
@@ -212,6 +239,8 @@ def pb_sum(a: PBForm, b: PBForm) -> PBForm:
 
 def pb_negate(f: PBForm) -> PBForm:
     """-f re-expressed as max-min (lattice distribution over row choices)."""
+    count = math.prod(map(len, f.rows))
+    _check_size(count, count * len(f.rows))
     choices = itertools.product(*[range(len(r)) for r in f.rows])
     return PBForm(tuple(
         tuple(f.rows[i][k].neg() for i, k in enumerate(choice))

@@ -270,17 +270,20 @@ def softmax_columns(m) -> Mat:
         raise BackendError("softmax on a structurally masked rational matrix; use the float backend")
     if m.backend != FLOAT:
         raise BackendError("softmax requires the float backend")
-    cols = []
-    for j in range(m.cols):
-        entries = m.col_entries(j)
-        finite = [x for x in entries if x != NEG_INF]
-        if not finite:
-            raise DegenerateColumnError(f"column {j} is entirely -inf")
-        top = max(finite)
-        exps = [0.0 if x == NEG_INF else math.exp(x - top) for x in entries]
-        total = sum(exps)
-        cols.append([e / total for e in exps])
-    return Mat(FLOAT, tuple(tuple(cols[j][i] for j in range(m.cols)) for i in range(m.rows)))
+    cols = [_softmax_column(m.col_entries(j), j) for j in range(m.cols)]
+    return Mat(FLOAT, tuple(zip(*cols)))
+
+
+def _softmax_column(entries: Sequence[float], j: int) -> list:
+    """Softmax of score column j, entries in row order: shifted by the
+    largest finite entry, summed in row order; -inf entries map to exactly 0."""
+    finite = [x for x in entries if x != NEG_INF]
+    if not finite:
+        raise DegenerateColumnError(f"column {j} is entirely -inf")
+    top = max(finite)
+    exps = [0.0 if x == NEG_INF else math.exp(x - top) for x in entries]
+    total = sum(exps)
+    return [e / total for e in exps]
 
 
 def _softplus_scalar(x: float, beta: float) -> float:
@@ -331,14 +334,33 @@ def mat_to_json(m: Mat):
     return [["-inf" if x == NEG_INF else x for x in row] for row in m.data]
 
 
+def _rational_rows(obj):
+    """The rows of a non-empty list of lists of rational strings (no
+    "-inf"), the common case of a weights file, parsed in one pass per row;
+    None for any other input, or for a string that does not parse, so that
+    the general path reports the error it would report for the whole
+    matrix.  `Mat` checks the row widths."""
+    if type(obj) is not list or not obj:
+        return None
+    rows = []
+    try:
+        for row in obj:
+            if type(row) is not list or set(map(type, row)) != {str} or "-inf" in row:
+                return None
+            rows.append(tuple(map(_parse_rational, row)))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return tuple(rows)
+
+
 def mat_from_json(obj) -> Mat:
     """Inverse of `mat_to_json`.  The matrix is read as float only when it
     holds a JSON float or "-inf"; integers and strings are exact rationals."""
+    rows = _rational_rows(obj)
+    if rows is not None:
+        return Mat(RATIONAL, rows)
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
-    if {type(x) for row in obj for x in row} == {str} and not any("-inf" in row for row in obj):
-        # the common case, a file of rational strings
-        return Mat(RATIONAL, tuple(tuple(map(_parse_rational, row)) for row in obj))
     entries = [x for row in obj for x in row]
     for x in entries:
         if isinstance(x, bool) or not isinstance(x, (int, float, str)):

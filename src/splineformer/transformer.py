@@ -14,10 +14,10 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .tensor import (FLOAT, RATIONAL, BackendError, Mat, ShapeError, add,
-                     apply_mask, mat_from_json, mat_to_json, nonzero_rows,
-                     relu, scale, softmax_columns, softplus_beta,
-                     sparse_product, stack_rows)
+from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
+                     _softmax_column, _softplus_scalar, add, mat_from_json,
+                     mat_to_json, nonzero_rows, scale, sparse_product,
+                     stack_rows)
 
 
 @dataclass(frozen=True)
@@ -86,25 +86,6 @@ class AttentionHead:
     @property
     def p(self) -> int:
         return self.b_q.cols
-
-
-def _activate(activation: Activation, scores):
-    if activation.kind == "relu":
-        return relu(scores)
-    if activation.kind == "softmax":
-        return softmax_columns(scores)
-    return softplus_beta(scores, activation.beta)
-
-
-def _shape_scores(head: AttentionHead, s: Mat):
-    """Optional 1/sqrt(d) scaling, then the mask; both precede the activation."""
-    if head.scaled:
-        if s.backend != FLOAT:
-            raise BackendError("score scaling needs the float backend (1/sqrt(d) is irrational)")
-        s = scale(s, 1.0 / math.sqrt(head.d))
-    if head.masked:
-        s = apply_mask(s)
-    return s
 
 
 def _backends(mats) -> frozenset:
@@ -242,6 +223,25 @@ class MultiheadAttention:
         return _backends(getattr(h, name) for h in self.heads
                          for name in ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v"))
 
+    @cached_property
+    def head_layout(self) -> tuple:
+        """Per head, the constants a pass reads: the head, d, m, masked,
+        its score scale (1/sqrt(d), or None when unscaled) and its
+        activation."""
+        return tuple((h, h.d, h.m, h.masked, 1.0 / math.sqrt(h.d) if h.scaled else None,
+                      h.activation) for h in self.heads)
+
+    @cached_property
+    def rational_error(self) -> str | None:
+        """Why the layer cannot run on rationals, or None: only unscaled
+        ReLU heads can (SoftMax, SoftPlus and 1/sqrt(d) are irrational)."""
+        for h in self.heads:
+            if h.activation.kind != "relu":
+                return f"{h.activation.kind} attention needs the float backend"
+        if any(h.scaled for h in self.heads):
+            return "score scaling needs the float backend (1/sqrt(d) is irrational)"
+        return None
+
     @property
     def n(self) -> int:
         return self.heads[0].n
@@ -264,22 +264,23 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     """Every head of the layer at once, on numerator rows: keys and values
     read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
     `mh.floats`).  Returns the output numerators, stacked in head order,
-    and their shared denominator.
+    and their shared denominator.  This is the only place an attention
+    activation is computed.
 
     Q, K and V of all heads come from one sparse product each.  Per head
-    only the p x p score block K_h^T Q_h is formed.  A ReLU head masks it
-    and keeps its positive entries in the same loop (a sign test on the
-    numerator); softmax, softplus and scaled heads, which are float only,
-    pass it through `_shape_scores` and `_activate`.  The head's value rows
-    then multiply the nonzero activations.  `activation`, if given, stands
-    in for every head's own.  `observer.head` is handed each head with its
-    q, k and v rows and its activation rows ((col, value) pairs of the
-    nonzero entries).
+    only the p x p score block K_h^T Q_h is formed, as plain lists; then,
+    in the same loop nest, the optional 1/sqrt(d) scale, the mask and the
+    activation.  ReLU keeps the positive entries (on rationals a sign test
+    on the numerator) and SoftPlus maps entry by entry; both skip masked
+    entries, which come out as 0.  SoftMax masks entries to -inf and acts
+    column by column, through the same column routine as
+    `softmax_columns`.  The head's value rows then multiply the nonzero
+    activations.  `activation`, if given, stands in for every head's own.
+    `observer.head` is handed each head with its q, k and v rows and its
+    activation rows ((col, value) pairs of the nonzero entries).
     """
-    if backend == RATIONAL:
-        for h in mh.heads:
-            if h.activation.kind != "relu":
-                raise BackendError(f"{h.activation.kind} attention needs the float backend")
+    if backend == RATIONAL and mh.rational_error:
+        raise BackendError(mh.rational_error)
     zero = 0 if backend == RATIONAL else 0.0
     p = len(x[0])
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
@@ -288,14 +289,12 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     v = _affine(av, bv, x, dx, zero)
     out = []
     t = u = 0
-    for h in mh.heads:
-        head_act = activation or h.activation
-        relu_head = head_act.kind == "relu" and not h.scaled
-        cut = relu_head and h.masked
-        d = h.d
+    for h, d, m, masked, root, own in mh.head_layout:
+        head_act = activation or own
+        kind, beta = head_act.kind, head_act.beta
         act = []
         for a in range(p):
-            lo = a if cut else 0  # masked entries are zero after the ReLU
+            lo = a if masked else 0  # masked entries are never formed
             srow = [zero] * p
             for r in range(t, t + d):
                 c = k[r][a]
@@ -305,22 +304,30 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
                         w = qr[b]
                         if w:
                             srow[b] += c * w
-            act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0]
-                       if relu_head else srow)
-        if not relu_head:
-            s = _activate(head_act, _shape_scores(h, Mat(backend, tuple(map(tuple, act)))))
-            act = [[(b, w) for b, w in enumerate(row) if w] for row in s.data]
+            if root is not None:
+                srow = [root * w for w in srow]
+            if kind == "relu":
+                act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0])
+            elif kind == "softplus":
+                act.append([(b, w) for b in range(lo, p)
+                            if (w := _softplus_scalar(srow[b], beta))])
+            else:
+                srow[:lo] = [NEG_INF] * lo
+                act.append(srow)
+        if kind == "softmax":
+            cols = [_softmax_column([row[b] for row in act], b) for b in range(p)]
+            act = [[(b, e) for b, col in enumerate(cols) if (e := col[a])] for a in range(p)]
         if observer is not None:
-            observer.head(h, q[t:t + d], k[t:t + d], v[u:u + h.m], act)
+            observer.head(h, q[t:t + d], k[t:t + d], v[u:u + m], act)
         t += d
-        for vrow in v[u:u + h.m]:
+        for vrow in v[u:u + m]:
             acc = [zero] * p
             for a, c in enumerate(vrow):
                 if c:
                     for b, w in act[a]:
                         acc[b] += c * w
             out.append(acc)
-        u += h.m
+        u += m
     return out, dq * dy * dk * dx * dv * dx
 
 

@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .spline import SplineGrid
@@ -200,23 +201,28 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
 
 class SmoothModel:
     """A compiled model with its attention activations swapped; evaluation
-    runs on the float backend, feed-forward nets stay ReLU."""
+    is one float pass over the float image of `original_blocks` with the
+    activation standing in for every head's own (feed-forward nets stay
+    ReLU).  `blocks`, the swapped float copy of the weights, is built only
+    when it is read."""
 
     def __init__(self, blocks: Sequence[EncoderBlock], activation: Activation,
                  original_blocks: Sequence[EncoderBlock]):
         self.activation = activation
         self.original_blocks = tuple(original_blocks)
-        swapped = []
-        for blk in blocks:
-            heads = tuple(replace(h, activation=activation) for h in blk.attn.heads)
-            swapped.append(EncoderBlock(MultiheadAttention(heads), blk.ffn, blk.residual))
-        self.blocks = tuple(swapped)
-        head = self.blocks[0].attn.heads[0]
+        self._weights = tuple(blocks)
+        head = self._weights[0].attn.heads[0]
         self.n = head.n
         self.p = head.p
 
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(EncoderBlock(MultiheadAttention(tuple(
+            replace(h, activation=self.activation) for h in blk.attn.heads)),
+            blk.ffn, blk.residual) for blk in blocks_to_float(self._weights))
+
     def __call__(self, x: Mat) -> Mat:
-        return eval_encoder(self.blocks, x.to_float())
+        return _walk(self.original_blocks, x.to_float(), activation=self.activation)
 
     def swap_back(self) -> tuple:
         """The untouched original weights."""
@@ -231,7 +237,9 @@ def _model_blocks(model) -> tuple:
     return tuple(model)
 
 
-def _require_relu(blocks):
+def require_relu(blocks):
+    """Raise ValueError, naming the activation found, unless every
+    attention head of `blocks` is ReLU (the model a swap starts from)."""
     for blk in blocks:
         for h in blk.attn.heads:
             if h.activation.kind != "relu":
@@ -242,8 +250,8 @@ def _require_relu(blocks):
 def smooth_swap(model, activation: Activation) -> SmoothModel:
     """Replace every attention activation (the nets keep ReLU)."""
     blocks = _model_blocks(model)
-    _require_relu(blocks)
-    return SmoothModel(blocks_to_float(blocks), activation, blocks)
+    require_relu(blocks)
+    return SmoothModel(blocks, activation, blocks)
 
 
 def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
@@ -251,7 +259,7 @@ def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
     math.inf is accepted as the relu-itself sentinel (error 0).  Every pass
     reads the float image of the same weights, so a new beta copies none."""
     blocks = _model_blocks(model)
-    _require_relu(blocks)
+    require_relu(blocks)
     fxs = [x.to_float() for x in xs]
     base = [_walk(blocks, x) for x in fxs]
     rows = []

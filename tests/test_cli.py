@@ -3,7 +3,10 @@ import os
 
 import pytest
 
-from splineformer.cli import main
+from splineformer import cli
+from splineformer.cli import MAX_LINE_POINTS, main
+from splineformer.tensor import mat_from_json, mat_to_json
+from splineformer.transformer import blocks_from_json, blocks_to_float, eval_encoder
 
 ABS_SPLINE = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]},
@@ -275,3 +278,89 @@ class TestInputErrors:
         assert captured.out == ""
         assert activation["activation"] in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestFloatEval:
+    """`eval --backend float` walks the float image of the loaded weights;
+    its stdout must equal a pass over a float copy of them."""
+
+    @pytest.mark.parametrize("heads", [
+        {}, {"activation": "softplus", "beta": 10.0}, {"activation": "softplus", "beta": 0.5},
+        {"activation": "softmax"}, {"scaled": True},
+        {"activation": "softmax", "scaled": True},
+    ], ids=["relu", "softplus-10", "softplus-0.5", "softmax", "scaled", "softmax-scaled"])
+    @pytest.mark.parametrize("spline,extra", [(CUBE_SPLINE, ()),
+                                              (AUTOREGRESSIVE_SPLINE, ("--masked",))],
+                             ids=["cube", "masked"])
+    def test_equals_float_copy(self, tmp_path, capsys, heads, spline, extra):
+        _, out = compile_to(tmp_path, spline, extra=extra)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        for blk in doc["blocks"]:
+            for head in blk["heads"]:
+                head.update(heads)
+        w = write(tmp_path / "heads.json", doc)
+        xs = [[["3/2"]], [["-2/7"]]] if spline is CUBE_SPLINE else [[["3/2", "-5"]]]
+        for x in xs:
+            want = eval_encoder(blocks_to_float(blocks_from_json(doc)),
+                                mat_from_json(x).to_float())
+            assert main(["eval", w, write(tmp_path / "x.json", x), "--backend", "float"]) == 0
+            assert capsys.readouterr().out == json.dumps(mat_to_json(want), sort_keys=True) + "\n"
+
+
+def min_of_maxes(k):
+    """min of k two-way maxes, which normalizes to 2^k rows of k polynomials."""
+    return {"n": 2, "p": 1, "grid": [[{"op": "min", "args": [
+        {"op": "max", "args": [
+            {"op": "poly", "terms": [{"coef": str(i + 1), "exps": {"x_1_1": 1}}]},
+            {"op": "poly", "terms": [{"coef": "1", "exps": {"x_2_1": 1}}, {"coef": str(i), "exps": {}}]}]}
+        for i in range(k)]}]]}
+
+
+class TestResourceCaps:
+    """Inputs whose cost grows exponentially exit 3 with one line before
+    the work starts."""
+
+    def test_degree_default_bound_over_cap(self, tmp_path, capsys):
+        # seven stacked identity blocks: the default bound 3^7 asks for 2191 points
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        doc["blocks"] = doc["blocks"] * 7
+        w = write(tmp_path / "deep.json", doc)
+        assert main(["degree", w, "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(MAX_LINE_POINTS) in captured.err and "--max-deg" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_degree_max_deg_just_over_cap(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        max_deg = MAX_LINE_POINTS - 1  # max_deg + 2 line points, one over the cap
+        assert main(["degree", out, "--trials", "1", "--max-deg", str(max_deg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-deg" in captured.err
+
+    def test_degree_cap_boundary(self, tmp_path, capsys, monkeypatch):
+        # with a cap of 8 points, --max-deg 6 runs and --max-deg 7 does not
+        monkeypatch.setattr(cli, "MAX_LINE_POINTS", 8)
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        assert main(["degree", out, "--trials", "1", "--max-deg", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_deg"] == 6
+        assert main(["degree", out, "--trials", "1", "--max-deg", "7"]) == 3
+        assert "cap of 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_normalization_just_over_cap(self, tmp_path, capsys, command):
+        # k = 8 gives 2048 polynomials, under the cap; k = 9 gives 4608
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        spath = write(tmp_path / "wide.json", min_of_maxes(9))
+        argv = {"compile": ["compile", spath, "-o", str(tmp_path / "wide_w.json")],
+                "verify": ["verify", out, spath, "--samples", "1"]}[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err and len(captured.err.strip().splitlines()) == 1

@@ -2,13 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from splineformer.spline import (Monomial, PBForm, Polynomial, SplineGrid,
-                                 UnsupportedProductError, VariableRangeError,
-                                 const, degree, emax, emin, eprod, escale, esum,
-                                 eval_maxdef, eval_pbform, eval_poly,
-                                 expr_from_json, expr_to_json, grid_from_json,
-                                 grid_to_json, normalize_to_pbform, pb_negate,
-                                 var)
+from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
+                                 Polynomial, SplineGrid, UnsupportedProductError,
+                                 VariableRangeError, const, degree, emax, emin,
+                                 eprod, escale, esum, eval_maxdef, eval_pbform,
+                                 eval_poly, expr_from_json, expr_to_json,
+                                 grid_from_json, grid_to_json, normalize_to_pbform,
+                                 pb_min, pb_negate, pb_scale, pb_sum, var)
 from splineformer.tensor import Mat
 from splineformer.verifier import random_rational_mat, trial_rng
 
@@ -113,6 +113,49 @@ class TestNormalize:
         e = eprod(emax(var(1, 1), const(0)), emax(var(2, 1), const(0)))
         with pytest.raises(UnsupportedProductError):
             normalize_to_pbform(e)
+
+
+class TestSizeCap:
+    """Min, sum and negation multiply form sizes; each is sized from its
+    operands and refused above MAX_FORM_SIZE polynomials before it is built."""
+
+    @staticmethod
+    def tall(rows, width=1):
+        return PBForm(((x(1),) * width,) * rows)
+
+    def test_min_at_and_just_over_cap(self):
+        half = MAX_FORM_SIZE // 2
+        # one row of one polynomial against `half` rows: half rows of two each
+        f = pb_min([self.tall(1), self.tall(half)])
+        assert len(f.rows) == half and sum(map(len, f.rows)) == MAX_FORM_SIZE
+        with pytest.raises(FormSizeError, match=str(MAX_FORM_SIZE)):
+            pb_min([self.tall(1), self.tall(half + 1)])
+
+    def test_sum_just_over_cap(self):
+        assert len(pb_sum(self.tall(1, 64), self.tall(1, 64)).rows[0]) == MAX_FORM_SIZE
+        with pytest.raises(FormSizeError):
+            pb_sum(self.tall(1, 64), self.tall(1, 65))  # one row of 4160
+        with pytest.raises(FormSizeError):
+            pb_sum(self.tall(64), self.tall(65))  # 4160 rows of one
+
+    def test_negate_just_over_cap(self):
+        # 8 rows of two negate to 256 rows of 8 (2048), 9 to 512 of 9 (4608)
+        assert len(pb_negate(self.tall(8, 2)).rows) == 256
+        with pytest.raises(FormSizeError):
+            pb_negate(self.tall(9, 2))
+        with pytest.raises(FormSizeError):
+            pb_scale(self.tall(9, 2), -1)
+
+    def test_min_of_maxes_just_over_cap(self):
+        pair = emax(var(1, 1), var(2, 1))
+        assert len(normalize_to_pbform(emin(*[pair] * 8)).rows) == 256
+        with pytest.raises(FormSizeError):
+            normalize_to_pbform(emin(*[pair] * 9))
+
+    def test_sum_of_mins_just_over_cap(self):
+        # row widths multiply under a sum: mins of 64 and 65 make one row of 4160
+        with pytest.raises(FormSizeError):
+            normalize_to_pbform(esum(emin(*[var(1, 1)] * 64), emin(*[var(2, 1)] * 65)))
 
 
 class TestDegree:

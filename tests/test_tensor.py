@@ -227,3 +227,13 @@ class TestJson:
     def test_bad_string_matrices(self, obj, error):
         with pytest.raises(error):
             mat_from_json(obj)
+
+    @pytest.mark.parametrize("obj,error", [
+        ([["abc"], [True]], BackendError), ([["1/0"], [None]], BackendError),
+        ([["abc"], ["1", "2"]], ValueError), ([["1", "2"], ["abc"]], ValueError),
+        ([["abc"], [1.5]], ValueError), ([["1/0"], ["-inf"]], ZeroDivisionError)])
+    def test_first_error_over_all_rows(self, obj, error):
+        # a bad string in an early row does not hide the error a later row raises first
+        with pytest.raises(error) as caught:
+            mat_from_json(obj)
+        assert type(caught.value) is error

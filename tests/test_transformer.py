@@ -7,7 +7,7 @@ import pytest
 
 from splineformer.compiler import CompileOptions, compile_spline
 from splineformer.spline import grid_from_json
-from splineformer.tensor import (BackendError, Mat, ShapeError, add,
+from splineformer.tensor import (BackendError, DegenerateColumnError, Mat, ShapeError, add,
                                  apply_mask, broadcast_cols, matmul, relu, scale,
                                  softmax_columns, softplus_beta, stack_rows,
                                  transpose)
@@ -576,3 +576,87 @@ class TestFloatImage:
             with pytest.raises(BackendError):
                 eval_encoder(blocks, x)
             assert _walk(blocks, x) == eval_encoder(blocks_to_float(blocks), x)
+
+
+KERNEL_ACTIVATIONS = [Activation("relu"), softplus(0.5), softplus(10.0), softplus(1e6),
+                      Activation("softmax")]
+
+
+def smooth_chain(blocks, activation, scaled):
+    """A float copy of `blocks` whose heads all take `activation` and `scaled`."""
+    return [EncoderBlock(float_heads(blk.attn, activation, scaled), blk.ffn, blk.residual)
+            for blk in blocks_to_float(blocks)]
+
+
+class TestFusedActivations:
+    """Scaling, masking and every activation run inside the stacked-head
+    kernel; they must equal, bit for bit, the per-head definition from
+    `scale`, `apply_mask`, `relu`, `softplus_beta` and `softmax_columns`."""
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_chains_equal_reference(self, d, m, scaled):
+        rng = random.Random(f"fused:{d}:{m}:{scaled}")
+        for _ in range(2):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks = random_chain(rng, n, p, d, m)
+            x = sparse_random_mat(rng, n, p).to_float()
+            for activation in KERNEL_ACTIVATIONS:
+                swapped = smooth_chain(blocks, activation, scaled)
+                want = reference_encoder(swapped, x)
+                assert eval_encoder(swapped, x) == want
+                if not scaled:
+                    # the same pass over the rational weights' float image
+                    assert _walk(blocks, x, activation=activation) == want
+
+    @pytest.mark.parametrize("n,m,masked,cross", KERNEL_CASES)
+    def test_layers_equal_reference(self, n, m, masked, cross):
+        rng = random.Random(f"fused-layer:{n}:{m}:{masked}:{cross}")
+        for activation in KERNEL_ACTIVATIONS:
+            for scaled in (False, True):
+                p = rng.randint(1, 3)
+                n_q = rng.randint(1, 3) if cross else n
+                mh = float_heads(random_multihead(rng, n, n_q, p, m, masked),
+                                 activation, scaled)
+                x, y = TestStackedKernel.inputs(rng, n, n_q, p, cross)
+                x, y = x.to_float(), y.to_float()
+                got = TestStackedKernel.evaluate(mh, x, y, cross)
+                assert got == reference_attention(mh, x, y)
+
+    @staticmethod
+    def overflowing_head(masked):
+        # the score k q = -x^2 overflows to -inf for a large input entry
+        one = Mat.from_floats([[1.0]])
+        zero = Mat.from_floats([[0.0, 0.0]])
+        return AttentionHead(a_q=Mat.from_floats([[-1.0]]), b_q=zero, a_k=one, b_k=zero,
+                             a_v=one, b_v=zero, activation=Activation("softmax"),
+                             masked=masked)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_column_with_minus_inf_score(self, masked):
+        mh = MultiheadAttention((self.overflowing_head(masked),))
+        x = Mat.from_floats([[2.0, 1e200]])
+        got = eval_multihead(mh, x)
+        assert got == reference_attention(mh, x, x)
+        assert all(math.isfinite(v) for row in got.data for v in row)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_degenerate_column(self, masked):
+        # column 0 holds only -inf (masked entries are -inf too)
+        mh = MultiheadAttention((self.overflowing_head(masked),))
+        x = Mat.from_floats([[1e200, 1e200]])
+        with pytest.raises(DegenerateColumnError, match="column 0") as want:
+            reference_attention(mh, x, x)
+        with pytest.raises(DegenerateColumnError) as got:
+            eval_multihead(mh, x)
+        assert str(got.value) == str(want.value)
+
+    def test_head_layout_is_cached(self):
+        head = replace(scalar_head(), scaled=True, masked=True)
+        mh = MultiheadAttention((head, scalar_head(activation=softplus(2.0))))
+        assert mh.head_layout is mh.head_layout
+        assert mh.head_layout == ((head, 1, 1, True, 1.0, Activation("relu")),
+                                  (mh.heads[1], 1, 1, False, None, softplus(2.0)))
+        assert mh.rational_error == "softplus attention needs the float backend"
+        assert MultiheadAttention((head,)).rational_error.startswith("score scaling")
+        assert MultiheadAttention((scalar_head(),)).rational_error is None

@@ -20,7 +20,7 @@ from splineformer.verifier import (FnModel, SmoothModel, autoregressive_check,
                                    random_rational_mat, smooth_convergence_table,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
-from test_transformer import random_chain, reference_ffn, sparse_random_mat
+from test_transformer import random_chain, reference_ffn, smooth_chain, sparse_random_mat
 
 
 def x(i, j=1):
@@ -436,3 +436,32 @@ class TestObservedPasses:
                           for a, b in zip(ra, rb))
                 assert smooth_convergence_table(blocks, [x], [beta]) == [
                     {"beta": beta, "max_abs_error": gap}]
+
+
+class TestSmoothModelPass:
+    """A swapped model walks the float image of the original weights with
+    the activation standing in; it must equal eval_encoder over a swapped
+    float copy, which it builds only when `blocks` is read."""
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_equals_walk_over_float_copy(self, d, m, scaled):
+        for blocks, x in chains("smooth-model", d, m, count=2):
+            if scaled:
+                blocks = [EncoderBlock(MultiheadAttention(tuple(
+                    replace(h, scaled=True) for h in blk.attn.heads)), blk.ffn, blk.residual)
+                    for blk in blocks]
+            for activation in (softplus(0.5), softplus(10.0), softplus(1e6), Activation("softmax")):
+                sw = smooth_swap(blocks, activation)
+                copy = tuple(smooth_chain(blocks, activation, scaled))
+                assert sw(x) == eval_encoder(copy, x.to_float())
+                assert "blocks" not in vars(sw)  # the pass made no copy
+                assert sw.blocks == copy
+
+    def test_compiled_model(self, compiled_cube):
+        _, c = compiled_cube
+        sw = smooth_swap(c, softplus(100.0))
+        copy = smooth_chain(c.blocks, softplus(100.0), False)
+        for t in range(5):
+            x = random_rational_mat(trial_rng(12, t), 1, 1)
+            assert sw(x) == eval_encoder(copy, x.to_float())
