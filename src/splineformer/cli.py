@@ -27,6 +27,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
 
+# what reading an input file can raise (json.JSONDecodeError is a ValueError;
+# a rational string with a zero denominator raises ZeroDivisionError, as in `Fraction`)
+INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError)
+
 # model evaluations per `degree` trial (max_deg + 2 line points)
 MAX_LINE_POINTS = 1024
 
@@ -70,7 +74,7 @@ def cmd_compile(args) -> int:
         spline = grid_from_json(_load_json(args.spline))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read spline: {exc}")
     opts = CompileOptions(mode=args.mode, masked=args.masked)
     try:
@@ -108,7 +112,7 @@ def cmd_eval(args) -> int:
     try:
         model = _load_model(args.weights)
         x = mat_from_json(_load_json(args.input))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     if args.backend == "float":
         x = x.to_float()
@@ -129,7 +133,7 @@ def cmd_verify(args) -> int:
         spline = grid_from_json(_load_json(args.spline))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     try:
         report = oracle_equiv(model, spline, args.samples, args.seed)
@@ -145,7 +149,7 @@ def cmd_degree(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"--max-deg must be at least 0, got {args.max_deg}")
     try:
         model = _load_model(args.weights)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     bound = args.bound if args.bound is not None else 3 ** len(model.blocks)
     max_deg = args.max_deg if args.max_deg is not None else bound + 2
@@ -165,7 +169,7 @@ def cmd_degree(args) -> int:
 def cmd_smooth(args) -> int:
     try:
         model = _load_model(args.weights)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples)]

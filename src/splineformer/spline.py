@@ -537,6 +537,15 @@ def _parse_exponent(key: str, e) -> int:
     return e
 
 
+def _parse_coef(c) -> Fraction:
+    """Fraction(c) for a JSON coefficient; ValueError for any value that is
+    not a finite rational (a zero denominator, an infinity, a list)."""
+    try:
+        return Fraction(c)
+    except (ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValueError(f"bad coefficient {c!r}: {exc}") from None
+
+
 def expr_from_json(obj):
     """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression."""
     op = obj.get("op")
@@ -545,7 +554,7 @@ def expr_from_json(obj):
         for t in obj["terms"]:
             m = Monomial.from_dict({_parse_var_key(k): _parse_exponent(k, e)
                                     for k, e in t["exps"].items()})
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(t["coef"])
+            terms[m] = terms.get(m, Fraction(0)) + _parse_coef(t["coef"])
         p = Polynomial.from_terms(terms)
         args = []
         for m, c in p.terms:

@@ -187,12 +187,17 @@ class MultiheadAttention:
 
     @cached_property
     def stacked(self) -> tuple:
-        """For Q, K and V in turn: the A rows of every head, stacked, as
-        nonzero (col, coef) pairs, the B rows (None where zero), and the
-        denominator both share.  Rational coefficients are integer
-        numerators over the lcm of the map's denominators; float ones are
-        kept, over 1.  Built on the first evaluation and kept; not a
-        dataclass field, so equality still compares `heads` only."""
+        """The weight maps a pass reads.  For Q, K and V in turn: the A
+        rows, stacked, as nonzero (col, coef) pairs, the B rows (None where
+        zero), and the denominator both share; then, per head, the row
+        offset of its group in the Q and K rows.  Heads whose Q and K rows
+        and bias rows are equal and which agree in `masked`, `scaled` and
+        `activation` share one attention pattern: their Q and K rows are
+        stacked once, for the group, while every head keeps its own V rows.
+        Rational coefficients are integer numerators over the lcm of the
+        map's denominators; float ones are kept, over 1.  Built on the
+        first evaluation and kept; not a dataclass field, so equality still
+        compares `heads` only."""
         rational = RATIONAL in self.backends
         maps = []
         for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")):
@@ -203,17 +208,34 @@ class MultiheadAttention:
             maps.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
                          tuple(row and tuple(map(num, row)) for row in bias),
                          den))
-        return tuple(maps)
+        (aq, bq, dq), (ak, bk, dk), v = maps
+        groups, kept, offsets = {}, [], []
+        t = 0
+        for h in self.heads:
+            # integer (col, coef) rows hash cheaply; equal rows over the
+            # shared denominator are equal maps
+            key = (aq[t:t + h.d], bq[t:t + h.d], ak[t:t + h.d], bk[t:t + h.d],
+                   h.masked, h.scaled, h.activation)
+            if key not in groups:
+                groups[key] = len(kept)
+                kept.extend(range(t, t + h.d))
+            offsets.append(groups[key])
+            t += h.d
+        aq, bq, ak, bk = (tuple(rows[r] for r in kept) for rows in (aq, bq, ak, bk))
+        return (aq, bq, dq), (ak, bk, dk), v, tuple(offsets)
 
     @cached_property
     def floats(self) -> tuple:
         """`stacked` in floats, over 1, for float passes; built on first use
-        and kept, so every float pass (and every softplus beta) reuses it."""
+        and kept, so every float pass (and every softplus beta) reuses it.
+        Rational weights keep their own grouping; a mixed-backend layer is
+        grouped on the rows of its float copy."""
         if self.backends == {RATIONAL}:
-            return tuple((_float_rows(rows, den),
-                          tuple(row and _nonzero_or_none(tuple(v / den for v in row))
-                                for row in bias), 1)
-                         for rows, bias, den in self.stacked)
+            *weights, offsets = self.stacked
+            return (*((_float_rows(rows, den),
+                       tuple(row and _nonzero_or_none(tuple(v / den for v in row))
+                             for row in bias), 1)
+                      for rows, bias, den in weights), offsets)
         if self.backends == {FLOAT}:
             return self.stacked
         return MultiheadAttention(tuple(map(_float_head, self.heads))).stacked
@@ -259,67 +281,80 @@ class MultiheadAttention:
         return sum(h.m for h in self.heads)
 
 
+def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
+             activation: Activation, zero) -> list:
+    """The activation rows ((col, value) pairs of the nonzero entries) of
+    the attention pattern read from q and k rows t to t + d.
+
+    Only the p x p score block K^T Q is formed, as plain lists; then, in
+    the same loop nest, the optional 1/sqrt(d) scale (`root`), the mask and
+    the activation.  ReLU keeps the positive entries (on rationals a sign
+    test on the numerator) and SoftPlus maps entry by entry; both skip
+    masked entries, which come out as 0.  SoftMax masks entries to -inf
+    and acts column by column, through the same column routine as
+    `softmax_columns`.  This is the only place an attention activation is
+    computed.
+    """
+    kind, beta = activation.kind, activation.beta
+    act = []
+    for a in range(p):
+        lo = a if masked else 0  # masked entries are never formed
+        srow = [zero] * p
+        for r in range(t, t + d):
+            c = k[r][a]
+            if c:
+                qr = q[r]
+                for b in range(lo, p):
+                    w = qr[b]
+                    if w:
+                        srow[b] += c * w
+        if root is not None:
+            srow = [root * w for w in srow]
+        if kind == "relu":
+            act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0])
+        elif kind == "softplus":
+            act.append([(b, w) for b in range(lo, p)
+                        if (w := _softplus_scalar(srow[b], beta))])
+        else:
+            srow[:lo] = [NEG_INF] * lo
+            act.append(srow)
+    if kind == "softmax":
+        cols = [_softmax_column([row[b] for row in act], b) for b in range(p)]
+        act = [[(b, e) for b, col in enumerate(cols) if (e := col[a])] for a in range(p)]
+    return act
+
+
 def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
             y: list, dy: int, observer=None, activation: Activation | None = None) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
     read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
     `mh.floats`).  Returns the output numerators, stacked in head order,
-    and their shared denominator.  This is the only place an attention
-    activation is computed.
+    and their shared denominator.
 
-    Q, K and V of all heads come from one sparse product each.  Per head
-    only the p x p score block K_h^T Q_h is formed, as plain lists; then,
-    in the same loop nest, the optional 1/sqrt(d) scale, the mask and the
-    activation.  ReLU keeps the positive entries (on rationals a sign test
-    on the numerator) and SoftPlus maps entry by entry; both skip masked
-    entries, which come out as 0.  SoftMax masks entries to -inf and acts
-    column by column, through the same column routine as
-    `softmax_columns`.  The head's value rows then multiply the nonzero
-    activations.  `activation`, if given, stands in for every head's own.
-    `observer.head` is handed each head with its q, k and v rows and its
-    activation rows ((col, value) pairs of the nonzero entries).
+    Q, K and V of all heads come from one sparse product each.  Each
+    group of heads that share an attention pattern forms it once per pass
+    (`_pattern`, at the group's row offset); each head's value rows then
+    multiply the nonzero activations of its group.  `activation`, if
+    given, stands in for every head's own.  `observer.head` is handed each
+    head, in head order, with its q, k and v rows and its activation rows.
     """
     if backend == RATIONAL and mh.rational_error:
         raise BackendError(mh.rational_error)
     zero = 0 if backend == RATIONAL else 0.0
     p = len(x[0])
-    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
+    (aq, bq, dq), (ak, bk, dk), (av, bv, dv), offsets = maps
     q = _affine(aq, bq, y, dy, zero)
     k = _affine(ak, bk, x, dx, zero)
     v = _affine(av, bv, x, dx, zero)
     out = []
-    t = u = 0
-    for h, d, m, masked, root, own in mh.head_layout:
-        head_act = activation or own
-        kind, beta = head_act.kind, head_act.beta
-        act = []
-        for a in range(p):
-            lo = a if masked else 0  # masked entries are never formed
-            srow = [zero] * p
-            for r in range(t, t + d):
-                c = k[r][a]
-                if c:
-                    qr = q[r]
-                    for b in range(lo, p):
-                        w = qr[b]
-                        if w:
-                            srow[b] += c * w
-            if root is not None:
-                srow = [root * w for w in srow]
-            if kind == "relu":
-                act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0])
-            elif kind == "softplus":
-                act.append([(b, w) for b in range(lo, p)
-                            if (w := _softplus_scalar(srow[b], beta))])
-            else:
-                srow[:lo] = [NEG_INF] * lo
-                act.append(srow)
-        if kind == "softmax":
-            cols = [_softmax_column([row[b] for row in act], b) for b in range(p)]
-            act = [[(b, e) for b, col in enumerate(cols) if (e := col[a])] for a in range(p)]
+    acts = {}
+    u = 0
+    for (h, d, m, masked, root, own), t in zip(mh.head_layout, offsets):
+        act = acts.get(t)
+        if act is None:
+            act = acts[t] = _pattern(q, k, t, d, p, masked, root, activation or own, zero)
         if observer is not None:
             observer.head(h, q[t:t + d], k[t:t + d], v[u:u + m], act)
-        t += d
         for vrow in v[u:u + m]:
             acc = [zero] * p
             for a, c in enumerate(vrow):

@@ -148,18 +148,16 @@ class DegreeReport:
 
 def _forward_diff_degree(values: Sequence[Sequence[Fraction]], max_deg: int) -> int:
     """Largest k <= max_deg + 1 whose k-th forward difference is nonzero;
-    values are flattened model outputs at equally spaced line points."""
-    rows = [list(v) for v in values]
+    values are flattened model outputs at equally spaced line points.
+    Every level after an all-zero one is all zero, so the difference table
+    stops at the first such level."""
+    current = [list(v) for v in values]
     deg = 0
-    level = 0
-    current = rows
     while len(current) > 1:
-        nxt = [[b - a for a, b in zip(r1, r2)]
-               for r1, r2 in zip(current, current[1:])]
-        level += 1
-        if any(any(x != 0 for x in row) for row in nxt):
-            deg = level
-        current = nxt
+        current = [[b - a for a, b in zip(r1, r2)] for r1, r2 in zip(current, current[1:])]
+        if not any(any(row) for row in current):
+            break
+        deg += 1
     return deg
 
 
@@ -309,25 +307,29 @@ class _ErrorBound:
 
     def block(self, blk, maps, layers):
         p = len(self.err[0])
+        *weights, offsets = maps
         # the error maps are |coef| of the rows the pass read
-        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in maps)
+        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in weights)
         out = []
-        t = u = 0
-        for masked, q, k, v, act in self.heads:
-            eqh, ekt = eq[t:t + len(q)], list(zip(*ek[t:t + len(q)]))
-            # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
-            es = _sum(_sum(_product(zip(*_abs_rows(k)), eqh), _product(ekt, _abs_rows(q))),
-                      _product(ekt, eqh))
-            # masked entries are exactly 0 under both activations
-            es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
-                  for i, row in enumerate(es)]
-            a = [[0.0] * p for _ in range(p)]
-            for i, row in enumerate(act):
-                for j, w in row:
-                    a[i][j] = w
+        patterns = {}  # per group offset: |A| + es and es, shared by the group's heads
+        u = 0
+        for (masked, q, k, v, act), t in zip(self.heads, offsets):
+            if t not in patterns:
+                eqh, ekt = eq[t:t + len(q)], list(zip(*ek[t:t + len(q)]))
+                # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
+                es = _sum(_sum(_product(zip(*_abs_rows(k)), eqh), _product(ekt, _abs_rows(q))),
+                          _product(ekt, eqh))
+                # masked entries are exactly 0 under both activations
+                es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
+                      for i, row in enumerate(es)]
+                a = [[0.0] * p for _ in range(p)]
+                for i, row in enumerate(act):
+                    for j, w in row:
+                        a[i][j] = w
+                patterns[t] = _sum(a, es), es
+            a_es, es = patterns[t]
             # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
-            out += _sum(_product(ev[u:u + len(v)], _sum(a, es)), _product(_abs_rows(v), es))
-            t += len(q)
+            out += _sum(_product(ev[u:u + len(v)], a_es), _product(_abs_rows(v), es))
             u += len(v)
         for rows, _, _ in layers:
             # relu is 1-Lipschitz: error carries over

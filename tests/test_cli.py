@@ -248,6 +248,36 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "exponent" in err and len(err.strip().splitlines()) == 1
 
+    def test_zero_denominator_input_exits_2(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        assert main(["eval", out, write(tmp_path / "x.json", [["1/0"]])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read inputs" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_zero_denominator_weight_exits_2(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1/0"
+        w = write(tmp_path / "bad.json", doc)
+        assert main(["eval", w, write(tmp_path / "x.json", [["1"]])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read inputs" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("coef", ["1/0", float("inf"), [1]],
+                             ids=["zero-denominator", "infinity", "list"])
+    def test_bad_coefficient_exits_2(self, tmp_path, capsys, coef):
+        spline = {"n": 1, "p": 1, "grid": [[
+            {"op": "poly", "terms": [{"coef": coef, "exps": {"x_1_1": 1}}]}]]}
+        spath = write(tmp_path / "spline.json", spline)
+        assert main(["compile", spath, "-o", str(tmp_path / "w.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "coefficient" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_negative_max_deg_exits_2(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, IDENTITY_SPLINE)
         capsys.readouterr()

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from splineformer.compiler import CompileOptions, compile_spline
+from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import grid_from_json
-from splineformer.tensor import (BackendError, DegenerateColumnError, Mat, ShapeError, add,
-                                 apply_mask, broadcast_cols, matmul, relu, scale,
+from splineformer.tensor import (FLOAT, BackendError, DegenerateColumnError, Mat, ShapeError,
+                                 add, apply_mask, broadcast_cols, matmul, relu, scale,
                                  softmax_columns, softplus_beta, stack_rows,
                                  transpose)
 from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
@@ -19,7 +19,7 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       eval_encdec, eval_encdec_attention,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec, identity_ffn,
-                                      softplus, _walk)
+                                      softplus, _attend, _walk)
 from splineformer.verifier import random_rational_mat, trial_rng
 
 
@@ -320,7 +320,7 @@ class TestIntegerCore:
             assert got == reference_encoder(blocks, x)
             assert all_fractions(got)
             # the weight maps sit over shared denominators above 1
-            assert all(max(den for *_, den in blk.attn.stacked) > 1 for blk in blocks)
+            assert all(max(den for *_, den in blk.attn.stacked[:3]) > 1 for blk in blocks)
             assert max(den for blk in blocks for *_, den in blk.ffn.sparse) > 1
 
     def test_float_chain_matches_reference(self):
@@ -552,7 +552,7 @@ class TestFloatImage:
         ffn = FeedForwardNet(((rmat([[tiny], [F(-2, 7)]]), rmat([[tiny], [1]])),))
         blocks = [EncoderBlock(MultiheadAttention((head,)), ffn)]
         self.assert_image_of_copy(blocks)
-        (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.floats
+        (aq, bq, _), (ak, _, _), (av, _, _), _ = blocks[0].attn.floats
         assert aq == (((1, 1 / 3),),) and bq == (None,)
         assert ak == (((0, 1.0),),) and av == (((1, 2.0),),)
         assert blocks[0].ffn.floats[0][0] == ((), ((0, -2 / 7),))
@@ -660,3 +660,148 @@ class TestFusedActivations:
         assert mh.rational_error == "softplus attention needs the float backend"
         assert MultiheadAttention((head,)).rational_error.startswith("score scaling")
         assert MultiheadAttention((scalar_head(),)).rational_error is None
+
+
+def with_clones(rng, mh):
+    """mh plus clones of its heads that keep the Q and K maps and draw a
+    new V, in shuffled order; the first head gets at least one clone."""
+    heads = []
+    for i, h in enumerate(mh.heads):
+        heads.append(h)
+        for _ in range(rng.randint(0 if i else 1, 2)):
+            heads.append(replace(h, a_v=sparse_random_mat(rng, h.m, h.n),
+                                 b_v=sparse_random_mat(rng, h.m, h.p)))
+    rng.shuffle(heads)
+    return MultiheadAttention(tuple(heads))
+
+
+def cloned_chain(rng, n, p, d, m):
+    """`random_chain` whose layers also hold clones of their heads."""
+    blocks = []
+    for blk in random_chain(rng, n, p, d, m):
+        mh = with_clones(rng, blk.attn)
+        blocks.append(EncoderBlock(mh, random_ffn(rng, mh.out_rows, blk.ffn.out_dim),
+                                   blk.residual))
+    return blocks
+
+
+def group_count(mh):
+    return len(set(mh.stacked[-1]))
+
+
+class Recorder:
+    """Observer that keeps what every head is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def head(self, h, q, k, v, act):
+        self.seen.append((h, q, k, v, act))
+
+    def block(self, blk, maps, layers):
+        pass
+
+
+# the bench's 2x2 grid, compiled by `splineformer compile --mode faithful`
+GRID_2X2 = {"n": 2, "p": 2, "grid": [
+    [{"op": "max", "args": [
+        {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1, "x_1_2": 1}}]},
+        {"op": "poly", "terms": [{"coef": "1", "exps": {"x_2_1": 1}}]}]},
+     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 2}},
+                              {"coef": "-1/2", "exps": {"x_2_2": 1}}]}],
+    [{"op": "min", "args": [
+        {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_2": 1}}]},
+        {"op": "poly", "terms": [{"coef": "1", "exps": {"x_2_1": 1, "x_2_2": 1}}]}]},
+     {"op": "poly", "terms": [{"coef": "3", "exps": {"x_1_2": 1, "x_2_1": 1}},
+                              {"coef": "1", "exps": {}}]}]]}
+
+
+class TestGroupedHeads:
+    """Heads with equal Q and K maps, masking, scaling and activation form
+    their attention pattern once per pass and differ only in V; outputs
+    must equal the per-head definition bit for bit."""
+
+    @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
+    def test_chains_equal_reference(self, d, m):
+        rng = random.Random(f"grouped:{d}:{m}")
+        for _ in range(2):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks = cloned_chain(rng, n, p, d, m)
+            assert all(group_count(blk.attn) < len(blk.attn.heads) for blk in blocks)
+            x = sparse_random_mat(rng, n, p)
+            got = eval_encoder(blocks, x)
+            assert got == reference_encoder(blocks, x)
+            assert all_fractions(got)
+            x = x.to_float()
+            for activation in KERNEL_ACTIVATIONS:
+                for scaled in (False, True):
+                    swapped = smooth_chain(blocks, activation, scaled)
+                    want = reference_encoder(swapped, x)
+                    assert eval_encoder(swapped, x) == want
+                    if not scaled:
+                        # the override on the rational weights' float image
+                        assert _walk(blocks, x, activation=activation) == want
+
+    def test_differing_flags_are_not_merged(self):
+        rng = random.Random("grouped-flags")
+        h = float_heads(random_multihead(rng, 2, 2, 3, 2, False, head_dim=2),
+                        Activation("relu"), False).heads[0]
+
+        def clone(**kw):
+            return replace(h, a_v=sparse_random_mat(rng, 2, 2).to_float(), **kw)
+
+        mh = MultiheadAttention((h, clone(), clone(masked=True), clone(scaled=True),
+                                 clone(activation=softplus(10.0)),
+                                 clone(activation=softplus(0.5)),
+                                 clone(activation=Activation("softmax")),
+                                 clone(masked=True),
+                                 clone(b_q=h.b_q.to_float()),
+                                 clone(b_q=sparse_random_mat(rng, 2, 3).to_float()),
+                                 clone(a_k=sparse_random_mat(rng, 2, 2).to_float())))
+        assert mh.stacked[-1] == (0, 0, 2, 4, 6, 8, 10, 2, 0, 12, 14)
+        assert group_count(mh) == 8
+        x = sparse_random_mat(rng, 2, 3).to_float()
+        assert eval_multihead(mh, x) == reference_attention(mh, x, x)
+        blk = blocks_to_float([EncoderBlock(mh, random_ffn(rng, mh.out_rows, 2))])[0]
+        for activation in KERNEL_ACTIVATIONS:
+            swapped = MultiheadAttention(tuple(replace(g, activation=activation)
+                                               for g in mh.heads))
+            want = reference_encoder([EncoderBlock(swapped, blk.ffn)], x)
+            assert _walk([blk], x, activation=activation) == want
+
+    @pytest.mark.parametrize("activation", KERNEL_ACTIVATIONS)
+    def test_observer_sees_every_head_as_split(self, activation):
+        rng = random.Random(f"grouped-observer:{activation}")
+        for _ in range(3):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks = cloned_chain(rng, n, p, 2, 2)
+            x = sparse_random_mat(rng, n, p).to_float()
+            grouped = Recorder()
+            _walk(blocks, x, grouped, activation)
+            split = Recorder()
+            for i, blk in enumerate(blocks):
+                rows = [list(row) for row in _walk(blocks[:i], x, activation=activation).data]
+                for h in blk.attn.heads:
+                    one = MultiheadAttention((h,))
+                    _attend(one, one.floats, FLOAT, rows, 1, rows, 1, split, activation)
+            assert [s[0] for s in grouped.seen] == [h for blk in blocks for h in blk.attn.heads]
+            assert grouped.seen == split.seen
+
+    def test_float_image_keeps_groups(self):
+        rng = random.Random("grouped-image")
+        for _ in range(3):
+            blocks = cloned_chain(rng, 2, 2, 2, 1)
+            TestFloatImage.assert_image_of_copy(blocks)
+            # a mixed-backend layer is grouped on its float copy
+            mh = blocks[0].attn
+            h = mh.heads[0]
+            mixed = MultiheadAttention(mh.heads + (replace(h, a_v=h.a_v.to_float()),))
+            TestFloatImage.assert_image_of_copy([EncoderBlock(mixed, identity_ffn(mixed.out_rows))])
+            assert mixed.floats[-1][-1] == mixed.floats[-1][mh.heads.index(h)]
+
+    def test_faithful_group_counts(self):
+        blk = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks[1]
+        assert (len(blk.attn.heads), group_count(blk.attn)) == (410, 43)
+        compiled = compile_spline(grid_from_json(GRID_2X2), CompileOptions(mode="faithful"))
+        blk = blocks_from_json(blocks_to_json(compiled.blocks))[1]
+        assert (len(blk.attn.heads), group_count(blk.attn)) == (414, 44)

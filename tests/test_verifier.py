@@ -15,12 +15,15 @@ from splineformer.transformer import (Activation, AttentionHead, EncoderBlock,
                                       MultiheadAttention, _walk, blocks_to_float,
                                       eval_attention, eval_encoder,
                                       identity_ffn, softplus)
-from splineformer.verifier import (FnModel, SmoothModel, autoregressive_check,
+from splineformer.verifier import (FnModel, SmoothModel, _forward_diff_degree,
+                                   autoregressive_check,
                                    estimate_degree, oracle_equiv,
-                                   random_rational_mat, smooth_convergence_table,
+                                   random_fraction, random_rational_mat,
+                                   smooth_convergence_table,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
-from test_transformer import random_chain, reference_ffn, smooth_chain, sparse_random_mat
+from test_transformer import (cloned_chain, random_chain, reference_ffn, smooth_chain,
+                              sparse_random_mat)
 
 
 def x(i, j=1):
@@ -216,6 +219,52 @@ class TestEstimateDegree:
         assert rep.bound_satisfied
 
 
+def full_table_degree(values):
+    """The highest level of the whole forward-difference table with a
+    nonzero entry."""
+    rows = [list(v) for v in values]
+    deg = level = 0
+    while len(rows) > 1:
+        rows = [[b - a for a, b in zip(r1, r2)] for r1, r2 in zip(rows, rows[1:])]
+        level += 1
+        if any(v != 0 for row in rows for v in row):
+            deg = level
+    return deg
+
+
+class TestForwardDifferences:
+    @staticmethod
+    def polynomial_values(coefs, points):
+        """Per line point t, each entry's polynomial in t."""
+        return [[sum(c * t ** e for e, c in enumerate(cs)) for cs in coefs]
+                for t in range(points)]
+
+    def test_equals_full_table(self):
+        rng = random.Random("forward-differences")
+        cases = [[[F(5)]], [[F(3), F(-1)]] * 5, [[F(0), F(0)]] * 6,
+                 # levels with a zero row that are not all zero
+                 [[F(1)], [F(1)], [F(2)]], [[F(0), F(1)], [F(0), F(1)], [F(1), F(1)], [F(0), F(1)]]]
+        for max_deg in range(7):
+            width, points = rng.randint(1, 3), max_deg + 2
+            for k in range(max_deg + 2):
+                coefs = [[random_fraction(rng) for _ in range(k + 1)] for _ in range(width)]
+                cases.append(self.polynomial_values(coefs, points))
+            cases.append([[random_fraction(rng) for _ in range(width)] for _ in range(points)])
+        for values in cases:
+            assert _forward_diff_degree(values, len(values) - 2) == full_table_degree(values)
+
+    def test_edge_sequences(self):
+        assert _forward_diff_degree([[F(5)]], -1) == 0
+        assert _forward_diff_degree([[F(3), F(-1)]] * 5, 3) == 0
+        assert _forward_diff_degree([[F(0), F(0)]] * 6, 4) == 0
+        assert _forward_diff_degree([[F(1)], [F(1)], [F(2)]], 1) == 2
+        for max_deg in range(5):
+            # degree max_deg + 1 is censored at max_deg + 1
+            coefs = [[F(0)] * (max_deg + 1) + [F(2, 3)], [F(1)]]
+            values = self.polynomial_values(coefs, max_deg + 2)
+            assert _forward_diff_degree(values, max_deg) == max_deg + 1
+
+
 class TestSmoothSwap:
     def test_swap_replaces_attention_only(self, compiled_cube):
         _, c = compiled_cube
@@ -377,6 +426,17 @@ class TestObservedPasses:
     @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
     def test_error_bound_equals_dense_walk(self, d, m):
         for blocks, x in chains("bound", d, m):
+            for beta in (0.5, 10.0, 1000.0):
+                want = dense_error_bound(blocks, x, beta)
+                assert want > 0
+                assert softplus_error_bound(blocks, x, beta) == want
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    def test_error_bound_of_grouped_heads(self, d, m):
+        rng = random.Random(f"grouped-bound:{d}:{m}")
+        for _ in range(2):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks, x = cloned_chain(rng, n, p, d, m), sparse_random_mat(rng, n, p)
             for beta in (0.5, 10.0, 1000.0):
                 want = dense_error_bound(blocks, x, beta)
                 assert want > 0
