@@ -6,8 +6,8 @@ from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
                      apply_mask, matmul, relu, softmax_columns, softplus_beta,
                      stack_rows)
 from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
-                     SplineGrid, UnsupportedProductError, eval_maxdef, eval_pbform,
-                     eval_poly, normalize_to_pbform)
+                     SplineGrid, UnsupportedProductError, eval_maxdef,
+                     normalize_to_pbform)
 from .veronese import (VeroneseIndex, compose_cover, factor_pair, factor_split,
                        graded_lex_monomials, veronese_dim, veronese_eval)
 from .transformer import (RELU, SOFTMAX, Activation, AttentionHead,

@@ -10,14 +10,15 @@ encoders agree with the source forms identically, not approximately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .spline import ONE, Monomial, PBForm, SplineGrid
-from .tensor import RATIONAL, Mat, ShapeError, add, matmul, scale, stack_rows
+from .tensor import RATIONAL, Mat, ShapeError, add, matmul
 from .transformer import (AttentionHead, EncoderBlock, FeedForwardNet,
-                          MultiheadAttention, RELU, eval_encoder, eval_ffn)
+                          MultiheadAttention, RELU, eval_encoder, eval_ffn,
+                          pass_through)
 from .veronese import factor_pair, graded_lex_monomials
 
 
@@ -58,15 +59,7 @@ def ffn_deepen(f: FeedForwardNet, levels: int) -> FeedForwardNet:
     """Pad with pass-through hidden layers (u = relu(u) - relu(-u))."""
     out = f
     for _ in range(levels):
-        a, b = out.layers[-1]
-        d = a.rows
-        pre = (stack_rows([a, scale(a, Fraction(-1))]),
-               stack_rows([b, scale(b, Fraction(-1))]))
-        ident = Mat.identity(d)
-        post = (Mat(ident.backend, tuple(ra + rb for ra, rb in
-                                         zip(ident.data, scale(ident, Fraction(-1)).data))),
-                Mat.zeros(d, 1))
-        out = FeedForwardNet(out.layers[:-1] + (pre, post))
+        out = FeedForwardNet(out.layers[:-1] + pass_through(*out.layers[-1]))
     return out
 
 
@@ -110,78 +103,60 @@ def ffn_stack(in_dim: int, parts: Sequence[tuple]) -> FeedForwardNet:
 
 # -- max-min networks ----------------------------------------------------------
 
-def _reduce_level(sizes: Sequence[int], op: str, count: int):
-    """One lockstep pairwise-reduction level.
+def _reduce_level(sizes: Sequence[int], sign: int, count: int):
+    """One lockstep pairwise-reduction level of min (sign -1) or max (+1).
 
     Returns (M, R, new_sizes): M maps candidates to pre-activation
     features, R combines the relu'd features into the new candidates.
-    min(a,b) = a - relu(a-b); max(a,b) = a + relu(b-a).
+    min(a,b) = a - relu(a-b); max(a,b) = a + relu(b-a); a lone candidate
+    passes as relu(a) - relu(-a).
     """
     m_entries: dict = {}
     r_entries: dict = {}
-    feat = 0
-    new_val = 0
-    pos = 0
-    new_sizes = []
+    feat = new_val = pos = 0
     for size in sizes:
-        vals = list(range(pos, pos + size))
-        pos += size
-        new_size = 0
-        k = 0
-        while k + 1 < len(vals):
-            a, b = vals[k], vals[k + 1]
-            if op == "min":
-                m_entries[(feat, a)] = Fraction(1)
-                m_entries[(feat, b)] = Fraction(-1)
-                r_entries[(new_val, feat)] = Fraction(-1)
-            else:
-                m_entries[(feat, b)] = Fraction(1)
-                m_entries[(feat, a)] = Fraction(-1)
-                r_entries[(new_val, feat)] = Fraction(1)
-            m_entries[(feat + 1, a)] = Fraction(1)
-            m_entries[(feat + 2, a)] = Fraction(-1)
-            r_entries[(new_val, feat + 1)] = Fraction(1)
-            r_entries[(new_val, feat + 2)] = Fraction(-1)
-            feat += 3
-            new_val += 1
-            new_size += 1
-            k += 2
-        if k < len(vals):
-            c = vals[k]
-            m_entries[(feat, c)] = Fraction(1)
-            m_entries[(feat + 1, c)] = Fraction(-1)
-            r_entries[(new_val, feat)] = Fraction(1)
-            r_entries[(new_val, feat + 1)] = Fraction(-1)
+        for a in range(pos, pos + size, 2):
+            if a + 1 < pos + size:
+                m_entries[(feat, a)], m_entries[(feat, a + 1)] = -sign, sign
+                r_entries[(new_val, feat)] = sign
+                feat += 1
+            m_entries[(feat, a)], m_entries[(feat + 1, a)] = 1, -1
+            r_entries[(new_val, feat)], r_entries[(new_val, feat + 1)] = 1, -1
             feat += 2
             new_val += 1
-            new_size += 1
-        new_sizes.append(new_size)
-    return (_sparse(feat, count, m_entries), _sparse(new_val, feat, r_entries), new_sizes)
+        pos += size
+    return (_sparse(feat, count, m_entries), _sparse(new_val, feat, r_entries),
+            [(size + 1) // 2 for size in sizes])
 
 
-def _maxmin_ffn(groups: Sequence[Sequence[tuple]], in_dim: int) -> FeedForwardNet:
-    """Net computing max over groups of (min within each group) of affine
-    pieces given as (coefficient list, bias) pairs."""
-    pieces = [piece for grp in groups for piece in grp]
-    a0 = Mat.rational([list(coefs) for coefs, _ in pieces])
-    b0 = Mat.column([bias for _, bias in pieces])
+def _maxmin_ffn(form: PBForm, coord, width: int) -> FeedForwardNet:
+    """Net computing the form, the max over its rows of the min within
+    each row, on affine pieces: coord(mon) is the input row a monomial's
+    coefficient multiplies, or None for the bias."""
+    pieces = []
+    for row in form.rows:
+        for poly in row:
+            coefs, bias = [Fraction(0)] * width, Fraction(0)
+            for mon, c in poly.terms:
+                i = coord(mon)
+                if i is None:
+                    bias = c
+                else:
+                    coefs[i] = c
+            pieces.append((coefs, bias))
     layers = []
-    cur_a, cur_b = a0, b0
-    sizes = [len(g) for g in groups]
+    cur_a = Mat.rational([coefs for coefs, _ in pieces])
+    cur_b = Mat.column([bias for _, bias in pieces])
+    sizes = [len(row) for row in form.rows]
     count = len(pieces)
-
-    def push(m: Mat, r: Mat):
-        nonlocal cur_a, cur_b, count
+    while count > 1:
+        if any(s > 1 for s in sizes):  # min within every row, in lockstep
+            m, r, sizes = _reduce_level(sizes, -1, count)
+        else:  # then max over the row minima
+            m, r, _ = _reduce_level([count], 1, count)
         layers.append((matmul(m, cur_a), matmul(m, cur_b)))
         cur_a, cur_b = r, Mat.zeros(r.rows, 1)
         count = r.rows
-
-    while any(s > 1 for s in sizes):
-        m, r, sizes = _reduce_level(sizes, "min", count)
-        push(m, r)
-    while count > 1:
-        m, r, _ = _reduce_level([count], "max", count)
-        push(m, r)
     return FeedForwardNet(tuple(layers) + ((cur_a, cur_b),))
 
 
@@ -194,27 +169,20 @@ def linear_spline_to_ffn(forms, in_dim: int) -> FeedForwardNet:
     """
     if isinstance(forms, PBForm):
         forms = [forms]
+
+    def coord(mon):
+        if mon == ONE:
+            return None
+        (i, j), _ = mon.exps[0]
+        if j != 1 or i > in_dim:
+            raise ValueError(f"variable x_{i}_{j} outside vector of length {in_dim}")
+        return i - 1
+
     nets = []
     for f in forms:
         if f.degree > 1:
             raise ValueError(f"affine pieces required, got degree {f.degree}")
-        groups = []
-        for row in f.rows:
-            grp = []
-            for poly in row:
-                coefs = [Fraction(0)] * in_dim
-                bias = Fraction(0)
-                for mon, c in poly.terms:
-                    if mon == ONE:
-                        bias = c
-                        continue
-                    (i, j), _ = mon.exps[0]
-                    if j != 1 or i > in_dim:
-                        raise ValueError(f"variable x_{i}_{j} outside vector of length {in_dim}")
-                    coefs[i - 1] = c
-                grp.append((coefs, bias))
-            groups.append(grp)
-        nets.append(_maxmin_ffn(groups, in_dim))
+        nets.append(_maxmin_ffn(f, coord, in_dim))
     if len(nets) == 1:
         return nets[0]
     full = list(range(in_dim))
@@ -277,26 +245,44 @@ def _const_row_head(values: Sequence[Fraction], in_rows: int, p: int,
         activation=RELU, masked=masked)
 
 
-# -- layouts and intermediate content -----------------------------------------
+def _head(key: tuple, in_rows: int, p: int, masked: bool) -> AttentionHead:
+    """The head a stage key names (0-based indices): ("const", j),
+    ("copy", r, c, j) copying entry (r, c) to column j, or
+    ("quad", a, b, j, sign) forming u_a * relu(sign * u_b) at column j."""
+    kind, *idx = key
+    if kind == "const":
+        return build_const_head(idx[0] + 1, in_rows, p, masked)
+    if kind == "copy":
+        r, c, j = idx
+        return build_copy_head(r + 1, c + 1, j + 1, in_rows, p, masked)
+    a, b, j, sign = idx
+    return _quad_head(a, b, j, in_rows, p, masked, sign)
+
+
+# -- layouts --------------------------------------------------------------------
 
 class MonomialLayout:
-    """Bookkeeping map (monomial, column) -> row of the block-diagonal
-    intermediate; each mapped row is nonzero only in its own column."""
+    """The symbolic value of an intermediate matrix: the raw n x p input
+    (columns None), or per column a block of monomial rows (None where
+    identically zero), stacked block-diagonally, so each row is nonzero
+    only in its own column.  Maps (monomial, column) to the first row
+    holding it; columns are 1-based in `row_of`, `has` and `entries`."""
 
-    def __init__(self, n: int, p: int, columns: Sequence[Sequence[Optional[Monomial]]]):
+    def __init__(self, n: int, p: int,
+                 columns: Optional[Sequence[Sequence[Optional[Monomial]]]] = None):
         self.n = n
         self.p = p
-        self._columns = tuple(tuple(col) for col in columns)
+        self.columns = None if columns is None else tuple(tuple(col) for col in columns)
         self.block_spans = []
         self._rows: dict = {}
-        start = 0
-        for j, col in enumerate(self._columns):
-            self.block_spans.append((start, start + len(col)))
-            for slot, mon in enumerate(col):
-                if mon is not None and (mon, j + 1) not in self._rows:
-                    self._rows[(mon, j + 1)] = start + slot
-            start += len(col)
-        self.total_rows = start
+        self._slots = []  # per row: (0-based column, monomial)
+        for j, col in enumerate(self.columns or ()):
+            self.block_spans.append((len(self._slots), len(self._slots) + len(col)))
+            for mon in col:
+                if mon is not None:
+                    self._rows.setdefault((mon, j + 1), len(self._slots))
+                self._slots.append((j, mon))
+        self.total_rows = n if columns is None else len(self._slots)
 
     def row_of(self, mon: Monomial, col: int) -> int:
         return self._rows[(mon, col)]
@@ -304,9 +290,23 @@ class MonomialLayout:
     def has(self, mon: Monomial, col: int) -> bool:
         return (mon, col) in self._rows
 
-    def column_monomials(self, col: int) -> tuple:
-        return tuple(sorted((m for (m, c) in self._rows if c == col),
-                            key=lambda m: self._rows[(m, col)]))
+    def entry(self, r: int, c: int) -> Optional[Monomial]:
+        """Symbolic value of matrix entry (r, c), 0-based."""
+        if self.columns is None:
+            return Monomial.variable(r + 1, c + 1)
+        j, mon = self._slots[r]
+        return mon if j == c else None
+
+    def source(self, mon: Monomial, j: int) -> tuple:
+        """The entry (r, c), 0-based, that a head copying `mon` into column
+        j (0-based) reads: the input variable itself, or its row in
+        column j's block."""
+        if self.columns is None:
+            (i, c), _ = mon.exps[0]
+            return i - 1, c - 1
+        if not self.has(mon, j + 1):
+            raise KeyError(f"monomial {mon!r} missing from column {j + 1}")
+        return self.row_of(mon, j + 1), j
 
     def entries(self):
         for (m, c), r in sorted(self._rows.items(), key=lambda kv: kv[1]):
@@ -317,93 +317,51 @@ class MonomialLayout:
                  "column": c, "row": r} for m, c, r in self.entries()]
 
 
-@dataclass(frozen=True)
-class _Content:
-    """Symbolic value of an intermediate matrix: either the raw input or a
-    block-diagonal stack of monomial slots (None = identically zero)."""
-
-    p: int
-    raw_n: int = 0
-    cols: tuple = ()
-
-    @property
-    def is_raw(self) -> bool:
-        return self.raw_n > 0
-
-    @property
-    def total_rows(self) -> int:
-        if self.is_raw:
-            return self.raw_n
-        return sum(len(c) for c in self.cols)
-
-    def offsets(self):
-        out = []
-        start = 0
-        for col in self.cols:
-            out.append(start)
-            start += len(col)
-        return out
-
-    def entry_xval(self, r: int, c: int) -> Optional[Monomial]:
-        """Symbolic value of matrix entry (r, c), 0-based."""
-        if self.is_raw:
-            return Monomial.variable(r + 1, c + 1)
-        start = 0
-        for j, col in enumerate(self.cols):
-            if r < start + len(col):
-                return col[r - start] if j == c else None
-            start += len(col)
-        raise IndexError(r)
-
-    def row_of(self, mon: Monomial, col0: int) -> Optional[int]:
-        if self.is_raw:
-            if mon.degree == 1 and mon.exps[0][1] == 1:
-                (i, j), _ = mon.exps[0]
-                if j == col0 + 1:
-                    return i - 1
-            return None
-        start = 0
-        for j, col in enumerate(self.cols):
-            if j == col0:
-                for slot, m in enumerate(col):
-                    if m == mon:
-                        return start + slot
-                return None
-            start += len(col)
-        return None
-
-    def layout(self, n: int) -> MonomialLayout:
-        return MonomialLayout(n, self.p, self.cols)
-
-
 def _grlex_key(m: Monomial, varlist: Sequence[tuple]):
     exps = dict(m.exps)
     return (m.degree, tuple(-exps.get(v, 0) for v in varlist))
 
 
-# -- stage builders -------------------------------------------------------------
+# -- stages -----------------------------------------------------------------------
 
 @dataclass
 class _Stage:
     heads: list
     sel: list          # selection rows (coef per head) for each output slot
-    content: _Content
-    var_rows: dict = field(default_factory=dict)  # (r, c, col) -> refreshed row
+    layout: MonomialLayout
     residual: bool = False
 
-    @property
-    def head_count(self) -> int:
-        return len(self.heads)
-
-    def selection(self) -> FeedForwardNet:
-        """The affine map from head outputs to the stage's slots: an affine
-        map is already a linear spline, so it needs no hidden layer."""
+    def block(self, *readout: FeedForwardNet) -> EncoderBlock:
+        """The stage's encoder block: the affine map from head outputs to
+        the stage's slots (an affine map is already a linear spline, so it
+        needs no hidden layer), followed by the `readout` nets."""
         entries = {(r, h): v for r, row in enumerate(self.sel) for h, v in row.items()}
-        return ffn_affine(_sparse(len(self.sel), len(self.heads), entries))
-
-    def finish(self) -> EncoderBlock:
-        return EncoderBlock(MultiheadAttention(tuple(self.heads)), self.selection(),
+        ffn = ffn_affine(_sparse(len(self.sel), len(self.heads), entries))
+        for net in readout:
+            ffn = ffn_compose(ffn, net)
+        return EncoderBlock(MultiheadAttention(tuple(self.heads)), ffn,
                             residual=self.residual)
+
+
+def _emit(src: MonomialLayout, columns, masked: bool, keys=()) -> _Stage:
+    """The stage reading `src` whose output column j stacks the slots of
+    columns[j], each a (monomial, {head key: coef}) pair: the slot's row
+    is the sum of coef times the head's output.  Heads are emitted in the
+    order of `keys`, then in the order the slots first name them."""
+    index: dict = {}
+    heads: list = []
+
+    def head(key) -> int:
+        if key not in index:
+            index[key] = len(heads)
+            heads.append(_head(key, src.total_rows, src.p, masked))
+        return index[key]
+
+    for key in keys:
+        head(key)
+    sel = [{head(key): c for key, c in coefs.items()} for col in columns for _, coefs in col]
+    layout = MonomialLayout(src.n, src.p, [[m for m, _ in col] for col in columns])
+    return _Stage(heads, sel, layout)
 
 
 def _guard(cap: int, *quantities: int):
@@ -414,161 +372,77 @@ def _guard(cap: int, *quantities: int):
             f"(cap {cap}); use pruned mode")
 
 
-def _linear_stage(content: _Content, targets_per_col, p: int, masked: bool,
-                  faithful: bool, cap: int, residual: bool = False) -> _Stage:
+def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool,
+                  cap: int, residual: bool = False) -> _Stage:
     """Copy existing values forward so every column holds its own block of
-    them (plus constants where requested)."""
-    heads: list = []
-    var_rows: dict = {}
-    sel: list = []
-    new_cols: list = []
-    in_rows = content.total_rows
-
+    them (plus constants where requested).  Faithful mode copies every
+    entry the column may read, after a constant row."""
+    p, rows = src.p, src.total_rows
+    keys = ()
     if faithful:
-        _guard(cap, in_rows * p * p + p, p * (in_rows * p + 1))
-        head_idx: dict = {}
-        for r in range(in_rows):
-            for c in range(p):
-                for j in range(p):
-                    if masked and c > j:
-                        continue
-                    head_idx[(r, c, j)] = len(heads)
-                    heads.append(build_copy_head(r + 1, c + 1, j + 1, in_rows, p, masked))
-        const_idx = {}
-        for j in range(p):
-            const_idx[j] = len(heads)
-            heads.append(build_const_head(j + 1, in_rows, p, masked))
-        row = 0
-        for j in range(p):
-            col_slots: list = [ONE]
-            sel.append({const_idx[j]: Fraction(1)})
-            row += 1
-            for r in range(in_rows):
-                for c in range(p):
-                    if masked and c > j:
-                        continue
-                    col_slots.append(content.entry_xval(r, c))
-                    var_rows[(r, c, j)] = row
-                    sel.append({head_idx[(r, c, j)]: Fraction(1)})
-                    row += 1
-            new_cols.append(tuple(col_slots))
+        _guard(cap, rows * p * p + p, p * (rows * p + 1))
+        keys = [("copy", r, c, j) for r in range(rows) for c in range(p) for j in range(p)
+                if not (masked and c > j)] + [("const", j) for j in range(p)]
+        columns = [[(ONE, {("const", j): 1})]
+                   + [(src.entry(r, c), {("copy", r, c, j): 1})
+                      for r in range(rows) for c in range(p) if not (masked and c > j)]
+                   for j in range(p)]
     else:
-        head_for: dict = {}
-        for j in range(p):
-            col_slots = []
-            for mon in targets_per_col[j]:
-                if mon == ONE:
-                    head_for[(mon, j)] = len(heads)
-                    heads.append(build_const_head(j + 1, in_rows, p, masked))
-                elif content.is_raw:
-                    (i, c), _ = mon.exps[0]
-                    head_for[(mon, j)] = len(heads)
-                    heads.append(build_copy_head(i, c, j + 1, in_rows, p, masked))
-                else:
-                    src = content.row_of(mon, j)
-                    if src is None:
-                        raise KeyError(f"monomial {mon!r} missing from column {j + 1}")
-                    head_for[(mon, j)] = len(heads)
-                    heads.append(build_copy_head(src + 1, j + 1, j + 1, in_rows, p, masked))
-                col_slots.append(mon)
-            new_cols.append(tuple(col_slots))
-        for j in range(p):
-            for mon in targets_per_col[j]:
-                sel.append({head_for[(mon, j)]: Fraction(1)})
-
-    new_content = _Content(p=p, cols=tuple(new_cols))
-    stage = _Stage(heads, sel, new_content, var_rows)
-    if residual and not faithful and not content.is_raw and content.cols == new_content.cols:
-        stage.sel = [dict() for _ in stage.sel]
+        columns = [[(mon, {("const", j) if mon == ONE else ("copy", *src.source(mon, j), j): 1})
+                    for mon in targets[j]] for j in range(p)]
+    stage = _emit(src, columns, masked, keys)
+    if residual and src.columns == stage.layout.columns:
+        stage.sel = [{} for _ in stage.sel]
         stage.residual = True
     return stage
 
 
-def _quadratic_stage(refresh: _Stage, copy_input: _Content, targets_per_col,
-                     cap_deg: int, p: int, masked: bool, faithful: bool,
-                     cap: int) -> _Stage:
+def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
+                     cap_deg: int, masked: bool, faithful: bool, cap: int) -> _Stage:
     """Form pairwise products of the refreshed rows.  A product row for
     (a, b) at column j computes u_a * relu(u_b) - u_a * relu(-u_b) = u_a u_b,
-    and stays zero outside column j because row b is."""
-    refreshed = refresh.content
-    in_rows = refreshed.total_rows
-    heads: list = []
-    sel: list = []
-    new_cols: list = []
+    and stays zero outside column j because row b is.  Faithful mode forms
+    every product of the entries of `src` the column may read, from the
+    faithful refresh's copies, and emits the head for every row pair."""
+    p, rows = src.p, refreshed.total_rows
+
+    def product(j, ra, rb) -> dict:
+        return {("quad", ra, rb, j, 1): 1, ("quad", ra, rb, j, -1): -1}
 
     if faithful:
-        yvars = [(r, c) for r in range(copy_input.total_rows) for c in range(p)]
-        n_out = p * math.comb(len(yvars) + 2, 2)
-        _guard(cap, 2 * in_rows * in_rows * p, n_out)
-        copy_idx: dict = {}
-        for (r, c) in yvars:
-            for j in range(p):
-                if masked and c > j:
-                    continue
-                copy_idx[(r, c, j)] = len(heads)
-                src = refresh.var_rows[(r, c, j)]
-                heads.append(build_copy_head(src + 1, j + 1, j + 1, in_rows, p, masked))
-        const_idx = {}
+        yvars = [(r, c) for r in range(src.total_rows) for c in range(p)]
+        _guard(cap, 2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
+        allowed = [[(r, c) for r, c in yvars if not (masked and c > j)] for j in range(p)]
+        # the faithful refresh holds allowed[j][k] on row k + 1 of column j's block
+        var_row = [{v: refreshed.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
+                   for j in range(p)]
+        keys = [("copy", var_row[j][v], j, j) for v in yvars for j in range(p)
+                if v in var_row[j]] + [("const", j) for j in range(p)]
+        for j, (lo, hi) in enumerate(refreshed.block_spans):
+            pairs = range(lo, hi) if masked else range(rows)
+            keys += [("quad", a, b, j, sign) for a in pairs for b in pairs for sign in (1, -1)]
+        columns = []
         for j in range(p):
-            const_idx[j] = len(heads)
-            heads.append(build_const_head(j + 1, in_rows, p, masked))
-        quad_idx: dict = {}
-        offsets = refreshed.offsets()
-        for j in range(p):
-            rows_j = range(offsets[j], offsets[j] + len(refreshed.cols[j]))
-            pair_rows = rows_j if masked else range(in_rows)
-            for a in pair_rows:
-                for b in (rows_j if masked else range(in_rows)):
-                    for sign in (1, -1):
-                        quad_idx[(a, b, j, sign)] = len(heads)
-                        heads.append(_quad_head(a, b, j, in_rows, p, masked, sign))
-        for j in range(p):
-            allowed = [(r, c) for (r, c) in yvars if not (masked and c > j)]
-            col_slots: list = [ONE]
-            sel.append({const_idx[j]: Fraction(1)})
-            for (r, c) in allowed:
-                col_slots.append(copy_input.entry_xval(r, c))
-                sel.append({copy_idx[(r, c, j)]: Fraction(1)})
-            for ai in range(len(allowed)):
-                for bi in range(ai, len(allowed)):
-                    a, b = allowed[ai], allowed[bi]
-                    xa = copy_input.entry_xval(*a)
-                    xb = copy_input.entry_xval(*b)
-                    col_slots.append(xa.mul(xb) if xa is not None and xb is not None else None)
-                    ra = refresh.var_rows[(a[0], a[1], j)]
-                    rb = refresh.var_rows[(b[0], b[1], j)]
-                    sel.append({quad_idx[(ra, rb, j, 1)]: Fraction(1),
-                                quad_idx[(ra, rb, j, -1)]: Fraction(-1)})
-            new_cols.append(tuple(col_slots))
-    else:
-        for j in range(p):
-            col_slots = []
-            for mon in targets_per_col[j]:
-                if mon == ONE:
-                    idx = len(heads)
-                    heads.append(build_const_head(j + 1, in_rows, p, masked))
-                    sel.append({idx: Fraction(1)})
-                else:
-                    src = refreshed.row_of(mon, j)
-                    if src is not None:
-                        idx = len(heads)
-                        heads.append(build_copy_head(src + 1, j + 1, j + 1, in_rows, p, masked))
-                        sel.append({idx: Fraction(1)})
-                    else:
-                        m1, m2 = factor_pair(mon, cap_deg)
-                        r1 = refreshed.row_of(m1, j)
-                        r2 = refreshed.row_of(m2, j)
-                        if r1 is None or r2 is None:
-                            raise KeyError(f"factors of {mon!r} missing from column {j + 1}")
-                        plus = len(heads)
-                        heads.append(_quad_head(r1, r2, j, in_rows, p, masked, 1))
-                        minus = len(heads)
-                        heads.append(_quad_head(r1, r2, j, in_rows, p, masked, -1))
-                        sel.append({plus: Fraction(1), minus: Fraction(-1)})
-                col_slots.append(mon)
-            new_cols.append(tuple(col_slots))
+            xs = [(src.entry(*v), var_row[j][v]) for v in allowed[j]]
+            columns.append([(ONE, {("const", j): 1})]
+                           + [(x, {("copy", r, j, j): 1}) for x, r in xs]
+                           + [(xa.mul(xb) if xa is not None and xb is not None else None,
+                               product(j, ra, rb))
+                              for i, (xa, ra) in enumerate(xs) for xb, rb in xs[i:]])
+        return _emit(refreshed, columns, masked, keys)
 
-    return _Stage(heads, sel, _Content(p=p, cols=tuple(new_cols)))
+    def slot(mon, j) -> dict:
+        if mon == ONE:
+            return {("const", j): 1}
+        if refreshed.has(mon, j + 1):
+            return {("copy", refreshed.row_of(mon, j + 1), j, j): 1}
+        m1, m2 = factor_pair(mon, cap_deg)
+        if not (refreshed.has(m1, j + 1) and refreshed.has(m2, j + 1)):
+            raise KeyError(f"factors of {mon!r} missing from column {j + 1}")
+        return product(j, refreshed.row_of(m1, j + 1), refreshed.row_of(m2, j + 1))
+
+    return _emit(refreshed, [[(mon, slot(mon, j)) for mon in targets[j]] for j in range(p)],
+                 masked)
 
 
 # -- compiled artifacts -----------------------------------------------------------
@@ -602,7 +476,13 @@ class CompiledEncoder:
     mode: str
     stages: int
     provenance: tuple
-    stats: dict
+
+    @property
+    def stats(self) -> dict:
+        return {"blocks": len(self.blocks),
+                "heads_per_block": [len(b.attn.heads) for b in self.blocks],
+                "rows": self.layout.total_rows,
+                "depth": sum(b.ffn.depth for b in self.blocks) + len(self.blocks)}
 
     def __call__(self, x: Mat) -> Mat:
         return eval_encoder(self.blocks, x)
@@ -623,23 +503,17 @@ def _num_stages(s: int) -> int:
 
 
 def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
-                 mode: str):
-    """Shared staging: returns (stages list, content, target sets used)."""
+                 mode: str) -> list:
+    """The (provenance tag, stage) list of the monomial stages up to degree
+    s.  Pruned mode works its target sets back from `targets_final`, per
+    column; faithful mode's stages read no target sets."""
     masked = opts.masked
     faithful = mode == "faithful"
     num = _num_stages(s)
-
-    if faithful:
-        target_sets = []
-        for i in range(1, num + 1):
-            deg = min(2 ** i, s) if s > 1 else 1
-            target_sets.append([graded_lex_monomials(_allowed_vars(n, p, j, masked), deg)
-                                for j in range(1, p + 1)])
-        refresh_sets = [None] * num
-    else:
-        target_sets = [None] * num
+    target_sets = [None] * num
+    refresh_sets = [None] * num
+    if not faithful:
         target_sets[num - 1] = [list(targets_final[j]) for j in range(p)]
-        refresh_sets = [None] * num
         for i in range(num - 1, -1, -1):
             cap_deg = 2 ** (i + 1)
             prev_cap = 2 ** i
@@ -651,8 +525,7 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
                     if mon.degree <= prev_cap or (s <= 1):
                         needed[j].add(mon)
                     elif mon.degree <= cap_deg:
-                        m1, m2 = factor_pair(mon, prev_cap)
-                        needed[j].update((m1, m2))
+                        needed[j].update(factor_pair(mon, prev_cap))
                     else:
                         raise ValueError(f"monomial {mon!r} exceeds stage degree {cap_deg}")
             ordered = [sorted(needed[j], key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
@@ -661,55 +534,41 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
             if i > 0:
                 target_sets[i - 1] = ordered
 
-    content: _Content = _Content(p=p, raw_n=n)
+    layout = MonomialLayout(n, p)
     stages: list = []
     for i in range(num):
         if s <= 1:
-            stage = _linear_stage(content, target_sets[i], p, masked, faithful,
-                                  opts.row_cap)
+            stage = _linear_stage(layout, target_sets[i], masked, faithful, opts.row_cap)
             stages.append(("linear-copy-pass", stage))
-            content = stage.content
+            layout = stage.layout
             continue
-        refresh = _linear_stage(content, refresh_sets[i], p, masked, faithful,
-                                opts.row_cap,
-                                residual=opts.residual and i > 0)
+        refresh = _linear_stage(layout, refresh_sets[i], masked, faithful, opts.row_cap,
+                                residual=opts.residual and i > 0 and not faithful)
         stages.append(("linear-copy-pass", refresh))
-        quad = _quadratic_stage(refresh, content, target_sets[i], 2 ** i,
-                                p, masked, faithful, opts.row_cap)
+        quad = _quadratic_stage(refresh.layout, layout, target_sets[i], 2 ** i,
+                                masked, faithful, opts.row_cap)
         stages.append(("quadratic-product-pass", quad))
-        content = quad.content
-    return stages, content
+        layout = quad.layout
+    return stages
 
 
-def _finish(stages, content, n, p, opts, mode, out_rows=None, extra_prov=""):
-    blocks = tuple(stage.finish() for _, stage in stages)
-    layout = content.layout(n)
-    prov = tuple(tag + (extra_prov if k == len(stages) - 1 else "")
-                 for k, (tag, _) in enumerate(stages))
-    stats = {"blocks": len(blocks),
-             "heads_per_block": [st.head_count for _, st in stages],
-             "rows": layout.total_rows,
-             "depth": sum(b.ffn.depth for b in blocks) + len(blocks)}
+def _finish(stages, n: int, p: int, s: int, opts: CompileOptions, mode: str,
+            out_rows: Optional[int] = None, readout=(), tail: str = "") -> CompiledEncoder:
+    """The compiled encoder of the stages; the last stage's block runs the
+    `readout` nets after its selection, and its provenance tag gains `tail`."""
+    *front, (tag, last) = stages
     return CompiledEncoder(
-        blocks=blocks, layout=layout, n=n, p=p,
-        out_rows=out_rows if out_rows is not None else layout.total_rows,
-        masked=opts.masked, mode=mode, stages=_num_stages_from(stages),
-        provenance=prov, stats=stats)
-
-
-def _num_stages_from(stages) -> int:
-    quad = sum(1 for tag, _ in stages if tag.startswith("quadratic"))
-    return quad if quad else 1
+        blocks=tuple(st.block() for _, st in front) + (last.block(*readout),),
+        layout=last.layout, n=n, p=p,
+        out_rows=last.layout.total_rows if out_rows is None else out_rows,
+        masked=opts.masked, mode=mode, stages=_num_stages(s),
+        provenance=tuple(t for t, _ in front) + (tag + tail,))
 
 
 def build_eps2(n: int, p: int, opts: CompileOptions = CompileOptions()) -> CompiledEncoder:
     """Two encoder blocks whose output stacks, per column, every monomial
     of degree <= 2 in the input entries (block-diagonal copies)."""
-    mode = _resolve_mode(opts.mode, 2, p)
-    targets = [graded_lex_monomials(_allowed_vars(n, p, j, opts.masked), 2)
-               for j in range(1, p + 1)]
-    stages, content = _build_chain(n, p, 2, targets, opts, mode)
-    return _finish(stages, content, n, p, opts, mode)
+    return build_veronese_encoder(n, p, 2, opts)
 
 
 def build_veronese_encoder(n: int, p: int, s: int,
@@ -721,8 +580,7 @@ def build_veronese_encoder(n: int, p: int, s: int,
     mode = _resolve_mode(opts.mode, s, p)
     targets = [graded_lex_monomials(_allowed_vars(n, p, j, opts.masked), s)
                for j in range(1, p + 1)]
-    stages, content = _build_chain(n, p, s, targets, opts, mode)
-    return _finish(stages, content, n, p, opts, mode)
+    return _finish(_build_chain(n, p, s, targets, opts, mode), n, p, s, opts, mode)
 
 
 def ffn_block_form(phi: FeedForwardNet, n: int, p: int) -> EncoderBlock:
@@ -763,20 +621,6 @@ def ffn_to_encoder_blocks(phi: FeedForwardNet, n: int, p: int) -> tuple:
     return tuple(blocks)
 
 
-def _readout_gadget(f: PBForm, coord_of: dict, width: int) -> FeedForwardNet:
-    """Max-min net over block coordinates (constants ride the 1-row)."""
-    groups = []
-    for row in f.rows:
-        grp = []
-        for poly in row:
-            coefs = [Fraction(0)] * width
-            for mon, c in poly.terms:
-                coefs[coord_of[mon]] = c
-            grp.append((coefs, Fraction(0)))
-        groups.append(grp)
-    return _maxmin_ffn(groups, width)
-
-
 def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) -> CompiledEncoder:
     """Emit encoder weights computing the grid exactly.
 
@@ -790,40 +634,26 @@ def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) 
     s = max(1, spline.degree)
     mode = _resolve_mode(opts.mode, s, p)
 
-    if mode == "faithful":
-        targets = [graded_lex_monomials(_allowed_vars(n, p, j, opts.masked), s)
-                   for j in range(1, p + 1)]
-    else:
-        targets = []
-        for j in range(1, p + 1):
-            support = set()
-            for f in spline.column(j):
-                support.update(f.support())
-            if not support:
-                support = {ONE}
-            targets.append(sorted(support,
-                                  key=lambda m: _grlex_key(m, _allowed_vars(n, p, j, opts.masked))))
-
-    stages, content = _build_chain(n, p, s, targets, opts, mode)
-    layout = content.layout(n)
-    offsets = content.offsets()
-    widths = [len(col) for col in content.cols]
-
-    # per-column readout nets, one scalar gadget per output row
-    gadgets = []
+    targets = []
     for j in range(1, p + 1):
-        coord_of = {}
-        for mon, c, row in layout.entries():
-            if c == j:
-                coord_of[mon] = row - offsets[j - 1]
-        gadgets.append([_readout_gadget(f, coord_of, widths[j - 1])
-                        for f in spline.column(j)])
+        support = set().union(*(f.support() for f in spline.column(j))) or {ONE}
+        targets.append(sorted(support,
+                              key=lambda m: _grlex_key(m, _allowed_vars(n, p, j, opts.masked))))
+    stages = _build_chain(n, p, s, targets, opts, mode)
+    tag, last = stages[-1]
+    layout = last.layout
+
+    # per-column readout nets, one scalar gadget per output row, over the
+    # column's block (constants ride its 1-row)
+    gadgets = []
+    for j, (lo, hi) in enumerate(layout.block_spans, 1):
+        def coord(mon, j=j, lo=lo):
+            return layout.row_of(mon, j) - lo
+        gadgets.append([_maxmin_ffn(f, coord, hi - lo) for f in spline.column(j)])
 
     # offset rows: ell_j at the zero block, combined across columns
-    ell_zero = []
-    for j in range(p):
-        zero = Mat.zeros(widths[j], 1)
-        ell_zero.append([eval_ffn(g, zero).at(0, 0) for g in gadgets[j]])
+    ell_zero = [[eval_ffn(g, Mat.zeros(hi - lo, 1)).at(0, 0) for g in gadgets[j]]
+                for j, (lo, hi) in enumerate(layout.block_spans)]
     b_cols, bp_cols = [], []
     for i in range(p):
         z = [sum(ell_zero[j][k] for j in range(p) if j != i) for k in range(r)]
@@ -832,31 +662,19 @@ def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) 
     need_consts = mode == "faithful" or any(
         v != 0 for col in b_cols + bp_cols for v in col)
 
-    tag, last = stages[-1]
     base = 2 * r if need_consts else 0
-    if need_consts:
-        consts = []
-        for k in range(r):
-            consts.append(_const_row_head([b_cols[i][k] for i in range(p)],
-                                          _stage_in_rows(last), p, opts.masked))
-        for k in range(r):
-            consts.append(_const_row_head([bp_cols[i][k] for i in range(p)],
-                                          _stage_in_rows(last), p, opts.masked))
-        new_sel = [{k: Fraction(1)} for k in range(2 * r)]
-        new_sel += [{h + 2 * r: v for h, v in row.items()} for row in last.sel]
-        last = _Stage(consts + last.heads, new_sel, last.content, last.var_rows,
-                      last.residual)
-        stages[-1] = (tag, last)
-
-    # stack: pass-through offset rows, then the per-column gadgets
     parts = []
     if need_consts:
-        parts.append((list(range(r)), ffn_affine(Mat.identity(r))))
-        parts.append((list(range(r, 2 * r)), ffn_affine(Mat.identity(r))))
-    for j in range(p):
-        idx = [base + offsets[j] + t for t in range(widths[j])]
-        for g in gadgets[j]:
-            parts.append((idx, g))
+        consts = [_const_row_head([cols[i][k] for i in range(p)], last.heads[0].n, p,
+                                  opts.masked) for cols in (b_cols, bp_cols) for k in range(r)]
+        sel = [{k: 1} for k in range(2 * r)] + [{h + 2 * r: v for h, v in row.items()}
+                                                for row in last.sel]
+        stages[-1] = (tag, _Stage(consts + last.heads, sel, layout))
+        # pass-through offset rows ahead of the per-column gadgets
+        parts = [(list(range(r)), ffn_affine(Mat.identity(r))),
+                 (list(range(r, 2 * r)), ffn_affine(Mat.identity(r)))]
+    for j, (lo, hi) in enumerate(layout.block_spans):
+        parts += [(list(range(base + lo, base + hi)), g) for g in gadgets[j]]
     lhat = ffn_stack(base + layout.total_rows, parts)
 
     psi_entries = {}
@@ -869,25 +687,9 @@ def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) 
     psi = ffn_affine(_sparse(r, base + p * r, psi_entries))
 
     # the affine selection merges into the readout's first layer
-    final_ffn = ffn_compose(ffn_compose(last.selection(), lhat), psi)
-    final_block = EncoderBlock(MultiheadAttention(tuple(last.heads)), final_ffn)
-
-    blocks = tuple(st.finish() for _, st in stages[:-1]) + (final_block,)
-    prov = tuple(t for t, _ in stages[:-1]) + (
-        stages[-1][0] + "+readout(max-min net, recombine)"
-        + ("+offset-const-heads" if need_consts else ""),)
-    stats = {"blocks": len(blocks),
-             "heads_per_block": [len(b.attn.heads) for b in blocks],
-             "rows": layout.total_rows,
-             "depth": sum(b.ffn.depth for b in blocks) + len(blocks)}
-    return CompiledEncoder(
-        blocks=blocks, layout=layout, n=n, p=p, out_rows=r,
-        masked=opts.masked, mode=mode, stages=_num_stages_from(stages),
-        provenance=prov, stats=stats)
-
-
-def _stage_in_rows(stage: _Stage) -> int:
-    return stage.heads[0].n
+    return _finish(stages, n, p, s, opts, mode, out_rows=r, readout=(lhat, psi),
+                   tail="+readout(max-min net, recombine)"
+                   + ("+offset-const-heads" if need_consts else ""))
 
 
 def _check_autoregressive(spline: SplineGrid):
@@ -903,6 +705,4 @@ def compile_autoregressive(spline: SplineGrid,
                            opts: CompileOptions = CompileOptions()) -> CompiledEncoder:
     """Masked compilation: every head masked, per-column monomials
     restricted to columns already seen."""
-    opts = CompileOptions(mode=opts.mode, masked=True, residual=opts.residual,
-                          row_cap=opts.row_cap)
-    return compile_spline(spline, opts)
+    return compile_spline(spline, replace(opts, masked=True))

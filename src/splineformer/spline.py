@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .tensor import Mat, Scalar
+from .tensor import FormatError, Mat, Scalar, json_field
 
 
 class VariableRangeError(ValueError):
@@ -112,9 +112,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((m.degree for m, _ in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, m: Monomial) -> Fraction:
         for mon, c in self.terms:
             if mon == m:
@@ -159,10 +156,6 @@ class Polynomial:
         return " + ".join(f"{c}*{m!r}" for m, c in self.terms)
 
 
-def eval_poly(poly: Polynomial, x: Mat) -> Scalar:
-    return poly.eval(x)
-
-
 # -- max-min (Pierce-Birkhoff style) forms ----------------------------------
 
 @dataclass(frozen=True)
@@ -195,14 +188,6 @@ class PBForm:
 
     def eval(self, x: Mat) -> Scalar:
         return max(min(p.eval(x) for p in row) for row in self.rows)
-
-
-def eval_pbform(f: PBForm, x: Mat) -> Scalar:
-    return f.eval(x)
-
-
-def degree(f: PBForm) -> int:
-    return f.degree
 
 
 def pb_max(forms: Sequence[PBForm]) -> PBForm:
@@ -547,13 +532,14 @@ def _parse_coef(c) -> Fraction:
 
 
 def expr_from_json(obj):
-    """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression."""
-    op = obj.get("op")
+    """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression; a
+    node of any other shape raises ValueError."""
+    op = json_field(obj, "op", str, "an expression")
     if op == "poly":
         terms: dict = {}
-        for t in obj["terms"]:
+        for t in json_field(obj, "terms", list, "a poly"):
             m = Monomial.from_dict({_parse_var_key(k): _parse_exponent(k, e)
-                                    for k, e in t["exps"].items()})
+                                    for k, e in json_field(t, "exps", dict, "a term").items()})
             terms[m] = terms.get(m, Fraction(0)) + _parse_coef(t["coef"])
         p = Polynomial.from_terms(terms)
         args = []
@@ -568,10 +554,9 @@ def expr_from_json(obj):
         if not args:
             return const(0)
         return args[0] if len(args) == 1 else Sum(tuple(args))
-    if op == "max":
-        return Max(tuple(expr_from_json(a) for a in obj["args"]))
-    if op == "min":
-        return Min(tuple(expr_from_json(a) for a in obj["args"]))
+    if op in ("max", "min"):
+        args = tuple(expr_from_json(a) for a in json_field(obj, "args", list, f"a {op}"))
+        return Max(args) if op == "max" else Min(args)
     raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -581,8 +566,15 @@ def grid_to_json(g: SplineGrid):
 
 
 def grid_from_json(obj) -> SplineGrid:
-    n, p = int(obj["n"]), int(obj["p"])
+    """Inverse of `grid_to_json`; a document of any other shape raises
+    ValueError.  n and p must be positive JSON integers."""
+    n, p = (json_field(obj, key, int, "a spline document") for key in ("n", "p"))
+    if n < 1 or p < 1:
+        raise FormatError(f"a spline document needs n and p of at least 1, got {n} and {p}")
+    rows = json_field(obj, "grid", list, "a spline document")
+    if not all(isinstance(row, list) for row in rows):
+        raise FormatError("a spline grid must be a list of rows")
     grid = tuple(
         tuple(normalize_to_pbform(expr_from_json(cell)) for cell in row)
-        for row in obj["grid"])
+        for row in rows)
     return SplineGrid(n, p, grid)

@@ -34,6 +34,21 @@ class DegenerateColumnError(ValueError):
     """SoftMax column with no finite entry."""
 
 
+class FormatError(ValueError):
+    """A JSON document (weights or spline) is not shaped as its reader expects."""
+
+
+def json_field(obj, key: str, kind, where: str):
+    """obj[key], where obj must be a JSON object and the value a `kind`
+    other than a bool (JSON true and false are not numbers)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"{where} has no valid {key!r}, got {type(value).__name__}")
+    return value
+
+
 @lru_cache(maxsize=1024)
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), parsed once per distinct string: a weights file

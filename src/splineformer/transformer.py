@@ -9,15 +9,16 @@ same value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
-                     _softmax_column, _softplus_scalar, add, mat_from_json,
-                     mat_to_json, nonzero_rows, scale, sparse_product,
-                     stack_rows)
+                     _softmax_column, _softplus_scalar, add, json_field,
+                     mat_from_json, mat_to_json, nonzero_rows, scale,
+                     sparse_product, stack_rows)
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,10 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ("relu", "softmax", "softplus"):
             raise ValueError(f"unknown activation {self.kind!r}")
-        if self.kind == "softplus" and (self.beta is None or self.beta <= 0):
-            raise ValueError("softplus needs a positive beta")
+        # NaN fails both comparisons; an int above the float range would overflow
+        if self.kind == "softplus" and (self.beta is None
+                                        or not 0 < self.beta <= sys.float_info.max):
+            raise ValueError(f"softplus needs a finite positive beta, got {self.beta!r}")
 
 
 RELU = Activation("relu")
@@ -616,13 +619,17 @@ class EncoderModel:
         return eval_encoder(self.blocks, x)
 
 
+def pass_through(a: Mat, b: Mat) -> tuple:
+    """Two net layers computing u = a x + b as relu(u) - relu(-u)."""
+    i = Mat.identity(a.rows)
+    return ((stack_rows([a, scale(a, Fraction(-1))]), stack_rows([b, scale(b, Fraction(-1))])),
+            (Mat(RATIONAL, tuple(row + tuple(-v for v in row) for row in i.data)),
+             Mat.zeros(a.rows, 1)))
+
+
 def identity_ffn(dim: int) -> FeedForwardNet:
     """x = relu(x) - relu(-x) as a one-hidden-layer net."""
-    i = Mat.identity(dim)
-    a1 = stack_rows([i, scale(i, Fraction(-1))])
-    a2 = Mat(RATIONAL, tuple(row_a + row_b for row_a, row_b in
-                             zip(i.data, scale(i, Fraction(-1)).data)))
-    return FeedForwardNet(((a1, Mat.zeros(2 * dim, 1)), (a2, Mat.zeros(dim, 1))))
+    return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
 
 
 def _float_head(h: AttentionHead) -> AttentionHead:
@@ -654,28 +661,14 @@ def _head_to_json(h: AttentionHead):
     return obj
 
 
-class WeightsFormatError(ValueError):
-    """A weights document is not shaped as blocks of heads and layers."""
-
-
-def _field(obj, key: str, kind: type, where: str):
-    """obj[key], where obj must be a JSON object and the value a `kind`."""
-    if not isinstance(obj, dict):
-        raise WeightsFormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    value = obj.get(key)
-    if not isinstance(value, kind):
-        raise WeightsFormatError(f"{where} has no valid {key!r}, got {type(value).__name__}")
-    return value
-
-
 def _mat_field(obj, key: str, where: str) -> Mat:
-    return mat_from_json(_field(obj, key, list, where))
+    return mat_from_json(json_field(obj, key, list, where))
 
 
 def _head_from_json(obj) -> AttentionHead:
     mats = [_mat_field(obj, key, "a head") for key in ("A_Q", "B_Q", "A_K", "B_K", "A_V", "B_V")]
-    kind = _field(obj, "activation", str, "a head") if "activation" in obj else "relu"
-    beta = _field(obj, "beta", (int, float), "a softplus head") if kind == "softplus" else None
+    kind = json_field(obj, "activation", str, "a head") if "activation" in obj else "relu"
+    beta = json_field(obj, "beta", (int, float), "a softplus head") if kind == "softplus" else None
     return AttentionHead(*mats, activation=Activation(kind, beta),
                          masked=bool(obj.get("masked", False)),
                          scaled=bool(obj.get("scaled", False)))
@@ -692,12 +685,12 @@ def blocks_to_json(blocks: Sequence[EncoderBlock]):
 
 def blocks_from_json(obj) -> tuple:
     """Inverse of `blocks_to_json`; a document of any other shape raises
-    `WeightsFormatError`."""
+    `FormatError`."""
     out = []
-    for b in _field(obj, "blocks", list, "a weights document"):
+    for b in json_field(obj, "blocks", list, "a weights document"):
         heads = MultiheadAttention(tuple(
-            _head_from_json(h) for h in _field(b, "heads", list, "a block")))
-        layers = _field(_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
+            _head_from_json(h) for h in json_field(b, "heads", list, "a block")))
+        layers = json_field(json_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
         ffn = FeedForwardNet(tuple((_mat_field(l, "A", "a layer"), _mat_field(l, "b", "a layer"))
                                    for l in layers))
         out.append(EncoderBlock(heads, ffn, bool(b.get("residual", False))))

@@ -352,15 +352,20 @@ def softplus_error_bound(model, x: Mat, beta: float) -> float:
 
 
 class _ProbabilityColumns:
-    """Observer of a float softmax pass that checks every head's
-    activations, column by column."""
+    """Observer of a float softmax pass that checks every activation block
+    of a layer once, column by column: the heads of a group share their
+    block (one object), and agree in `masked`."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self.columns_ok = True
         self.masked_zeros_ok = True
+        self.seen = set()  # ids of the blocks checked in the current layer
 
     def head(self, h, q, k, v, act):
+        if id(act) in self.seen:
+            return
+        self.seen.add(id(act))
         # act holds the nonzero entries only; adding 0.0 changes no column sum
         cols = [[] for _ in act]
         for i, row in enumerate(act):
@@ -373,7 +378,7 @@ class _ProbabilityColumns:
                 self.columns_ok = False
 
     def block(self, blk, maps, layers):
-        pass
+        self.seen = set()
 
 
 def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> dict:

@@ -17,8 +17,7 @@ from splineformer.compiler import (CompileOptions, build_eps2, compile_autoregre
                                    compile_spline, ffn_block_form,
                                    linear_spline_to_ffn)
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
-                                 const, emax, emin, escale, eval_pbform,
-                                 normalize_to_pbform, var)
+                                 const, emax, emin, escale, normalize_to_pbform, var)
 from splineformer.tensor import Mat, apply_mask, relu, softmax_columns
 from splineformer.transformer import (AttentionHead, EncDecStack, EncDecStage,
                                       EncoderBlock, EncoderModel, FeedForwardNet,
@@ -239,7 +238,7 @@ def test_07_linear_spline_networks():
             ok = False
         for t in range(100):
             X = random_rational_mat(trial_rng(700 + trial, t), nvars, 1)
-            if eval_ffn(net, X).at(0, 0) != eval_pbform(f, X):
+            if eval_ffn(net, X).at(0, 0) != f.eval(X):
                 ok = False
     report(7, "max-min nets exact with logarithmic depth", ok)
 

@@ -310,6 +310,77 @@ class TestInputErrors:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+def one_line_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+CELL = IDENTITY_SPLINE["grid"][0][0]
+
+
+class TestDocumentShape:
+    """A spline document of the wrong shape, or a softplus beta that is not
+    a finite positive number, exits 2 with one line."""
+
+    @pytest.mark.parametrize("spline", [
+        {"n": 1, "p": 1, "grid": 5},
+        [IDENTITY_SPLINE],
+        {"n": 1, "p": 1, "grid": [[5]]},
+        {"n": 1, "p": 1, "grid": [{"cell": CELL}]},
+        {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": 5}]]},
+        {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [5]}]]},
+        {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [{"coef": "1", "exps": 5}]}]]},
+        {"n": 1, "p": 1, "grid": [[{"op": "max", "args": 5}]]},
+        {"n": 1, "p": 1, "grid": [[{"op": 5}]]},
+        {"n": 0, "p": 1, "grid": [[CELL]]},
+        {"n": -1, "p": 1, "grid": [[CELL]]},
+        {"n": 1, "p": 0, "grid": [[]]},
+        {"n": 2.7, "p": 1, "grid": [[CELL]]},
+        {"n": 1.0, "p": 1, "grid": [[CELL]]},
+        {"n": True, "p": 1, "grid": [[CELL]]},
+        {"n": "1", "p": 1, "grid": [[CELL]]},
+        {"n": 1, "p": False, "grid": [[CELL]]},
+    ], ids=["grid-number", "top-level-list", "cell-number", "row-object", "terms-number",
+            "term-number", "exps-number", "args-number", "op-number", "n-0", "n-minus-1",
+            "p-0", "n-2.7", "n-1.0", "n-true", "n-string", "p-false"])
+    def test_malformed_spline_exits_2(self, tmp_path, capsys, spline):
+        spath = write(tmp_path / "bad.json", spline)
+        one_line_exit_2(capsys, ["compile", spath, "-o", str(tmp_path / "w.json")])
+        assert not os.path.exists(tmp_path / "w.json")
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE, name="ok.json")
+        capsys.readouterr()
+        one_line_exit_2(capsys, ["verify", out, spath, "--samples", "1"])
+
+    @pytest.mark.parametrize("beta", ["NaN", "1e400", "1" + "0" * 400, "true", "0", "-2",
+                                      "\"10\"", "null"])
+    @pytest.mark.parametrize("command", [["eval", "W", "X", "--backend", "float"],
+                                         ["smooth", "W", "--samples", "2"]])
+    def test_bad_softplus_beta_exits_2(self, tmp_path, capsys, beta, command):
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        for blk in doc["blocks"]:
+            for head in blk["heads"]:
+                head.update({"activation": "softplus", "beta": "BETA"})
+        w = tmp_path / "bad_beta.json"
+        w.write_text(json.dumps(doc).replace('"BETA"', beta))
+        x = write(tmp_path / "x.json", [["1/2"]])
+        one_line_exit_2(capsys, [{"W": str(w), "X": x}.get(a, a) for a in command])
+
+    def test_large_finite_beta_is_read(self, tmp_path, capsys):
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        for blk in doc["blocks"]:
+            for head in blk["heads"]:
+                head.update({"activation": "softplus", "beta": 1e300})
+        w = write(tmp_path / "w.json", doc)
+        assert main(["eval", w, write(tmp_path / "x.json", [["1/2"]]), "--backend", "float"]) == 0
+        assert json.loads(capsys.readouterr().out) == [[0.125]]
+
+
 class TestFloatEval:
     """`eval --backend float` walks the float image of the loaded weights;
     its stdout must equal a pass over a float copy of them."""

@@ -10,8 +10,7 @@ from splineformer.compiler import (CompileOptions, NotAutoregressiveError,
                                    compile_spline, ffn_block_form,
                                    ffn_to_encoder_blocks, linear_spline_to_ffn)
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
-                                 const, emax, emin, escale, eval_pbform,
-                                 normalize_to_pbform, var)
+                                 const, emax, emin, escale, normalize_to_pbform, var)
 from splineformer.tensor import Mat
 from splineformer.transformer import (FeedForwardNet, eval_attention,
                                       eval_encoder, eval_ffn)
@@ -210,7 +209,7 @@ class TestLinearSplineToFfn:
             ffn = linear_spline_to_ffn(f, nvars)
             for t in range(50):
                 X = random_rational_mat(trial_rng(trial, t), nvars, 1)
-                assert eval_ffn(ffn, X).at(0, 0) == eval_pbform(f, X)
+                assert eval_ffn(ffn, X).at(0, 0) == f.eval(X)
 
 
 class TestFfnBlockForm:

@@ -1,0 +1,171 @@
+"""Property tests: random small grids compile and verify exactly, and
+randomly mutated input documents end in a documented exit code."""
+
+import copy
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from splineformer.cli import main
+from splineformer.compiler import CompileOptions, compile_autoregressive, compile_spline
+from splineformer.spline import grid_from_json
+from splineformer.transformer import blocks_to_json
+from splineformer.verifier import autoregressive_check, oracle_equiv
+
+# the same examples on every run, so a tier-1 result does not depend on the draw
+PROPERTY = settings(deadline=None, derandomize=True)
+FIXTURED = settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def spline_docs(draw, p_values, max_deg, masked=False):
+    """A spline document with n <= 2, p drawn from p_values and polynomial
+    pieces of degree <= max_deg under at most two levels of max/min; a
+    masked grid reads, in column j, only columns 1..j."""
+    n, p = draw(st.integers(1, 2)), draw(st.sampled_from(p_values))
+
+    def poly(j):
+        names = [f"x_{i}_{c}" for i in range(1, n + 1) for c in range(1, (j if masked else p) + 1)]
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            exps = {}
+            for _ in range(draw(st.integers(0, max_deg))):
+                name = draw(st.sampled_from(names))
+                exps[name] = exps.get(name, 0) + 1
+            coef = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+            terms.append({"coef": str(coef), "exps": exps})
+        return {"op": "poly", "terms": terms}
+
+    def cell(j, depth):
+        if depth == 0 or draw(st.booleans()):
+            return poly(j)
+        return {"op": draw(st.sampled_from(["max", "min"])),
+                "args": [cell(j, depth - 1) for _ in range(draw(st.integers(1, 2)))]}
+
+    rows = draw(st.integers(1, 2))
+    return {"n": n, "p": p, "grid": [[cell(j, 2) for j in range(1, p + 1)] for _ in range(rows)]}
+
+
+def assert_compiles_exact(doc, mode, masked, seed):
+    grid = grid_from_json(doc)
+    compile_fn = compile_autoregressive if masked else compile_spline
+    compiled = compile_fn(grid, CompileOptions(mode=mode))
+    report = oracle_equiv(compiled, grid, 3, seed)
+    assert report.exact, report.to_json()
+    if masked and grid.p > 1:
+        assert autoregressive_check(compiled, 3, seed).passed
+
+
+class TestCompileThenVerify:
+    @settings(PROPERTY, max_examples=40)
+    @given(doc=spline_docs((1, 2), 3), mode=st.sampled_from(["pruned", "auto"]),
+           seed=st.integers(0, 99))
+    def test_pruned_and_auto(self, doc, mode, seed):
+        assert_compiles_exact(doc, mode, False, seed)
+
+    @settings(PROPERTY, max_examples=15)
+    @given(doc=spline_docs((1, 2), 3, masked=True), mode=st.sampled_from(["pruned", "auto"]),
+           seed=st.integers(0, 99))
+    def test_masked_pruned_and_auto(self, doc, mode, seed):
+        assert_compiles_exact(doc, mode, True, seed)
+
+    # faithful 1x2 at degree 3 makes about 10k heads, so p = 2 stays at degree 2
+    @settings(PROPERTY, max_examples=20)
+    @given(data=st.data(), masked=st.booleans(), seed=st.integers(0, 99))
+    def test_faithful(self, data, masked, seed):
+        doc = data.draw(st.one_of(spline_docs((1,), 3, masked), spline_docs((2,), 2, masked)))
+        assert_compiles_exact(doc, "faithful", masked, seed)
+
+
+# -- exit codes of mutated documents ------------------------------------------------
+
+SPLINES = [
+    {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
+        {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]},
+        {"op": "poly", "terms": [{"coef": "-1", "exps": {"x_1_1": 1}}]}]}]]},
+    {"n": 2, "p": 2, "grid": [[
+        {"op": "poly", "terms": [{"coef": "1/2", "exps": {"x_1_1": 1, "x_2_1": 1}}]},
+        {"op": "min", "args": [
+            {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_2": 2}}]},
+            {"op": "poly", "terms": [{"coef": "3", "exps": {}}]}]}]]},
+]
+# the weights `compile` writes for each spline, in its default mode
+WEIGHTS = [blocks_to_json(compile_spline(grid_from_json(doc)).blocks) for doc in SPLINES]
+REPLACEMENTS = [0, 1, -1, 2.7, 5, True, None, "x", "1/0", "NaN", "-inf", [], {}, [[1]],
+                [["1", "2"]], math.inf, math.nan, {"op": "poly", "terms": []}]
+
+
+def paths(obj, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one position replaced by an odd value or, in an object,
+    deleted."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(paths(doc))))
+    value = draw(st.sampled_from(REPLACEMENTS + ["<delete>"]))
+    if not path:
+        return doc if value == "<delete>" else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == "<delete>" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif value != "<delete>":
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_documented(code, err):
+    """Exit 1 means a failed verification, which compile and eval never
+    report; any other failure is one line on stderr."""
+    assert code in (0, 2, 3), (code, err)
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestMutatedDocuments:
+    @settings(FIXTURED, max_examples=100)
+    @given(data=st.data(), flags=st.sampled_from([[], ["--masked"], ["--mode", "faithful"]]))
+    def test_compile_exit_codes(self, tmp_path, data, flags):
+        doc = data.draw(mutated(data.draw(st.sampled_from(SPLINES))))
+        spath = write(tmp_path / "spline.json", doc)
+        assert_documented(*run(["compile", spath, "-o", str(tmp_path / "w.json"), *flags]))
+
+    @settings(FIXTURED, max_examples=100)
+    @given(data=st.data(), which=st.sampled_from(["weights", "input"]),
+           backend=st.sampled_from([[], ["--backend", "float"]]))
+    def test_eval_exit_codes(self, tmp_path, data, which, backend):
+        k = data.draw(st.sampled_from(range(len(SPLINES))))
+        weights, spline = WEIGHTS[k], SPLINES[k]
+        x = [["1/2"] * spline["p"] for _ in range(spline["n"])]
+        if which == "weights":
+            weights = data.draw(mutated(weights))
+        else:
+            x = data.draw(mutated(x))
+        argv = ["eval", write(tmp_path / "m.json", weights), write(tmp_path / "x.json", x)]
+        assert_documented(*run(argv + backend))

@@ -4,9 +4,8 @@ import pytest
 
 from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
                                  Polynomial, SplineGrid, UnsupportedProductError,
-                                 VariableRangeError, const, degree, emax, emin,
-                                 eprod, escale, esum, eval_maxdef, eval_pbform,
-                                 eval_poly, expr_from_json, expr_to_json,
+                                 VariableRangeError, const, emax, emin, eprod,
+                                 escale, esum, eval_maxdef, expr_from_json, expr_to_json,
                                  grid_from_json, grid_to_json, normalize_to_pbform,
                                  pb_min, pb_negate, pb_scale, pb_sum, var)
 from splineformer.tensor import Mat
@@ -23,28 +22,28 @@ def mat(rows):
 
 class TestEvalPoly:
     def test_constant(self):
-        assert eval_poly(Polynomial.constant(5), mat([[1], [2]])) == 5
+        assert Polynomial.constant(5).eval(mat([[1], [2]])) == 5
 
     def test_monomial_product(self):
         p = Polynomial.from_terms({Monomial.from_dict({(1, 1): 2, (2, 1): 1}): F(1)})
-        assert eval_poly(p, mat([[2], [3]])) == 12
+        assert p.eval(mat([[2], [3]])) == 12
 
     def test_zero_polynomial(self):
-        assert eval_poly(Polynomial.from_terms({}), mat([[9]])) == 0
+        assert Polynomial.from_terms({}).eval(mat([[9]])) == 0
 
     def test_variable_out_of_range(self):
         with pytest.raises(VariableRangeError):
-            eval_poly(x(3), mat([[1], [2]]))
+            x(3).eval(mat([[1], [2]]))
 
 
 class TestEvalPBForm:
     def test_absolute_value(self):
         f = PBForm.of_rows([[x(1)], [x(1).neg()]])
-        assert eval_pbform(f, mat([[-3]])) == 3
+        assert f.eval(mat([[-3]])) == 3
 
     def test_relu(self):
         f = PBForm.of_rows([[x(1)], [Polynomial.from_terms({})]])
-        assert eval_pbform(f, mat([[-2]])) == 0
+        assert f.eval(mat([[-2]])) == 0
 
     def test_x_times_relu_y_identity(self):
         # max(min(xy, x^2 y + y), min(0, -x^2 y - y)) at (2, 3) = 2 * 3 = 6
@@ -52,9 +51,9 @@ class TestEvalPBForm:
         x2yy = x(1).mul(x(1)).mul(x(2)).add(x(2))
         zero = Polynomial.from_terms({})
         f = PBForm.of_rows([[xy, x2yy], [zero, x2yy.neg()]])
-        assert eval_pbform(f, mat([[2], [3]])) == 6
+        assert f.eval(mat([[2], [3]])) == 6
         # negative side: y < 0 makes x * relu(y) = 0
-        assert eval_pbform(f, mat([[2], [-3]])) == 0
+        assert f.eval(mat([[2], [-3]])) == 0
 
 
 class TestEvalMaxdef:
@@ -76,7 +75,7 @@ class TestNormalize:
         f = normalize_to_pbform(e)
         for t in range(samples):
             X = random_rational_mat(trial_rng(seed, t), n, p)
-            assert eval_pbform(f, X) == eval_maxdef(e, X)
+            assert f.eval(X) == eval_maxdef(e, X)
 
     def test_sum_of_relus_rows(self):
         e = esum(emax(var(1, 1), const(0)), emax(var(2, 1), const(0)))
@@ -88,7 +87,7 @@ class TestNormalize:
         for a in (-2, -1, 0, 1, 2):
             for b in (-2, -1, 0, 1, 2):
                 X = mat([[a], [b]])
-                assert eval_pbform(f, X) == eval_maxdef(e, X)
+                assert f.eval(X) == eval_maxdef(e, X)
 
     def test_pure_polynomial_single_cell(self):
         f = normalize_to_pbform(eprod(var(1, 1), var(1, 1)))
@@ -160,14 +159,14 @@ class TestSizeCap:
 
 class TestDegree:
     def test_abs(self):
-        assert degree(normalize_to_pbform(emax(var(1, 1), escale(-1, var(1, 1))))) == 1
+        assert normalize_to_pbform(emax(var(1, 1), escale(-1, var(1, 1)))).degree == 1
 
     def test_x_times_relu_y_is_cubic(self):
         f = normalize_to_pbform(eprod(var(1, 1), emax(var(2, 1), const(0))))
-        assert degree(f) == 3
+        assert f.degree == 3
 
     def test_constant(self):
-        assert degree(PBForm.of_poly(Polynomial.constant(4))) == 0
+        assert PBForm.of_poly(Polynomial.constant(4)).degree == 0
 
 
 class TestDuality:
@@ -180,7 +179,7 @@ class TestDuality:
             g = pb_negate(f)
             for t in range(200):
                 X = random_rational_mat(trial_rng(3, t), 2, 1)
-                assert eval_pbform(g, X) == -eval_pbform(f, X)
+                assert g.eval(X) == -f.eval(X)
 
 
 class TestContinuity:
@@ -197,7 +196,7 @@ class TestContinuity:
         def at(t):
             X = mat([[base.at(0, 0) + t * direction.at(0, 0)],
                      [base.at(1, 0) + t * direction.at(1, 0)]])
-            return eval_pbform(f, X)
+            return f.eval(X)
 
         coarse_vals = [at(k * coarse) for k in range(11)]
         slope = max(abs(b - a) / coarse for a, b in zip(coarse_vals, coarse_vals[1:]))
@@ -214,7 +213,7 @@ class TestJson:
         parsed = normalize_to_pbform(expr_from_json(expr_to_json(f)))
         for t in range(100):
             X = random_rational_mat(trial_rng(5, t), 1, 2)
-            assert eval_pbform(parsed, X) == eval_pbform(f, X)
+            assert parsed.eval(X) == f.eval(X)
 
     def test_poly_term_format(self):
         obj = {"op": "poly", "terms": [{"coef": "3/2", "exps": {"x_2_1": 2}}]}

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from splineformer.compiler import CompileOptions, compile_spline
+from splineformer import verifier
+from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import PBForm, Polynomial, SplineGrid, grid_from_json
 from splineformer.tensor import (FLOAT, Mat, add, apply_mask, broadcast_cols,
                                  matmul, relu, softmax_columns, stack_rows,
@@ -22,8 +23,8 @@ from splineformer.verifier import (FnModel, SmoothModel, _forward_diff_degree,
                                    smooth_convergence_table,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
-from test_transformer import (cloned_chain, random_chain, reference_ffn, smooth_chain,
-                              sparse_random_mat)
+from test_transformer import (cloned_chain, group_count, random_chain, reference_ffn,
+                              smooth_chain, sparse_random_mat)
 
 
 def x(i, j=1):
@@ -463,6 +464,34 @@ class TestObservedPasses:
                 assert softmax_probability_check(blocks, xs, tol) == want
                 swapped = smooth_swap(blocks, Activation("softmax"))
                 assert softmax_probability_check(swapped, xs, tol) == want
+
+    @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
+    def test_probability_check_of_grouped_heads(self, d, m):
+        # a group's heads share one activation block, checked once per layer
+        rng = random.Random(f"grouped-columns:{d}:{m}")
+        for _ in range(2):
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            blocks = cloned_chain(rng, n, p, d, m)
+            xs = [sparse_random_mat(rng, n, p) for _ in range(2)]
+            for tol in (1e-12, 1.5e-16, 0.0):
+                assert softmax_probability_check(blocks, xs, tol) == \
+                    dense_probability_check(blocks, xs, tol)
+
+    def test_probability_check_once_per_group(self, monkeypatch):
+        checked = []
+
+        class Counting(verifier._ProbabilityColumns):
+            def block(self, blk, maps, layers):
+                checked.append(len(self.seen))
+                super().block(blk, maps, layers)
+
+        monkeypatch.setattr(verifier, "_ProbabilityColumns", Counting)
+        blocks = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks
+        xs = [random_rational_mat(trial_rng(5, t), 2, 2) for t in range(2)]
+        assert softmax_probability_check(blocks, xs) == dense_probability_check(blocks, xs, 1e-12)
+        groups = [group_count(blk.attn) for blk in blocks]
+        assert sum(groups) == 47 and sum(len(blk.attn.heads) for blk in blocks) == 420
+        assert checked == groups * len(xs)
 
     def test_probability_check_verdicts_vary(self):
         # at tol 0 some column sums miss 1 by rounding; at 1e-12 none does
