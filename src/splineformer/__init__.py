@@ -22,7 +22,7 @@ from .compiler import (CompileOptions, CompiledEncoder, MonomialLayout,
                        compile_spline, ffn_block_form, ffn_to_encoder_blocks,
                        linear_spline_to_ffn)
 from .verifier import (DegreeReport, EquivReport, FnModel, PrefixReport,
-                       SmoothModel, autoregressive_check, check_layout_soundness,
+                       autoregressive_check, check_layout_soundness,
                        estimate_degree, oracle_equiv, random_fraction,
                        random_rational_mat, smooth_convergence_table,
                        smooth_swap, softplus_error_bound, trial_rng)

@@ -17,7 +17,7 @@ from .compiler import (CompileOptions, NotAutoregressiveError,
                        ResourceLimitError, compile_autoregressive, compile_spline)
 from .spline import FormSizeError, grid_from_json
 from .tensor import BackendError, ShapeError, mat_from_json, mat_to_json
-from .transformer import EncoderModel, _walk, blocks_from_json, blocks_to_json
+from .transformer import EncoderModel, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        require_relu, smooth_convergence_table,
                        softmax_probability_check, trial_rng)
@@ -119,8 +119,7 @@ def cmd_eval(args) -> int:
     elif args.backend == "rational" and x.backend != "rational":
         return _fail(EXIT_INPUT_ERROR, "rational backend requested but input is float")
     try:
-        # a float pass reads the float image of the weights, whatever their backend
-        out = _walk(model.blocks, x) if args.backend == "float" else model(x)
+        out = model(x)
     except (ShapeError, BackendError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"evaluation failed: {exc}")
     _emit(mat_to_json(out))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .spline import ONE, Monomial, PBForm, SplineGrid
 from .tensor import RATIONAL, Mat, ShapeError, add, matmul
 from .transformer import (AttentionHead, EncoderBlock, FeedForwardNet,
-                          MultiheadAttention, RELU, eval_encoder, eval_ffn,
+                          EncoderModel, MultiheadAttention, RELU, eval_ffn,
                           pass_through)
 from .veronese import factor_pair, graded_lex_monomials
 
@@ -485,7 +485,7 @@ class CompiledEncoder:
                 "depth": sum(b.ffn.depth for b in self.blocks) + len(self.blocks)}
 
     def __call__(self, x: Mat) -> Mat:
-        return eval_encoder(self.blocks, x)
+        return EncoderModel(self.blocks)(x)
 
     def sidecar_json(self):
         return {"rows": self.layout.to_json(), "mode": self.mode,

@@ -25,7 +25,9 @@ class UnsupportedProductError(ValueError):
 
 
 class FormSizeError(RuntimeError):
-    """Normalizing would build a max-min form above MAX_FORM_SIZE."""
+    """A spline document asks for more than a cap allows: a max-min form
+    above MAX_FORM_SIZE, a monomial above MAX_DEGREE, or an input of more
+    than MAX_INPUT_ENTRIES entries."""
 
 
 # Polynomials in one max-min form, summed over its rows.  Min, sum and
@@ -35,6 +37,18 @@ class FormSizeError(RuntimeError):
 # two-way maxes (256 rows, 2048 polynomials) compiles in about 10 s and
 # 150 MB, min of 9 (4608) in about 66 s and 840 MB.
 MAX_FORM_SIZE = 1 << 12
+
+# Total degree of one monomial.  Exact powers carry bit lengths that grow
+# with the degree: x^4096 compiles in about 0.1 s and verifies 1000
+# samples in 2 s; x^100000 takes 3 s to compile and 5.5 s for 2 samples.
+MAX_DEGREE = 1 << 12
+
+# Entries n * p of the input.  Every head stores dense rows as wide as
+# the layout, so a compile grows about quadratically with the entries it
+# reads: one degree-4096 monomial over all 64 entries of a 32 x 2 input
+# compiles in about 1.2 s and 140 MB, over 128 entries in 3.6 s and
+# 420 MB, over 256 in 11 s and 1.3 GB.
+MAX_INPUT_ENTRIES = 64
 
 
 # -- monomials -------------------------------------------------------------
@@ -524,7 +538,9 @@ def _parse_exponent(key: str, e) -> int:
 
 def _parse_coef(c) -> Fraction:
     """Fraction(c) for a JSON coefficient; ValueError for any value that is
-    not a finite rational (a zero denominator, an infinity, a list)."""
+    not a finite rational (a zero denominator, an infinity, a list, a bool)."""
+    if isinstance(c, bool):
+        raise ValueError(f"bad coefficient {c!r}: not a number")
     try:
         return Fraction(c)
     except (ZeroDivisionError, OverflowError, TypeError) as exc:
@@ -540,6 +556,9 @@ def expr_from_json(obj):
         for t in json_field(obj, "terms", list, "a poly"):
             m = Monomial.from_dict({_parse_var_key(k): _parse_exponent(k, e)
                                     for k, e in json_field(t, "exps", dict, "a term").items()})
+            if m.degree > MAX_DEGREE:
+                raise FormSizeError(f"a monomial of degree {m.degree} is above the "
+                                    f"cap of {MAX_DEGREE}")
             terms[m] = terms.get(m, Fraction(0)) + _parse_coef(t["coef"])
         p = Polynomial.from_terms(terms)
         args = []
@@ -567,14 +586,17 @@ def grid_to_json(g: SplineGrid):
 
 def grid_from_json(obj) -> SplineGrid:
     """Inverse of `grid_to_json`; a document of any other shape raises
-    ValueError.  n and p must be positive JSON integers."""
+    ValueError.  n and p must be positive JSON integers.  A document above
+    MAX_INPUT_ENTRIES or MAX_DEGREE raises FormSizeError before any cell
+    is normalized."""
     n, p = (json_field(obj, key, int, "a spline document") for key in ("n", "p"))
     if n < 1 or p < 1:
         raise FormatError(f"a spline document needs n and p of at least 1, got {n} and {p}")
+    if n * p > MAX_INPUT_ENTRIES:
+        raise FormSizeError(f"an input of {n} x {p} entries is above the cap of "
+                            f"{MAX_INPUT_ENTRIES} entries")
     rows = json_field(obj, "grid", list, "a spline document")
     if not all(isinstance(row, list) for row in rows):
         raise FormatError("a spline grid must be a list of rows")
-    grid = tuple(
-        tuple(normalize_to_pbform(expr_from_json(cell)) for cell in row)
-        for row in rows)
-    return SplineGrid(n, p, grid)
+    exprs = [[expr_from_json(cell) for cell in row] for row in rows]
+    return SplineGrid(n, p, tuple(tuple(map(normalize_to_pbform, row)) for row in exprs))

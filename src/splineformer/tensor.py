@@ -39,12 +39,13 @@ class FormatError(ValueError):
 
 
 def json_field(obj, key: str, kind, where: str):
-    """obj[key], where obj must be a JSON object and the value a `kind`
-    other than a bool (JSON true and false are not numbers)."""
+    """obj[key], where obj must be a JSON object and the value a `kind`;
+    a bool is one only when `kind` is bool (JSON true and false are not
+    numbers)."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise FormatError(f"{where} has no valid {key!r}, got {type(value).__name__}")
     return value
 

@@ -91,6 +91,9 @@ class AttentionHead:
         return self.b_q.cols
 
 
+_HEAD_MATS = ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v")
+
+
 def _backends(mats) -> frozenset:
     return frozenset(m.backend for m in mats)
 
@@ -111,20 +114,13 @@ def _require_backend(op: str, weights: frozenset, *inputs: str):
 # matrices take the same loops over a denominator of 1; their sums keep
 # the term order and zero skipping of `sparse_product`.
 
-def _integer_scale(rational: bool, *groups) -> tuple:
-    """The lcm of the denominators of every value in `groups` and a map
-    from a rational to its integer numerator over that lcm; floats stay as
-    they are, over 1."""
-    if not rational:
-        return 1, lambda v: v
-    den = math.lcm(*{v.denominator for g in groups for v in g})
-    return den, lambda v: v.numerator * (den // v.denominator)
-
-
 def _numerators(x: Mat) -> tuple:
-    """x as numerator rows over one shared denominator, the lcm of its own."""
-    den, num = _integer_scale(x.backend == RATIONAL, *x.data)
-    return [list(map(num, row)) for row in x.data], den
+    """x as numerator rows over one shared denominator, the lcm of its own;
+    a float matrix is its own numerators, over 1."""
+    if x.backend != RATIONAL:
+        return [list(row) for row in x.data], 1
+    den = math.lcm(*{v.denominator for row in x.data for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row] for row in x.data], den
 
 
 def _to_mat(backend: str, rows: list, den: int) -> Mat:
@@ -152,28 +148,37 @@ def _added(a: list, da: int, b: list, db: int) -> tuple:
     return [[u * fa + v * fb for u, v in zip(ra, rb)] for ra, rb in zip(a, b)], den
 
 
+def _image(a_rows, b_rows, exact: bool) -> tuple:
+    """The affine map A X + B as a pass reads it: each A row's nonzero
+    (col, coef) pairs, each B row (None where zero), and the denominator
+    both share.  Exact: integer numerators over the lcm of the
+    denominators.  Otherwise float(v), correctly rounded, over 1; an entry
+    that rounds to 0.0 is dropped, and float weights are their own image."""
+    rows, bias = nonzero_rows(a_rows), [row if any(row) else None for row in b_rows]
+    den, num = 1, float
+    if exact:
+        den = math.lcm(*{v.denominator for row in rows for _, v in row},
+                       *{v.denominator for row in filter(None, bias) for v in row})
+
+        def num(v):
+            return v.numerator * (den // v.denominator)
+    # a nonzero row of rationals can round to a row of float zeros
+    bias = [row and tuple(map(num, row)) for row in bias]
+    return (tuple(tuple((j, c) for j, v in row if (c := num(v))) for row in rows),
+            tuple(row if row and any(row) else None for row in bias), den)
+
+
 def _affine(rows, bias, x: list, dx: int, zero) -> list:
-    """Numerators of stacked A X + B over den * dx, where A and B are
-    numerator `rows` and `bias` rows (None where zero) over den and x is
-    over dx; zero bias entries are skipped."""
+    """Numerators of A X + B over den * dx, where A and B are an `_image`
+    over den and x is over dx; a one-entry bias row is broadcast across
+    the columns, and zero bias entries are skipped."""
     out = sparse_product(rows, x, len(x[0]), zero)
     for acc, b in zip(out, bias):
         if b is not None:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b * len(acc) if len(b) == 1 else b):
                 if bj:
                     acc[j] += bj * dx
     return out
-
-
-def _float_rows(rows, den: int) -> tuple:
-    """Integer (col, coef) rows over den as float rows over 1.  Python
-    rounds int / int correctly, so each coefficient is float(Fraction(coef,
-    den)); one that rounds to 0.0 is dropped, as from a float copy's rows."""
-    return tuple(tuple((j, f) for j, c in row if (f := c / den)) for row in rows)
-
-
-def _nonzero_or_none(row: tuple):
-    return row if any(row) else None
 
 
 @dataclass(frozen=True)
@@ -188,35 +193,22 @@ class MultiheadAttention:
             if (h.n, h.n_q, h.p, h.m) != (h0.n, h0.n_q, h0.p, h0.m):
                 raise ShapeError("heads must share input shape and output rows")
 
-    @cached_property
-    def stacked(self) -> tuple:
-        """The weight maps a pass reads.  For Q, K and V in turn: the A
-        rows, stacked, as nonzero (col, coef) pairs, the B rows (None where
-        zero), and the denominator both share; then, per head, the row
-        offset of its group in the Q and K rows.  Heads whose Q and K rows
-        and bias rows are equal and which agree in `masked`, `scaled` and
-        `activation` share one attention pattern: their Q and K rows are
-        stacked once, for the group, while every head keeps its own V rows.
-        Rational coefficients are integer numerators over the lcm of the
-        map's denominators; float ones are kept, over 1.  Built on the
-        first evaluation and kept; not a dataclass field, so equality still
-        compares `heads` only."""
-        rational = RATIONAL in self.backends
-        maps = []
-        for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")):
-            rows = nonzero_rows(row for h in self.heads for row in getattr(h, a).data)
-            bias = [_nonzero_or_none(row) for h in self.heads for row in getattr(h, b).data]
-            den, num = _integer_scale(rational, (c for row in rows for _, c in row),
-                                      *filter(None, bias))
-            maps.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
-                         tuple(row and tuple(map(num, row)) for row in bias),
-                         den))
-        (aq, bq, dq), (ak, bk, dk), v = maps
+    def _maps(self, exact: bool) -> tuple:
+        """For Q, K and V in turn, the `_image` of all heads' maps,
+        stacked; then, per head, the row offset of its group in the Q and K
+        rows.  Heads whose Q and K rows and bias rows are equal and which
+        agree in `masked`, `scaled` and `activation` share one attention
+        pattern: their Q and K rows are stacked once, for the group, while
+        every head keeps its own V rows."""
+        (aq, bq, dq), (ak, bk, dk), v = (
+            _image((row for h in self.heads for row in getattr(h, a).data),
+                   (row for h in self.heads for row in getattr(h, b).data), exact)
+            for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")))
         groups, kept, offsets = {}, [], []
         t = 0
         for h in self.heads:
-            # integer (col, coef) rows hash cheaply; equal rows over the
-            # shared denominator are equal maps
+            # (col, coef) rows hash cheaply; equal rows over the shared
+            # denominator are equal maps
             key = (aq[t:t + h.d], bq[t:t + h.d], ak[t:t + h.d], bk[t:t + h.d],
                    h.masked, h.scaled, h.activation)
             if key not in groups:
@@ -228,25 +220,23 @@ class MultiheadAttention:
         return (aq, bq, dq), (ak, bk, dk), v, tuple(offsets)
 
     @cached_property
+    def stacked(self) -> tuple:
+        """The maps (`_maps`) an exact pass reads, integer over the lcm of
+        each map's denominators; float weights give their float image.
+        Built on the first evaluation and kept; not a dataclass field, so
+        equality still compares `heads` only."""
+        return self._maps(FLOAT not in self.backends)
+
+    @cached_property
     def floats(self) -> tuple:
-        """`stacked` in floats, over 1, for float passes; built on first use
-        and kept, so every float pass (and every softplus beta) reuses it.
-        Rational weights keep their own grouping; a mixed-backend layer is
-        grouped on the rows of its float copy."""
-        if self.backends == {RATIONAL}:
-            *weights, offsets = self.stacked
-            return (*((_float_rows(rows, den),
-                       tuple(row and _nonzero_or_none(tuple(v / den for v in row))
-                             for row in bias), 1)
-                      for rows, bias, den in weights), offsets)
-        if self.backends == {FLOAT}:
-            return self.stacked
-        return MultiheadAttention(tuple(map(_float_head, self.heads))).stacked
+        """The maps a float pass reads, float(v) of the weights over 1;
+        built on first use and kept, so every float pass (and every
+        softplus beta) reuses it."""
+        return self.stacked if FLOAT in self.backends else self._maps(False)
 
     @cached_property
     def backends(self) -> frozenset:
-        return _backends(getattr(h, name) for h in self.heads
-                         for name in ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v"))
+        return _backends(getattr(h, name) for h in self.heads for name in _HEAD_MATS)
 
     @cached_property
     def head_layout(self) -> tuple:
@@ -442,28 +432,17 @@ class FeedForwardNet:
 
     @cached_property
     def sparse(self) -> tuple:
-        """Per layer, each row's nonzero (col, coef) pairs, the bias
-        entries and the denominator both share, as in
-        `MultiheadAttention.stacked`; built on the first evaluation and kept."""
-        rational = RATIONAL in self.backends
-        layers = []
-        for a, b in self.layers:
-            rows = nonzero_rows(a.data)
-            bias = b.col_entries(0)
-            den, num = _integer_scale(rational, (c for row in rows for _, c in row), bias)
-            layers.append((tuple(tuple((j, num(c)) for j, c in row) for row in rows),
-                           tuple(map(num, bias)), den))
-        return tuple(layers)
+        """Per layer, the `_image` of its affine map, exact unless the
+        weights are floats; built on the first evaluation and kept."""
+        return self._layers(FLOAT not in self.backends)
 
     @cached_property
     def floats(self) -> tuple:
         """`sparse` in floats, over 1, as `MultiheadAttention.floats`."""
-        if self.backends == {RATIONAL}:
-            return tuple((_float_rows(rows, den), tuple(v / den for v in bias), 1)
-                         for rows, bias, den in self.sparse)
-        if self.backends == {FLOAT}:
-            return self.sparse
-        return _float_ffn(self).sparse
+        return self.sparse if FLOAT in self.backends else self._layers(False)
+
+    def _layers(self, exact: bool) -> tuple:
+        return tuple(_image(a.data, b.data, exact) for a, b in self.layers)
 
     @cached_property
     def backends(self) -> frozenset:
@@ -474,15 +453,9 @@ def _feed(layers: tuple, backend: str, x: list, dx: int) -> tuple:
     """A net, given as its `sparse` or `floats` layers, on numerator rows
     over dx: output numerators and denominator."""
     zero = 0 if backend == RATIONAL else 0.0
-    p = len(x[0])
     last = len(layers) - 1
     for idx, (rows, bias, den) in enumerate(layers):
-        out = sparse_product(rows, x, p, zero)
-        for acc, b in zip(out, bias):
-            if b:
-                b *= dx
-                for j in range(p):
-                    acc[j] += b
+        out = _affine(rows, bias, x, dx, zero)
         x = out if idx == last else [[w if w > 0 else zero for w in acc] for acc in out]
         dx *= den
     return x, dx
@@ -517,7 +490,7 @@ class EncoderBlock:
 class DecoderBlock(EncoderBlock):
     def __post_init__(self):
         super().__post_init__()
-        if not all(h.masked for h in self.attn.heads):
+        if not self.masked:
             raise ValueError("decoder blocks require every head to be masked")
 
 
@@ -605,18 +578,38 @@ def eval_encdec(stack: EncDecStack, x: Mat, y: Mat) -> Mat:
 # -- convenience models ------------------------------------------------------
 
 class EncoderModel:
-    """Callable wrapper around a block chain with inferred input shape."""
+    """A block chain as a model of inferred input shape.  A rational input
+    runs the exact pass (`eval_encoder`, which refuses weights of another
+    backend); any other input, or a model whose `activation` stands in for
+    every attention activation (the nets stay ReLU), runs one float pass
+    over the float image of `weights`.  With an activation, `blocks` is the
+    swapped float copy of the weights, built only when it is read."""
 
-    def __init__(self, blocks: Sequence[EncoderBlock]):
+    def __init__(self, blocks: Sequence[EncoderBlock], activation: Activation | None = None):
         if not blocks:
             raise ValueError("need at least one block")
-        self.blocks = tuple(blocks)
-        head = self.blocks[0].attn.heads[0]
+        self.weights = tuple(blocks)
+        self.activation = activation
+        if activation is None:
+            self.blocks = self.weights
+        head = self.weights[0].attn.heads[0]
         self.n = head.n
         self.p = head.p
 
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(replace(blk, attn=MultiheadAttention(tuple(
+            replace(h, activation=self.activation) for h in blk.attn.heads)))
+            for blk in blocks_to_float(self.weights))
+
     def __call__(self, x: Mat) -> Mat:
-        return eval_encoder(self.blocks, x)
+        if x.backend == RATIONAL and self.activation is None:
+            return eval_encoder(self.weights, x)
+        return _walk(self.weights, x.to_float(), activation=self.activation)
+
+    def swap_back(self) -> tuple:
+        """The untouched original weights."""
+        return self.weights
 
 
 def pass_through(a: Mat, b: Mat) -> tuple:
@@ -632,19 +625,13 @@ def identity_ffn(dim: int) -> FeedForwardNet:
     return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
 
 
-def _float_head(h: AttentionHead) -> AttentionHead:
-    return replace(h, a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
-                   a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
-                   a_v=h.a_v.to_float(), b_v=h.b_v.to_float())
-
-
-def _float_ffn(ffn: FeedForwardNet) -> FeedForwardNet:
-    return FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in ffn.layers))
-
-
 def blocks_to_float(blocks: Sequence[EncoderBlock]) -> tuple:
-    return tuple(EncoderBlock(MultiheadAttention(tuple(map(_float_head, blk.attn.heads))),
-                              _float_ffn(blk.ffn), blk.residual) for blk in blocks)
+    return tuple(EncoderBlock(
+        MultiheadAttention(tuple(replace(h, **{name: getattr(h, name).to_float()
+                                               for name in _HEAD_MATS})
+                                 for h in blk.attn.heads)),
+        FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in blk.ffn.layers)),
+        blk.residual) for blk in blocks)
 
 
 # -- JSON wire format ----------------------------------------------------------
@@ -665,13 +652,18 @@ def _mat_field(obj, key: str, where: str) -> Mat:
     return mat_from_json(json_field(obj, key, list, where))
 
 
+def _flag(obj, key: str, where: str) -> bool:
+    """obj[key], which must be a JSON boolean; absent means false."""
+    return key in obj and json_field(obj, key, bool, where)
+
+
 def _head_from_json(obj) -> AttentionHead:
     mats = [_mat_field(obj, key, "a head") for key in ("A_Q", "B_Q", "A_K", "B_K", "A_V", "B_V")]
     kind = json_field(obj, "activation", str, "a head") if "activation" in obj else "relu"
     beta = json_field(obj, "beta", (int, float), "a softplus head") if kind == "softplus" else None
     return AttentionHead(*mats, activation=Activation(kind, beta),
-                         masked=bool(obj.get("masked", False)),
-                         scaled=bool(obj.get("scaled", False)))
+                         masked=_flag(obj, "masked", "a head"),
+                         scaled=_flag(obj, "scaled", "a head"))
 
 
 def blocks_to_json(blocks: Sequence[EncoderBlock]):
@@ -693,5 +685,5 @@ def blocks_from_json(obj) -> tuple:
         layers = json_field(json_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
         ffn = FeedForwardNet(tuple((_mat_field(l, "A", "a layer"), _mat_field(l, "b", "a layer"))
                                    for l in layers))
-        out.append(EncoderBlock(heads, ffn, bool(b.get("residual", False))))
+        out.append(EncoderBlock(heads, ffn, _flag(b, "residual", "a block")))
     return tuple(out)

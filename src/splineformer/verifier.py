@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .spline import SplineGrid
 from .tensor import Mat, mat_to_json, nonzero_rows, sparse_product
-from .transformer import (RELU, SOFTMAX, Activation, EncoderBlock,
-                          MultiheadAttention, _walk, blocks_to_float, eval_encoder)
+from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk, eval_encoder
 from .compiler import CompiledEncoder
 
 
@@ -197,42 +195,8 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
 
 # -- activation smoothing ----------------------------------------------------------
 
-class SmoothModel:
-    """A compiled model with its attention activations swapped; evaluation
-    is one float pass over the float image of `original_blocks` with the
-    activation standing in for every head's own (feed-forward nets stay
-    ReLU).  `blocks`, the swapped float copy of the weights, is built only
-    when it is read."""
-
-    def __init__(self, blocks: Sequence[EncoderBlock], activation: Activation,
-                 original_blocks: Sequence[EncoderBlock]):
-        self.activation = activation
-        self.original_blocks = tuple(original_blocks)
-        self._weights = tuple(blocks)
-        head = self._weights[0].attn.heads[0]
-        self.n = head.n
-        self.p = head.p
-
-    @cached_property
-    def blocks(self) -> tuple:
-        return tuple(EncoderBlock(MultiheadAttention(tuple(
-            replace(h, activation=self.activation) for h in blk.attn.heads)),
-            blk.ffn, blk.residual) for blk in blocks_to_float(self._weights))
-
-    def __call__(self, x: Mat) -> Mat:
-        return _walk(self.original_blocks, x.to_float(), activation=self.activation)
-
-    def swap_back(self) -> tuple:
-        """The untouched original weights."""
-        return self.original_blocks
-
-
 def _model_blocks(model) -> tuple:
-    if isinstance(model, CompiledEncoder):
-        return model.blocks
-    if isinstance(model, SmoothModel):
-        return model.blocks
-    return tuple(model)
+    return getattr(model, "blocks", model)
 
 
 def require_relu(blocks):
@@ -245,11 +209,11 @@ def require_relu(blocks):
                                  f"found {h.activation.kind} attention")
 
 
-def smooth_swap(model, activation: Activation) -> SmoothModel:
+def smooth_swap(model, activation: Activation) -> EncoderModel:
     """Replace every attention activation (the nets keep ReLU)."""
     blocks = _model_blocks(model)
     require_relu(blocks)
-    return SmoothModel(blocks, activation, blocks)
+    return EncoderModel(blocks, activation)
 
 
 def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):

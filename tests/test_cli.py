@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from splineformer import cli
+from splineformer import cli, spline as spline_module
 from splineformer.cli import MAX_LINE_POINTS, main
+from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
 from splineformer.tensor import mat_from_json, mat_to_json
 from splineformer.transformer import blocks_from_json, blocks_to_float, eval_encoder
 
@@ -342,9 +343,11 @@ class TestDocumentShape:
         {"n": True, "p": 1, "grid": [[CELL]]},
         {"n": "1", "p": 1, "grid": [[CELL]]},
         {"n": 1, "p": False, "grid": [[CELL]]},
+        {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": True, "exps": {"x_1_1": 1}}]}]]},
     ], ids=["grid-number", "top-level-list", "cell-number", "row-object", "terms-number",
             "term-number", "exps-number", "args-number", "op-number", "n-0", "n-minus-1",
-            "p-0", "n-2.7", "n-1.0", "n-true", "n-string", "p-false"])
+            "p-0", "n-2.7", "n-1.0", "n-true", "n-string", "p-false", "coef-true"])
     def test_malformed_spline_exits_2(self, tmp_path, capsys, spline):
         spath = write(tmp_path / "bad.json", spline)
         one_line_exit_2(capsys, ["compile", spath, "-o", str(tmp_path / "w.json")])
@@ -368,6 +371,25 @@ class TestDocumentShape:
         w.write_text(json.dumps(doc).replace('"BETA"', beta))
         x = write(tmp_path / "x.json", [["1/2"]])
         one_line_exit_2(capsys, [{"W": str(w), "X": x}.get(a, a) for a in command])
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("head", "masked", "no"), ("head", "scaled", "false"), ("block", "residual", "no"),
+        ("head", "masked", 1), ("block", "residual", None)],
+        ids=["masked-no", "scaled-false", "residual-no", "masked-1", "residual-null"])
+    @pytest.mark.parametrize("command", [["eval", "W", "X"],
+                                         ["verify", "W", "S", "--samples", "1"],
+                                         ["smooth", "W", "--samples", "1"]],
+                             ids=["eval", "verify", "smooth"])
+    def test_non_boolean_flag_exits_2(self, tmp_path, capsys, where, key, value, command):
+        # a flag must be a JSON boolean: "no" is not false, and is not read as true
+        spath, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        blk = doc["blocks"][0]
+        (blk["heads"][0] if where == "head" else blk)[key] = value
+        w = write(tmp_path / "flag.json", doc)
+        x = write(tmp_path / "x.json", [["1/2"]])
+        one_line_exit_2(capsys, [{"W": w, "X": x, "S": spath}.get(a, a) for a in command])
 
     def test_large_finite_beta_is_read(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, CUBE_SPLINE)
@@ -407,6 +429,22 @@ class TestFloatEval:
                                 mat_from_json(x).to_float())
             assert main(["eval", w, write(tmp_path / "x.json", x), "--backend", "float"]) == 0
             assert capsys.readouterr().out == json.dumps(mat_to_json(want), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("spline,x", [(CUBE_SPLINE, [[2.0]]), (CUBE_SPLINE, [[-0.5]]),
+                                          (AUTOREGRESSIVE_SPLINE, [[1.5, -5.0]])],
+                             ids=["cube-2", "cube-half", "masked"])
+    def test_float_input_needs_no_backend(self, tmp_path, capsys, spline, x):
+        # a JSON float input runs the float pass, as --backend float does
+        extra = ("--masked",) if spline is AUTOREGRESSIVE_SPLINE else ()
+        _, out = compile_to(tmp_path, spline, extra=extra)
+        capsys.readouterr()
+        xpath = write(tmp_path / "xf.json", x)
+        assert main(["eval", out, xpath]) == 0
+        inferred = capsys.readouterr().out
+        assert main(["eval", out, xpath, "--backend", "float"]) == 0
+        assert inferred == capsys.readouterr().out
+        if x == [[2.0]]:
+            assert inferred == "[[8.0]]\n"
 
 
 def min_of_maxes(k):
@@ -465,3 +503,38 @@ class TestResourceCaps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cap" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+    def power_spline(self, n, p, exps):
+        return {"n": n, "p": p, "grid": [[{"op": "poly", "terms": [
+            {"coef": "1", "exps": exps}]}] * p]}
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    @pytest.mark.parametrize("shape", [
+        (1, 1, {"x_1_1": MAX_DEGREE + 1}),
+        (1, 2, {"x_1_1": MAX_DEGREE // 2, "x_1_2": MAX_DEGREE // 2 + 1}),
+        (MAX_INPUT_ENTRIES + 1, 1, {"x_1_1": 1}),
+        (13, 5, {"x_1_1": 1}),
+    ], ids=["degree", "degree-two-entries", "entries", "entries-13x5"])
+    def test_spline_just_over_cap(self, tmp_path, capsys, command, shape):
+        # refused before any cell is normalized, so each exits at once
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        spath = write(tmp_path / "big.json", self.power_spline(*shape))
+        w = tmp_path / "big_w.json"
+        argv = {"compile": ["compile", spath, "-o", str(w)],
+                "verify": ["verify", out, spath, "--samples", "1"]}[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not w.exists()
+        assert "cap" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+    def test_spline_cap_boundary(self, tmp_path, capsys, monkeypatch):
+        # with caps of degree 8 and 4 entries, the cap itself compiles and one over does not
+        monkeypatch.setattr(spline_module, "MAX_DEGREE", 8)
+        monkeypatch.setattr(spline_module, "MAX_INPUT_ENTRIES", 4)
+        for shape, code in [((1, 1, {"x_1_1": 8}), 0), ((1, 1, {"x_1_1": 9}), 3),
+                            ((2, 2, {"x_1_1": 1}), 0), ((5, 1, {"x_1_1": 1}), 3),
+                            ((1, 4, {"x_1_1": 1}), 0), ((1, 5, {"x_1_1": 1}), 3)]:
+            spath = write(tmp_path / "s.json", self.power_spline(*shape))
+            assert main(["compile", spath, "-o", str(tmp_path / "w.json")]) == code
+            assert ("cap of" in capsys.readouterr().err) == (code == 3)

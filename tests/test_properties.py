@@ -135,6 +135,14 @@ def run(argv) -> tuple:
     return code, err.getvalue()
 
 
+def run_with_report(argv) -> tuple:
+    """`run`, also returning what the command printed on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def assert_documented(code, err):
     """Exit 1 means a failed verification, which compile and eval never
     report; any other failure is one line on stderr."""
@@ -169,3 +177,24 @@ class TestMutatedDocuments:
             x = data.draw(mutated(x))
         argv = ["eval", write(tmp_path / "m.json", weights), write(tmp_path / "x.json", x)]
         assert_documented(*run(argv + backend))
+
+    @settings(FIXTURED, max_examples=80)
+    @given(data=st.data(), command=st.sampled_from(["verify", "degree"]))
+    def test_verify_and_degree_exit_codes(self, tmp_path, data, command):
+        k = data.draw(st.sampled_from(range(len(SPLINES))))
+        weights = write(tmp_path / "m.json", data.draw(mutated(WEIGHTS[k])))
+        if command == "verify":
+            argv = ["verify", weights, write(tmp_path / "s.json", SPLINES[k]),
+                    "--samples", "3", "--seed", "0"]
+        else:
+            argv = ["degree", weights, "--trials", "2", "--seed", "0"]
+        code, out, err = run_with_report(argv)
+        assert code in (0, 1, 2, 3), (code, err)
+        if code == 1:
+            # exit 1 is a failed verification with its witness, and nothing else
+            assert command == "verify", (out, err)
+            report = json.loads(out)
+            assert report["exact"] is False
+            assert report["first_failure"]["expected"] != report["first_failure"]["got"]
+        elif code:
+            assert out == "" and len(err.strip().splitlines()) == 1, err

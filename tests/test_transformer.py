@@ -20,6 +20,7 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec, identity_ffn,
                                       softplus, _attend, _walk)
+from splineformer.transformer import EncoderModel, _image
 from splineformer.verifier import random_rational_mat, trial_rng
 
 
@@ -805,3 +806,33 @@ class TestGroupedHeads:
         compiled = compile_spline(grid_from_json(GRID_2X2), CompileOptions(mode="faithful"))
         blk = blocks_from_json(blocks_to_json(compiled.blocks))[1]
         assert (len(blk.attn.heads), group_count(blk.attn)) == (414, 44)
+
+
+class TestEncoderModel:
+    """One model type runs every pass: the exact pass on rational inputs,
+    and a float pass over the weights' float image on float inputs or with
+    an activation standing in."""
+
+    def test_image_of_an_affine_map(self):
+        a = ((F(1, 2), F(0), F(-2, 3)), (F(0), F(0), F(0)))
+        b = ((F(0), F(0)), (F(5, 4), F(0)))
+        assert _image(a, b, True) == ((((0, 6), (2, -8)), ()), (None, (15, 0)), 12)
+        assert _image(a, b, False) == ((((0, 0.5), (2, -2 / 3)), ()), (None, (1.25, 0.0)), 1)
+
+    def test_rational_and_float_inputs(self):
+        rng = random.Random("encoder-model")
+        for _ in range(5):
+            blocks = random_chain(rng, 2, 2, 2, 2)
+            model = EncoderModel(blocks)
+            x = sparse_random_mat(rng, 2, 2)
+            assert model(x) == eval_encoder(blocks, x)
+            assert model(x.to_float()) == eval_encoder(blocks_to_float(blocks), x.to_float())
+            assert model.blocks == model.swap_back() == tuple(blocks)
+
+    def test_rational_input_stays_strict(self):
+        head = scalar_head(a_q=Mat.from_floats([[0.5]]))
+        model = EncoderModel([EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))])
+        with pytest.raises(BackendError):
+            model(rmat([[2]]))
+        # v * relu(k * q) = 2 * (2 * 0.5 * 2) on the float image of the mixed weights
+        assert model(Mat.from_floats([[2.0]])).data == ((4.0,),)

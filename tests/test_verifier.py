@@ -16,7 +16,7 @@ from splineformer.transformer import (Activation, AttentionHead, EncoderBlock,
                                       MultiheadAttention, _walk, blocks_to_float,
                                       eval_attention, eval_encoder,
                                       identity_ffn, softplus)
-from splineformer.verifier import (FnModel, SmoothModel, _forward_diff_degree,
+from splineformer.verifier import (FnModel, _forward_diff_degree,
                                    autoregressive_check,
                                    estimate_degree, oracle_equiv,
                                    random_fraction, random_rational_mat,
@@ -519,7 +519,7 @@ class TestObservedPasses:
             want_base = eval_encoder(relu_float, x.to_float())
             for beta in (1.0, 10.0, 100.0):
                 got = _walk(blocks, x.to_float(), activation=softplus(beta))
-                want = SmoothModel(relu_float, softplus(beta), blocks)(x)
+                want = EncoderModel(blocks, softplus(beta))(x)
                 assert got == want
                 gap = max(abs(a - b) for ra, rb in zip(want.data, want_base.data)
                           for a, b in zip(ra, rb))
