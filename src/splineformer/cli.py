@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .compiler import (CompileOptions, NotAutoregressiveError,
                        ResourceLimitError, compile_autoregressive, compile_spline)
 from .spline import FormSizeError, grid_from_json
-from .tensor import BackendError, ShapeError, mat_from_json, mat_to_json
+from .tensor import RATIONAL, BackendError, ShapeError, mat_from_json, mat_to_json
 from .transformer import EncoderModel, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        require_relu, smooth_convergence_table,
@@ -103,6 +104,12 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _finite(m) -> bool:
+    """Whether a float matrix holds no NaN or infinity, which JSON cannot
+    spell; a rational one always does."""
+    return m.backend == RATIONAL or all(math.isfinite(v) for row in m.data for v in row)
+
+
 def _load_model(path: str):
     blocks = blocks_from_json(_load_json(path))
     return EncoderModel(blocks)
@@ -114,14 +121,17 @@ def cmd_eval(args) -> int:
         x = mat_from_json(_load_json(args.input))
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
-    if args.backend == "float":
-        x = x.to_float()
-    elif args.backend == "rational" and x.backend != "rational":
+    if args.backend == "rational" and x.backend != "rational":
         return _fail(EXIT_INPUT_ERROR, "rational backend requested but input is float")
+    if not _finite(x):
+        return _fail(EXIT_INPUT_ERROR, "input entries must be finite numbers")
     try:
-        out = model(x)
-    except (ShapeError, BackendError) as exc:
+        out = model(x.to_float() if args.backend == "float" else x)
+    except (ShapeError, BackendError, OverflowError) as exc:
+        # OverflowError: a rational weight or input beyond the float range
         return _fail(EXIT_INPUT_ERROR, f"evaluation failed: {exc}")
+    if not _finite(out):
+        return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
     _emit(mat_to_json(out))
     return EXIT_OK
 
@@ -172,12 +182,13 @@ def cmd_smooth(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples)]
-    # weights whose attention is not ReLU, or whose blocks do not chain, raise ValueError
+    # weights whose attention is not ReLU, or whose blocks do not chain, raise
+    # ValueError; a rational weight beyond the float range, OverflowError
     if args.activation == "softmax":
         try:
             require_relu(model.blocks)
             checks = softmax_probability_check(model.blocks, xs)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
         _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs), **checks})
         return EXIT_OK
@@ -187,7 +198,7 @@ def cmd_smooth(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"bad --betas: {exc}")
     try:
         rows = smooth_convergence_table(model.blocks, xs, betas)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
     _emit({"kind": "smooth", "activation": "softplus", "samples": len(xs),
            "rows": rows})

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 from .spline import ONE, Monomial, PBForm, SplineGrid
 from .tensor import RATIONAL, Mat, ShapeError, add, matmul
 from .transformer import (AttentionHead, EncoderBlock, FeedForwardNet,
-                          EncoderModel, MultiheadAttention, RELU, eval_ffn,
-                          pass_through)
+                          EncoderModel, MultiheadAttention, RELU, pass_through)
 from .veronese import factor_pair, graded_lex_monomials
 
 
@@ -55,109 +54,73 @@ def ffn_compose(f: FeedForwardNet, g: FeedForwardNet) -> FeedForwardNet:
     return FeedForwardNet(f.layers[:-1] + (merged,) + g.layers[1:])
 
 
-def ffn_deepen(f: FeedForwardNet, levels: int) -> FeedForwardNet:
-    """Pad with pass-through hidden layers (u = relu(u) - relu(-u))."""
-    out = f
-    for _ in range(levels):
-        out = FeedForwardNet(out.layers[:-1] + pass_through(*out.layers[-1]))
-    return out
-
-
-def ffn_stack(in_dim: int, parts: Sequence[tuple]) -> FeedForwardNet:
-    """Run several nets side by side, each on a slice of the input.
-
-    parts are (input_indices, net) pairs; outputs are concatenated in
-    part order.  Shallower nets are padded to the common depth.
-    """
-    depth = max(net.depth for _, net in parts)
-    padded = [(idx, ffn_deepen(net, depth - net.depth)) for idx, net in parts]
-    layers = []
-    for level in range(depth):
-        blocks = [net.layers[level] for _, net in padded]
-        out_rows = sum(a.rows for a, _ in blocks)
-        if level == 0:
-            in_cols = in_dim
-        else:
-            in_cols = sum(net.layers[level - 1][0].rows for _, net in padded)
-        entries: dict = {}
-        bias = []
-        r0 = 0
-        c0 = 0
-        for idx, net in padded:
-            a, b = net.layers[level]
-            if level == 0:
-                cols = list(idx)
-            else:
-                cols = list(range(c0, c0 + a.cols))
-                c0 += a.cols
-            for r in range(a.rows):
-                for c in range(a.cols):
-                    v = a.at(r, c)
-                    if v:
-                        entries[(r0 + r, cols[c])] = v
-            bias.extend(b.at(r, 0) for r in range(b.rows))
-            r0 += a.rows
-        layers.append((_sparse(out_rows, in_cols, entries), Mat.column(bias)))
-    return FeedForwardNet(tuple(layers))
-
-
 # -- max-min networks ----------------------------------------------------------
 
-def _reduce_level(sizes: Sequence[int], sign: int, count: int):
-    """One lockstep pairwise-reduction level of min (sign -1) or max (+1).
+def _maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
+    """Net computing every form of the (form, coord) pairs, the max over
+    its rows of the min within each row, one output row per form, on
+    affine pieces: coord(mon) is the input row a monomial's coefficient
+    multiplies, or None for the bias.
 
-    Returns (M, R, new_sizes): M maps candidates to pre-activation
-    features, R combines the relu'd features into the new candidates.
-    min(a,b) = a - relu(a-b); max(a,b) = a + relu(b-a); a lone candidate
-    passes as relu(a) - relu(-a).
+    Candidates are sparse affine rows ({col: coef}, bias).  Every level
+    reduces all forms in lockstep, pairwise: first the min within each
+    row, then the max over the row minima.  min(a,b) = a - relu(a-b);
+    max(a,b) = a + relu(b-a); a lone candidate (and so a form already
+    reduced) passes as relu(a) - relu(-a).
     """
-    m_entries: dict = {}
-    r_entries: dict = {}
-    feat = new_val = pos = 0
-    for size in sizes:
-        for a in range(pos, pos + size, 2):
-            if a + 1 < pos + size:
-                m_entries[(feat, a)], m_entries[(feat, a + 1)] = -sign, sign
-                r_entries[(new_val, feat)] = sign
-                feat += 1
-            m_entries[(feat, a)], m_entries[(feat + 1, a)] = 1, -1
-            r_entries[(new_val, feat)], r_entries[(new_val, feat + 1)] = 1, -1
-            feat += 2
-            new_val += 1
-        pos += size
-    return (_sparse(feat, count, m_entries), _sparse(new_val, feat, r_entries),
-            [(size + 1) // 2 for size in sizes])
+    state = []  # per form: candidate rows, then (one row each) the row minima
+    for form, coord in forms:
+        rows = []
+        for row in form.rows:
+            pieces = []
+            for poly in row:
+                coefs, bias = {}, Fraction(0)
+                for mon, c in poly.terms:
+                    i = coord(mon)
+                    if i is None:
+                        bias = c
+                    else:
+                        coefs[i] = c
+                pieces.append((coefs, bias))
+            rows.append(pieces)
+        state.append(rows)
 
+    def layer(cands: Sequence[tuple], cols: int) -> tuple:
+        entries = {(r, c): v for r, (coefs, _) in enumerate(cands) for c, v in coefs.items()}
+        return _sparse(len(cands), cols, entries), Mat.column([b for _, b in cands])
 
-def _maxmin_ffn(form: PBForm, coord, width: int) -> FeedForwardNet:
-    """Net computing the form, the max over its rows of the min within
-    each row, on affine pieces: coord(mon) is the input row a monomial's
-    coefficient multiplies, or None for the bias."""
-    pieces = []
-    for row in form.rows:
-        for poly in row:
-            coefs, bias = [Fraction(0)] * width, Fraction(0)
-            for mon, c in poly.terms:
-                i = coord(mon)
-                if i is None:
-                    bias = c
-                else:
-                    coefs[i] = c
-            pieces.append((coefs, bias))
     layers = []
-    cur_a = Mat.rational([coefs for coefs, _ in pieces])
-    cur_b = Mat.column([bias for _, bias in pieces])
-    sizes = [len(row) for row in form.rows]
-    count = len(pieces)
-    while count > 1:
-        if any(s > 1 for s in sizes):  # min within every row, in lockstep
-            m, r, sizes = _reduce_level(sizes, -1, count)
-        else:  # then max over the row minima
-            m, r, _ = _reduce_level([count], 1, count)
-        layers.append((matmul(m, cur_a), matmul(m, cur_b)))
-        cur_a, cur_b = r, Mat.zeros(r.rows, 1)
-        count = r.rows
-    return FeedForwardNet(tuple(layers) + ((cur_a, cur_b),))
+    cols = width
+    while any(sum(map(len, rows)) > 1 for rows in state):
+        feats = []  # this level's pre-activation rows
+
+        def feature(*signed) -> int:
+            coefs, bias = {}, Fraction(0)
+            for (cand, b), sign in signed:
+                for c, v in cand.items():
+                    coefs[c] = coefs.get(c, 0) + sign * v
+                bias += sign * b
+            feats.append((coefs, bias))
+            return len(feats) - 1
+
+        for f, rows in enumerate(state):
+            is_min = any(len(row) > 1 for row in rows)
+            sign = -1 if is_min else 1
+            reduced = []
+            for group in rows if is_min else [[c for row in rows for c in row]]:
+                out = []
+                for k in range(0, len(group), 2):
+                    a, coefs = group[k], {}
+                    if k + 1 < len(group):
+                        coefs[feature((a, -sign), (group[k + 1], sign))] = sign
+                    coefs[feature((a, 1))] = 1
+                    coefs[feature((a, -1))] = -1
+                    out.append((coefs, Fraction(0)))
+                reduced += [out] if is_min else [[c] for c in out]
+            state[f] = reduced
+        layers.append(layer(feats, cols))
+        cols = len(feats)
+    return FeedForwardNet(tuple(layers) + (layer([rows[0][0] for rows in state], cols),))
 
 
 def linear_spline_to_ffn(forms, in_dim: int) -> FeedForwardNet:
@@ -178,15 +141,10 @@ def linear_spline_to_ffn(forms, in_dim: int) -> FeedForwardNet:
             raise ValueError(f"variable x_{i}_{j} outside vector of length {in_dim}")
         return i - 1
 
-    nets = []
     for f in forms:
         if f.degree > 1:
             raise ValueError(f"affine pieces required, got degree {f.degree}")
-        nets.append(_maxmin_ffn(f, coord, in_dim))
-    if len(nets) == 1:
-        return nets[0]
-    full = list(range(in_dim))
-    return ffn_stack(in_dim, [(full, net) for net in nets])
+    return _maxmin_ffn([(f, coord) for f in forms], in_dim)
 
 
 # -- attention head constructors ----------------------------------------------
@@ -230,18 +188,6 @@ def _quad_head(v_row: int, q_row: int, col: int, in_rows: int, p: int,
         b_q=Mat.zeros(1, p),
         a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
         a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=Mat.zeros(1, p),
-        activation=RELU, masked=masked)
-
-
-def _const_row_head(values: Sequence[Fraction], in_rows: int, p: int,
-                    masked: bool) -> AttentionHead:
-    """Head emitting a fixed row of nonnegative constants."""
-    if any(v < 0 for v in values):
-        raise ValueError("constant rows must be nonnegative (relu passthrough)")
-    return AttentionHead(
-        a_q=Mat.zeros(1, in_rows), b_q=Mat.rational([list(values)]),
-        a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, 1),
-        a_v=Mat.zeros(1, in_rows), b_v=Mat.basis(1, p, 1, 1),
         activation=RELU, masked=masked)
 
 
@@ -604,7 +550,7 @@ def ffn_to_encoder_blocks(phi: FeedForwardNet, n: int, p: int) -> tuple:
     """Split a multi-hidden-layer net into a chain of one-hidden-layer
     encoder blocks (applying ffn_block_form once per hidden layer)."""
     if phi.hidden_layers == 0:
-        phi = ffn_deepen(phi, 1)
+        phi = FeedForwardNet(pass_through(*phi.layers[0]))
     pieces = []
     layers = phi.layers
     for k in range(len(layers) - 1):
@@ -624,8 +570,8 @@ def ffn_to_encoder_blocks(phi: FeedForwardNet, n: int, p: int) -> tuple:
 def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) -> CompiledEncoder:
     """Emit encoder weights computing the grid exactly.
 
-    Pipeline: monomial stages up to the grid degree, then a per-column
-    max-min readout network and a recombining affine map folded into the
+    Pipeline: monomial stages up to the grid degree, then one max-min
+    readout network and a recombining affine map folded into the
     final block's feed-forward net.
     """
     n, p, r = spline.n, spline.p, spline.r
@@ -640,56 +586,19 @@ def compile_spline(spline: SplineGrid, opts: CompileOptions = CompileOptions()) 
         targets.append(sorted(support,
                               key=lambda m: _grlex_key(m, _allowed_vars(n, p, j, opts.masked))))
     stages = _build_chain(n, p, s, targets, opts, mode)
-    tag, last = stages[-1]
-    layout = last.layout
+    layout = stages[-1][1].layout
 
-    # per-column readout nets, one scalar gadget per output row, over the
-    # column's block (constants ride its 1-row)
-    gadgets = []
-    for j, (lo, hi) in enumerate(layout.block_spans, 1):
-        def coord(mon, j=j, lo=lo):
-            return layout.row_of(mon, j) - lo
-        gadgets.append([_maxmin_ffn(f, coord, hi - lo) for f in spline.column(j)])
-
-    # offset rows: ell_j at the zero block, combined across columns
-    ell_zero = [[eval_ffn(g, Mat.zeros(hi - lo, 1)).at(0, 0) for g in gadgets[j]]
-                for j, (lo, hi) in enumerate(layout.block_spans)]
-    b_cols, bp_cols = [], []
-    for i in range(p):
-        z = [sum(ell_zero[j][k] for j in range(p) if j != i) for k in range(r)]
-        b_cols.append([max(-v, Fraction(0)) for v in z])
-        bp_cols.append([max(v, Fraction(0)) for v in z])
-    need_consts = mode == "faithful" or any(
-        v != 0 for col in b_cols + bp_cols for v in col)
-
-    base = 2 * r if need_consts else 0
-    parts = []
-    if need_consts:
-        consts = [_const_row_head([cols[i][k] for i in range(p)], last.heads[0].n, p,
-                                  opts.masked) for cols in (b_cols, bp_cols) for k in range(r)]
-        sel = [{k: 1} for k in range(2 * r)] + [{h + 2 * r: v for h, v in row.items()}
-                                                for row in last.sel]
-        stages[-1] = (tag, _Stage(consts + last.heads, sel, layout))
-        # pass-through offset rows ahead of the per-column gadgets
-        parts = [(list(range(r)), ffn_affine(Mat.identity(r))),
-                 (list(range(r, 2 * r)), ffn_affine(Mat.identity(r)))]
-    for j, (lo, hi) in enumerate(layout.block_spans):
-        parts += [(list(range(base + lo, base + hi)), g) for g in gadgets[j]]
-    lhat = ffn_stack(base + layout.total_rows, parts)
-
-    psi_entries = {}
-    for i in range(r):
-        if need_consts:
-            psi_entries[(i, i)] = Fraction(1)
-            psi_entries[(i, r + i)] = Fraction(-1)
-        for j in range(p):
-            psi_entries[(i, base + j * r + i)] = Fraction(1)
-    psi = ffn_affine(_sparse(r, base + p * r, psi_entries))
+    # one readout net over the last layout, one output row per (column,
+    # output row) form; every monomial has a row there, the constant too
+    # (each block's 1-row), so every piece is linear in the rows
+    forms = [(f, lambda mon, j=j: layout.row_of(mon, j))
+             for j in range(1, p + 1) for f in spline.column(j)]
+    lhat = _maxmin_ffn(forms, layout.total_rows)
+    psi = ffn_affine(_sparse(r, p * r, {(i, j * r + i): 1 for i in range(r) for j in range(p)}))
 
     # the affine selection merges into the readout's first layer
     return _finish(stages, n, p, s, opts, mode, out_rows=r, readout=(lhat, psi),
-                   tail="+readout(max-min net, recombine)"
-                   + ("+offset-const-heads" if need_consts else ""))
+                   tail="+readout(max-min net, recombine)")
 
 
 def _check_autoregressive(spline: SplineGrid):

@@ -279,6 +279,34 @@ class TestInputErrors:
         assert captured.out == "" and "coefficient" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("backend", [[], ["--backend", "float"]], ids=["inferred", "float"])
+    @pytest.mark.parametrize("x", ["[[NaN]]", "[[Infinity]]", "[[1e400]]", '[["-inf"]]'],
+                             ids=["nan", "infinity", "1e400", "minus-inf"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, x, backend):
+        # JSON cannot spell a non-finite result, and the float pass reads relu(NaN) as 0.0
+        _, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        (tmp_path / "x.json").write_text(x)
+        one_line_exit_2(capsys, ["eval", out, str(tmp_path / "x.json"), *backend])
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "W", [["1" + "0" * 400]], "--backend", "float"],
+        ["eval", "BIG", [["1/2"]], "--backend", "float"],
+        ["eval", "BIG", [[0.5]]],
+        ["eval", "W", [[1e200]]],
+        ["smooth", "BIG", "--samples", "1"],
+        ["smooth", "BIG", "--activation", "softmax", "--samples", "1"],
+    ], ids=["input", "weight", "weight-float-input", "float-pass", "softplus", "softmax"])
+    def test_beyond_float_range_exits_2(self, tmp_path, capsys, argv):
+        # a 401-digit rational has no float, and the cube of 1e200 overflows
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1" + "0" * 400
+        paths = {"W": out, "BIG": write(tmp_path / "big.json", doc)}
+        one_line_exit_2(capsys, [write(tmp_path / "x.json", a) if isinstance(a, list)
+                                 else paths.get(a, a) for a in argv])
+
     def test_negative_max_deg_exits_2(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, IDENTITY_SPLINE)
         capsys.readouterr()

@@ -10,7 +10,8 @@ from splineformer.compiler import (CompileOptions, NotAutoregressiveError,
                                    compile_spline, ffn_block_form,
                                    ffn_to_encoder_blocks, linear_spline_to_ffn)
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
-                                 const, emax, emin, escale, normalize_to_pbform, var)
+                                 const, emax, emin, eprod, escale, esum,
+                                 normalize_to_pbform, var)
 from splineformer.tensor import Mat
 from splineformer.transformer import (FeedForwardNet, eval_attention,
                                       eval_encoder, eval_ffn)
@@ -194,6 +195,7 @@ class TestLinearSplineToFfn:
 
     def test_random_forms_exact(self):
         rng = random.Random(13)
+        forms = []
         for trial in range(20):
             nvars = rng.randint(1, 3)
             rows = []
@@ -206,10 +208,20 @@ class TestLinearSplineToFfn:
                     row.append(Polynomial.from_terms(terms))
                 rows.append(row)
             f = PBForm.of_rows(rows)
+            forms.append(f)
             ffn = linear_spline_to_ffn(f, nvars)
             for t in range(50):
                 X = random_rational_mat(trial_rng(trial, t), nvars, 1)
                 assert eval_ffn(ffn, X).at(0, 0) == f.eval(X)
+        # all forms in one net: they differ in depth, so the shallower ones
+        # pass through the levels that the deeper ones still reduce
+        assert len({linear_spline_to_ffn(f, 3).depth for f in forms}) > 2
+        ffn = linear_spline_to_ffn(forms, 3)
+        assert ffn.out_dim == len(forms)
+        for t in range(50):
+            X = random_rational_mat(trial_rng(20, t), 3, 1)
+            out = eval_ffn(ffn, X)
+            assert [out.at(k, 0) for k in range(len(forms))] == [f.eval(X) for f in forms]
 
 
 class TestFfnBlockForm:
@@ -314,6 +326,25 @@ class TestCompileSpline:
         c = compile_spline(g, CompileOptions(mode="pruned", residual=True))
         assert any(b.residual for b in c.blocks)
         self.check(g, c)
+
+    @pytest.mark.parametrize("mode", ["faithful", "pruned", "auto"])
+    def test_no_head_with_zero_query(self, mode):
+        # a head whose query map is zero scores 0, so under ReLU it adds nothing
+        grid_2x2 = SplineGrid(2, 2, (  # the bench's 2x2 grid
+            (pb(emax(eprod(var(1, 1), var(1, 2)), var(2, 1))),
+             pb(esum(eprod(var(1, 1), var(1, 1)), escale(F(-1, 2), var(2, 2))))),
+            (pb(emin(var(1, 2), eprod(var(2, 1), var(2, 2)))),
+             pb(esum(escale(3, eprod(var(1, 2), var(2, 1))), const(1))))))
+        prefix = SplineGrid(1, 2, ((PBForm.of_poly(x(1, 1)),
+                                    pb(emax(var(1, 1), eprod(var(1, 1), var(1, 2))))),))
+        compiled = [compile_spline(g, CompileOptions(mode=mode)) for g in (
+            grid_2x2, grid1(pb(emax(var(1, 1), const(1))), 1),
+            grid1(PBForm.of_rows([[x(1).mul(x(1))], [x(1)]]), 1))]
+        compiled.append(compile_autoregressive(prefix, CompileOptions(mode=mode)))
+        for c in compiled:
+            for b in c.blocks:
+                for h in b.attn.heads:
+                    assert max(h.a_q.max_abs(), h.b_q.max_abs()) > 0
 
     def test_stats_and_provenance(self):
         g = grid1(PBForm.of_poly(Monomial.from_dict({(1, 1): 3}) and Polynomial.from_terms(

@@ -97,7 +97,8 @@ SPLINES = [
 # the weights `compile` writes for each spline, in its default mode
 WEIGHTS = [blocks_to_json(compile_spline(grid_from_json(doc)).blocks) for doc in SPLINES]
 REPLACEMENTS = [0, 1, -1, 2.7, 5, True, None, "x", "1/0", "NaN", "-inf", [], {}, [[1]],
-                [["1", "2"]], math.inf, math.nan, {"op": "poly", "terms": []}]
+                [["1", "2"]], math.inf, math.nan, {"op": "poly", "terms": []},
+                "1" + "0" * 400]
 
 
 def paths(obj, prefix=()):
@@ -179,15 +180,17 @@ class TestMutatedDocuments:
         assert_documented(*run(argv + backend))
 
     @settings(FIXTURED, max_examples=80)
-    @given(data=st.data(), command=st.sampled_from(["verify", "degree"]))
+    @given(data=st.data(), command=st.sampled_from(["verify", "degree", "smooth"]))
     def test_verify_and_degree_exit_codes(self, tmp_path, data, command):
         k = data.draw(st.sampled_from(range(len(SPLINES))))
         weights = write(tmp_path / "m.json", data.draw(mutated(WEIGHTS[k])))
         if command == "verify":
             argv = ["verify", weights, write(tmp_path / "s.json", SPLINES[k]),
                     "--samples", "3", "--seed", "0"]
-        else:
+        elif command == "degree":
             argv = ["degree", weights, "--trials", "2", "--seed", "0"]
+        else:
+            argv = ["smooth", weights, "--samples", "1", "--seed", "0"]
         code, out, err = run_with_report(argv)
         assert code in (0, 1, 2, 3), (code, err)
         if code == 1:

@@ -805,7 +805,7 @@ class TestGroupedHeads:
         assert (len(blk.attn.heads), group_count(blk.attn)) == (410, 43)
         compiled = compile_spline(grid_from_json(GRID_2X2), CompileOptions(mode="faithful"))
         blk = blocks_from_json(blocks_to_json(compiled.blocks))[1]
-        assert (len(blk.attn.heads), group_count(blk.attn)) == (414, 44)
+        assert (len(blk.attn.heads), group_count(blk.attn)) == (410, 43)
 
 
 class TestEncoderModel:
