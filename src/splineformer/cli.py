@@ -107,7 +107,7 @@ def cmd_compile(args) -> int:
 def _finite(m) -> bool:
     """Whether a float matrix holds no NaN or infinity, which JSON cannot
     spell; a rational one always does."""
-    return m.backend == RATIONAL or all(math.isfinite(v) for row in m.data for v in row)
+    return m.backend == RATIONAL or all(math.isfinite(v) for row in m.nz for _, v in row)
 
 
 def _load_model(path: str):
@@ -183,7 +183,7 @@ def cmd_smooth(args) -> int:
     xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples)]
     # weights whose attention is not ReLU, or whose blocks do not chain, raise
-    # ValueError; a rational weight beyond the float range, OverflowError
+    # ValueError; a weight beyond the float range or an overflowing pass, OverflowError
     if args.activation == "softmax":
         try:
             require_relu(model.blocks)

@@ -25,6 +25,10 @@ class ResourceLimitError(RuntimeError):
     """Faithful construction would exceed the intermediate row cap."""
 
 
+# Intermediate rows a faithful stage may ask for.
+ROW_CAP = 20000
+
+
 class NotAutoregressiveError(ValueError):
     """Masked compilation requested for a column that reads later columns."""
 
@@ -32,10 +36,13 @@ class NotAutoregressiveError(ValueError):
 # -- feed-forward assembly helpers -------------------------------------------
 
 def _sparse(rows: int, cols: int, entries: dict) -> Mat:
-    data = [[Fraction(0)] * cols for _ in range(rows)]
-    for (r, c), v in entries.items():
-        data[r][c] = Fraction(v)
-    return Mat.rational(data)
+    """The rows x cols matrix of the {(row, col): value} entries; a zero
+    value (a signed sum can cancel) is dropped."""
+    nz = [[] for _ in range(rows)]
+    for (r, c), v in sorted(entries.items()):
+        if v:
+            nz[r].append((c, Fraction(v)))
+    return Mat(RATIONAL, tuple(map(tuple, nz)), cols)
 
 
 def ffn_affine(a: Mat, b: Optional[Mat] = None) -> FeedForwardNet:
@@ -87,7 +94,8 @@ def _maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
 
     def layer(cands: Sequence[tuple], cols: int) -> tuple:
         entries = {(r, c): v for r, (coefs, _) in enumerate(cands) for c, v in coefs.items()}
-        return _sparse(len(cands), cols, entries), Mat.column([b for _, b in cands])
+        return (_sparse(len(cands), cols, entries),
+                _sparse(len(cands), 1, {(r, 0): b for r, (_, b) in enumerate(cands)}))
 
     layers = []
     cols = width
@@ -173,18 +181,12 @@ def build_const_head(j: int, n: int, p: int, masked: bool = False) -> AttentionH
         activation=RELU, masked=masked)
 
 
-def _signed_row(cols: int, j: int, sign: int) -> Mat:
-    """The 1 x cols row holding sign at column j (0-based), zeros elsewhere."""
-    zero = Fraction(0)
-    return Mat(RATIONAL, ((zero,) * j + (Fraction(sign),) + (zero,) * (cols - j - 1),))
-
-
 def _quad_head(v_row: int, q_row: int, col: int, in_rows: int, p: int,
                masked: bool, sign: int) -> AttentionHead:
     """Head whose output row holds u_{v_row,col} * relu(sign * u_{q_row,col})
     at column col when row q_row is nonzero only in that column (0-based)."""
     return AttentionHead(
-        a_q=_signed_row(in_rows, q_row, sign),
+        a_q=_sparse(1, in_rows, {(0, q_row): sign}),
         b_q=Mat.zeros(1, p),
         a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
         a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=Mat.zeros(1, p),
@@ -275,7 +277,6 @@ class _Stage:
     heads: list
     sel: list          # selection rows (coef per head) for each output slot
     layout: MonomialLayout
-    residual: bool = False
 
     def block(self, *readout: FeedForwardNet) -> EncoderBlock:
         """The stage's encoder block: the affine map from head outputs to
@@ -285,8 +286,7 @@ class _Stage:
         ffn = ffn_affine(_sparse(len(self.sel), len(self.heads), entries))
         for net in readout:
             ffn = ffn_compose(ffn, net)
-        return EncoderBlock(MultiheadAttention(tuple(self.heads)), ffn,
-                            residual=self.residual)
+        return EncoderBlock(MultiheadAttention(tuple(self.heads)), ffn)
 
 
 def _emit(src: MonomialLayout, columns, masked: bool, keys=()) -> _Stage:
@@ -310,23 +310,22 @@ def _emit(src: MonomialLayout, columns, masked: bool, keys=()) -> _Stage:
     return _Stage(heads, sel, layout)
 
 
-def _guard(cap: int, *quantities: int):
+def _guard(*quantities: int):
     worst = max(quantities)
-    if worst > cap:
+    if worst > ROW_CAP:
         raise ResourceLimitError(
             f"faithful construction needs {worst} intermediate rows "
-            f"(cap {cap}); use pruned mode")
+            f"(cap {ROW_CAP}); use pruned mode")
 
 
-def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool,
-                  cap: int, residual: bool = False) -> _Stage:
+def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool) -> _Stage:
     """Copy existing values forward so every column holds its own block of
     them (plus constants where requested).  Faithful mode copies every
     entry the column may read, after a constant row."""
     p, rows = src.p, src.total_rows
     keys = ()
     if faithful:
-        _guard(cap, rows * p * p + p, p * (rows * p + 1))
+        _guard(rows * p * p + p, p * (rows * p + 1))
         keys = [("copy", r, c, j) for r in range(rows) for c in range(p) for j in range(p)
                 if not (masked and c > j)] + [("const", j) for j in range(p)]
         columns = [[(ONE, {("const", j): 1})]
@@ -336,15 +335,11 @@ def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool,
     else:
         columns = [[(mon, {("const", j) if mon == ONE else ("copy", *src.source(mon, j), j): 1})
                     for mon in targets[j]] for j in range(p)]
-    stage = _emit(src, columns, masked, keys)
-    if residual and src.columns == stage.layout.columns:
-        stage.sel = [{} for _ in stage.sel]
-        stage.residual = True
-    return stage
+    return _emit(src, columns, masked, keys)
 
 
 def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
-                     cap_deg: int, masked: bool, faithful: bool, cap: int) -> _Stage:
+                     cap_deg: int, masked: bool, faithful: bool) -> _Stage:
     """Form pairwise products of the refreshed rows.  A product row for
     (a, b) at column j computes u_a * relu(u_b) - u_a * relu(-u_b) = u_a u_b,
     and stays zero outside column j because row b is.  Faithful mode forms
@@ -357,7 +352,7 @@ def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
 
     if faithful:
         yvars = [(r, c) for r in range(src.total_rows) for c in range(p)]
-        _guard(cap, 2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
+        _guard(2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
         allowed = [[(r, c) for r, c in yvars if not (masked and c > j)] for j in range(p)]
         # the faithful refresh holds allowed[j][k] on row k + 1 of column j's block
         var_row = [{v: refreshed.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
@@ -397,8 +392,6 @@ def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
 class CompileOptions:
     mode: str = "auto"        # faithful | pruned | auto
     masked: bool = False
-    residual: bool = False
-    row_cap: int = 20000
 
 
 def _resolve_mode(mode: str, s: int, p: int) -> str:
@@ -484,15 +477,14 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     stages: list = []
     for i in range(num):
         if s <= 1:
-            stage = _linear_stage(layout, target_sets[i], masked, faithful, opts.row_cap)
+            stage = _linear_stage(layout, target_sets[i], masked, faithful)
             stages.append(("linear-copy-pass", stage))
             layout = stage.layout
             continue
-        refresh = _linear_stage(layout, refresh_sets[i], masked, faithful, opts.row_cap,
-                                residual=opts.residual and i > 0 and not faithful)
+        refresh = _linear_stage(layout, refresh_sets[i], masked, faithful)
         stages.append(("linear-copy-pass", refresh))
         quad = _quadratic_stage(refresh.layout, layout, target_sets[i], 2 ** i,
-                                masked, faithful, opts.row_cap)
+                                masked, faithful)
         stages.append(("quadratic-product-pass", quad))
         layout = quad.layout
     return stages

@@ -33,11 +33,11 @@ class FormSizeError(RuntimeError):
 # Polynomials in one max-min form, summed over its rows.  Min, sum and
 # negation multiply sizes, so a short expression can ask for billions;
 # each is sized from its operands before anything is built.  The readout
-# network compiled from a form is stored dense and grows faster than the
-# form: min of 8 two-way maxes (256 rows, 2048 polynomials, 6.3M stored
-# feed-forward entries) compiles in about 0.5 s and 100 MB, min of 9
-# (4608 polynomials, 45M entries) in about 3.3 s and 480 MB (2-vCPU Xeon
-# VM, Python 3.11).
+# network compiled from a form keeps only its nonzero weights: min of 8
+# two-way maxes (256 rows, 2048 polynomials, 17k nonzero of 6.3M
+# feed-forward entries) compiles in about 0.07 s and 22 MB, min of 9
+# (4608 polynomials, 45k nonzero of 45M) in about 0.2 s and 28 MB
+# (2-vCPU Xeon VM, Python 3.11, one process under `ulimit -v`).
 MAX_FORM_SIZE = 1 << 12
 
 # Total degree of one monomial.  Exact powers carry bit lengths that grow
@@ -45,11 +45,11 @@ MAX_FORM_SIZE = 1 << 12
 # samples in 2 s; x^100000 takes 3 s to compile and 5.5 s for 2 samples.
 MAX_DEGREE = 1 << 12
 
-# Entries n * p of the input.  Every head stores dense rows as wide as
-# the layout, so a compile grows about quadratically with the entries it
-# reads: one degree-4096 monomial over all 64 entries of a 32 x 2 input
-# compiles in about 1.2 s and 140 MB, over 128 entries in 3.6 s and
-# 420 MB, over 256 in 11 s and 1.3 GB.
+# Entries n * p of the input.  Head rows are as wide as the layout but
+# keep only their nonzeros: one degree-4096 monomial over all 64 entries
+# of a 32 x 2 input, in both columns, compiles in about 0.07 s and 23 MB,
+# over 128 entries in 0.12 s and 27 MB, over 256 in 0.27 s and 33 MB
+# (dense rows took 0.13 s / 32 MB, 0.33 s / 61 MB and 0.88 s / 146 MB).
 MAX_INPUT_ENTRIES = 64
 
 
@@ -505,7 +505,7 @@ class SplineGrid:
         return tuple(row[j - 1] for row in self.grid)
 
     def eval(self, x: Mat) -> Mat:
-        return Mat(x.backend, tuple(tuple(f.eval(x) for f in row) for row in self.grid))
+        return Mat.dense(x.backend, tuple(tuple(f.eval(x) for f in row) for row in self.grid))
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense matrices over exact rationals or binary64 floats.
+"""Sparse matrices over exact rationals or binary64 floats.
 
 Every value is immutable after construction.  The rational backend does
 exact arithmetic through `fractions.Fraction` and never holds -inf; the
@@ -20,6 +20,8 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 NEG_INF = float("-inf")
+
+_ZEROS = {RATIONAL: Fraction(0), FLOAT: 0.0}
 
 
 class ShapeError(ValueError):
@@ -78,40 +80,46 @@ def _coerce_float(x) -> float:
 
 @dataclass(frozen=True)
 class Mat:
-    """Row-major dense matrix; `data` is a tuple of row tuples."""
+    """Row-major matrix that keeps only its nonzero entries: `nz` holds,
+    per row, the (column, value) pairs of its nonzeros in column order, and
+    `cols` the width.  Equal matrices have equal fields."""
 
     backend: str
-    data: tuple
+    nz: tuple
+    cols: int
 
     def __post_init__(self):
         if self.backend not in (RATIONAL, FLOAT):
             raise BackendError(f"unknown backend {self.backend!r}")
-        if not self.data or not self.data[0]:
+        if not self.nz or self.cols < 1:
             raise ShapeError("matrices must have at least one row and column")
-        width = len(self.data[0])
-        if any(len(row) != width for row in self.data):
-            raise ShapeError("ragged rows")
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def dense(backend: str, rows: Sequence[Sequence]) -> "Mat":
+        """The matrix of equal-width dense rows."""
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ShapeError("ragged rows")
+        return Mat(backend, nonzero_rows(rows), width)
+
+    @staticmethod
     def rational(rows: Iterable[Iterable]) -> "Mat":
-        return Mat(RATIONAL, tuple(tuple(_coerce_rational(x) for x in row) for row in rows))
+        return Mat.dense(RATIONAL, [[_coerce_rational(x) for x in row] for row in rows])
 
     @staticmethod
     def from_floats(rows: Iterable[Iterable]) -> "Mat":
-        return Mat(FLOAT, tuple(tuple(_coerce_float(x) for x in row) for row in rows))
+        return Mat.dense(FLOAT, [[_coerce_float(x) for x in row] for row in rows])
 
     @staticmethod
     def zeros(rows: int, cols: int, backend: str = RATIONAL) -> "Mat":
-        zero = Fraction(0) if backend == RATIONAL else 0.0
-        return Mat(backend, tuple((zero,) * cols for _ in range(rows)))
+        return Mat(backend, ((),) * rows, cols)
 
     @staticmethod
     def identity(n: int, backend: str = RATIONAL) -> "Mat":
         one = Fraction(1) if backend == RATIONAL else 1.0
-        zero = Fraction(0) if backend == RATIONAL else 0.0
-        return Mat(backend, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return Mat(backend, tuple(((i, one),) for i in range(n)), n)
 
     @staticmethod
     def basis(rows: int, cols: int, i: int, j: int, backend: str = RATIONAL) -> "Mat":
@@ -119,44 +127,41 @@ class Mat:
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ShapeError(f"basis index ({i},{j}) outside {rows}x{cols}")
         one = Fraction(1) if backend == RATIONAL else 1.0
-        zero = Fraction(0) if backend == RATIONAL else 0.0
-        blank = (zero,) * cols
-        hot = blank[:j - 1] + (one,) + blank[j:]
-        return Mat(backend, tuple(hot if r == i - 1 else blank for r in range(rows)))
-
-    @staticmethod
-    def column(entries: Sequence, backend: str = RATIONAL) -> "Mat":
-        coerce = _coerce_rational if backend == RATIONAL else _coerce_float
-        return Mat(backend, tuple((coerce(x),) for x in entries))
+        return Mat(backend, tuple(((j - 1, one),) if r == i - 1 else () for r in range(rows)), cols)
 
     # -- views ----------------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0])
+        return len(self.nz)
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> tuple:
+        """The dense rows, built on each read."""
+        return tuple(map(tuple, _filled(self, _ZEROS[self.backend], lambda v: v)))
+
     def at(self, i: int, j: int) -> Scalar:
         """0-based entry access."""
-        return self.data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.cols}")
+        return dict(self.nz[i]).get(j, _ZEROS[self.backend])
 
     def col_entries(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple(self.at(i, j) for i in range(self.rows))
 
     def to_float(self) -> "Mat":
         if self.backend == FLOAT:
             return self
-        return Mat(FLOAT, tuple(tuple(float(x) if x else 0.0 for x in row) for row in self.data))
+        # a nonzero rational can round to 0.0
+        return Mat(FLOAT, tuple(tuple((c, f) for c, v in row if (f := float(v)))
+                                for row in self.nz), self.cols)
 
     def max_abs(self) -> Scalar:
-        return max(abs(x) for row in self.data for x in row)
+        return max((abs(v) for row in self.nz for _, v in row), default=_ZEROS[self.backend])
 
     def __repr__(self):
         return f"Mat({self.backend}, {self.rows}x{self.cols})"
@@ -206,35 +211,43 @@ def sparse_product(rows: Sequence, bdata: Sequence, width: int, zero: Scalar) ->
     return out
 
 
+def _collect(terms) -> tuple:
+    """The nonzero sums of (col, value) terms, in column order; the terms
+    of a column are added in the order given."""
+    acc = {}
+    for j, v in terms:
+        acc[j] = acc[j] + v if j in acc else v
+    return tuple(sorted((j, s) for j, s in acc.items() if s))
+
+
 def matmul(a: Mat, b: Mat) -> Mat:
+    """a b on the nonzeros, each entry summed in the order of the inner
+    index, as `sparse_product` sums it."""
     _require_same_backend(a, b, "matmul")
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    zero = Fraction(0) if a.backend == RATIONAL else 0.0
-    return Mat(a.backend, tuple(map(tuple, sparse_product(nonzero_rows(a.data), b.data,
-                                                          b.cols, zero))))
+    return Mat(a.backend, tuple(_collect((j, c * v) for k, c in row for j, v in b.nz[k])
+                                for row in a.nz), b.cols)
 
 
 def add(a: Mat, b: Mat) -> Mat:
     _require_same_backend(a, b, "add")
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    return Mat(a.backend, tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)))
+    return Mat(a.backend, tuple(_collect(ra + rb) for ra, rb in zip(a.nz, b.nz)), a.cols)
 
 
 def sub(a: Mat, b: Mat) -> Mat:
-    _require_same_backend(a, b, "sub")
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    return Mat(a.backend, tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)))
+    return add(a, scale(b, -1))
 
 
 def scale(a: Mat, c: Scalar) -> Mat:
-    return Mat(a.backend, tuple(tuple(c * x for x in row) for row in a.data))
+    return Mat(a.backend, tuple(tuple((j, w) for j, v in row if (w := c * v)) for row in a.nz),
+               a.cols)
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.backend, tuple(zip(*a.data)))
+    return Mat.dense(a.backend, tuple(zip(*a.data)))
 
 
 def stack_rows(parts: Sequence[Mat]) -> Mat:
@@ -248,36 +261,22 @@ def stack_rows(parts: Sequence[Mat]) -> Mat:
             raise ShapeError(f"stack_rows: column mismatch {m.cols} vs {width}")
         if m.backend != backend:
             raise BackendError("stack_rows: mixed backends")
-    return Mat(backend, tuple(row for m in parts for row in m.data))
+    return Mat(backend, tuple(row for m in parts for row in m.nz), width)
 
 
 def broadcast_cols(v: Mat, p: int) -> Mat:
     """Repeat a column vector across p columns (bias broadcast)."""
     if v.cols != 1:
         raise ShapeError(f"broadcast_cols expects a column vector, got {v.shape}")
-    return Mat(v.backend, tuple(tuple(row[0] for _ in range(p)) for row in v.data))
+    return Mat(v.backend, tuple(tuple((j, x) for _, x in row for j in range(p)) for row in v.nz), p)
 
 
 def relu(m) -> Mat:
     """Entrywise max(x, 0); accepts masked scores and zeroes their lower triangle."""
     masked = isinstance(m, MaskedScores)
     inner = m.mat if masked else m
-    if inner.backend == RATIONAL:
-        zero = Fraction(0)
-        # a Fraction has the sign of its numerator, which compares much faster
-
-        def pos(x):
-            return x if x.numerator > 0 else zero
-    else:
-        zero = 0.0
-
-        def pos(x):
-            return x if x > 0 else zero
-    if masked:
-        return Mat(inner.backend, tuple(
-            tuple(pos(x) if i <= j else zero for j, x in enumerate(row))
-            for i, row in enumerate(inner.data)))
-    return Mat(inner.backend, tuple(tuple(map(pos, row)) for row in inner.data))
+    return Mat(inner.backend, tuple(tuple((j, x) for j, x in row if x > 0 and (j >= i or not masked))
+                                    for i, row in enumerate(inner.nz)), inner.cols)
 
 
 def softmax_columns(m) -> Mat:
@@ -286,8 +285,8 @@ def softmax_columns(m) -> Mat:
         raise BackendError("softmax on a structurally masked rational matrix; use the float backend")
     if m.backend != FLOAT:
         raise BackendError("softmax requires the float backend")
-    cols = [_softmax_column(m.col_entries(j), j) for j in range(m.cols)]
-    return Mat(FLOAT, tuple(zip(*cols)))
+    cols = [_softmax_column(col, j) for j, col in enumerate(zip(*m.data))]
+    return Mat.dense(FLOAT, tuple(zip(*cols)))
 
 
 def _softmax_column(entries: Sequence[float], j: int) -> list:
@@ -316,13 +315,10 @@ def softplus_beta(m, beta: float) -> Mat:
     if beta <= 0:
         raise ValueError(f"softplus beta must be positive, got {beta}")
     if isinstance(m, MaskedScores):
-        inner = m.mat.to_float()
-        return Mat(FLOAT, tuple(
-            tuple(_softplus_scalar(x, beta) if i <= j else 0.0 for j, x in enumerate(row))
-            for i, row in enumerate(inner.data)))
+        m = apply_mask(m.mat.to_float())  # a -inf score maps to exactly 0
     if m.backend != FLOAT:
         raise BackendError("softplus requires the float backend")
-    return Mat(FLOAT, tuple(tuple(_softplus_scalar(x, beta) for x in row) for row in m.data))
+    return Mat.dense(FLOAT, tuple(tuple(_softplus_scalar(x, beta) for x in row) for row in m.data))
 
 
 def apply_mask(m: Mat):
@@ -336,45 +332,59 @@ def apply_mask(m: Mat):
         raise ShapeError(f"mask needs a square matrix, got {m.shape}")
     if m.backend == RATIONAL:
         return MaskedScores(m)
-    return Mat(FLOAT, tuple(
+    return Mat.dense(FLOAT, tuple(
         tuple(x if i <= j else NEG_INF for j, x in enumerate(row))
         for i, row in enumerate(m.data)))
 
 
 # -- JSON wire format ----------------------------------------------------
 
+def _filled(m: Mat, zero, spell) -> list:
+    """The rows of m as dense lists: spell(v) for each nonzero v, zero elsewhere."""
+    out = []
+    for row in m.nz:
+        dense = [zero] * m.cols
+        for c, v in row:
+            dense[c] = spell(v)
+        out.append(dense)
+    return out
+
+
 def mat_to_json(m: Mat):
     """Array-of-rows; rationals as "p/q" strings, floats as numbers, -inf as "-inf"."""
     if m.backend == RATIONAL:
-        return [[str(x) for x in row] for row in m.data]
-    return [["-inf" if x == NEG_INF else x for x in row] for row in m.data]
+        return _filled(m, "0", str)
+    return _filled(m, 0.0, lambda x: "-inf" if x == NEG_INF else x)
 
 
-def _rational_rows(obj):
-    """The rows of a non-empty list of lists of rational strings (no
-    "-inf"), the common case of a weights file, parsed in one pass per row;
-    None for any other input, or for a string that does not parse, so that
-    the general path reports the error it would report for the whole
-    matrix.  `Mat` checks the row widths."""
-    if type(obj) is not list or not obj:
+def _rational_mat(obj):
+    """The matrix of a non-empty list of equal-width lists of rational
+    strings (no "-inf"), the common case of a weights file, parsed in one
+    pass per row; None for any other input, or for a string that does not
+    parse, so that the general path reports the error it would report for
+    the whole matrix."""
+    if type(obj) is not list or not obj or type(obj[0]) is not list:
         return None
+    width = len(obj[0])
     rows = []
     try:
         for row in obj:
-            if type(row) is not list or set(map(type, row)) != {str} or "-inf" in row:
+            if (type(row) is not list or len(row) != width or set(map(type, row)) != {str}
+                    or "-inf" in row):
                 return None
-            rows.append(tuple(map(_parse_rational, row)))
+            rows.append(tuple((c, v) for c, s in enumerate(row)
+                              if s != "0" and (v := _parse_rational(s))))
     except (ValueError, ZeroDivisionError):
         return None
-    return tuple(rows)
+    return Mat(RATIONAL, tuple(rows), width)
 
 
 def mat_from_json(obj) -> Mat:
     """Inverse of `mat_to_json`.  The matrix is read as float only when it
     holds a JSON float or "-inf"; integers and strings are exact rationals."""
-    rows = _rational_rows(obj)
-    if rows is not None:
-        return Mat(RATIONAL, rows)
+    m = _rational_mat(obj)
+    if m is not None:
+        return m
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
     entries = [x for row in obj for x in row]

@@ -1,9 +1,9 @@
 """Attention modules, feed-forward networks, and encoder/decoder stacks.
 
 All evaluation is pure: parameter containers are frozen dataclasses and
-may be shared freely across threads.  The sparse forms of their weights
-are derived on first evaluation and kept; deriving them twice gives the
-same value.
+may be shared freely across threads.  The images a pass reads of their
+weights are derived on first evaluation from the matrices' nonzeros and
+kept; deriving them twice gives the same value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
                      _softmax_column, _softplus_scalar, add, json_field,
-                     mat_from_json, mat_to_json, nonzero_rows, scale,
+                     mat_from_json, mat_to_json, scale,
                      sparse_product, stack_rows)
 
 
@@ -119,14 +119,15 @@ def _numerators(x: Mat) -> tuple:
     a float matrix is its own numerators, over 1."""
     if x.backend != RATIONAL:
         return [list(row) for row in x.data], 1
-    den = math.lcm(*{v.denominator for row in x.data for v in row})
+    den = math.lcm(*{v.denominator for row in x.nz for _, v in row})
     return [[v.numerator * (den // v.denominator) for v in row] for row in x.data], den
 
 
 def _to_mat(backend: str, rows: list, den: int) -> Mat:
-    if backend == RATIONAL:
-        return Mat(RATIONAL, tuple(tuple(Fraction(v, den) for v in row) for row in rows))
-    return Mat(backend, tuple(map(tuple, rows)))
+    """The matrix of numerator rows over den, one `Fraction` per nonzero entry."""
+    value = (lambda v: Fraction(v, den)) if backend == RATIONAL else float
+    return Mat(backend, tuple(tuple((c, value(v)) for c, v in enumerate(row) if v)
+                              for row in rows), len(rows[0]))
 
 
 def _reduced(rows: list, den: int) -> tuple:
@@ -148,24 +149,25 @@ def _added(a: list, da: int, b: list, db: int) -> tuple:
     return [[u * fa + v * fb for u, v in zip(ra, rb)] for ra, rb in zip(a, b)], den
 
 
-def _image(a_rows, b_rows, exact: bool) -> tuple:
-    """The affine map A X + B as a pass reads it: each A row's nonzero
-    (col, coef) pairs, each B row (None where zero), and the denominator
-    both share.  Exact: integer numerators over the lcm of the
-    denominators.  Otherwise float(v), correctly rounded, over 1; an entry
-    that rounds to 0.0 is dropped, and float weights are their own image."""
-    rows, bias = nonzero_rows(a_rows), [row if any(row) else None for row in b_rows]
-    den, num = 1, float
+def _image(a_rows, b_rows, width: int, exact: bool) -> tuple:
+    """The affine map A X + B, given as the nonzero rows of A and of B (B
+    `width` columns wide), as a pass reads it: each A row's (col, coef)
+    pairs, each B row dense (None where zero), and the denominator both
+    share.  Exact: integer numerators over the lcm of the denominators.
+    Otherwise float(v), correctly rounded, over 1; an entry that rounds to
+    0.0 is dropped, and float weights are their own image."""
+    den, num, zero = 1, float, 0.0
     if exact:
-        den = math.lcm(*{v.denominator for row in rows for _, v in row},
-                       *{v.denominator for row in filter(None, bias) for v in row})
+        den, zero = math.lcm(*{v.denominator for rows in (a_rows, b_rows)
+                               for row in rows for _, v in row}), 0
 
         def num(v):
             return v.numerator * (den // v.denominator)
     # a nonzero row of rationals can round to a row of float zeros
-    bias = [row and tuple(map(num, row)) for row in bias]
-    return (tuple(tuple((j, c) for j, v in row if (c := num(v))) for row in rows),
-            tuple(row if row and any(row) else None for row in bias), den)
+    rows, bias = ([tuple((j, c) for j, v in row if (c := num(v))) for row in m]
+                  for m in (a_rows, b_rows))
+    return tuple(rows), tuple(tuple(dict(row).get(j, zero) for j in range(width)) if row else None
+                              for row in bias), den
 
 
 def _affine(rows, bias, x: list, dx: int, zero) -> list:
@@ -201,8 +203,8 @@ class MultiheadAttention:
         pattern: their Q and K rows are stacked once, for the group, while
         every head keeps its own V rows."""
         (aq, bq, dq), (ak, bk, dk), v = (
-            _image((row for h in self.heads for row in getattr(h, a).data),
-                   (row for h in self.heads for row in getattr(h, b).data), exact)
+            _image([row for h in self.heads for row in getattr(h, a).nz],
+                   [row for h in self.heads for row in getattr(h, b).nz], self.p, exact)
             for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")))
         groups, kept, offsets = {}, [], []
         t = 0
@@ -442,7 +444,7 @@ class FeedForwardNet:
         return self.sparse if FLOAT in self.backends else self._layers(False)
 
     def _layers(self, exact: bool) -> tuple:
-        return tuple(_image(a.data, b.data, exact) for a, b in self.layers)
+        return tuple(_image(a.nz, b.nz, b.cols, exact) for a, b in self.layers)
 
     @cached_property
     def backends(self) -> frozenset:
@@ -614,10 +616,10 @@ class EncoderModel:
 
 def pass_through(a: Mat, b: Mat) -> tuple:
     """Two net layers computing u = a x + b as relu(u) - relu(-u)."""
-    i = Mat.identity(a.rows)
-    return ((stack_rows([a, scale(a, Fraction(-1))]), stack_rows([b, scale(b, Fraction(-1))])),
-            (Mat(RATIONAL, tuple(row + tuple(-v for v in row) for row in i.data)),
-             Mat.zeros(a.rows, 1)))
+    one, d = Fraction(1), a.rows
+    return ((stack_rows([a, scale(a, -one)]), stack_rows([b, scale(b, -one)])),
+            (Mat(RATIONAL, tuple(((i, one), (d + i, -one)) for i in range(d)), 2 * d),
+             Mat.zeros(d, 1)))
 
 
 def identity_ffn(dim: int) -> FeedForwardNet:

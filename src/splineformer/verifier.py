@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import Mat, mat_to_json, nonzero_rows, sparse_product
+from .tensor import FLOAT, Mat, add, mat_to_json, nonzero_rows, scale, sparse_product, sub
 from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk, eval_encoder
 from .compiler import CompiledEncoder
 
@@ -112,15 +112,12 @@ def autoregressive_check(model, trials: int, seed: int) -> PrefixReport:
         rng = trial_rng(seed, t)
         x = random_rational_mat(rng, model.n, model.p)
         j = rng.randint(1, model.p - 1)
-        data = [list(row) for row in x.data]
-        for i in range(model.n):
-            for c in range(j, model.p):
-                data[i][c] = random_fraction(rng)
-        xp = Mat.rational(data)
+        xp = Mat.rational([[v if c < j else random_fraction(rng) for c, v in enumerate(row)]
+                           for row in x.data])
         out_a = model(x)
         out_b = model(xp)
         for col in range(j):
-            if any(out_a.data[i][col] != out_b.data[i][col] for i in range(out_a.rows)):
+            if out_a.col_entries(col) != out_b.col_entries(col):
                 return PrefixReport(trials=trials, passed=False,
                                     witness=(x, xp, j, col + 1))
     return PrefixReport(trials=trials, passed=True, witness=None)
@@ -173,14 +170,11 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
         rng = trial_rng(seed, t)
         base = random_rational_mat(rng, model.n, model.p)
         direction = random_rational_mat(rng, model.n, model.p)
-        while all(v == 0 for row in direction.data for v in row):
+        while not any(direction.nz):
             direction = random_rational_mat(rng, model.n, model.p)
         values = []
         for k in range(max_deg + 2):
-            point = Mat.rational([
-                [base.at(i, j) + k * step * direction.at(i, j)
-                 for j in range(model.p)] for i in range(model.n)])
-            out = model(point)
+            out = model(add(base, scale(direction, k * step)))
             values.append([x for row in out.data for x in row])
         per_trial.append(_forward_diff_degree(values, max_deg))
     counts: dict = {}
@@ -223,20 +217,26 @@ def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
     blocks = _model_blocks(model)
     require_relu(blocks)
     fxs = [x.to_float() for x in xs]
-    base = [_walk(blocks, x) for x in fxs]
+    base = [_finite_pass(blocks, x) for x in fxs]
     rows = []
     for beta in betas:
         if beta == math.inf:
             rows.append({"beta": "inf", "max_abs_error": 0.0})
             continue
         activation = Activation("softplus", float(beta))
-        err = 0.0
-        for x, want in zip(fxs, base):
-            got = _walk(blocks, x, activation=activation)
-            err = max(err, max(abs(a - b) for ra, rb in zip(got.data, want.data)
-                               for a, b in zip(ra, rb)))
+        err = max((sub(_finite_pass(blocks, x, activation), want).max_abs()
+                   for x, want in zip(fxs, base)), default=0.0)
         rows.append({"beta": beta, "max_abs_error": err})
     return rows
+
+
+def _finite_pass(blocks, x: Mat, activation: Optional[Activation] = None) -> Mat:
+    """A float pass, which raises OverflowError unless every output entry
+    is finite: an error between passes that overflowed would read as NaN."""
+    out = _walk(blocks, x, activation=activation)
+    if not all(math.isfinite(v) for row in out.nz for _, v in row):
+        raise OverflowError("the float pass overflowed")
+    return out
 
 
 def _abs_rows(rows) -> list:
@@ -286,11 +286,7 @@ class _ErrorBound:
                 # masked entries are exactly 0 under both activations
                 es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
                       for i, row in enumerate(es)]
-                a = [[0.0] * p for _ in range(p)]
-                for i, row in enumerate(act):
-                    for j, w in row:
-                        a[i][j] = w
-                patterns[t] = _sum(a, es), es
+                patterns[t] = _sum(Mat(FLOAT, tuple(map(tuple, act)), p).data, es), es
             a_es, es = patterns[t]
             # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
             out += _sum(_product(ev[u:u + len(v)], a_es), _product(_abs_rows(v), es))
@@ -355,7 +351,7 @@ def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> d
     finite = True
     for x in xs:
         out = _walk(blocks, x.to_float(), check, SOFTMAX)
-        finite = finite and all(math.isfinite(v) for row in out.data for v in row)
+        finite = finite and all(math.isfinite(v) for row in out.nz for _, v in row)
     return {"finite_outputs": finite, "probability_columns": check.columns_ok,
             "masked_zeros": check.masked_zeros_ok}
 

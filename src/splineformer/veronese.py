@@ -64,7 +64,7 @@ def veronese_eval(idx: VeroneseIndex, x: Mat) -> Mat:
     """Column vector of the monomial values, in index order."""
     if x.shape != (idx.n, idx.p):
         raise ShapeError(f"input {x.shape} does not match index over {idx.n}x{idx.p}")
-    return Mat(x.backend, tuple((m.eval(x),) for m in idx.monomials))
+    return Mat.dense(x.backend, tuple((m.eval(x),) for m in idx.monomials))
 
 
 def factor_split(m: Monomial, cap: int) -> tuple:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -296,14 +297,22 @@ class TestInputErrors:
         ["eval", "W", [[1e200]]],
         ["smooth", "BIG", "--samples", "1"],
         ["smooth", "BIG", "--activation", "softmax", "--samples", "1"],
-    ], ids=["input", "weight", "weight-float-input", "float-pass", "softplus", "softmax"])
+        ["smooth", "HUGE", "--samples", "2"],
+    ], ids=["input", "weight", "weight-float-input", "float-pass", "softplus", "softmax",
+            "softplus-pass"])
     def test_beyond_float_range_exits_2(self, tmp_path, capsys, argv):
-        # a 401-digit rational has no float, and the cube of 1e200 overflows
+        # a 401-digit rational has no float, and the cube of 1e200 overflows;
+        # with every value weight at 1e200 both softplus passes give -inf
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
         doc = json.loads(open(out).read())
+        huge = copy.deepcopy(doc)
+        for blk in huge["blocks"]:
+            for h in blk["heads"]:
+                h["A_V"] = [["1" + "0" * 200 if v != "0" else v for v in row] for row in h["A_V"]]
         doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1" + "0" * 400
-        paths = {"W": out, "BIG": write(tmp_path / "big.json", doc)}
+        paths = {"W": out, "BIG": write(tmp_path / "big.json", doc),
+                 "HUGE": write(tmp_path / "huge.json", huge)}
         one_line_exit_2(capsys, [write(tmp_path / "x.json", a) if isinstance(a, list)
                                  else paths.get(a, a) for a in argv])
 

@@ -320,13 +320,6 @@ class TestCompileSpline:
             X = random_rational_mat(trial_rng(t, 9), 1, 1)
             assert a(X) == b(X)
 
-    def test_residual_option_keeps_equality(self):
-        g = grid1(PBForm.of_poly(Polynomial.from_terms(
-            {Monomial.from_dict({(1, 1): 3}): F(1)})), 1)
-        c = compile_spline(g, CompileOptions(mode="pruned", residual=True))
-        assert any(b.residual for b in c.blocks)
-        self.check(g, c)
-
     @pytest.mark.parametrize("mode", ["faithful", "pruned", "auto"])
     def test_no_head_with_zero_query(self, mode):
         # a head whose query map is zero scores 0, so under ReLU it adds nothing

@@ -1,14 +1,17 @@
+import json
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splineformer.tensor import (NEG_INF, RATIONAL, BackendError,
+from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
                                  DegenerateColumnError, Mat, MaskedScores,
-                                 ShapeError, apply_mask, mat_from_json,
-                                 mat_to_json, matmul, relu, softmax_columns,
+                                 ShapeError, add, apply_mask, mat_from_json,
+                                 mat_to_json, matmul, relu, scale, softmax_columns,
                                  softplus_beta, stack_rows, sub)
 
 fractions = st.builds(F, st.integers(-10, 10), st.integers(1, 7))
@@ -87,7 +90,7 @@ class TestRelu:
     @given(rational_mats(3, 3))
     @settings(max_examples=60, deadline=None)
     def test_relu_decomposition(self, m):
-        neg = Mat(RATIONAL, tuple(tuple(-x for x in row) for row in m.data))
+        neg = Mat.dense(RATIONAL, tuple(tuple(-x for x in row) for row in m.data))
         assert sub(relu(m), relu(neg)) == m
 
 
@@ -237,3 +240,143 @@ class TestJson:
         with pytest.raises(error) as caught:
             mat_from_json(obj)
         assert type(caught.value) is error
+
+
+# -- storage: only the nonzeros are kept ----------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+sparse_fractions = st.one_of(st.just(F(0)), st.just(F(0)), fractions)
+sparse_floats = st.one_of(st.just(0.0), st.just(0.0), st.just(NEG_INF),
+                          st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0))
+
+
+def dense_rows(entries, rows=(1, 4), cols=(1, 4)):
+    """Equal-width dense rows of `entries`, most of them zero."""
+    return st.tuples(st.integers(*rows), st.integers(*cols)).flatmap(
+        lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+def assert_stored_sparse(m: Mat):
+    """Each row holds (col, value) pairs of nonzero values, in strictly
+    increasing column order inside the width."""
+    assert m.rows == len(m.nz) >= 1 and m.cols >= 1
+    for row in m.nz:
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= c < m.cols for c in cols)
+        assert all(v != 0 for _, v in row)
+
+
+def spelled(rows, backend):
+    """The wire format spelled from dense rows."""
+    if backend == RATIONAL:
+        return [[str(x) for x in row] for row in rows]
+    return [["-inf" if x == NEG_INF else x for x in row] for row in rows]
+
+
+def dense_product(a, b, zero):
+    """Row-major a b, each entry summed over the inner index in order,
+    skipping zero factors (0 * -inf is no term)."""
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for k, c in enumerate(row):
+            for j, v in enumerate(b[k]):
+                if c and v:
+                    acc[j] += c * v
+        out.append(acc)
+    return out
+
+
+class TestStorage:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.one_of(dense_rows(sparse_fractions), dense_rows(sparse_floats)))
+    def test_dense_rows_round_trip(self, rows):
+        backend = RATIONAL if isinstance(rows[0][0], F) else FLOAT
+        m = Mat.dense(backend, rows)
+        assert_stored_sparse(m)
+        assert m.data == tuple(map(tuple, rows))
+        assert [[m.at(i, j) for j in range(m.cols)] for i in range(m.rows)] == rows
+        obj = mat_to_json(m)
+        assert obj == spelled(rows, backend)
+        assert json.dumps(obj) == json.dumps(spelled(rows, backend))
+        assert mat_from_json(obj) == m
+        assert mat_from_json(json.loads(json.dumps(obj))) == m
+        as_float = m.to_float()
+        assert_stored_sparse(as_float)
+        assert as_float == Mat.dense(FLOAT, [[float(x) for x in row] for row in rows])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), exact=st.booleans())
+    def test_ops_equal_the_dense_computation(self, data, exact):
+        entries = sparse_fractions if exact else sparse_floats.filter(math.isfinite)
+        backend, zero = (RATIONAL, F(0)) if exact else (FLOAT, 0.0)
+        r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = data.draw(dense_rows(entries, (r, r), (k, k)))
+        b = data.draw(dense_rows(entries, (k, k), (c, c)))
+        ma, mb = Mat.dense(backend, a), Mat.dense(backend, b)
+        product = matmul(ma, mb)
+        assert_stored_sparse(product)
+        assert product == Mat.dense(backend, dense_product(a, b, zero))
+        s = data.draw(fractions if exact else st.floats(-1e3, 1e3, allow_nan=False))
+        assert_stored_sparse(scale(ma, s))
+        assert scale(ma, s) == Mat.dense(backend, [[s * x for x in row] for row in a])
+        stacked = stack_rows([ma, Mat.dense(backend, a[::-1])])
+        assert_stored_sparse(stacked)
+        assert stacked.data == tuple(map(tuple, a + a[::-1]))
+        total = add(ma, ma)
+        assert_stored_sparse(total)
+        assert total == Mat.dense(backend, [[x + x for x in row] for row in a])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=dense_rows(sparse_floats))
+    def test_neg_inf_survives_scaling_and_stacking(self, rows):
+        m = Mat.dense(FLOAT, rows)
+        assert scale(m, 2.0) == Mat.dense(FLOAT, [[2.0 * x for x in row] for row in rows])
+        assert stack_rows([m, m]).data == tuple(map(tuple, rows + rows))
+        assert m.to_float() is m
+
+    def test_zero_spellings_are_not_stored(self):
+        m = mat_from_json([["0/3", "-0", "2", "0"]])
+        assert m.nz == (((2, F(2)),),) and m.cols == 4
+        assert mat_to_json(m) == [["0", "0", "2", "0"]]
+
+    def test_underflow_to_zero_is_dropped(self):
+        m = Mat.rational([[F(1, 10 ** 400), 1]]).to_float()
+        assert m.nz == (((1, 1.0),),)
+        assert scale(Mat.from_floats([[1e-300, 1.0]]), 1e-300).nz == (((1, 1e-300),),)
+
+    @pytest.mark.parametrize("mode", ["auto", "pruned", "faithful"])
+    def test_compiled_bench_grids_keep_the_invariant(self, mode):
+        sys.path.insert(0, str(ROOT / "bench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "bench"))
+        from splineformer.compiler import (CompileOptions, ResourceLimitError,
+                                           build_eps2, compile_autoregressive,
+                                           compile_spline)
+        from splineformer.spline import grid_from_json
+        docs = [(spec, masked) for _, masked, spec in workloads.SUITE]
+        docs += [(workloads.GRID_2X2, False), (workloads.GRID_MASKED, True)]
+        encoders = [build_eps2(n, p, CompileOptions(mode=mode))
+                    for n, p, _ in workloads.EPS2_CASES]
+        for spec, masked in docs:
+            for compile_fn in (compile_spline, compile_autoregressive)[:1 + masked]:
+                try:
+                    encoders.append(compile_fn(grid_from_json(spec), CompileOptions(mode=mode)))
+                except ResourceLimitError:
+                    assert mode == "faithful"
+        mats = 0
+        for enc in encoders:
+            for blk in enc.blocks:
+                for h in blk.attn.heads:
+                    for m in (h.a_q, h.b_q, h.a_k, h.b_k, h.a_v, h.b_v):
+                        assert_stored_sparse(m)
+                        mats += 1
+                for a, b in blk.ffn.layers:
+                    assert_stored_sparse(a)
+                    assert_stored_sparse(b)
+                    mats += 2
+        assert mats > 100

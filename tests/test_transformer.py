@@ -816,8 +816,9 @@ class TestEncoderModel:
     def test_image_of_an_affine_map(self):
         a = ((F(1, 2), F(0), F(-2, 3)), (F(0), F(0), F(0)))
         b = ((F(0), F(0)), (F(5, 4), F(0)))
-        assert _image(a, b, True) == ((((0, 6), (2, -8)), ()), (None, (15, 0)), 12)
-        assert _image(a, b, False) == ((((0, 0.5), (2, -2 / 3)), ()), (None, (1.25, 0.0)), 1)
+        a, b = Mat.rational(a).nz, Mat.rational(b).nz
+        assert _image(a, b, 2, True) == ((((0, 6), (2, -8)), ()), (None, (15, 0)), 12)
+        assert _image(a, b, 2, False) == ((((0, 0.5), (2, -2 / 3)), ()), (None, (1.25, 0.0)), 1)
 
     def test_rational_and_float_inputs(self):
         rng = random.Random("encoder-model")

@@ -334,7 +334,7 @@ class TestSmoothSwap:
 # -- the observers against the dense walks they replaced -------------------------
 
 def _abs_mat(m):
-    return Mat(FLOAT, tuple(tuple(abs(v) for v in row) for row in m.data))
+    return Mat.dense(FLOAT, tuple(tuple(abs(v) for v in row) for row in m.data))
 
 
 def dense_error_bound(blocks, x, beta):
@@ -357,12 +357,12 @@ def dense_error_bound(blocks, x, beta):
                      matmul(transpose(ek), eq))
             if h.masked:
                 act = relu(apply_mask(s))
-                es = Mat(FLOAT, tuple(
+                es = Mat.dense(FLOAT, tuple(
                     tuple((es.at(i, j) + gap) if i <= j else 0.0
                           for j in range(es.cols)) for i in range(es.rows)))
             else:
                 act = relu(s)
-                es = Mat(FLOAT, tuple(tuple(e + gap for e in row) for row in es.data))
+                es = Mat.dense(FLOAT, tuple(tuple(e + gap for e in row) for row in es.data))
             outs.append(matmul(v, act))
             errs.append(add(matmul(ev, add(_abs_mat(act), es)),
                             matmul(_abs_mat(v), es)))
