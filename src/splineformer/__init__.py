@@ -8,8 +8,8 @@ from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
 from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
                      SplineGrid, UnsupportedProductError, eval_maxdef,
                      normalize_to_pbform)
-from .veronese import (VeroneseIndex, compose_cover, factor_pair, factor_split,
-                       graded_lex_monomials, veronese_dim, veronese_eval)
+from .veronese import (VeroneseIndex, factor_pair, graded_lex_monomials,
+                       veronese_dim, veronese_eval)
 from .transformer import (RELU, SOFTMAX, Activation, AttentionHead,
                           DecoderBlock, EncDecStack, EncDecStage, EncoderBlock,
                           EncoderModel, FeedForwardNet, MultiheadAttention,

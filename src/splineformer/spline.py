@@ -41,8 +41,9 @@ class FormSizeError(RuntimeError):
 MAX_FORM_SIZE = 1 << 12
 
 # Total degree of one monomial.  Exact powers carry bit lengths that grow
-# with the degree: x^4096 compiles in about 0.1 s and verifies 1000
-# samples in 2 s; x^100000 takes 3 s to compile and 5.5 s for 2 samples.
+# with the degree: x^4096 parses and compiles in about 5 ms and verifies
+# 1000 samples in 1.5 s; x^100000 (cap lifted) compiles as fast but takes
+# 1.6-2.1 s for 2 samples (2-vCPU Xeon VM, Python 3.11).
 MAX_DEGREE = 1 << 12
 
 # Entries n * p of the input.  Head rows are as wide as the layout but
@@ -128,12 +129,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((m.degree for m, _ in self.terms), default=0)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        for mon, c in self.terms:
-            if mon == m:
-                return c
-        return Fraction(0)
-
     def support(self) -> tuple:
         return tuple(m for m, _ in self.terms)
 
@@ -145,9 +140,6 @@ class Polynomial:
 
     def neg(self) -> "Polynomial":
         return Polynomial(tuple((m, -c) for m, c in self.terms))
-
-    def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.neg())
 
     def scale(self, c) -> "Polynomial":
         return Polynomial.from_terms({m: k * Fraction(c) for m, k in self.terms})
@@ -263,17 +255,7 @@ def _pb_scale_positive_poly(f: PBForm, c: Polynomial) -> PBForm:
 
 
 # -- lattice expression trees -----------------------------------------------
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    i: int
-    j: int
-
+# The leaves are polynomials; the nodes below combine them.
 
 @dataclass(frozen=True)
 class Sum:
@@ -301,12 +283,12 @@ class Min:
     args: tuple
 
 
-def const(c) -> Const:
-    return Const(Fraction(c))
+def const(c) -> Polynomial:
+    return Polynomial.constant(c)
 
 
-def var(i: int, j: int = 1) -> Var:
-    return Var(i, j)
+def var(i: int, j: int = 1) -> Polynomial:
+    return Polynomial.variable(i, j)
 
 
 def esum(*args) -> Sum:
@@ -330,12 +312,8 @@ def emin(*args) -> Min:
 
 
 def eval_maxdef(e, x: Mat) -> Scalar:
-    if isinstance(e, Const):
-        return e.value if x.backend == "rational" else float(e.value)
-    if isinstance(e, Var):
-        if e.i > x.rows or e.j > x.cols:
-            raise VariableRangeError(f"variable x_{e.i}_{e.j} outside {x.rows}x{x.cols} input")
-        return x.at(e.i - 1, e.j - 1)
+    if isinstance(e, Polynomial):
+        return e.eval(x)
     if isinstance(e, Sum):
         return sum(eval_maxdef(a, x) for a in e.args)
     if isinstance(e, Prod):
@@ -353,7 +331,7 @@ def eval_maxdef(e, x: Mat) -> Scalar:
 
 
 def _is_pure_poly(e) -> bool:
-    if isinstance(e, (Const, Var)):
+    if isinstance(e, Polynomial):
         return True
     if isinstance(e, (Sum, Prod)):
         return all(_is_pure_poly(a) for a in e.args)
@@ -363,10 +341,8 @@ def _is_pure_poly(e) -> bool:
 
 
 def _to_polynomial(e) -> Polynomial:
-    if isinstance(e, Const):
-        return Polynomial.constant(e.value)
-    if isinstance(e, Var):
-        return Polynomial.variable(e.i, e.j)
+    if isinstance(e, Polynomial):
+        return e
     if isinstance(e, Sum):
         acc = Polynomial.from_terms({})
         for a in e.args:
@@ -380,12 +356,6 @@ def _to_polynomial(e) -> Polynomial:
     if isinstance(e, ScaleE):
         return _to_polynomial(e.arg).scale(e.coef)
     raise TypeError(f"not a polynomial subtree: {e!r}")
-
-
-def _fold_binary(node_cls, args):
-    if len(args) == 1:
-        return args[0]
-    return node_cls((args[0], _fold_binary(node_cls, args[1:])))
 
 
 def _poly_times_plus(q: Polynomial, d) -> PBForm:
@@ -420,19 +390,18 @@ def _poly_times_expr(q: Polynomial, e) -> PBForm:
         for a in polys:
             q = q.mul(_to_polynomial(a))
         return _poly_times_expr(q, others[0])
-    if isinstance(e, Max):
-        a = _fold_binary(Max, e.args)
-        if not isinstance(a, Max):
-            return _poly_times_expr(q, a)
-        lhs, rhs = a.args
-        # q*max(a,b) = q*a + q*(b-a)+
-        diff = Sum((rhs, ScaleE(Fraction(-1), lhs)))
-        return pb_sum(_poly_times_expr(q, lhs), _poly_times_plus(q, diff))
-    if isinstance(e, Min):
-        a = _fold_binary(Min, e.args)
-        if not isinstance(a, Min):
-            return _poly_times_expr(q, a)
-        lhs, rhs = a.args
+    if isinstance(e, (Max, Min)):
+        if not e.args:
+            raise ValueError("max-min form needs at least one nonempty row")
+        if len(e.args) == 1:
+            return _poly_times_expr(q, e.args[0])
+        # fold the rest into the second operand: op(a, b, c) = op(a, op(b, c))
+        lhs, rest = e.args[0], e.args[1:]
+        rhs = rest[0] if len(rest) == 1 else type(e)(rest)
+        if isinstance(e, Max):
+            # q*max(a,b) = q*a + q*(b-a)+
+            diff = Sum((rhs, ScaleE(Fraction(-1), lhs)))
+            return pb_sum(_poly_times_expr(q, lhs), _poly_times_plus(q, diff))
         # q*min(a,b) = q*a - q*(a-b)+
         diff = Sum((lhs, ScaleE(Fraction(-1), rhs)))
         return pb_sum(_poly_times_expr(q, lhs), pb_negate(_poly_times_plus(q, diff)))
@@ -461,14 +430,7 @@ def normalize_to_pbform(e) -> PBForm:
     if isinstance(e, ScaleE):
         return pb_scale(normalize_to_pbform(e.arg), e.coef)
     if isinstance(e, Prod):
-        polys = [a for a in e.args if _is_pure_poly(a)]
-        others = [a for a in e.args if not _is_pure_poly(a)]
-        if len(others) != 1:
-            raise UnsupportedProductError(f"product with several max/min factors: {e!r}")
-        q = Polynomial.constant(1)
-        for a in polys:
-            q = q.mul(_to_polynomial(a))
-        return _poly_times_expr(q, others[0])
+        return _poly_times_expr(Polynomial.constant(1), e)
     raise TypeError(f"malformed expression node {e!r}")
 
 
@@ -550,8 +512,9 @@ def _parse_coef(c) -> Fraction:
 
 
 def expr_from_json(obj):
-    """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression; a
-    node of any other shape raises ValueError."""
+    """Parse {"op": "max"|"min"|"poly", ...} into a lattice expression whose
+    leaves are the polynomials of its poly nodes; a node of any other shape
+    raises ValueError."""
     op = json_field(obj, "op", str, "an expression")
     if op == "poly":
         terms: dict = {}
@@ -562,19 +525,7 @@ def expr_from_json(obj):
                 raise FormSizeError(f"a monomial of degree {m.degree} is above the "
                                     f"cap of {MAX_DEGREE}")
             terms[m] = terms.get(m, Fraction(0)) + _parse_coef(t["coef"])
-        p = Polynomial.from_terms(terms)
-        args = []
-        for m, c in p.terms:
-            node = const(c) if not m.exps else None
-            if node is None:
-                factors = [var(i, j) for (i, j), e in m.exps for _ in range(e)]
-                node = factors[0] if len(factors) == 1 else Prod(tuple(factors))
-                if c != 1:
-                    node = ScaleE(c, node)
-            args.append(node)
-        if not args:
-            return const(0)
-        return args[0] if len(args) == 1 else Sum(tuple(args))
+        return Polynomial.from_terms(terms)
     if op in ("max", "min"):
         args = tuple(expr_from_json(a) for a in json_field(obj, "args", list, f"a {op}"))
         return Max(args) if op == "max" else Min(args)

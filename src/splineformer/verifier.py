@@ -11,7 +11,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import FLOAT, Mat, add, mat_to_json, nonzero_rows, scale, sparse_product, sub
+from .tensor import (FLOAT, DegenerateColumnError, Mat, add, mat_to_json, nonzero_rows, scale,
+                     sparse_product, sub)
 from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk, eval_encoder
 from .compiler import CompiledEncoder
 
@@ -350,7 +351,11 @@ def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> d
     check = _ProbabilityColumns(tol)
     finite = True
     for x in xs:
-        out = _walk(blocks, x.to_float(), check, SOFTMAX)
+        try:
+            out = _walk(blocks, x.to_float(), check, SOFTMAX)
+        except DegenerateColumnError:
+            # finite weights and inputs give a score of -inf only by overflow
+            raise OverflowError("the float pass overflowed") from None
         finite = finite and all(math.isfinite(v) for row in out.nz for _, v in row)
     return {"finite_outputs": finite, "probability_columns": check.columns_ok,
             "masked_zeros": check.masked_zeros_ok}

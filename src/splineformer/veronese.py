@@ -1,5 +1,5 @@
 """Graded-lexicographic monomial enumeration, Veronese evaluation, and the
-factorizations that route monomials between quadratic stages."""
+two-factor split that routes monomials between quadratic stages."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .spline import Monomial, ONE
+from .spline import Monomial
 from .tensor import Mat, ShapeError
 
 
@@ -67,47 +67,16 @@ def veronese_eval(idx: VeroneseIndex, x: Mat) -> Mat:
     return Mat.dense(x.backend, tuple((m.eval(x),) for m in idx.monomials))
 
 
-def factor_split(m: Monomial, cap: int) -> tuple:
-    """Greedy split of a monomial into factors of degree <= cap.
-
-    Exponents are consumed in variable order, filling each factor up to
-    the cap before starting the next; the product of the factors always
-    recovers the input.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    factors = []
-    current: dict = {}
-    room = cap
-    for v, e in m.exps:
-        while e > 0:
-            if room == 0:
-                factors.append(Monomial.from_dict(current))
-                current, room = {}, cap
-            take = min(e, room)
-            current[v] = current.get(v, 0) + take
-            e -= take
-            room -= take
-    if current:
-        factors.append(Monomial.from_dict(current))
-    return tuple(factors)
-
-
 def factor_pair(m: Monomial, cap: int) -> tuple:
-    """Split into exactly two factors of degree <= cap (degree <= 2*cap)."""
+    """Split into two factors of degree <= cap (degree <= 2*cap), greedily:
+    exponents fill the first factor up to the cap in variable order, and
+    the rest go to the second."""
     if m.degree > 2 * cap:
         raise ValueError(f"degree {m.degree} exceeds 2*{cap}")
-    parts = factor_split(m, cap)
-    if len(parts) == 1:
-        return (parts[0], ONE)
-    return parts
-
-
-def compose_cover(k: int, k2: int, nvars: int) -> dict:
-    """Factorization table: every monomial of degree <= k*k2 over nvars
-    column-vector variables mapped to <= k factors of degree <= k2."""
-    varlist = [(i, 1) for i in range(1, nvars + 1)]
-    table = {}
-    for m in graded_lex_monomials(varlist, k * k2):
-        table[m] = factor_split(m, k2)
-    return table
+    first, second = {}, {}
+    room = cap
+    for v, e in m.exps:
+        take = min(e, room)
+        first[v], second[v] = take, e - take
+        room -= take
+    return Monomial.from_dict(first), Monomial.from_dict(second)

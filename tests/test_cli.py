@@ -298,8 +298,9 @@ class TestInputErrors:
         ["smooth", "BIG", "--samples", "1"],
         ["smooth", "BIG", "--activation", "softmax", "--samples", "1"],
         ["smooth", "HUGE", "--samples", "2"],
+        ["smooth", "HUGE", "--activation", "softmax", "--samples", "2"],
     ], ids=["input", "weight", "weight-float-input", "float-pass", "softplus", "softmax",
-            "softplus-pass"])
+            "softplus-pass", "softmax-pass"])
     def test_beyond_float_range_exits_2(self, tmp_path, capsys, argv):
         # a 401-digit rational has no float, and the cube of 1e200 overflows;
         # with every value weight at 1e200 both softplus passes give -inf
@@ -313,8 +314,10 @@ class TestInputErrors:
         doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1" + "0" * 400
         paths = {"W": out, "BIG": write(tmp_path / "big.json", doc),
                  "HUGE": write(tmp_path / "huge.json", huge)}
-        one_line_exit_2(capsys, [write(tmp_path / "x.json", a) if isinstance(a, list)
-                                 else paths.get(a, a) for a in argv])
+        err = one_line_exit_2(capsys, [write(tmp_path / "x.json", a) if isinstance(a, list)
+                                       else paths.get(a, a) for a in argv])
+        if "HUGE" in argv:
+            assert "cannot smooth: the float pass overflowed" in err
 
     def test_negative_max_deg_exits_2(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, IDENTITY_SPLINE)
@@ -353,6 +356,7 @@ def one_line_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
 
 
 CELL = IDENTITY_SPLINE["grid"][0][0]

@@ -1,0 +1,97 @@
+"""A golden digest of compiled artifacts: a seeded corpus of spline grids
+is compiled in every mode, and one sha256 over the sorted-key weights
+JSON and layout sidecars (or the exception type of a refused compile)
+must equal the checked-in `DIGEST`.  A change that alters compiled
+weights on purpose updates the digest and says why.
+
+The corpus is the benchmark's 13 grids from `bench/workloads.py` and
+`RANDOM_GRIDS` seeded random grids with n, p <= 2.  Each grid compiles
+unmasked and masked (a grid that is not autoregressive records the
+refusal), in auto and pruned mode, and in faithful mode when it is a
+bench grid, or has n * p <= 2 and needs one stage or reads one column (a
+faithful two-column two-stage build takes about 0.8 s and 9 MB of JSON)."""
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from splineformer.compiler import (CompileOptions, NotAutoregressiveError, ResourceLimitError,
+                                   compile_autoregressive, compile_spline)
+from splineformer.spline import grid_from_json
+from splineformer.transformer import blocks_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+RANDOM_GRIDS = 40
+DIGEST = "8717adbc942e0bfb683ff1cc40ef082b5934160d43f075bf5e3605b53bec390c"
+
+
+def random_doc(rng: random.Random) -> dict:
+    """n, p <= 2, polynomial pieces of degree <= 3 under at most two
+    levels of max/min; about a third read only earlier columns."""
+    n, p = rng.randint(1, 2), rng.randint(1, 2)
+    causal = rng.random() < 0.35
+
+    def poly(j):
+        names = [f"x_{i}_{c}" for i in range(1, n + 1) for c in range(1, (j if causal else p) + 1)]
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps = {}
+            for _ in range(rng.randint(0, 3)):
+                name = rng.choice(names)
+                exps[name] = exps.get(name, 0) + 1
+            terms.append({"coef": str(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+                          "exps": exps})
+        return {"op": "poly", "terms": terms}
+
+    def cell(j, depth):
+        if depth == 0 or rng.random() < 0.5:
+            return poly(j)
+        return {"op": rng.choice(["max", "min"]),
+                "args": [cell(j, depth - 1) for _ in range(rng.randint(1, 2))]}
+
+    return {"n": n, "p": p,
+            "grid": [[cell(j, 2) for j in range(1, p + 1)] for _ in range(rng.randint(1, 2))]}
+
+
+def corpus() -> list:
+    """(name, document, faithful) for every grid of the corpus."""
+    bench = [(name, doc) for name, _, doc in workloads.SUITE]
+    bench += [("grid2x2", workloads.GRID_2X2), ("masked1x3", workloads.GRID_MASKED)]
+    rng = random.Random(20261018)
+    docs = [random_doc(rng) for _ in range(RANDOM_GRIDS)]
+    return ([(name, doc, True) for name, doc in bench]
+            + [(f"random{k}", doc, doc["n"] * doc["p"] <= 2
+                and (doc["p"] == 1 or grid_from_json(doc).degree <= 2))
+               for k, doc in enumerate(docs)])
+
+
+def artifacts():
+    """(label, text) per compile of the corpus, in corpus order."""
+    for name, doc, faithful in corpus():
+        grid = grid_from_json(doc)
+        for mode in ("auto", "pruned") + (("faithful",) if faithful else ()):
+            for masked in (False, True):
+                label = f"{name} {mode}{' masked' if masked else ''}"
+                compile_fn = compile_autoregressive if masked else compile_spline
+                try:
+                    compiled = compile_fn(grid, CompileOptions(mode=mode, masked=masked))
+                except (NotAutoregressiveError, ResourceLimitError) as exc:
+                    yield label, f"refused: {type(exc).__name__}"
+                    continue
+                yield label, (json.dumps(blocks_to_json(compiled.blocks), sort_keys=True) + "\n"
+                              + json.dumps(compiled.sidecar_json(), sort_keys=True))
+
+
+def test_corpus_digest():
+    h = hashlib.sha256()
+    refused = 0
+    for label, text in artifacts():
+        refused += text.startswith("refused:")
+        h.update(f"{label}\n{text}\n".encode())
+    assert 0 < refused
+    assert h.hexdigest() == DIGEST

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
                                  Polynomial, SplineGrid, UnsupportedProductError,
@@ -107,6 +109,25 @@ class TestNormalize:
     def test_scaled_lattice(self):
         e = escale(F(-3, 2), emax(var(1, 1), emin(var(2, 1), const(2))))
         self.brute_check(e, 2, 1, samples=300)
+
+    @pytest.mark.parametrize("node", [emax, emin], ids=["max", "min"])
+    def test_one_argument_lattice_under_product(self, node):
+        # op(a) is a; nested one-argument nodes under a product reduce to it
+        self.brute_check(eprod(var(1, 1), node(node(var(2, 1)))), 2, 1, samples=100)
+        self.brute_check(eprod(var(1, 1), node(var(2, 1), node(node(var(1, 1))))), 2, 1,
+                         samples=100)
+
+    @pytest.mark.parametrize("e", [
+        emax(), emin(), eprod(var(1, 1), emax()), eprod(var(1, 1), emin()),
+        eprod(var(1, 1), emax(var(2, 1), emin())), esum(var(1, 1), emin()),
+        escale(2, emax()),
+    ], ids=["max", "min", "prod-max", "prod-min", "prod-nested", "sum", "scale"])
+    def test_empty_lattice_rejected(self, e):
+        X = mat([[1], [2]])
+        with pytest.raises(ValueError):
+            eval_maxdef(e, X)
+        with pytest.raises(ValueError, match="at least one nonempty row"):
+            normalize_to_pbform(e)
 
     def test_double_lattice_product_rejected(self):
         e = eprod(emax(var(1, 1), const(0)), emax(var(2, 1), const(0)))
@@ -227,3 +248,69 @@ class TestJson:
         for t in range(50):
             X = random_rational_mat(trial_rng(6, t), 2, 1)
             assert g2.eval(X) == g.eval(X)
+
+    def test_poly_node_is_its_polynomial(self):
+        obj = {"op": "poly", "terms": [{"coef": "3/2", "exps": {"x_2_1": 2, "x_1_1": 1}},
+                                       {"coef": "-1", "exps": {"x_1_1": 0}},
+                                       {"coef": "5", "exps": {"x_1_1": 4}}]}
+        want = Polynomial.from_terms({Monomial.from_dict({(1, 1): 1, (2, 1): 2}): F(3, 2),
+                                      Monomial.from_dict({}): F(-1),
+                                      Monomial.from_dict({(1, 1): 4}): F(5)})
+        assert expr_from_json(obj) == want
+
+
+@st.composite
+def spline_documents(draw):
+    """A spline document over an n x p input, n, p <= 2: max/min/poly
+    nodes up to depth 3, terms that repeat a monomial or carry a zero
+    exponent, empty term lists, and monomials of degree up to 8."""
+    n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, p + 1)]
+    coefs = st.builds(F, st.integers(-6, 6), st.integers(1, 5)).map(str)
+    exps = st.dictionaries(st.sampled_from(names), st.integers(0, 4), max_size=2)
+
+    def poly():
+        pool = draw(st.lists(exps, min_size=1, max_size=3))
+        terms = [{"coef": draw(coefs), "exps": draw(st.sampled_from(pool))}
+                 for _ in range(draw(st.integers(0, 4)))]
+        return {"op": "poly", "terms": terms}
+
+    def cell(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return poly()
+        return {"op": draw(st.sampled_from(["max", "min"])),
+                "args": [cell(depth - 1) for _ in range(draw(st.integers(1, 3)))]}
+
+    rows = draw(st.integers(1, 2))
+    return {"n": n, "p": p, "grid": [[cell(3) for _ in range(p)] for _ in range(rows)]}
+
+
+def eval_json(node, x):
+    """The value of a raw JSON expression node at the input rows x (lists
+    of Fractions): coef times the product of x_i_j^e, summed, under max/min."""
+    if node["op"] == "poly":
+        total = F(0)
+        for t in node["terms"]:
+            term = F(t["coef"])
+            for key, e in t["exps"].items():
+                _, i, j = key.split("_")
+                term *= x[int(i) - 1][int(j) - 1] ** e
+            total += term
+        return total
+    values = [eval_json(a, x) for a in node["args"]]
+    return max(values) if node["op"] == "max" else min(values)
+
+
+class TestJsonReference:
+    """`grid_from_json` against an evaluator of the raw document that
+    shares no code with `Monomial` or `Polynomial`."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(doc=spline_documents(), data=st.data())
+    def test_parsed_grid_matches_raw_document(self, doc, data):
+        values = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+        x = [[data.draw(values) for _ in range(doc["p"])] for _ in range(doc["n"])]
+        grid = grid_from_json(doc)
+        assert grid.degree <= 8
+        want = [[eval_json(cell, x) for cell in row] for row in doc["grid"]]
+        assert [list(row) for row in grid.eval(mat(x)).data] == want

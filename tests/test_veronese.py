@@ -4,9 +4,8 @@ import pytest
 
 from splineformer.spline import Monomial, ONE
 from splineformer.tensor import Mat, ShapeError
-from splineformer.veronese import (VeroneseIndex, compose_cover, factor_pair,
-                                   graded_lex_monomials, veronese_dim,
-                                   veronese_eval)
+from splineformer.veronese import (VeroneseIndex, factor_pair, graded_lex_monomials,
+                                   veronese_dim, veronese_eval)
 
 
 class TestVeroneseDim:
@@ -69,36 +68,17 @@ class TestVeroneseEval:
             veronese_eval(idx, Mat.rational([[1, 2]]))
 
 
-class TestComposeCover:
+class TestFactorPair:
     def test_x4_forced(self):
-        table = compose_cover(2, 2, 1)
         x4 = Monomial.from_dict({(1, 1): 4})
         x2 = Monomial.from_dict({(1, 1): 2})
-        assert table[x4] == (x2, x2)
+        assert factor_pair(x4, 2) == (x2, x2)
 
     def test_x3y_greedy(self):
-        table = compose_cover(2, 2, 2)
         x3y = Monomial.from_dict({(1, 1): 3, (2, 1): 1})
         x2 = Monomial.from_dict({(1, 1): 2})
         xy = Monomial.from_dict({(1, 1): 1, (2, 1): 1})
-        assert table[x3y] == (x2, xy)
-
-    def test_constant_empty(self):
-        assert compose_cover(2, 2, 2)[ONE] == ()
-
-    def test_products_recover_monomial(self):
-        # symbolic check over every monomial for small parameter ranges
-        for nvars in (1, 2, 3, 4):
-            for k, k2 in [(2, 2), (2, 1), (1, 4), (4, 1)]:
-                if k * k2 > 4:
-                    continue
-                for m, factors in compose_cover(k, k2, nvars).items():
-                    assert len(factors) <= k
-                    assert all(f.degree <= k2 for f in factors)
-                    prod = ONE
-                    for f in factors:
-                        prod = prod.mul(f)
-                    assert prod == m
+        assert factor_pair(x3y, 2) == (x2, xy)
 
     def test_factor_pair_bounds(self):
         m = Monomial.from_dict({(1, 1): 3})
