@@ -2,9 +2,7 @@
 encoder weights, and verification oracles."""
 
 from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
-                     DegenerateColumnError, Mat, MaskedScores, ShapeError,
-                     apply_mask, matmul, relu, softmax_columns, softplus_beta,
-                     stack_rows)
+                     DegenerateColumnError, Mat, ShapeError, matmul, stack_rows)
 from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
                      SplineGrid, UnsupportedProductError, eval_maxdef,
                      normalize_to_pbform)
@@ -21,10 +19,10 @@ from .compiler import (CompileOptions, CompiledEncoder, MonomialLayout,
                        build_veronese_encoder, compile_autoregressive,
                        compile_spline, ffn_block_form, ffn_to_encoder_blocks,
                        linear_spline_to_ffn)
-from .verifier import (DegreeReport, EquivReport, FnModel, PrefixReport,
-                       autoregressive_check, check_layout_soundness,
-                       estimate_degree, oracle_equiv, random_fraction,
-                       random_rational_mat, smooth_convergence_table,
-                       smooth_swap, softplus_error_bound, trial_rng)
+from .verifier import (DegreeReport, EquivReport, PrefixReport,
+                       autoregressive_check, estimate_degree, oracle_equiv,
+                       random_fraction, random_rational_mat,
+                       smooth_convergence_table, smooth_swap,
+                       softplus_error_bound, trial_rng)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

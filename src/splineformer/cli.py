@@ -153,9 +153,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    if args.max_deg is not None and args.max_deg < 0:
-        # fewer than two line points leave no difference to test, so any bound would pass
-        return _fail(EXIT_INPUT_ERROR, f"--max-deg must be at least 0, got {args.max_deg}")
+    # fewer than two line points leave no difference to test, so any bound would
+    # pass; without --max-deg the line points follow from --bound
+    for flag, value in (("--max-deg", args.max_deg), ("--bound", args.bound)):
+        if value is not None and value < 0:
+            return _fail(EXIT_INPUT_ERROR, f"{flag} must be at least 0, got {value}")
     try:
         model = _load_model(args.weights)
     except INPUT_ERRORS as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -194,8 +195,17 @@ class PBForm:
     def variables(self) -> set:
         return {v for m in self.support() for v in m.variables()}
 
+    @cached_property
+    def _indexed(self) -> tuple:
+        """The distinct polynomials, first use first, and the rows as indices into them."""
+        index: dict = {}
+        rows = tuple(tuple(index.setdefault(p, len(index)) for p in row) for row in self.rows)
+        return tuple(index), rows
+
     def eval(self, x: Mat) -> Scalar:
-        return max(min(p.eval(x) for p in row) for row in self.rows)
+        polys, rows = self._indexed
+        values = [p.eval(x) for p in polys]
+        return max(min(values[i] for i in row) for row in rows)
 
 
 def pb_max(forms: Sequence[PBForm]) -> PBForm:

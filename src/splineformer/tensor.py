@@ -167,18 +167,6 @@ class Mat:
         return f"Mat({self.backend}, {self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class MaskedScores:
-    """Square score matrix whose strictly-lower triangle is pinned out.
-
-    The rational backend cannot hold -inf, so masking is recorded as a
-    structural flag and consumed by the activation; the result is the
-    same as applying the activation to the -inf-masked float matrix.
-    """
-
-    mat: Mat
-
-
 def _require_same_backend(a: Mat, b: Mat, op: str):
     if a.backend != b.backend:
         raise BackendError(f"{op}: mixed backends {a.backend}/{b.backend}")
@@ -246,10 +234,6 @@ def scale(a: Mat, c: Scalar) -> Mat:
                a.cols)
 
 
-def transpose(a: Mat) -> Mat:
-    return Mat.dense(a.backend, tuple(zip(*a.data)))
-
-
 def stack_rows(parts: Sequence[Mat]) -> Mat:
     """Vertically stack matrices sharing a column count."""
     if not parts:
@@ -262,31 +246,6 @@ def stack_rows(parts: Sequence[Mat]) -> Mat:
         if m.backend != backend:
             raise BackendError("stack_rows: mixed backends")
     return Mat(backend, tuple(row for m in parts for row in m.nz), width)
-
-
-def broadcast_cols(v: Mat, p: int) -> Mat:
-    """Repeat a column vector across p columns (bias broadcast)."""
-    if v.cols != 1:
-        raise ShapeError(f"broadcast_cols expects a column vector, got {v.shape}")
-    return Mat(v.backend, tuple(tuple((j, x) for _, x in row for j in range(p)) for row in v.nz), p)
-
-
-def relu(m) -> Mat:
-    """Entrywise max(x, 0); accepts masked scores and zeroes their lower triangle."""
-    masked = isinstance(m, MaskedScores)
-    inner = m.mat if masked else m
-    return Mat(inner.backend, tuple(tuple((j, x) for j, x in row if x > 0 and (j >= i or not masked))
-                                    for i, row in enumerate(inner.nz)), inner.cols)
-
-
-def softmax_columns(m) -> Mat:
-    """Columnwise softmax on the float backend; -inf entries map to exactly 0."""
-    if isinstance(m, MaskedScores):
-        raise BackendError("softmax on a structurally masked rational matrix; use the float backend")
-    if m.backend != FLOAT:
-        raise BackendError("softmax requires the float backend")
-    cols = [_softmax_column(col, j) for j, col in enumerate(zip(*m.data))]
-    return Mat.dense(FLOAT, tuple(zip(*cols)))
 
 
 def _softmax_column(entries: Sequence[float], j: int) -> list:
@@ -308,33 +267,6 @@ def _softplus_scalar(x: float, beta: float) -> float:
     if z > 0:
         return x + math.log1p(math.exp(-z)) / beta
     return math.log1p(math.exp(z)) / beta
-
-
-def softplus_beta(m, beta: float) -> Mat:
-    """Entrywise log(1 + exp(beta*x)) / beta, computed overflow-safely."""
-    if beta <= 0:
-        raise ValueError(f"softplus beta must be positive, got {beta}")
-    if isinstance(m, MaskedScores):
-        m = apply_mask(m.mat.to_float())  # a -inf score maps to exactly 0
-    if m.backend != FLOAT:
-        raise BackendError("softplus requires the float backend")
-    return Mat.dense(FLOAT, tuple(tuple(_softplus_scalar(x, beta) for x in row) for row in m.data))
-
-
-def apply_mask(m: Mat):
-    """Pin the strictly-lower triangle of a square score matrix.
-
-    Float backend: entries below the diagonal become -inf.  Rational
-    backend: returns MaskedScores, a structural flag consumed by the
-    activation (equivalent to ReLU after the -inf mask).
-    """
-    if m.rows != m.cols:
-        raise ShapeError(f"mask needs a square matrix, got {m.shape}")
-    if m.backend == RATIONAL:
-        return MaskedScores(m)
-    return Mat.dense(FLOAT, tuple(
-        tuple(x if i <= j else NEG_INF for j, x in enumerate(row))
-        for i, row in enumerate(m.data)))
 
 
 # -- JSON wire format ----------------------------------------------------

@@ -286,9 +286,8 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
     the activation.  ReLU keeps the positive entries (on rationals a sign
     test on the numerator) and SoftPlus maps entry by entry; both skip
     masked entries, which come out as 0.  SoftMax masks entries to -inf
-    and acts column by column, through the same column routine as
-    `softmax_columns`.  This is the only place an attention activation is
-    computed.
+    and acts column by column, through `tensor._softmax_column`.  This is
+    the only place an attention activation is computed.
     """
     kind, beta = activation.kind, activation.beta
     act = []
@@ -620,11 +619,6 @@ def pass_through(a: Mat, b: Mat) -> tuple:
     return ((stack_rows([a, scale(a, -one)]), stack_rows([b, scale(b, -one)])),
             (Mat(RATIONAL, tuple(((i, one), (d + i, -one)) for i in range(d)), 2 * d),
              Mat.zeros(d, 1)))
-
-
-def identity_ffn(dim: int) -> FeedForwardNet:
-    """x = relu(x) - relu(-x) as a one-hidden-layer net."""
-    return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
 
 
 def blocks_to_float(blocks: Sequence[EncoderBlock]) -> tuple:

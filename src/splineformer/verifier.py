@@ -8,13 +8,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .spline import SplineGrid
 from .tensor import (FLOAT, DegenerateColumnError, Mat, add, mat_to_json, nonzero_rows, scale,
                      sparse_product, sub)
-from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk, eval_encoder
-from .compiler import CompiledEncoder
+from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -32,18 +31,6 @@ def random_fraction(rng: random.Random) -> Fraction:
 def random_rational_mat(rng: random.Random, rows: int, cols: int) -> Mat:
     return Mat.rational([[random_fraction(rng) for _ in range(cols)]
                          for _ in range(rows)])
-
-
-class FnModel:
-    """Adapter giving a bare function the evaluable-model surface."""
-
-    def __init__(self, fn: Callable[[Mat], Mat], n: int, p: int):
-        self._fn = fn
-        self.n = n
-        self.p = p
-
-    def __call__(self, x: Mat) -> Mat:
-        return self._fn(x)
 
 
 # -- oracle equivalence ---------------------------------------------------------
@@ -359,21 +346,3 @@ def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> d
         finite = finite and all(math.isfinite(v) for row in out.nz for _, v in row)
     return {"finite_outputs": finite, "probability_columns": check.columns_ok,
             "masked_zeros": check.masked_zeros_ok}
-
-
-# -- layout soundness ------------------------------------------------------------
-
-def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
-    """Every layout row must hold its monomial's value in its own column
-    and be zero everywhere else (the off-column entries vanish)."""
-    out = eval_encoder(compiled.blocks, x)
-    for mon, col, row in compiled.layout.entries():
-        want = mon.eval(x)
-        for j in range(out.cols):
-            have = out.at(row, j)
-            if j == col - 1:
-                if have != want:
-                    return False
-            elif have != 0:
-                return False
-    return True

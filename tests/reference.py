@@ -1,0 +1,125 @@
+"""Dense reference operations the tests check the package against.
+
+The package computes every attention activation in one place, the
+stacked kernel `transformer._pattern`.  The operations here spell the
+same mask and activations out matrix by matrix, with the dense helpers
+and model adapters that only tests need, so that a test can build a
+head's output from first principles and compare.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from splineformer.compiler import CompiledEncoder
+from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
+                                 _softmax_column, _softplus_scalar)
+from splineformer.transformer import FeedForwardNet, eval_encoder, pass_through
+
+
+# -- dense matrix operations -------------------------------------------------
+
+@dataclass(frozen=True)
+class MaskedScores:
+    """Square score matrix whose strictly-lower triangle is pinned out.
+
+    The rational backend cannot hold -inf, so masking is recorded as a
+    structural flag and consumed by the activation; the result is the
+    same as applying the activation to the -inf-masked float matrix.
+    """
+
+    mat: Mat
+
+
+def transpose(a: Mat) -> Mat:
+    return Mat.dense(a.backend, tuple(zip(*a.data)))
+
+
+def broadcast_cols(v: Mat, p: int) -> Mat:
+    """Repeat a column vector across p columns (bias broadcast)."""
+    if v.cols != 1:
+        raise ShapeError(f"broadcast_cols expects a column vector, got {v.shape}")
+    return Mat(v.backend, tuple(tuple((j, x) for _, x in row for j in range(p)) for row in v.nz), p)
+
+
+def relu(m) -> Mat:
+    """Entrywise max(x, 0); accepts masked scores and zeroes their lower triangle."""
+    masked = isinstance(m, MaskedScores)
+    inner = m.mat if masked else m
+    return Mat(inner.backend, tuple(tuple((j, x) for j, x in row if x > 0 and (j >= i or not masked))
+                                    for i, row in enumerate(inner.nz)), inner.cols)
+
+
+def softmax_columns(m) -> Mat:
+    """Columnwise softmax on the float backend; -inf entries map to exactly 0."""
+    if isinstance(m, MaskedScores):
+        raise BackendError("softmax on a structurally masked rational matrix; use the float backend")
+    if m.backend != FLOAT:
+        raise BackendError("softmax requires the float backend")
+    cols = [_softmax_column(col, j) for j, col in enumerate(zip(*m.data))]
+    return Mat.dense(FLOAT, tuple(zip(*cols)))
+
+
+def softplus_beta(m, beta: float) -> Mat:
+    """Entrywise log(1 + exp(beta*x)) / beta, computed overflow-safely."""
+    if beta <= 0:
+        raise ValueError(f"softplus beta must be positive, got {beta}")
+    if isinstance(m, MaskedScores):
+        m = apply_mask(m.mat.to_float())  # a -inf score maps to exactly 0
+    if m.backend != FLOAT:
+        raise BackendError("softplus requires the float backend")
+    return Mat.dense(FLOAT, tuple(tuple(_softplus_scalar(x, beta) for x in row) for row in m.data))
+
+
+def apply_mask(m: Mat):
+    """Pin the strictly-lower triangle of a square score matrix.
+
+    Float backend: entries below the diagonal become -inf.  Rational
+    backend: returns MaskedScores, a structural flag consumed by the
+    activation (equivalent to ReLU after the -inf mask).
+    """
+    if m.rows != m.cols:
+        raise ShapeError(f"mask needs a square matrix, got {m.shape}")
+    if m.backend == RATIONAL:
+        return MaskedScores(m)
+    return Mat.dense(FLOAT, tuple(
+        tuple(x if i <= j else NEG_INF for j, x in enumerate(row))
+        for i, row in enumerate(m.data)))
+
+
+# -- models ------------------------------------------------------------------
+
+def identity_ffn(dim: int) -> FeedForwardNet:
+    """x = relu(x) - relu(-x) as a one-hidden-layer net."""
+    return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
+
+
+class FnModel:
+    """Adapter giving a bare function the evaluable-model surface."""
+
+    def __init__(self, fn: Callable[[Mat], Mat], n: int, p: int):
+        self._fn = fn
+        self.n = n
+        self.p = p
+
+    def __call__(self, x: Mat) -> Mat:
+        return self._fn(x)
+
+
+# -- layout soundness ------------------------------------------------------------
+
+def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
+    """Every layout row must hold its monomial's value in its own column
+    and be zero everywhere else (the off-column entries vanish)."""
+    out = eval_encoder(compiled.blocks, x)
+    for mon, col, row in compiled.layout.entries():
+        want = mon.eval(x)
+        for j in range(out.cols):
+            have = out.at(row, j)
+            if j == col - 1:
+                if have != want:
+                    return False
+            elif have != 0:
+                return False
+    return True

@@ -18,18 +18,19 @@ from splineformer.compiler import (CompileOptions, build_eps2, compile_autoregre
                                    linear_spline_to_ffn)
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
                                  const, emax, emin, escale, normalize_to_pbform, var)
-from splineformer.tensor import Mat, apply_mask, relu, softmax_columns
+from splineformer.tensor import Mat
 from splineformer.transformer import (AttentionHead, EncDecStack, EncDecStage,
                                       EncoderBlock, EncoderModel, FeedForwardNet,
                                       MultiheadAttention, blocks_to_float,
                                       eval_attention, eval_encdec, eval_encoder,
-                                      eval_ffn, identity_ffn)
+                                      eval_ffn)
 from splineformer.veronese import VeroneseIndex, veronese_eval
-from splineformer.verifier import (FnModel, autoregressive_check, estimate_degree,
+from splineformer.verifier import (autoregressive_check, estimate_degree,
                                    oracle_equiv, random_rational_mat,
                                    smooth_convergence_table, softplus_error_bound,
                                    smooth_swap, trial_rng)
 from splineformer.transformer import softplus
+from reference import FnModel, apply_mask, identity_ffn, relu, softmax_columns
 
 
 def report(num, name, ok):

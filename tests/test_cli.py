@@ -326,6 +326,17 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-deg" in captured.err
 
+    @pytest.mark.parametrize("bound", [-1, -3, -100])
+    def test_negative_bound_exits_2(self, tmp_path, capsys, bound):
+        # without --max-deg a trial has bound + 4 line points: one at -3, none below
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        for weights in (out, str(tmp_path / "missing.json")):  # checked before the read
+            assert main(["degree", weights, "--trials", "2", "--bound", str(bound)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"--bound must be at least 0, got {bound}\n"
+
     @pytest.mark.parametrize("argv", [
         ["smooth", "W", "--activation", "softplus", "--samples", "2"],
         ["smooth", "W", "--activation", "softplus", "--betas", "inf", "--samples", "2"],

@@ -34,3 +34,68 @@ def test_every_module_is_checked():
 def test_imports_only_stdlib_and_package(path):
     outside = sorted(imported(path) - set(sys.stdlib_module_names) - {"splineformer"})
     assert not outside, f"{path.name} imports {outside}, outside the standard library"
+
+
+def test_oracles_do_not_import_the_compiler():
+    # the verifier checks what the compiler emits, so it must not share its code
+    modules = {node.module for node in ast.walk(parse(SRC / "splineformer" / "verifier.py"))
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert "compiler" not in modules
+
+
+# Public definitions kept although no module of the package and no
+# benchmark reads them: the paper's constructions and the authoring API.
+PAPER_SURFACE = {
+    "linear_spline_to_ffn": "a linear spline is a ReLU net",
+    "ffn_to_encoder_blocks": "the converse direction, a ReLU net as encoder blocks",
+    "const": "lattice-expression authoring API",
+    "var": "lattice-expression authoring API",
+    "esum": "lattice-expression authoring API",
+    "eprod": "lattice-expression authoring API",
+    "escale": "lattice-expression authoring API",
+    "emax": "lattice-expression authoring API",
+    "emin": "lattice-expression authoring API",
+    "eval_maxdef": "the expression language's independent evaluator",
+    "grid_to_json": "the inverse of grid_from_json",
+    "eval_attention": "a single attention head, the paper's object",
+    "eval_encdec_attention": "a single encoder-decoder head, the paper's object",
+    "DecoderBlock": "encoder-decoder attention",
+    "EncDecStage": "encoder-decoder attention",
+    "eval_encdec": "encoder-decoder attention",
+}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def names_read(tree) -> set:
+    """The names that a syntax tree reads: as a name, as an attribute or
+    in an import, never in a string or a comment."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_src_defines_only_what_runs():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    # per module, each top-level statement with the names it reads
+    reads = {path: [(node, names_read(node)) for node in parse(path).body]
+             for path in MODULES if path.name != "__init__.py"}
+    outside = set(PAPER_SURFACE).union(*(names_read(parse(path)) for path in bench.glob("*.py")))
+    unread = []
+    for path, nodes in reads.items():
+        read = outside.union(*(names for p, ns in reads.items() if p != path for _, names in ns))
+        for node, _ in nodes:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in read.union(*(names for other, names in nodes
+                                                      if other is not node))):
+                unread.append(f"{path.name}: {node.name}")
+    assert not unread, f"public definitions that only tests read: {unread}"

@@ -57,6 +57,21 @@ class TestEvalPBForm:
         # negative side: y < 0 makes x * relu(y) = 0
         assert f.eval(mat([[2], [-3]])) == 0
 
+    def test_each_distinct_polynomial_evaluated_once(self, monkeypatch):
+        # 64 rows and 256 slots, but only 9 distinct polynomials
+        f = normalize_to_pbform(eprod(esum(var(1, 1), var(2, 1)),
+                                      emin(var(1, 1), emax(var(2, 1), const(1)))))
+        assert (len(f.rows), sum(map(len, f.rows))) == (64, 256)
+        assert len({p for row in f.rows for p in row}) == 9
+        calls = []
+        polynomial_eval = Polynomial.eval
+        monkeypatch.setattr(Polynomial, "eval",
+                            lambda p, x: calls.append(p) or polynomial_eval(p, x))
+        x_in = mat([[F(3, 2)], [F(-1, 3)]])
+        want = max(min(polynomial_eval(p, x_in) for p in row) for row in f.rows)
+        assert f.eval(x_in) == want
+        assert len(calls) <= 9
+
 
 class TestEvalMaxdef:
     def test_x_times_relu_x(self):

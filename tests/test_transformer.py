@@ -8,9 +8,7 @@ import pytest
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import grid_from_json
 from splineformer.tensor import (FLOAT, BackendError, DegenerateColumnError, Mat, ShapeError,
-                                 add, apply_mask, broadcast_cols, matmul, relu, scale,
-                                 softmax_columns, softplus_beta, stack_rows,
-                                 transpose)
+                                 add, matmul, scale, stack_rows)
 from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       EncDecStack, EncDecStage, EncoderBlock,
                                       FeedForwardNet,
@@ -18,10 +16,12 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       blocks_to_float, blocks_to_json, eval_attention,
                                       eval_encdec, eval_encdec_attention,
                                       eval_encoder, eval_ffn, eval_multihead,
-                                      eval_multihead_encdec, identity_ffn,
+                                      eval_multihead_encdec,
                                       softplus, _attend, _walk)
 from splineformer.transformer import EncoderModel, _image
 from splineformer.verifier import random_rational_mat, trial_rng
+from reference import (apply_mask, broadcast_cols, identity_ffn, relu, softmax_columns,
+                       softplus_beta, transpose)
 
 
 def rmat(rows):

@@ -8,21 +8,20 @@ import pytest
 from splineformer import verifier
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import PBForm, Polynomial, SplineGrid, grid_from_json
-from splineformer.tensor import (FLOAT, Mat, add, apply_mask, broadcast_cols,
-                                 matmul, relu, softmax_columns, stack_rows,
-                                 transpose)
+from splineformer.tensor import FLOAT, Mat, add, matmul, stack_rows
 from splineformer.transformer import (Activation, AttentionHead, EncoderBlock,
                                       EncoderModel, FeedForwardNet,
                                       MultiheadAttention, _walk, blocks_to_float,
-                                      eval_attention, eval_encoder,
-                                      identity_ffn, softplus)
-from splineformer.verifier import (FnModel, _forward_diff_degree,
+                                      eval_attention, eval_encoder, softplus)
+from splineformer.verifier import (_forward_diff_degree,
                                    autoregressive_check,
                                    estimate_degree, oracle_equiv,
                                    random_fraction, random_rational_mat,
                                    smooth_convergence_table,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
+from reference import (FnModel, apply_mask, broadcast_cols, identity_ffn, relu,
+                       softmax_columns, transpose)
 from test_transformer import (cloned_chain, group_count, random_chain, reference_ffn,
                               smooth_chain, sparse_random_mat)
 
