@@ -14,8 +14,7 @@ from .transformer import (RELU, SOFTMAX, Activation, AttentionHead,
                           eval_attention, eval_encdec, eval_encdec_attention,
                           eval_encoder, eval_ffn, eval_multihead, softplus)
 from .compiler import (CompileOptions, CompiledEncoder, MonomialLayout,
-                       NotAutoregressiveError, ResourceLimitError,
-                       build_const_head, build_copy_head, build_eps2,
+                       NotAutoregressiveError, ResourceLimitError, build_eps2,
                        build_veronese_encoder, compile_autoregressive,
                        compile_spline, ffn_block_form, ffn_to_encoder_blocks,
                        linear_spline_to_ffn)

@@ -16,7 +16,7 @@ import sys
 
 from .compiler import (CompileOptions, NotAutoregressiveError,
                        ResourceLimitError, compile_autoregressive, compile_spline)
-from .spline import FormSizeError, grid_from_json
+from .spline import MAX_INPUT_ENTRIES, FormSizeError, grid_from_json
 from .tensor import RATIONAL, BackendError, ShapeError, mat_from_json, mat_to_json
 from .transformer import EncoderModel, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
@@ -29,16 +29,14 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
 
 # what reading an input file can raise (json.JSONDecodeError is a ValueError;
-# a rational string with a zero denominator raises ZeroDivisionError, as in `Fraction`)
-INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError)
+# a rational string with a zero denominator raises ZeroDivisionError, as in `Fraction`;
+# a number beyond the float range in a float matrix, OverflowError; a file nested
+# beyond the recursion limit of the JSON reader or of the spline parser, RecursionError)
+INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError, OverflowError,
+                RecursionError)
 
 # model evaluations per `degree` trial (max_deg + 2 line points)
 MAX_LINE_POINTS = 1024
-
-
-def _default_seed() -> int:
-    env = os.environ.get("SPLINEFORMER_SEED")
-    return int(env) if env else 42
 
 
 def _emit(obj):
@@ -115,6 +113,16 @@ def _load_model(path: str):
     return EncoderModel(blocks)
 
 
+def _input_cap(model):
+    """The exit of a command that draws inputs of the model's shape when
+    that shape is above the spline cap, or None."""
+    if model.n * model.p > MAX_INPUT_ENTRIES:
+        return _fail(EXIT_RESOURCE_ERROR,
+                     f"the weights read an input of {model.n} x {model.p} entries, above "
+                     f"the cap of {MAX_INPUT_ENTRIES} entries")
+    return None
+
+
 def cmd_eval(args) -> int:
     try:
         model = _load_model(args.weights)
@@ -162,6 +170,8 @@ def cmd_degree(args) -> int:
         model = _load_model(args.weights)
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
+    if (code := _input_cap(model)) is not None:
+        return code
     bound = args.bound if args.bound is not None else 3 ** len(model.blocks)
     max_deg = args.max_deg if args.max_deg is not None else bound + 2
     if max_deg + 2 > MAX_LINE_POINTS:
@@ -182,6 +192,8 @@ def cmd_smooth(args) -> int:
         model = _load_model(args.weights)
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
+    if (code := _input_cap(model)) is not None:
+        return code
     xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples)]
     # weights whose attention is not ReLU, or whose blocks do not chain, raise
@@ -232,7 +244,7 @@ def main(argv=None) -> int:
     v.add_argument("weights")
     v.add_argument("spline")
     v.add_argument("--samples", type=int, default=1000)
-    v.add_argument("--seed", type=int, default=_default_seed())
+    v.add_argument("--seed", type=int, default=None)
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("degree", help="finite-difference degree estimate")
@@ -241,7 +253,7 @@ def main(argv=None) -> int:
     d.add_argument("--bound", type=int, default=None,
                    help="degree bound (default 3^blocks)")
     d.add_argument("--max-deg", type=int, default=None, dest="max_deg")
-    d.add_argument("--seed", type=int, default=_default_seed())
+    d.add_argument("--seed", type=int, default=None)
     d.set_defaults(fn=cmd_degree)
 
     s = sub.add_parser("smooth", help="activation swap and convergence table")
@@ -249,7 +261,7 @@ def main(argv=None) -> int:
     s.add_argument("--activation", choices=["softplus", "softmax"], default="softplus")
     s.add_argument("--betas", default="10,100,1000")
     s.add_argument("--samples", type=int, default=100)
-    s.add_argument("--seed", type=int, default=_default_seed())
+    s.add_argument("--seed", type=int, default=None)
     s.set_defaults(fn=cmd_smooth)
 
     args = parser.parse_args(argv)
@@ -258,6 +270,13 @@ def main(argv=None) -> int:
         count = getattr(args, flag, 1)
         if count < 1:
             return _fail(EXIT_INPUT_ERROR, f"--{flag} must be at least 1, got {count}")
+    # the environment is read only by a command that takes a seed and got none
+    if getattr(args, "seed", 0) is None:
+        env = os.environ.get("SPLINEFORMER_SEED")
+        try:
+            args.seed = int(env) if env else 42
+        except ValueError:
+            return _fail(EXIT_INPUT_ERROR, f"SPLINEFORMER_SEED must be an integer, got {env!r}")
     return args.fn(args)
 
 

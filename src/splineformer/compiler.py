@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .spline import ONE, Monomial, PBForm, SplineGrid
 from .tensor import RATIONAL, Mat, ShapeError, add, matmul
-from .transformer import (AttentionHead, EncoderBlock, FeedForwardNet,
-                          EncoderModel, MultiheadAttention, RELU, pass_through)
+from .transformer import (EncoderBlock, FeedForwardNet, EncoderModel, MultiheadAttention, RELU,
+                          pass_through)
 from .veronese import factor_pair, graded_lex_monomials
 
 
@@ -155,56 +155,54 @@ def linear_spline_to_ffn(forms, in_dim: int) -> FeedForwardNet:
     return _maxmin_ffn([(f, coord) for f in forms], in_dim)
 
 
-# -- attention head constructors ----------------------------------------------
+# -- attention layers -----------------------------------------------------------
 
-def build_copy_head(i_hat: int, j_hat: int, j: int, n: int, p: int,
-                    masked: bool = False) -> AttentionHead:
-    """Head whose output row holds entry (i_hat, j_hat) at column j, zeros
-    elsewhere (all indices 1-based)."""
-    if not (1 <= i_hat <= n and 1 <= j_hat <= p and 1 <= j <= p):
-        raise ValueError(f"copy head index ({i_hat},{j_hat},{j}) outside {n}x{p}")
-    return AttentionHead(
-        a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, j),
-        a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, j_hat),
-        a_v=Mat.basis(1, n, 1, i_hat), b_v=Mat.zeros(1, p),
-        activation=RELU, masked=masked)
+def _layer(keys, in_rows: int, p: int, masked: bool) -> MultiheadAttention:
+    """The layer of one-row ReLU heads that stage keys name (0-based
+    indices), in order: ("const", j), whose output row is 1 at column j
+    for every input; ("copy", r, c, j), whose output row holds entry (r, c)
+    at column j, zeros elsewhere; ("quad", a, b, j, sign), whose output row
+    holds u_a * relu(sign * u_b) at column j when row b is nonzero only in
+    that column.
 
-
-def build_const_head(j: int, n: int, p: int, masked: bool = False) -> AttentionHead:
-    """Head whose output row is 1 at column j and 0 elsewhere, for every input."""
-    if not 1 <= j <= p:
-        raise ValueError(f"const head column {j} outside 1..{p}")
-    return AttentionHead(
-        a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, j),
-        a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
-        a_v=Mat.zeros(1, n), b_v=Mat.basis(1, p, 1, 1),
-        activation=RELU, masked=masked)
-
-
-def _quad_head(v_row: int, q_row: int, col: int, in_rows: int, p: int,
-               masked: bool, sign: int) -> AttentionHead:
-    """Head whose output row holds u_{v_row,col} * relu(sign * u_{q_row,col})
-    at column col when row q_row is nonzero only in that column (0-based)."""
-    return AttentionHead(
-        a_q=_sparse(1, in_rows, {(0, q_row): sign}),
-        b_q=Mat.zeros(1, p),
-        a_k=Mat.zeros(1, in_rows), b_k=Mat.basis(1, p, 1, col + 1),
-        a_v=Mat.basis(1, in_rows, 1, v_row + 1), b_v=Mat.zeros(1, p),
-        activation=RELU, masked=masked)
-
-
-def _head(key: tuple, in_rows: int, p: int, masked: bool) -> AttentionHead:
-    """The head a stage key names (0-based indices): ("const", j),
-    ("copy", r, c, j) copying entry (r, c) to column j, or
-    ("quad", a, b, j, sign) forming u_a * relu(sign * u_b) at column j."""
-    kind, *idx = key
-    if kind == "const":
-        return build_const_head(idx[0] + 1, in_rows, p, masked)
-    if kind == "copy":
-        r, c, j = idx
-        return build_copy_head(r + 1, c + 1, j + 1, in_rows, p, masked)
-    a, b, j, sign = idx
-    return _quad_head(a, b, j, in_rows, p, masked, sign)
+    Const and copy heads take their pattern from the biases alone (B_Q
+    picks column j, B_K column c, and c = 0 for const), quad heads from
+    row b of the input, so heads of one (pattern, columns) key share a
+    group; the layer is built as its stored maps, with no head object."""
+    one = Fraction(1)
+    index, patterns, table, a_v, b_v = {}, [], [], [], []
+    for kind, *idx in keys:
+        if kind == "quad":
+            a, b, j, sign = idx
+            pattern, av, bv = ("quad", b, sign, j), ((a, one),), ()
+        elif kind == "copy":
+            r, c, j = idx
+            pattern, av, bv = ("bias", j, c), ((r, one),), ()
+        else:
+            pattern, av, bv = ("bias", idx[0], 0), (), ((0, one),)
+        if pattern not in index:
+            index[pattern] = len(patterns)
+            patterns.append(pattern)
+        table.append(index[pattern])
+        a_v.append(av)
+        b_v.append(bv)
+    a_q, b_q, b_k = [], [], []
+    for kind, *idx in patterns:
+        if kind == "quad":
+            b, sign, j = idx
+            a_q.append(((b, Fraction(sign)),))
+            b_q.append(())
+            b_k.append(((j, one),))
+        else:
+            j, c = idx
+            a_q.append(())
+            b_q.append(((j, one),))
+            b_k.append(((c, one),))
+    return MultiheadAttention.stored(
+        Mat(RATIONAL, tuple(a_q), in_rows), Mat(RATIONAL, tuple(b_q), p),
+        Mat.zeros(len(patterns), in_rows), Mat(RATIONAL, tuple(b_k), p),
+        Mat(RATIONAL, tuple(a_v), in_rows), Mat(RATIONAL, tuple(b_v), p),
+        table, [(1, masked, False, RELU)] * len(patterns))
 
 
 # -- layouts --------------------------------------------------------------------
@@ -274,7 +272,7 @@ def _grlex_key(m: Monomial, varlist: Sequence[tuple]):
 
 @dataclass
 class _Stage:
-    heads: list
+    attn: MultiheadAttention
     sel: list          # selection rows (coef per head) for each output slot
     layout: MonomialLayout
 
@@ -283,10 +281,10 @@ class _Stage:
         the stage's slots (an affine map is already a linear spline, so it
         needs no hidden layer), followed by the `readout` nets."""
         entries = {(r, h): v for r, row in enumerate(self.sel) for h, v in row.items()}
-        ffn = ffn_affine(_sparse(len(self.sel), len(self.heads), entries))
+        ffn = ffn_affine(_sparse(len(self.sel), len(self.attn.table), entries))
         for net in readout:
             ffn = ffn_compose(ffn, net)
-        return EncoderBlock(MultiheadAttention(tuple(self.heads)), ffn)
+        return EncoderBlock(self.attn, ffn)
 
 
 def _emit(src: MonomialLayout, columns, masked: bool, keys=()) -> _Stage:
@@ -294,20 +292,16 @@ def _emit(src: MonomialLayout, columns, masked: bool, keys=()) -> _Stage:
     columns[j], each a (monomial, {head key: coef}) pair: the slot's row
     is the sum of coef times the head's output.  Heads are emitted in the
     order of `keys`, then in the order the slots first name them."""
-    index: dict = {}
-    heads: list = []
+    index: dict = {}  # head key -> head index, in head order
 
     def head(key) -> int:
-        if key not in index:
-            index[key] = len(heads)
-            heads.append(_head(key, src.total_rows, src.p, masked))
-        return index[key]
+        return index.setdefault(key, len(index))
 
     for key in keys:
         head(key)
     sel = [{head(key): c for key, c in coefs.items()} for col in columns for _, coefs in col]
     layout = MonomialLayout(src.n, src.p, [[m for m, _ in col] for col in columns])
-    return _Stage(heads, sel, layout)
+    return _Stage(_layer(index, src.total_rows, src.p, masked), sel, layout)
 
 
 def _guard(*quantities: int):
@@ -419,7 +413,7 @@ class CompiledEncoder:
     @property
     def stats(self) -> dict:
         return {"blocks": len(self.blocks),
-                "heads_per_block": [len(b.attn.heads) for b in self.blocks],
+                "heads_per_block": [len(b.attn.table) for b in self.blocks],
                 "rows": self.layout.total_rows,
                 "depth": sum(b.ffn.depth for b in self.blocks) + len(self.blocks)}
 
@@ -529,13 +523,10 @@ def ffn_block_form(phi: FeedForwardNet, n: int, p: int) -> EncoderBlock:
         raise ValueError(f"need exactly one hidden layer, got {phi.hidden_layers}")
     if phi.in_dim != n:
         raise ShapeError(f"net reads {phi.in_dim} rows, block input has {n}")
-    heads = []
-    for j in range(p):
-        for i in range(n):
-            heads.append(build_copy_head(i + 1, j + 1, j + 1, n, p))
+    heads = _layer([("copy", i, j, j) for j in range(p) for i in range(n)], n, p, False)
     entries = {(i, j * n + i): Fraction(1) for j in range(p) for i in range(n)}
     psi = ffn_affine(_sparse(n, n * p, entries))
-    return EncoderBlock(MultiheadAttention(tuple(heads)), ffn_compose(psi, phi))
+    return EncoderBlock(heads, ffn_compose(psi, phi))
 
 
 def ffn_to_encoder_blocks(phi: FeedForwardNet, n: int, p: int) -> tuple:

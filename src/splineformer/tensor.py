@@ -61,10 +61,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _coerce_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, str):
         return _parse_rational(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, int):
         return Fraction(x)
     raise BackendError(f"cannot place {x!r} in a rational matrix")
@@ -311,6 +311,15 @@ def _rational_mat(obj):
     return Mat(RATIONAL, tuple(rows), width)
 
 
+def _check_entries(entries) -> bool:
+    """Whether JSON matrix entries (each a number or a rational string)
+    make a float matrix: one of them is a JSON float or "-inf"."""
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise BackendError(f"matrix entry {x!r} is not a number or a rational string")
+    return any(isinstance(x, float) or x == "-inf" for x in entries)
+
+
 def mat_from_json(obj) -> Mat:
     """Inverse of `mat_to_json`.  The matrix is read as float only when it
     holds a JSON float or "-inf"; integers and strings are exact rationals."""
@@ -319,10 +328,49 @@ def mat_from_json(obj) -> Mat:
         return m
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
-    entries = [x for row in obj for x in row]
-    for x in entries:
-        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-            raise BackendError(f"matrix entry {x!r} is not a number or a rational string")
-    if any(isinstance(x, float) or x == "-inf" for x in entries):
+    if _check_entries([x for row in obj for x in row]):
         return Mat.from_floats(obj)
     return Mat.rational(obj)
+
+
+def sparse_to_json(m: Mat):
+    """{"cols": width, "rows": per row the [col, value] pairs of its
+    nonzeros}, values spelled as by `mat_to_json`; a float matrix also
+    says "float": true, which a matrix of no nonzeros needs."""
+    if m.backend == RATIONAL:
+        return {"cols": m.cols, "rows": [[[c, str(v)] for c, v in row] for row in m.nz]}
+    return {"cols": m.cols, "float": True,
+            "rows": [[[c, "-inf" if v == NEG_INF else v] for c, v in row] for row in m.nz]}
+
+
+def sparse_from_json(obj) -> Mat:
+    """Inverse of `sparse_to_json`; zero entries are dropped.  The matrix
+    is read as float only when it says so or holds a JSON float or "-inf"."""
+    cols = json_field(obj, "cols", int, "a sparse matrix")
+    rows = json_field(obj, "rows", list, "a sparse matrix")
+    is_float = "float" in obj and json_field(obj, "float", bool, "a sparse matrix")
+    out = []
+    for row in rows:
+        if type(row) is not list:
+            raise FormatError("a sparse row must be a list of [column, value] pairs")
+        nz, last = [], -1
+        for e in row:
+            if type(e) is not list or len(e) != 2:
+                raise FormatError("a sparse row must be a list of [column, value] pairs")
+            c, v = e
+            if type(c) is not int or not last < c < cols:
+                if type(c) is int and not 0 <= c < cols:
+                    raise ShapeError(f"sparse row column outside 0..{cols - 1}")
+                raise FormatError("sparse row columns must be increasing integers")
+            last = c
+            if type(v) is float or v == "-inf":
+                is_float = True
+            elif type(v) is not str and type(v) is not int:
+                raise BackendError(f"matrix entry {v!r} is not a number or a rational string")
+            if x := _coerce_float(v) if is_float else _coerce_rational(v):
+                nz.append((c, x))
+        out.append(tuple(nz))
+    if is_float:
+        # the entries before the first float were read as rationals
+        out = [tuple((c, x) for c, v in row if (x := float(v))) for row in out]
+    return Mat(FLOAT if is_float else RATIONAL, tuple(out), cols)

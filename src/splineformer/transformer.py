@@ -13,12 +13,12 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
-from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
-                     _softmax_column, _softplus_scalar, add, json_field,
-                     mat_from_json, mat_to_json, scale,
-                     sparse_product, stack_rows)
+from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, FormatError, Mat, ShapeError,
+                     _softmax_column, _softplus_scalar, add, json_field, mat_from_json, scale,
+                     sparse_from_json, sparse_product, sparse_to_json, stack_rows)
 
 
 @dataclass(frozen=True)
@@ -183,50 +183,105 @@ def _affine(rows, bias, x: list, dx: int, zero) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MultiheadAttention:
-    heads: tuple
+    """An attention layer, stored as the maps its passes read.  Heads whose
+    Q and K maps are equal and which agree in `masked`, `scaled` and
+    `activation` share one attention pattern and form one group: its Q and
+    K rows are stored once, stacked in group order in `a_q`, `b_q`, `a_k`
+    and `b_k`, and `groups` holds its (d, masked, scaled, activation).
+    Every head keeps its own m value rows, stacked in head order in `a_v`
+    and `b_v`, and `table` holds its group.  All six maps share one
+    backend: a layer whose heads mix backends is stored as its float image.
 
-    def __post_init__(self):
-        if not self.heads:
+    `MultiheadAttention(heads)` groups heads, in the order of each group's
+    first head, so equal heads give equal fields; `stored` takes the
+    fields as they are, but the heads must name every group, in that
+    order.  (Two stored groups can still be equal: a float image rounds
+    distinct rationals alike.)  `heads` is the per-head view, built on read."""
+
+    a_q: Mat
+    b_q: Mat
+    a_k: Mat
+    b_k: Mat
+    a_v: Mat
+    b_v: Mat
+    table: tuple
+    groups: tuple
+
+    def __init__(self, heads: Sequence[AttentionHead]):
+        if not heads:
             raise ValueError("multihead attention needs at least one head")
-        h0 = self.heads[0]
-        for h in self.heads[1:]:
+        h0 = heads[0]
+        for h in heads[1:]:
             if (h.n, h.n_q, h.p, h.m) != (h0.n, h0.n_q, h0.p, h0.m):
                 raise ShapeError("heads must share input shape and output rows")
+        if len(_backends(getattr(h, name) for h in heads for name in _HEAD_MATS)) > 1:
+            heads = [replace(h, **{name: getattr(h, name).to_float() for name in _HEAD_MATS})
+                     for h in heads]
+        index, firsts, table = {}, [], []
+        for h in heads:
+            # (col, coef) rows hash cheaply, and equal rows are equal maps
+            key = (h.a_q.nz, h.b_q.nz, h.a_k.nz, h.b_k.nz, h.masked, h.scaled, h.activation)
+            if key not in index:
+                index[key] = len(firsts)
+                firsts.append(h)
+            table.append(index[key])
+        self._store(*(stack_rows([getattr(h, name) for h in firsts]) for name in _HEAD_MATS[:4]),
+                    *(stack_rows([getattr(h, name) for h in heads]) for name in _HEAD_MATS[4:]),
+                    table, [(h.d, h.masked, h.scaled, h.activation) for h in firsts])
+
+    @classmethod
+    def stored(cls, a_q: Mat, b_q: Mat, a_k: Mat, b_k: Mat, a_v: Mat, b_v: Mat,
+               table: Sequence, groups: Sequence) -> "MultiheadAttention":
+        """The layer of the given fields, checked against each other."""
+        layer = object.__new__(cls)
+        layer._store(a_q, b_q, a_k, b_k, a_v, b_v, table, groups)
+        return layer
+
+    def _store(self, *fields):
+        *mats, table, groups = fields
+        if len(_backends(mats)) > 1:
+            mats = [m.to_float() for m in mats]
+        a_q, b_q, a_k, b_k, a_v, b_v = mats
+        table, groups = tuple(table), tuple(groups)
+        if not table:
+            raise ValueError("multihead attention needs at least one head")
+        if not all(type(g) is int and 0 <= g < len(groups) for g in table):
+            raise FormatError(f"a head's group is not an index below {len(groups)}")
+        if list(dict.fromkeys(table)) != list(range(len(groups))):
+            raise FormatError("the heads must name every group, in order of first use")
+        if not all(type(d) is int and d >= 1 for d, *_ in groups):
+            raise ShapeError("every group needs a head dimension d of at least 1")
+        d = sum(d for d, *_ in groups)
+        if not a_q.rows == b_q.rows == a_k.rows == b_k.rows == d:
+            raise ShapeError(f"query/key maps must have the {d} rows of their groups")
+        if a_v.rows != b_v.rows or a_v.rows % len(table):
+            raise ShapeError(f"value maps of {a_v.rows}/{b_v.rows} rows do not split "
+                             f"across {len(table)} heads")
+        if not b_q.cols == b_k.cols == b_v.cols:
+            raise ShapeError("bias matrices must share the sequence length p")
+        if a_k.cols != a_v.cols:
+            raise ShapeError("key and value maps must read the same input rows")
+        for name, value in zip((*_HEAD_MATS, "table", "groups"), (*mats, table, groups)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def mats(self) -> tuple:
+        """The six stored maps, in `_HEAD_MATS` order."""
+        return self.a_q, self.b_q, self.a_k, self.b_k, self.a_v, self.b_v
 
     def _maps(self, exact: bool) -> tuple:
-        """For Q, K and V in turn, the `_image` of all heads' maps,
-        stacked; then, per head, the row offset of its group in the Q and K
-        rows.  Heads whose Q and K rows and bias rows are equal and which
-        agree in `masked`, `scaled` and `activation` share one attention
-        pattern: their Q and K rows are stacked once, for the group, while
-        every head keeps its own V rows."""
-        (aq, bq, dq), (ak, bk, dk), v = (
-            _image([row for h in self.heads for row in getattr(h, a).nz],
-                   [row for h in self.heads for row in getattr(h, b).nz], self.p, exact)
-            for a, b in (("a_q", "b_q"), ("a_k", "b_k"), ("a_v", "b_v")))
-        groups, kept, offsets = {}, [], []
-        t = 0
-        for h in self.heads:
-            # (col, coef) rows hash cheaply; equal rows over the shared
-            # denominator are equal maps
-            key = (aq[t:t + h.d], bq[t:t + h.d], ak[t:t + h.d], bk[t:t + h.d],
-                   h.masked, h.scaled, h.activation)
-            if key not in groups:
-                groups[key] = len(kept)
-                kept.extend(range(t, t + h.d))
-            offsets.append(groups[key])
-            t += h.d
-        aq, bq, ak, bk = (tuple(rows[r] for r in kept) for rows in (aq, bq, ak, bk))
-        return (aq, bq, dq), (ak, bk, dk), v, tuple(offsets)
+        """For Q, K and V in turn, the `_image` of the stored rows."""
+        return tuple(_image(a.nz, b.nz, self.p, exact)
+                     for a, b in ((self.a_q, self.b_q), (self.a_k, self.b_k), (self.a_v, self.b_v)))
 
     @cached_property
     def stacked(self) -> tuple:
         """The maps (`_maps`) an exact pass reads, integer over the lcm of
         each map's denominators; float weights give their float image.
         Built on the first evaluation and kept; not a dataclass field, so
-        equality still compares `heads` only."""
+        equality compares the stored maps only."""
         return self._maps(FLOAT not in self.backends)
 
     @cached_property
@@ -236,44 +291,71 @@ class MultiheadAttention:
         softplus beta) reuses it."""
         return self.stacked if FLOAT in self.backends else self._maps(False)
 
-    @cached_property
+    @property
     def backends(self) -> frozenset:
-        return _backends(getattr(h, name) for h in self.heads for name in _HEAD_MATS)
+        return frozenset((self.a_q.backend,))
 
     @cached_property
     def head_layout(self) -> tuple:
-        """Per head, the constants a pass reads: the head, d, m, masked,
-        its score scale (1/sqrt(d), or None when unscaled) and its
-        activation."""
-        return tuple((h, h.d, h.m, h.masked, 1.0 / math.sqrt(h.d) if h.scaled else None,
-                      h.activation) for h in self.heads)
+        """Per head, the constants a pass reads: the row t where its group's
+        Q and K rows start, d, masked, its score scale (1/sqrt(d), or None
+        when unscaled) and its activation."""
+        starts = list(accumulate((d for d, *_ in self.groups), initial=0))
+        consts = [(t, d, masked, 1.0 / math.sqrt(d) if scaled else None, activation)
+                  for t, (d, masked, scaled, activation) in zip(starts, self.groups)]
+        return tuple(consts[g] for g in self.table)
+
+    @cached_property
+    def heads(self) -> tuple:
+        """One `AttentionHead` per head, in head order, cut from the stored
+        rows; built on the first read and kept.  No pass reads it."""
+        def cut(mat: Mat, lo: int, hi: int) -> Mat:
+            return Mat(mat.backend, mat.nz[lo:hi], mat.cols)
+
+        m, heads = self.m, []
+        for u, g, (t, *_) in zip(range(0, self.out_rows, m), self.table, self.head_layout):
+            d, masked, scaled, activation = self.groups[g]
+            heads.append(AttentionHead(*(cut(a, t, t + d) for a in self.mats[:4]),
+                                       *(cut(a, u, u + m) for a in self.mats[4:]),
+                                       activation, masked, scaled))
+        return tuple(heads)
 
     @cached_property
     def rational_error(self) -> str | None:
         """Why the layer cannot run on rationals, or None: only unscaled
         ReLU heads can (SoftMax, SoftPlus and 1/sqrt(d) are irrational)."""
-        for h in self.heads:
-            if h.activation.kind != "relu":
-                return f"{h.activation.kind} attention needs the float backend"
-        if any(h.scaled for h in self.heads):
+        for *_, activation in self.groups:
+            if activation.kind != "relu":
+                return f"{activation.kind} attention needs the float backend"
+        if any(scaled for _, _, scaled, _ in self.groups):
             return "score scaling needs the float backend (1/sqrt(d) is irrational)"
         return None
 
     @property
+    def masked(self) -> bool:
+        """Whether every head is masked."""
+        return all(masked for _, masked, _, _ in self.groups)
+
+    @property
     def n(self) -> int:
-        return self.heads[0].n
+        return self.a_k.cols
 
     @property
     def n_q(self) -> int:
-        return self.heads[0].n_q
+        return self.a_q.cols
 
     @property
     def p(self) -> int:
-        return self.heads[0].p
+        return self.b_q.cols
+
+    @property
+    def m(self) -> int:
+        """Value rows per head."""
+        return self.a_v.rows // len(self.table)
 
     @property
     def out_rows(self) -> int:
-        return sum(h.m for h in self.heads)
+        return self.a_v.rows
 
 
 def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
@@ -326,29 +408,29 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     and their shared denominator.
 
     Q, K and V of all heads come from one sparse product each.  Each
-    group of heads that share an attention pattern forms it once per pass
-    (`_pattern`, at the group's row offset); each head's value rows then
-    multiply the nonzero activations of its group.  `activation`, if
-    given, stands in for every head's own.  `observer.head` is handed each
-    head, in head order, with its q, k and v rows and its activation rows.
+    group of heads forms its attention pattern once per pass (`_pattern`,
+    at the group's row offset); each head's value rows then multiply the
+    nonzero activations of its group.  `activation`, if given, stands in
+    for every head's own.  `observer.head` is handed, per head in head
+    order, whether it is masked, its q, k and v rows and its activation
+    rows, one object per group.
     """
     if backend == RATIONAL and mh.rational_error:
         raise BackendError(mh.rational_error)
     zero = 0 if backend == RATIONAL else 0.0
-    p = len(x[0])
-    (aq, bq, dq), (ak, bk, dk), (av, bv, dv), offsets = maps
+    p, m = len(x[0]), mh.m
+    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
     q = _affine(aq, bq, y, dy, zero)
     k = _affine(ak, bk, x, dx, zero)
     v = _affine(av, bv, x, dx, zero)
     out = []
     acts = {}
-    u = 0
-    for (h, d, m, masked, root, own), t in zip(mh.head_layout, offsets):
+    for u, (t, d, masked, root, own) in zip(range(0, len(v), m), mh.head_layout):
         act = acts.get(t)
         if act is None:
             act = acts[t] = _pattern(q, k, t, d, p, masked, root, activation or own, zero)
         if observer is not None:
-            observer.head(h, q[t:t + d], k[t:t + d], v[u:u + m], act)
+            observer.head(masked, q[t:t + d], k[t:t + d], v[u:u + m], act)
         for vrow in v[u:u + m]:
             acc = [zero] * p
             for a, c in enumerate(vrow):
@@ -356,7 +438,6 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
                     for b, w in act[a]:
                         acc[b] += c * w
             out.append(acc)
-        u += m
     return out, dq * dy * dk * dx * dv * dx
 
 
@@ -484,7 +565,7 @@ class EncoderBlock:
 
     @property
     def masked(self) -> bool:
-        return all(h.masked for h in self.attn.heads)
+        return self.attn.masked
 
 
 @dataclass(frozen=True)
@@ -550,7 +631,7 @@ class EncDecStage:
     residual: bool = False
 
     def __post_init__(self):
-        if not all(h.masked for h in self.self_attn.heads):
+        if not self.self_attn.masked:
             raise ValueError("stage self-attention must be masked")
 
 
@@ -593,14 +674,15 @@ class EncoderModel:
         self.activation = activation
         if activation is None:
             self.blocks = self.weights
-        head = self.weights[0].attn.heads[0]
-        self.n = head.n
-        self.p = head.p
+        attn = self.weights[0].attn
+        self.n = attn.n
+        self.p = attn.p
 
     @cached_property
     def blocks(self) -> tuple:
-        return tuple(replace(blk, attn=MultiheadAttention(tuple(
-            replace(h, activation=self.activation) for h in blk.attn.heads)))
+        return tuple(replace(blk, attn=MultiheadAttention.stored(
+            *blk.attn.mats, blk.attn.table,
+            [(d, masked, scaled, self.activation) for d, masked, scaled, _ in blk.attn.groups]))
             for blk in blocks_to_float(self.weights))
 
     def __call__(self, x: Mat) -> Mat:
@@ -623,29 +705,31 @@ def pass_through(a: Mat, b: Mat) -> tuple:
 
 def blocks_to_float(blocks: Sequence[EncoderBlock]) -> tuple:
     return tuple(EncoderBlock(
-        MultiheadAttention(tuple(replace(h, **{name: getattr(h, name).to_float()
-                                               for name in _HEAD_MATS})
-                                 for h in blk.attn.heads)),
+        MultiheadAttention.stored(*(m.to_float() for m in blk.attn.mats),
+                                  blk.attn.table, blk.attn.groups),
         FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in blk.ffn.layers)),
         blk.residual) for blk in blocks)
 
 
 # -- JSON wire format ----------------------------------------------------------
+#
+# A block is written in its layer form: "attn" holds the stored maps of
+# its attention layer as sparse matrices (`tensor.sparse_to_json`), its
+# "groups" (d and the flags of each) and, per head, its group ("heads");
+# the net's matrices are sparse too.  The reader also takes the per-head
+# form, a "heads" list of one object per head, and any matrix spelled as
+# a dense list of rows (`tensor.mat_to_json`).
 
-def _head_to_json(h: AttentionHead):
-    obj = {"A_Q": mat_to_json(h.a_q), "B_Q": mat_to_json(h.b_q),
-           "A_K": mat_to_json(h.a_k), "B_K": mat_to_json(h.b_k),
-           "A_V": mat_to_json(h.a_v), "B_V": mat_to_json(h.b_v),
-           "masked": h.masked, "activation": h.activation.kind}
-    if h.activation.kind == "softplus":
-        obj["beta"] = h.activation.beta
-    if h.scaled:
+_MAP_KEYS = ("A_Q", "B_Q", "A_K", "B_K", "A_V", "B_V")
+
+
+def _group_to_json(d: int, masked: bool, scaled: bool, activation: Activation) -> dict:
+    obj = {"d": d, "masked": masked, "activation": activation.kind}
+    if activation.kind == "softplus":
+        obj["beta"] = activation.beta
+    if scaled:
         obj["scaled"] = True
     return obj
-
-
-def _mat_field(obj, key: str, where: str) -> Mat:
-    return mat_from_json(json_field(obj, key, list, where))
 
 
 def _flag(obj, key: str, where: str) -> bool:
@@ -653,33 +737,60 @@ def _flag(obj, key: str, where: str) -> bool:
     return key in obj and json_field(obj, key, bool, where)
 
 
+def _flags_from_json(obj, what: str) -> tuple:
+    """(masked, scaled, activation) of a head or group object."""
+    where = f"a {what}"
+    kind = json_field(obj, "activation", str, where) if "activation" in obj else "relu"
+    beta = json_field(obj, "beta", (int, float), f"a softplus {what}") if kind == "softplus" else None
+    activation = Activation(kind, beta)
+    return _flag(obj, "masked", where), _flag(obj, "scaled", where), activation
+
+
+def _mat_field(obj, key: str, where: str) -> Mat:
+    """obj[key], a sparse matrix object or a list of dense rows."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, dict):
+        return sparse_from_json(value)
+    return mat_from_json(json_field(obj, key, list, where))
+
+
 def _head_from_json(obj) -> AttentionHead:
-    mats = [_mat_field(obj, key, "a head") for key in ("A_Q", "B_Q", "A_K", "B_K", "A_V", "B_V")]
-    kind = json_field(obj, "activation", str, "a head") if "activation" in obj else "relu"
-    beta = json_field(obj, "beta", (int, float), "a softplus head") if kind == "softplus" else None
-    return AttentionHead(*mats, activation=Activation(kind, beta),
-                         masked=_flag(obj, "masked", "a head"),
-                         scaled=_flag(obj, "scaled", "a head"))
+    mats = [_mat_field(obj, key, "a head") for key in _MAP_KEYS]
+    masked, scaled, activation = _flags_from_json(obj, "head")
+    return AttentionHead(*mats, activation=activation, masked=masked, scaled=scaled)
+
+
+def _attn_from_json(obj) -> MultiheadAttention:
+    groups = [(json_field(g, "d", int, "a group"), *_flags_from_json(g, "group"))
+              for g in json_field(obj, "groups", list, "an attention layer")]
+    return MultiheadAttention.stored(
+        *(_mat_field(obj, key, "an attention layer") for key in _MAP_KEYS),
+        json_field(obj, "heads", list, "an attention layer"), groups)
 
 
 def blocks_to_json(blocks: Sequence[EncoderBlock]):
     return {"blocks": [
-        {"heads": [_head_to_json(h) for h in blk.attn.heads],
-         "ffn": {"layers": [{"A": mat_to_json(a), "b": mat_to_json(b)}
+        {"attn": {"groups": [_group_to_json(*group) for group in blk.attn.groups],
+                  "heads": list(blk.attn.table),
+                  **{key: sparse_to_json(m) for key, m in zip(_MAP_KEYS, blk.attn.mats)}},
+         "ffn": {"layers": [{"A": sparse_to_json(a), "b": sparse_to_json(b)}
                             for a, b in blk.ffn.layers]},
          "residual": blk.residual}
         for blk in blocks]}
 
 
 def blocks_from_json(obj) -> tuple:
-    """Inverse of `blocks_to_json`; a document of any other shape raises
-    `FormatError`."""
+    """Inverse of `blocks_to_json`, which also reads the per-head form; a
+    document of any other shape raises a ValueError."""
     out = []
     for b in json_field(obj, "blocks", list, "a weights document"):
-        heads = MultiheadAttention(tuple(
-            _head_from_json(h) for h in json_field(b, "heads", list, "a block")))
+        if isinstance(b, dict) and "attn" in b:
+            attn = _attn_from_json(json_field(b, "attn", dict, "a block"))
+        else:
+            attn = MultiheadAttention(tuple(
+                _head_from_json(h) for h in json_field(b, "heads", list, "a block")))
         layers = json_field(json_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
         ffn = FeedForwardNet(tuple((_mat_field(l, "A", "a layer"), _mat_field(l, "b", "a layer"))
                                    for l in layers))
-        out.append(EncoderBlock(heads, ffn, _flag(b, "residual", "a block")))
+        out.append(EncoderBlock(attn, ffn, _flag(b, "residual", "a block")))
     return tuple(out)

@@ -185,10 +185,10 @@ def require_relu(blocks):
     """Raise ValueError, naming the activation found, unless every
     attention head of `blocks` is ReLU (the model a swap starts from)."""
     for blk in blocks:
-        for h in blk.attn.heads:
-            if h.activation.kind != "relu":
+        for *_, activation in blk.attn.groups:
+            if activation.kind != "relu":
                 raise ValueError(f"smooth swap expects a relu-activated model, "
-                                 f"found {h.activation.kind} attention")
+                                 f"found {activation.kind} attention")
 
 
 def smooth_swap(model, activation: Activation) -> EncoderModel:
@@ -254,18 +254,17 @@ class _ErrorBound:
         self.err = [[0.0] * x.cols for _ in range(x.rows)]
         self.heads = []
 
-    def head(self, h, q, k, v, act):
-        self.heads.append((h.masked, q, k, v, act))
+    def head(self, masked, q, k, v, act):
+        self.heads.append((masked, q, k, v, act))
 
     def block(self, blk, maps, layers):
         p = len(self.err[0])
-        *weights, offsets = maps
         # the error maps are |coef| of the rows the pass read
-        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in weights)
+        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in maps)
         out = []
         patterns = {}  # per group offset: |A| + es and es, shared by the group's heads
         u = 0
-        for (masked, q, k, v, act), t in zip(self.heads, offsets):
+        for (masked, q, k, v, act), (t, *_) in zip(self.heads, blk.attn.head_layout):
             if t not in patterns:
                 eqh, ekt = eq[t:t + len(q)], list(zip(*ek[t:t + len(q)]))
                 # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
@@ -310,7 +309,7 @@ class _ProbabilityColumns:
         self.masked_zeros_ok = True
         self.seen = set()  # ids of the blocks checked in the current layer
 
-    def head(self, h, q, k, v, act):
+    def head(self, masked, q, k, v, act):
         if id(act) in self.seen:
             return
         self.seen.add(id(act))
@@ -319,7 +318,7 @@ class _ProbabilityColumns:
         for i, row in enumerate(act):
             for j, w in row:
                 cols[j].append(w)
-                if h.masked and i > j:
+                if masked and i > j:
                     self.masked_zeros_ok = False
         for col in cols:
             if abs(sum(col) - 1.0) > self.tol or any(e < 0 or e > 1 for e in col):

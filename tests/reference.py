@@ -4,18 +4,22 @@ The package computes every attention activation in one place, the
 stacked kernel `transformer._pattern`.  The operations here spell the
 same mask and activations out matrix by matrix, with the dense helpers
 and model adapters that only tests need, so that a test can build a
-head's output from first principles and compare.
+head's output from first principles and compare.  The compiler's
+single-head builders and the writer of the per-head weights form, which
+only tests use, live here too.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
-from splineformer.compiler import CompiledEncoder
+from splineformer.compiler import CompiledEncoder, _layer
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
-                                 _softmax_column, _softplus_scalar)
-from splineformer.transformer import FeedForwardNet, eval_encoder, pass_through
+                                 _softmax_column, _softplus_scalar, mat_to_json)
+from splineformer.transformer import FeedForwardNet, blocks_from_json, eval_encoder, pass_through
 
 
 # -- dense matrix operations -------------------------------------------------
@@ -90,6 +94,22 @@ def apply_mask(m: Mat):
 
 # -- models ------------------------------------------------------------------
 
+def build_copy_head(i_hat: int, j_hat: int, j: int, n: int, p: int, masked: bool = False):
+    """The compiler's head whose output row holds entry (i_hat, j_hat) at
+    column j, zeros elsewhere (all indices 1-based)."""
+    if not (1 <= i_hat <= n and 1 <= j_hat <= p and 1 <= j <= p):
+        raise ValueError(f"copy head index ({i_hat},{j_hat},{j}) outside {n}x{p}")
+    return _layer([("copy", i_hat - 1, j_hat - 1, j - 1)], n, p, masked).heads[0]
+
+
+def build_const_head(j: int, n: int, p: int, masked: bool = False):
+    """The compiler's head whose output row is 1 at column j and 0
+    elsewhere, for every input."""
+    if not 1 <= j <= p:
+        raise ValueError(f"const head column {j} outside 1..{p}")
+    return _layer([("const", j - 1)], n, p, masked).heads[0]
+
+
 def identity_ffn(dim: int) -> FeedForwardNet:
     """x = relu(x) - relu(-x) as a one-hidden-layer net."""
     return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
@@ -123,3 +143,34 @@ def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
             elif have != 0:
                 return False
     return True
+
+
+# -- the per-head weights form -------------------------------------------------
+
+def _head_json(h) -> dict:
+    obj = {"A_Q": mat_to_json(h.a_q), "B_Q": mat_to_json(h.b_q),
+           "A_K": mat_to_json(h.a_k), "B_K": mat_to_json(h.b_k),
+           "A_V": mat_to_json(h.a_v), "B_V": mat_to_json(h.b_v),
+           "masked": h.masked, "activation": h.activation.kind}
+    if h.activation.kind == "softplus":
+        obj["beta"] = h.activation.beta
+    if h.scaled:
+        obj["scaled"] = True
+    return obj
+
+
+def per_head_json(blocks) -> dict:
+    """The weights document of `blocks` in the per-head form that
+    `blocks_from_json` also reads: one object of dense matrices per head,
+    read off the `heads` view, and dense net matrices."""
+    return {"blocks": [
+        {"heads": [_head_json(h) for h in blk.attn.heads],
+         "ffn": {"layers": [{"A": mat_to_json(a), "b": mat_to_json(b)}
+                            for a, b in blk.ffn.layers]},
+         "residual": blk.residual}
+        for blk in blocks]}
+
+
+def per_head_file(path) -> dict:
+    """The per-head document of the weights file at `path`."""
+    return per_head_json(blocks_from_json(json.loads(Path(path).read_text())))

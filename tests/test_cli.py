@@ -7,8 +7,13 @@ import pytest
 from splineformer import cli, spline as spline_module
 from splineformer.cli import MAX_LINE_POINTS, main
 from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
-from splineformer.tensor import mat_from_json, mat_to_json
-from splineformer.transformer import blocks_from_json, blocks_to_float, eval_encoder
+from splineformer.tensor import Mat, mat_from_json, mat_to_json
+from splineformer.transformer import (AttentionHead, EncoderBlock, MultiheadAttention,
+                                      blocks_from_json, blocks_to_float, blocks_to_json,
+                                      eval_encoder)
+
+from reference import identity_ffn, per_head_file, per_head_json
+from test_transformer import GRID_2X2
 
 ABS_SPLINE = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]},
@@ -130,7 +135,7 @@ class TestVerify:
     def test_corrupted_weights_exit_1_with_witness(self, tmp_path, capsys):
         spath, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        weights = json.loads(open(out).read())
+        weights = per_head_file(out)
         weights["blocks"][0]["heads"][0]["A_V"][0][0] = "2"
         corrupted = write(tmp_path / "bad.json", weights)
         assert main(["verify", corrupted, spath, "--samples", "100"]) == 1
@@ -261,7 +266,7 @@ class TestInputErrors:
     def test_zero_denominator_weight_exits_2(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, ABS_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1/0"
         w = write(tmp_path / "bad.json", doc)
         assert main(["eval", w, write(tmp_path / "x.json", [["1"]])]) == 2
@@ -306,7 +311,7 @@ class TestInputErrors:
         # with every value weight at 1e200 both softplus passes give -inf
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         huge = copy.deepcopy(doc)
         for blk in huge["blocks"]:
             for h in blk["heads"]:
@@ -350,7 +355,7 @@ class TestInputErrors:
     def test_non_relu_weights_exit_2(self, tmp_path, capsys, argv, activation):
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         for blk in doc["blocks"]:
             for head in blk["heads"]:
                 head.update(activation)
@@ -415,7 +420,7 @@ class TestDocumentShape:
     def test_bad_softplus_beta_exits_2(self, tmp_path, capsys, beta, command):
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         for blk in doc["blocks"]:
             for head in blk["heads"]:
                 head.update({"activation": "softplus", "beta": "BETA"})
@@ -436,7 +441,7 @@ class TestDocumentShape:
         # a flag must be a JSON boolean: "no" is not false, and is not read as true
         spath, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         blk = doc["blocks"][0]
         (blk["heads"][0] if where == "head" else blk)[key] = value
         w = write(tmp_path / "flag.json", doc)
@@ -446,7 +451,7 @@ class TestDocumentShape:
     def test_large_finite_beta_is_read(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         for blk in doc["blocks"]:
             for head in blk["heads"]:
                 head.update({"activation": "softplus", "beta": 1e300})
@@ -470,7 +475,7 @@ class TestFloatEval:
     def test_equals_float_copy(self, tmp_path, capsys, heads, spline, extra):
         _, out = compile_to(tmp_path, spline, extra=extra)
         capsys.readouterr()
-        doc = json.loads(open(out).read())
+        doc = per_head_file(out)
         for blk in doc["blocks"]:
             for head in blk["heads"]:
                 head.update(heads)
@@ -590,3 +595,184 @@ class TestResourceCaps:
             spath = write(tmp_path / "s.json", self.power_spline(*shape))
             assert main(["compile", spath, "-o", str(tmp_path / "w.json")]) == code
             assert ("cap of" in capsys.readouterr().err) == (code == 3)
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestDeepNesting:
+    """A file nested beyond the recursion depth of the JSON reader, or of
+    the spline parser, is an input error in every file argument of every
+    command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "DEEP", "-o", "OUT"],
+        ["eval", "DEEP", "X"],
+        ["eval", "W", "DEEP"],
+        ["verify", "DEEP", "S", "--samples", "1"],
+        ["verify", "W", "DEEP", "--samples", "1"],
+        ["degree", "DEEP", "--trials", "1"],
+        ["smooth", "DEEP", "--samples", "1"],
+        ["smooth", "DEEP", "--activation", "softmax", "--samples", "1"],
+    ], ids=["compile-spline", "eval-weights", "eval-input", "verify-weights", "verify-spline",
+            "degree-weights", "smooth-weights", "smooth-softmax-weights"])
+    def test_deep_file_exits_2(self, tmp_path, capsys, argv):
+        spath, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP)
+        paths = {"DEEP": str(deep), "W": out, "S": spath, "OUT": str(tmp_path / "o.json"),
+                 "X": write(tmp_path / "x.json", [["1"]])}
+        err = one_line_exit_2(capsys, [paths.get(a, a) for a in argv])
+        assert "recursion depth" in err
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_spline_parser_recursion_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # how deep a file the reader loads but the parser cannot walk depends on
+        # the stack the command runs on, so the parser's recursion is forced
+        def deep(obj):
+            raise RecursionError("maximum recursion depth exceeded")
+        spath, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        monkeypatch.setattr(spline_module, "expr_from_json", deep)
+        argv = {"compile": ["compile", spath, "-o", str(tmp_path / "o.json")],
+                "verify": ["verify", out, spath, "--samples", "1"]}[command]
+        assert "recursion depth" in one_line_exit_2(capsys, argv)
+
+
+class TestSeedVariable:
+    """SPLINEFORMER_SEED is read only by a command that takes a seed and
+    got no --seed; a value that is not an integer exits 2 with one line."""
+
+    COMMANDS = [["verify", "W", "S", "--samples", "2"], ["degree", "W", "--trials", "1"],
+                ["smooth", "W", "--samples", "1"],
+                ["smooth", "W", "--activation", "softmax", "--samples", "1"]]
+    IDS = ["verify", "degree", "smooth", "smooth-softmax"]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    @pytest.mark.parametrize("value", ["abc", "1.5", " "])
+    def test_bad_value_without_seed_exits_2(self, tmp_path, capsys, monkeypatch, argv, value):
+        spath, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        monkeypatch.setenv("SPLINEFORMER_SEED", value)
+        err = one_line_exit_2(capsys, [{"W": out, "S": spath}.get(a, a) for a in argv])
+        assert "SPLINEFORMER_SEED" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_bad_value_with_seed_is_not_read(self, tmp_path, capsys, monkeypatch, argv):
+        spath, out = compile_to(tmp_path, ABS_SPLINE)
+        capsys.readouterr()
+        argv = [{"W": out, "S": spath}.get(a, a) for a in argv] + ["--seed", "3"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setenv("SPLINEFORMER_SEED", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_commands_without_a_seed_ignore_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPLINEFORMER_SEED", "abc")
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        assert main(["eval", out, write(tmp_path / "x.json", [["2"]])]) == 0
+        assert json.loads(capsys.readouterr().out) == [["8"]]
+
+
+def wide_blocks(n, p):
+    """One block reading an n x p input: a head copying entry (1, 1)."""
+    head = AttentionHead(a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, 1),
+                         a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
+                         a_v=Mat.basis(1, n, 1, 1), b_v=Mat.zeros(1, p))
+    return [EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))]
+
+
+class TestInputCap:
+    """`degree` and `smooth` draw inputs of the weights' shape; weights
+    whose input has more than MAX_INPUT_ENTRIES entries exit 3 before any
+    is drawn."""
+
+    @pytest.mark.parametrize("spell", [blocks_to_json, per_head_json], ids=["layer", "per-head"])
+    @pytest.mark.parametrize("shape", [(MAX_INPUT_ENTRIES + 1, 1), (13, 5)], ids=["65x1", "13x5"])
+    @pytest.mark.parametrize("argv", [["degree", "W", "--trials", "1", "--max-deg", "1"],
+                                      ["smooth", "W", "--samples", "1", "--betas", "10"],
+                                      ["smooth", "W", "--activation", "softmax", "--samples", "1"]],
+                             ids=["degree", "smooth", "smooth-softmax"])
+    def test_over_cap_exits_3(self, tmp_path, capsys, monkeypatch, spell, shape, argv):
+        def refuse(*args):
+            raise AssertionError("an input was drawn")
+        monkeypatch.setattr(cli, "random_rational_mat", refuse)
+        monkeypatch.setattr(cli, "estimate_degree", refuse)
+        w = write(tmp_path / "wide.json", spell(wide_blocks(*shape)))
+        assert main([w if a == "W" else a for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+        assert f"cap of {MAX_INPUT_ENTRIES} entries" in captured.err
+
+    @pytest.mark.parametrize("argv", [["degree", "W", "--trials", "1", "--max-deg", "1"],
+                                      ["smooth", "W", "--samples", "1", "--betas", "10"]],
+                             ids=["degree", "smooth"])
+    def test_at_cap_runs(self, tmp_path, capsys, argv):
+        w = write(tmp_path / "wide.json", blocks_to_json(wide_blocks(MAX_INPUT_ENTRIES // 4, 4)))
+        assert main([w if a == "W" else a for a in argv]) == 0
+
+
+class TestLayerForm:
+    """Weights files hold each attention layer in its layer form; the
+    per-head form still reads, to the same results."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "W", "X"], ["eval", "W", "X", "--backend", "float"],
+        ["verify", "W", "S", "--samples", "5", "--seed", "1"],
+        ["degree", "W", "--trials", "2", "--seed", "1"],
+        ["smooth", "W", "--samples", "2", "--seed", "1"],
+        ["smooth", "W", "--activation", "softmax", "--samples", "2", "--seed", "1"],
+    ], ids=["eval", "eval-float", "verify", "degree", "smooth", "smooth-softmax"])
+    def test_per_head_file_gives_same_output(self, tmp_path, capsys, argv):
+        spath, out = compile_to(tmp_path, AUTOREGRESSIVE_SPLINE, extra=("--masked",))
+        capsys.readouterr()
+        assert "attn" in json.loads(open(out).read())["blocks"][0]
+        x = write(tmp_path / "x.json", [["3/2", "-5"]])
+        runs = []
+        for w in (out, write(tmp_path / "heads.json", per_head_file(out))):
+            code = main([{"W": w, "S": spath, "X": x}.get(a, a) for a in argv])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("where", ["layer", "per-head"])
+    def test_weight_beyond_float_range_exits_2(self, tmp_path, capsys, where):
+        # a JSON float makes the matrix float, and 10^400 has no float
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        if where == "layer":
+            doc = json.loads(open(out).read())
+            doc["blocks"][0]["ffn"]["layers"][0]["A"]["rows"][0] = [[0, 10 ** 400], [1, 2.5]]
+        else:
+            doc = per_head_file(out)
+            doc["blocks"][0]["ffn"]["layers"][0]["A"][0][:2] = [10 ** 400, 2.5]
+        w = write(tmp_path / "big.json", doc)
+        one_line_exit_2(capsys, ["eval", w, write(tmp_path / "x.json", [["1"]])])
+
+
+class TestNoHeadView:
+    """No pass builds the per-head view: loading and running faithful
+    weights constructs no `AttentionHead`."""
+
+    def test_commands_build_no_head(self, tmp_path, capsys, monkeypatch):
+        spath, out = compile_to(tmp_path, GRID_2X2, extra=("--mode", "faithful"))
+        capsys.readouterr()
+        built = []
+        post_init = AttentionHead.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(AttentionHead, "__post_init__", counting)
+        x = write(tmp_path / "x.json", [["1/2", "-3"], ["2/3", "5"]])
+        for argv in (["eval", out, x], ["eval", out, x, "--backend", "float"],
+                     ["verify", out, spath, "--samples", "2", "--seed", "0"],
+                     ["degree", out, "--trials", "1", "--bound", "2", "--max-deg", "3"],
+                     ["smooth", out, "--samples", "1", "--betas", "10"],
+                     ["smooth", out, "--activation", "softmax", "--samples", "1"]):
+            assert main(argv) == 0, argv
+        assert built == []
+        # the guard sees a construction
+        assert blocks_from_json(json.loads(open(out).read()))[1].attn.heads and built

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from splineformer.compiler import (CompileOptions, NotAutoregressiveError,
-                                   ResourceLimitError, build_const_head,
-                                   build_copy_head, build_eps2,
+                                   ResourceLimitError, build_eps2,
                                    build_veronese_encoder, compile_autoregressive,
                                    compile_spline, ffn_block_form,
                                    ffn_to_encoder_blocks, linear_spline_to_ffn)
@@ -17,7 +16,7 @@ from splineformer.transformer import (FeedForwardNet, eval_attention,
                                       eval_encoder, eval_ffn)
 from splineformer.veronese import VeroneseIndex, veronese_eval
 from splineformer.verifier import oracle_equiv, random_rational_mat, trial_rng
-from reference import check_layout_soundness
+from reference import build_const_head, build_copy_head, check_layout_soundness
 
 
 def x(i, j=1):

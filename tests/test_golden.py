@@ -1,8 +1,11 @@
 """A golden digest of compiled artifacts: a seeded corpus of spline grids
 is compiled in every mode, and one sha256 over the sorted-key weights
 JSON and layout sidecars (or the exception type of a refused compile)
-must equal the checked-in `DIGEST`.  A change that alters compiled
-weights on purpose updates the digest and says why.
+must equal the checked-in digest.  `DIGEST` hashes the weights in the
+per-head form (`reference.per_head_json`), so it pins every nonzero and
+the head order; `DIGEST_LAYER` hashes the bytes `blocks_to_json` writes.
+A change that alters compiled weights on purpose updates the digests and
+says why.
 
 The corpus is the benchmark's 13 grids from `bench/workloads.py` and
 `RANDOM_GRIDS` seeded random grids with n, p <= 2.  Each grid compiles
@@ -21,13 +24,16 @@ from pathlib import Path
 from splineformer.compiler import (CompileOptions, NotAutoregressiveError, ResourceLimitError,
                                    compile_autoregressive, compile_spline)
 from splineformer.spline import grid_from_json
-from splineformer.transformer import blocks_to_json
+from splineformer.transformer import blocks_from_json, blocks_to_json
+
+from reference import per_head_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 RANDOM_GRIDS = 40
 DIGEST = "8717adbc942e0bfb683ff1cc40ef082b5934160d43f075bf5e3605b53bec390c"
+DIGEST_LAYER = "fcc4a4845015947111bc74905fdedee725cf44a49592379a81f0bec711243bcf"
 
 
 def random_doc(rng: random.Random) -> dict:
@@ -70,8 +76,9 @@ def corpus() -> list:
                for k, doc in enumerate(docs)])
 
 
-def artifacts():
-    """(label, text) per compile of the corpus, in corpus order."""
+def compiles():
+    """(label, compiled encoder or the refusal's text) per compile of the
+    corpus, in corpus order."""
     for name, doc, faithful in corpus():
         grid = grid_from_json(doc)
         for mode in ("auto", "pruned") + (("faithful",) if faithful else ()):
@@ -83,15 +90,26 @@ def artifacts():
                 except (NotAutoregressiveError, ResourceLimitError) as exc:
                     yield label, f"refused: {type(exc).__name__}"
                     continue
-                yield label, (json.dumps(blocks_to_json(compiled.blocks), sort_keys=True) + "\n"
-                              + json.dumps(compiled.sidecar_json(), sort_keys=True))
+                yield label, compiled
 
 
 def test_corpus_digest():
-    h = hashlib.sha256()
+    per_head, layer = hashlib.sha256(), hashlib.sha256()
     refused = 0
-    for label, text in artifacts():
-        refused += text.startswith("refused:")
-        h.update(f"{label}\n{text}\n".encode())
+    for label, compiled in compiles():
+        if isinstance(compiled, str):
+            refused += 1
+            texts = compiled, compiled
+        else:
+            doc = blocks_to_json(compiled.blocks)
+            # the layer form reads back to equal blocks, as does its per-head spelling
+            assert blocks_from_json(json.loads(json.dumps(doc))) == compiled.blocks, label
+            assert blocks_from_json(per_head_json(compiled.blocks)) == compiled.blocks, label
+            sidecar = json.dumps(compiled.sidecar_json(), sort_keys=True)
+            texts = (json.dumps(per_head_json(compiled.blocks), sort_keys=True) + "\n" + sidecar,
+                     json.dumps(doc, sort_keys=True) + "\n" + sidecar)
+        for h, text in zip((per_head, layer), texts):
+            h.update(f"{label}\n{text}\n".encode())
     assert 0 < refused
-    assert h.hexdigest() == DIGEST
+    assert per_head.hexdigest() == DIGEST
+    assert layer.hexdigest() == DIGEST_LAYER

@@ -17,6 +17,8 @@ from splineformer.spline import grid_from_json
 from splineformer.transformer import blocks_to_json
 from splineformer.verifier import autoregressive_check, oracle_equiv
 
+from reference import per_head_json
+
 # the same examples on every run, so a tier-1 result does not depend on the draw
 PROPERTY = settings(deadline=None, derandomize=True)
 FIXTURED = settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,8 +96,10 @@ SPLINES = [
             {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_2": 2}}]},
             {"op": "poly", "terms": [{"coef": "3", "exps": {}}]}]}]]},
 ]
-# the weights `compile` writes for each spline, in its default mode
-WEIGHTS = [blocks_to_json(compile_spline(grid_from_json(doc)).blocks) for doc in SPLINES]
+# (spline index, weights) for the weights `compile` writes for each spline in
+# its default mode, spelled in the layer form and in the per-head form
+WEIGHTS = [(k, spell(compile_spline(grid_from_json(doc)).blocks))
+           for k, doc in enumerate(SPLINES) for spell in (blocks_to_json, per_head_json)]
 REPLACEMENTS = [0, 1, -1, 2.7, 5, True, None, "x", "1/0", "NaN", "-inf", [], {}, [[1]],
                 [["1", "2"]], math.inf, math.nan, {"op": "poly", "terms": []},
                 "1" + "0" * 400]
@@ -169,8 +173,8 @@ class TestMutatedDocuments:
     @given(data=st.data(), which=st.sampled_from(["weights", "input"]),
            backend=st.sampled_from([[], ["--backend", "float"]]))
     def test_eval_exit_codes(self, tmp_path, data, which, backend):
-        k = data.draw(st.sampled_from(range(len(SPLINES))))
-        weights, spline = WEIGHTS[k], SPLINES[k]
+        k, weights = data.draw(st.sampled_from(WEIGHTS))
+        spline = SPLINES[k]
         x = [["1/2"] * spline["p"] for _ in range(spline["n"])]
         if which == "weights":
             weights = data.draw(mutated(weights))
@@ -182,8 +186,8 @@ class TestMutatedDocuments:
     @settings(FIXTURED, max_examples=80)
     @given(data=st.data(), command=st.sampled_from(["verify", "degree", "smooth"]))
     def test_verify_and_degree_exit_codes(self, tmp_path, data, command):
-        k = data.draw(st.sampled_from(range(len(SPLINES))))
-        weights = write(tmp_path / "m.json", data.draw(mutated(WEIGHTS[k])))
+        k, weights = data.draw(st.sampled_from(WEIGHTS))
+        weights = write(tmp_path / "m.json", data.draw(mutated(weights)))
         if command == "verify":
             argv = ["verify", weights, write(tmp_path / "s.json", SPLINES[k]),
                     "--samples", "3", "--seed", "0"]

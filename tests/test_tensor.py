@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
-                                 DegenerateColumnError, Mat, ShapeError, add,
+                                 DegenerateColumnError, FormatError, Mat, ShapeError, add,
                                  mat_from_json, mat_to_json, matmul, scale,
-                                 stack_rows, sub)
+                                 sparse_from_json, sparse_to_json, stack_rows, sub)
 from reference import (MaskedScores, apply_mask, relu, softmax_columns,
                        softplus_beta)
 
@@ -242,6 +242,28 @@ class TestJson:
             mat_from_json(obj)
         assert type(caught.value) is error
 
+    def test_sparse_reads_float_after_rationals(self):
+        # entries read as rationals before the first float are rounded; one that
+        # rounds to 0.0 is dropped
+        obj = {"cols": 3, "rows": [[[0, "1/3"], [2, "1/1" + "0" * 400]], [], [[1, 0.5]]]}
+        m = sparse_from_json(obj)
+        assert m == Mat(FLOAT, (((0, 1 / 3),), (), ((1, 0.5),)), 3)
+        assert sparse_from_json({"cols": 1, "rows": [[[0, 2]]], "float": True}) \
+            == Mat.from_floats([[2.0]])
+        assert sparse_from_json({"cols": 2, "rows": [[[1, -3]]]}) == Mat.rational([[0, -3]])
+
+    @pytest.mark.parametrize("rows,error", [
+        ([[[2, "1"]]], ShapeError), ([[[-1, "1"]]], ShapeError),
+        ([[[1, "1"], [0, "1"]]], FormatError), ([[[0, "1"], [0, "2"]]], FormatError),
+        ([[[True, "1"]]], FormatError), ([[["0", "1"]]], FormatError),
+        ([[[0, "1", "2"]]], FormatError), (["x"], FormatError), ([[[0, True]]], BackendError),
+        ([[[0, None]]], BackendError), ([[[0, "abc"]]], ValueError),
+        ([[[0, "1/0"]]], ZeroDivisionError), ([[[0, 10 ** 400]], [[0, 1.5]]], OverflowError)])
+    def test_bad_sparse_matrices(self, rows, error):
+        with pytest.raises(error) as caught:
+            sparse_from_json({"cols": 2, "rows": rows})
+        assert type(caught.value) is error
+
 
 # -- storage: only the nonzeros are kept ----------------------------------------
 
@@ -304,6 +326,7 @@ class TestStorage:
         assert json.dumps(obj) == json.dumps(spelled(rows, backend))
         assert mat_from_json(obj) == m
         assert mat_from_json(json.loads(json.dumps(obj))) == m
+        assert sparse_from_json(json.loads(json.dumps(sparse_to_json(m)))) == m
         as_float = m.to_float()
         assert_stored_sparse(as_float)
         assert as_float == Mat.dense(FLOAT, [[float(x) for x in row] for row in rows])

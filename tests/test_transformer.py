@@ -20,7 +20,8 @@ from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
                                       softplus, _attend, _walk)
 from splineformer.transformer import EncoderModel, _image
 from splineformer.verifier import random_rational_mat, trial_rng
-from reference import (apply_mask, broadcast_cols, identity_ffn, relu, softmax_columns,
+from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
+                       softmax_columns,
                        softplus_beta, transpose)
 
 
@@ -517,8 +518,8 @@ class TestWeightJson:
         h = random_head(rng, 2, 2, masked=True)
         blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
         obj = blocks_to_json([blk])
-        assert obj["blocks"][0]["heads"][0]["masked"] is True
-        assert obj["blocks"][0]["heads"][0]["activation"] == "relu"
+        assert obj["blocks"][0]["attn"]["groups"][0]["masked"] is True
+        assert obj["blocks"][0]["attn"]["groups"][0]["activation"] == "relu"
         loaded = blocks_from_json(obj)
         x = random_rational_mat(rng, 2, 2)
         assert eval_encoder(loaded, x) == eval_encoder([blk], x)
@@ -528,6 +529,63 @@ class TestWeightJson:
         blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
         loaded = blocks_from_json(blocks_to_json([blk]))
         assert loaded[0].attn.heads[0].activation == softplus(50.0)
+
+    def test_both_spellings_load_equal(self):
+        # grouped heads, float copies, smooth and scaled heads, a mixed-backend layer
+        rng = random.Random("spellings")
+        for _ in range(3):
+            blocks = cloned_chain(rng, 2, 2, 2, 2)
+            for chain in (blocks, blocks_to_float(blocks),
+                          smooth_chain(blocks, softplus(3.0), True),
+                          smooth_chain(blocks, Activation("softmax"), False)):
+                chain = tuple(chain)
+                assert blocks_from_json(blocks_to_json(chain)) == chain
+                assert blocks_from_json(per_head_json(chain)) == chain
+        head = scalar_head(a_q=Mat.from_floats([[0.5]]))
+        mixed = (EncoderBlock(MultiheadAttention((head,)), FeedForwardNet((
+            (rmat([[F(1, 3)]]), Mat.from_floats([[0.25]])),))),)
+        assert mixed[0].attn.backends == {FLOAT}
+        assert blocks_from_json(blocks_to_json(mixed)) == mixed
+
+    def test_layer_form_holds_each_group_once(self):
+        blk = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks[1]
+        attn = blocks_to_json([blk])["blocks"][0]["attn"]
+        assert len(attn["heads"]) == 410 and len(attn["groups"]) == 43
+        assert len(attn["A_Q"]["rows"]) == sum(g["d"] for g in attn["groups"])
+        assert len(attn["A_V"]["rows"]) == 410
+
+    def test_heads_view_is_the_heads_given(self):
+        rng = random.Random("view")
+        mh = with_clones(rng, random_multihead(rng, 2, 2, 3, 2, True))
+        again = MultiheadAttention(mh.heads)
+        assert again == mh and again.heads == mh.heads
+        assert len(mh.heads) == len(mh.table) > len(mh.groups)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda a: a["A_V"]["rows"][0].append([7, "1"]), "column"),
+        (lambda a: a["A_V"]["rows"][0].insert(0, [1, "1"]), "increasing"),
+        (lambda a: a["heads"].append(5), "group"),
+        (lambda a: a["heads"].__setitem__(0, True), "group"),
+        (lambda a: a["groups"][0].update(d=2), "rows"),
+        (lambda a: a["A_V"]["rows"].pop(), "rows"),
+        (lambda a: a["B_K"].update(cols=5), "sequence length"),
+        (lambda a: a["A_K"].update(cols=1), "input rows"),
+        (lambda a: a["groups"][0].update(d=0), "at least 1"),
+        (lambda a: a.update(heads=[]), "at least one head"),
+        (lambda a: [a["groups"].append(a["groups"][0])]
+         + [a[key]["rows"].append([]) for key in ("A_Q", "B_Q", "A_K", "B_K")], "every group"),
+        (lambda a: a.update(heads=[1, 0, 2]), "every group"),
+    ], ids=["column-past-width", "columns-out-of-order", "group-out-of-range", "group-bool",
+            "d-disagrees", "value-rows-disagree", "p-disagrees", "n-disagrees", "d-zero",
+            "no-heads", "group-unused", "groups-out-of-order"])
+    def test_malformed_layer_raises(self, change, message):
+        rng = random.Random("malformed")
+        mh = random_multihead(rng, 2, 2, 2, 1, False, head_dim=1)
+        assert mh.table == (0, 1, 2)
+        doc = blocks_to_json([EncoderBlock(mh, identity_ffn(mh.out_rows))])
+        change(doc["blocks"][0]["attn"])
+        with pytest.raises(ValueError, match=message):
+            blocks_from_json(doc)
 
 
 class TestFloatImage:
@@ -553,7 +611,7 @@ class TestFloatImage:
         ffn = FeedForwardNet(((rmat([[tiny], [F(-2, 7)]]), rmat([[tiny], [1]])),))
         blocks = [EncoderBlock(MultiheadAttention((head,)), ffn)]
         self.assert_image_of_copy(blocks)
-        (aq, bq, _), (ak, _, _), (av, _, _), _ = blocks[0].attn.floats
+        (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.floats
         assert aq == (((1, 1 / 3),),) and bq == (None,)
         assert ak == (((0, 1.0),),) and av == (((1, 2.0),),)
         assert blocks[0].ffn.floats[0][0] == ((), ((0, -2 / 7),))
@@ -656,8 +714,8 @@ class TestFusedActivations:
         head = replace(scalar_head(), scaled=True, masked=True)
         mh = MultiheadAttention((head, scalar_head(activation=softplus(2.0))))
         assert mh.head_layout is mh.head_layout
-        assert mh.head_layout == ((head, 1, 1, True, 1.0, Activation("relu")),
-                                  (mh.heads[1], 1, 1, False, None, softplus(2.0)))
+        assert mh.head_layout == ((0, 1, True, 1.0, Activation("relu")),
+                                  (1, 1, False, None, softplus(2.0)))
         assert mh.rational_error == "softplus attention needs the float backend"
         assert MultiheadAttention((head,)).rational_error.startswith("score scaling")
         assert MultiheadAttention((scalar_head(),)).rational_error is None
@@ -687,7 +745,7 @@ def cloned_chain(rng, n, p, d, m):
 
 
 def group_count(mh):
-    return len(set(mh.stacked[-1]))
+    return len(mh.groups)
 
 
 class Recorder:
@@ -696,8 +754,8 @@ class Recorder:
     def __init__(self):
         self.seen = []
 
-    def head(self, h, q, k, v, act):
-        self.seen.append((h, q, k, v, act))
+    def head(self, masked, q, k, v, act):
+        self.seen.append((masked, q, k, v, act))
 
     def block(self, blk, maps, layers):
         pass
@@ -759,7 +817,7 @@ class TestGroupedHeads:
                                  clone(b_q=h.b_q.to_float()),
                                  clone(b_q=sparse_random_mat(rng, 2, 3).to_float()),
                                  clone(a_k=sparse_random_mat(rng, 2, 2).to_float())))
-        assert mh.stacked[-1] == (0, 0, 2, 4, 6, 8, 10, 2, 0, 12, 14)
+        assert mh.table == (0, 0, 1, 2, 3, 4, 5, 1, 0, 6, 7)
         assert group_count(mh) == 8
         x = sparse_random_mat(rng, 2, 3).to_float()
         assert eval_multihead(mh, x) == reference_attention(mh, x, x)
@@ -785,7 +843,8 @@ class TestGroupedHeads:
                 for h in blk.attn.heads:
                     one = MultiheadAttention((h,))
                     _attend(one, one.floats, FLOAT, rows, 1, rows, 1, split, activation)
-            assert [s[0] for s in grouped.seen] == [h for blk in blocks for h in blk.attn.heads]
+            assert [s[0] for s in grouped.seen] == [h.masked for blk in blocks
+                                                    for h in blk.attn.heads]
             assert grouped.seen == split.seen
 
     def test_float_image_keeps_groups(self):
@@ -798,7 +857,7 @@ class TestGroupedHeads:
             h = mh.heads[0]
             mixed = MultiheadAttention(mh.heads + (replace(h, a_v=h.a_v.to_float()),))
             TestFloatImage.assert_image_of_copy([EncoderBlock(mixed, identity_ffn(mixed.out_rows))])
-            assert mixed.floats[-1][-1] == mixed.floats[-1][mh.heads.index(h)]
+            assert mixed.table[-1] == mixed.table[mh.heads.index(h)]
 
     def test_faithful_group_counts(self):
         blk = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks[1]
