@@ -8,11 +8,11 @@ from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
                      normalize_to_pbform)
 from .veronese import (VeroneseIndex, factor_pair, graded_lex_monomials,
                        veronese_dim, veronese_eval)
-from .transformer import (RELU, SOFTMAX, Activation, AttentionHead,
-                          DecoderBlock, EncDecStack, EncDecStage, EncoderBlock,
-                          EncoderModel, FeedForwardNet, MultiheadAttention,
-                          eval_attention, eval_encdec, eval_encdec_attention,
-                          eval_encoder, eval_ffn, eval_multihead, softplus)
+from .transformer import (RELU, SOFTMAX, Activation, DecoderBlock, EncDecStack,
+                          EncDecStage, EncoderBlock, EncoderModel, FeedForwardNet,
+                          MultiheadAttention, attention_head, eval_encdec,
+                          eval_encoder, eval_ffn, eval_multihead,
+                          eval_multihead_encdec, softplus)
 from .compiler import (CompileOptions, CompiledEncoder, MonomialLayout,
                        NotAutoregressiveError, ResourceLimitError, build_eps2,
                        build_veronese_encoder, compile_autoregressive,

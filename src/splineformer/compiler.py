@@ -168,7 +168,7 @@ def _layer(keys, in_rows: int, p: int, masked: bool) -> MultiheadAttention:
     Const and copy heads take their pattern from the biases alone (B_Q
     picks column j, B_K column c, and c = 0 for const), quad heads from
     row b of the input, so heads of one (pattern, columns) key share a
-    group; the layer is built as its stored maps, with no head object."""
+    group; the layer is built as its stored maps, with no one-head layers."""
     one = Fraction(1)
     index, patterns, table, a_v, b_v = {}, [], [], [], []
     for kind, *idx in keys:
@@ -198,7 +198,7 @@ def _layer(keys, in_rows: int, p: int, masked: bool) -> MultiheadAttention:
             a_q.append(())
             b_q.append(((j, one),))
             b_k.append(((c, one),))
-    return MultiheadAttention.stored(
+    return MultiheadAttention(
         Mat(RATIONAL, tuple(a_q), in_rows), Mat(RATIONAL, tuple(b_q), p),
         Mat.zeros(len(patterns), in_rows), Mat(RATIONAL, tuple(b_k), p),
         Mat(RATIONAL, tuple(a_v), in_rows), Mat(RATIONAL, tuple(b_v), p),

@@ -289,48 +289,65 @@ def mat_to_json(m: Mat):
     return _filled(m, 0.0, lambda x: "-inf" if x == NEG_INF else x)
 
 
-def _rational_mat(obj):
-    """The matrix of a non-empty list of equal-width lists of rational
-    strings (no "-inf"), the common case of a weights file, parsed in one
-    pass per row; None for any other input, or for a string that does not
-    parse, so that the general path reports the error it would report for
-    the whole matrix."""
-    if type(obj) is not list or not obj or type(obj[0]) is not list:
-        return None
-    width = len(obj[0])
-    rows = []
-    try:
-        for row in obj:
-            if (type(row) is not list or len(row) != width or set(map(type, row)) != {str}
-                    or "-inf" in row):
-                return None
-            rows.append(tuple((c, v) for c, s in enumerate(row)
-                              if s != "0" and (v := _parse_rational(s))))
-    except (ValueError, ZeroDivisionError):
-        return None
-    return Mat(RATIONAL, tuple(rows), width)
+def _entry(v, is_float: bool) -> Scalar:
+    """The value of JSON matrix entry v, in a matrix read as float so far
+    when is_float: a float if the matrix is float or v makes it one (a
+    JSON float or "-inf"), else a `Fraction`.  An entry that is not a
+    number or a rational string raises BackendError."""
+    if type(v) is float or v == "-inf":
+        return _coerce_float(v)
+    if type(v) is not str and type(v) is not int:
+        raise BackendError(f"matrix entry {v!r} is not a number or a rational string")
+    return _coerce_float(v) if is_float else _coerce_rational(v)
 
 
-def _check_entries(entries) -> bool:
-    """Whether JSON matrix entries (each a number or a rational string)
-    make a float matrix: one of them is a JSON float or "-inf"."""
-    for x in entries:
-        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-            raise BackendError(f"matrix entry {x!r} is not a number or a rational string")
-    return any(isinstance(x, float) or x == "-inf" for x in entries)
+def _read_mat(out: list, cols: int, is_float: bool) -> Mat:
+    """The matrix of the (col, value) rows an entry-by-entry reader built:
+    once it met a float, the entries it read before as rationals are
+    rounded, and one that rounds to 0.0 is dropped."""
+    if is_float:
+        out = [tuple((c, x) for c, v in row if (x := float(v))) for row in out]
+    return Mat(FLOAT if is_float else RATIONAL, tuple(out), cols)
 
 
 def mat_from_json(obj) -> Mat:
-    """Inverse of `mat_to_json`.  The matrix is read as float only when it
-    holds a JSON float or "-inf"; integers and strings are exact rationals."""
-    m = _rational_mat(obj)
-    if m is not None:
-        return m
-    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+    """Inverse of `mat_to_json`, read in one pass over the entries.  The
+    matrix is read as float only when it holds a JSON float or "-inf";
+    integers and strings are exact rationals.  A row that is not a list
+    raises ShapeError as it is met; of the other faults, an entry of the
+    wrong type (BackendError) is reported first, then the first entry
+    that does not parse or, in a float matrix, overflows, then ragged
+    rows (ShapeError)."""
+    if type(obj) is not list:
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
-    if _check_entries([x for row in obj for x in row]):
-        return Mat.from_floats(obj)
-    return Mat.rational(obj)
+    width = len(obj[0]) if obj and type(obj[0]) is list else 0
+    out, is_float, ragged, bad_type, bad_value = [], False, False, None, None
+    for row in obj:
+        if type(row) is not list:
+            raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
+        ragged = ragged or len(row) != width
+        nz = []
+        for c, v in enumerate(row):
+            if v != "0":
+                try:
+                    x = _entry(v, is_float)
+                except BackendError as exc:
+                    bad_type = bad_type or exc
+                    continue
+                except (ArithmeticError, ValueError) as exc:
+                    bad_value = bad_value or exc
+                    continue
+                if type(x) is float:
+                    is_float = True
+                if x:
+                    nz.append((c, x))
+        out.append(tuple(nz))
+    if bad_type or bad_value:
+        raise bad_type or bad_value
+    m = _read_mat(out, width, is_float)
+    if ragged:
+        raise ShapeError("ragged rows")
+    return m
 
 
 def sparse_to_json(m: Mat):
@@ -363,14 +380,10 @@ def sparse_from_json(obj) -> Mat:
                     raise ShapeError(f"sparse row column outside 0..{cols - 1}")
                 raise FormatError("sparse row columns must be increasing integers")
             last = c
-            if type(v) is float or v == "-inf":
+            x = _entry(v, is_float)
+            if type(x) is float:
                 is_float = True
-            elif type(v) is not str and type(v) is not int:
-                raise BackendError(f"matrix entry {v!r} is not a number or a rational string")
-            if x := _coerce_float(v) if is_float else _coerce_rational(v):
+            if x:
                 nz.append((c, x))
         out.append(tuple(nz))
-    if is_float:
-        # the entries before the first float were read as rationals
-        out = [tuple((c, x) for c, v in row if (x := float(v))) for row in out]
-    return Mat(FLOAT if is_float else RATIONAL, tuple(out), cols)
+    return _read_mat(out, cols, is_float)

@@ -43,54 +43,6 @@ def softplus(beta: float) -> Activation:
     return Activation("softplus", float(beta))
 
 
-@dataclass(frozen=True)
-class AttentionHead:
-    """Affine query/key/value maps: the head computes
-    V(X) . act(K(X)^T Q(Y)) with Y = X for self-attention."""
-
-    a_q: Mat
-    b_q: Mat
-    a_k: Mat
-    b_k: Mat
-    a_v: Mat
-    b_v: Mat
-    activation: Activation = RELU
-    masked: bool = False
-    scaled: bool = False  # optional 1/sqrt(d) score scaling, off by default
-
-    def __post_init__(self):
-        d = self.a_q.rows
-        if self.a_k.rows != d or self.b_q.rows != d or self.b_k.rows != d:
-            raise ShapeError("query/key maps must share the head dimension d")
-        p = self.b_q.cols
-        if self.b_k.cols != p or self.b_v.cols != p:
-            raise ShapeError("bias matrices must share the sequence length p")
-        if self.a_v.rows != self.b_v.rows:
-            raise ShapeError("value map rows inconsistent")
-        if self.a_k.cols != self.a_v.cols:
-            raise ShapeError("key and value maps must read the same input rows")
-
-    @property
-    def d(self) -> int:
-        return self.a_q.rows
-
-    @property
-    def n(self) -> int:
-        return self.a_k.cols
-
-    @property
-    def n_q(self) -> int:
-        return self.a_q.cols
-
-    @property
-    def m(self) -> int:
-        return self.a_v.rows
-
-    @property
-    def p(self) -> int:
-        return self.b_q.cols
-
-
 _HEAD_MATS = ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v")
 
 
@@ -183,22 +135,24 @@ def _affine(rows, bias, x: list, dx: int, zero) -> list:
     return out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MultiheadAttention:
-    """An attention layer, stored as the maps its passes read.  Heads whose
-    Q and K maps are equal and which agree in `masked`, `scaled` and
-    `activation` share one attention pattern and form one group: its Q and
-    K rows are stored once, stacked in group order in `a_q`, `b_q`, `a_k`
-    and `b_k`, and `groups` holds its (d, masked, scaled, activation).
-    Every head keeps its own m value rows, stacked in head order in `a_v`
-    and `b_v`, and `table` holds its group.  All six maps share one
-    backend: a layer whose heads mix backends is stored as its float image.
+    """An attention layer, stored as the maps its passes read; a head is a
+    layer of one head (`attention_head`).  Heads whose Q and K maps are
+    equal and which agree in `masked`, `scaled` and `activation` share one
+    attention pattern and form one group: its Q and K rows are stored
+    once, stacked in group order in `a_q`, `b_q`, `a_k` and `b_k`, and
+    `groups` holds its (d, masked, scaled, activation).  Every head keeps
+    its own m value rows, stacked in head order in `a_v` and `b_v`, and
+    `table` holds its group.  All six maps share one backend: a layer
+    whose maps mix backends is stored as its float image.
 
-    `MultiheadAttention(heads)` groups heads, in the order of each group's
-    first head, so equal heads give equal fields; `stored` takes the
-    fields as they are, but the heads must name every group, in that
-    order.  (Two stored groups can still be equal: a float image rounds
-    distinct rationals alike.)  `heads` is the per-head view, built on read."""
+    The constructor takes the fields as they are, checked against each
+    other: the heads must name every group, in order of first use.
+    `MultiheadAttention.of(heads)` groups one-head layers, in the order of
+    each group's first head, so equal heads give equal fields.  (Two
+    stored groups can still be equal: a float image rounds distinct
+    rationals alike.)  `heads` is the per-head view, built on read."""
 
     a_q: Mat
     b_q: Mat
@@ -209,42 +163,39 @@ class MultiheadAttention:
     table: tuple
     groups: tuple
 
-    def __init__(self, heads: Sequence[AttentionHead]):
+    @classmethod
+    def of(cls, heads: Sequence[MultiheadAttention]) -> MultiheadAttention:
+        """The layer of one-head layers, each group where its first head is."""
         if not heads:
             raise ValueError("multihead attention needs at least one head")
+        if any(len(h.table) != 1 for h in heads):
+            raise ValueError("a layer is built of one-head layers")
         h0 = heads[0]
         for h in heads[1:]:
             if (h.n, h.n_q, h.p, h.m) != (h0.n, h0.n_q, h0.p, h0.m):
                 raise ShapeError("heads must share input shape and output rows")
-        if len(_backends(getattr(h, name) for h in heads for name in _HEAD_MATS)) > 1:
-            heads = [replace(h, **{name: getattr(h, name).to_float() for name in _HEAD_MATS})
-                     for h in heads]
+        if len(_backends(h.a_q for h in heads)) > 1:
+            heads = [h.to_float() for h in heads]
         index, firsts, table = {}, [], []
         for h in heads:
             # (col, coef) rows hash cheaply, and equal rows are equal maps
-            key = (h.a_q.nz, h.b_q.nz, h.a_k.nz, h.b_k.nz, h.masked, h.scaled, h.activation)
+            key = (h.a_q.nz, h.b_q.nz, h.a_k.nz, h.b_k.nz, h.groups[0])
             if key not in index:
                 index[key] = len(firsts)
                 firsts.append(h)
             table.append(index[key])
-        self._store(*(stack_rows([getattr(h, name) for h in firsts]) for name in _HEAD_MATS[:4]),
-                    *(stack_rows([getattr(h, name) for h in heads]) for name in _HEAD_MATS[4:]),
-                    table, [(h.d, h.masked, h.scaled, h.activation) for h in firsts])
+        return cls(*(stack_rows([getattr(h, name) for h in firsts]) for name in _HEAD_MATS[:4]),
+                   *(stack_rows([getattr(h, name) for h in heads]) for name in _HEAD_MATS[4:]),
+                   table, [h.groups[0] for h in firsts])
 
-    @classmethod
-    def stored(cls, a_q: Mat, b_q: Mat, a_k: Mat, b_k: Mat, a_v: Mat, b_v: Mat,
-               table: Sequence, groups: Sequence) -> "MultiheadAttention":
-        """The layer of the given fields, checked against each other."""
-        layer = object.__new__(cls)
-        layer._store(a_q, b_q, a_k, b_k, a_v, b_v, table, groups)
-        return layer
-
-    def _store(self, *fields):
-        *mats, table, groups = fields
-        if len(_backends(mats)) > 1:
-            mats = [m.to_float() for m in mats]
-        a_q, b_q, a_k, b_k, a_v, b_v = mats
-        table, groups = tuple(table), tuple(groups)
+    def __post_init__(self):
+        if len(_backends(self.mats)) > 1:
+            for name in _HEAD_MATS:
+                object.__setattr__(self, name, getattr(self, name).to_float())
+        table, groups = tuple(self.table), tuple(self.groups)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "groups", groups)
+        a_q, b_q, a_k, b_k, a_v, b_v = self.mats
         if not table:
             raise ValueError("multihead attention needs at least one head")
         if not all(type(g) is int and 0 <= g < len(groups) for g in table):
@@ -263,8 +214,6 @@ class MultiheadAttention:
             raise ShapeError("bias matrices must share the sequence length p")
         if a_k.cols != a_v.cols:
             raise ShapeError("key and value maps must read the same input rows")
-        for name, value in zip((*_HEAD_MATS, "table", "groups"), (*mats, table, groups)):
-            object.__setattr__(self, name, value)
 
     @property
     def mats(self) -> tuple:
@@ -307,18 +256,21 @@ class MultiheadAttention:
 
     @cached_property
     def heads(self) -> tuple:
-        """One `AttentionHead` per head, in head order, cut from the stored
+        """One one-head layer per head, in head order, cut from the stored
         rows; built on the first read and kept.  No pass reads it."""
         def cut(mat: Mat, lo: int, hi: int) -> Mat:
             return Mat(mat.backend, mat.nz[lo:hi], mat.cols)
 
-        m, heads = self.m, []
-        for u, g, (t, *_) in zip(range(0, self.out_rows, m), self.table, self.head_layout):
-            d, masked, scaled, activation = self.groups[g]
-            heads.append(AttentionHead(*(cut(a, t, t + d) for a in self.mats[:4]),
-                                       *(cut(a, u, u + m) for a in self.mats[4:]),
-                                       activation, masked, scaled))
-        return tuple(heads)
+        m = self.m
+        return tuple(MultiheadAttention(*(cut(a, t, t + d) for a in self.mats[:4]),
+                                        *(cut(a, u, u + m) for a in self.mats[4:]),
+                                        (0,), (self.groups[g],))
+                     for u, g, (t, d, *_) in zip(range(0, self.out_rows, m), self.table,
+                                                 self.head_layout))
+
+    def to_float(self) -> MultiheadAttention:
+        """The layer of the float image of its maps."""
+        return replace(self, **{name: getattr(self, name).to_float() for name in _HEAD_MATS})
 
     @cached_property
     def rational_error(self) -> str | None:
@@ -356,6 +308,16 @@ class MultiheadAttention:
     @property
     def out_rows(self) -> int:
         return self.a_v.rows
+
+
+def attention_head(a_q: Mat, b_q: Mat, a_k: Mat, b_k: Mat, a_v: Mat, b_v: Mat,
+                   activation: Activation = RELU, masked: bool = False,
+                   scaled: bool = False) -> MultiheadAttention:
+    """The layer of one head with affine query/key/value maps, computing
+    V(X) . act(K(X)^T Q(Y)) with Y = X for self-attention; `scaled` turns
+    on the optional 1/sqrt(d) score scaling."""
+    return MultiheadAttention(a_q, b_q, a_k, b_k, a_v, b_v, (0,),
+                              ((a_q.rows, masked, scaled, activation),))
 
 
 def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
@@ -445,7 +407,7 @@ def _check_self_input(mh: MultiheadAttention, shape: tuple):
     if shape != (mh.n, mh.p):
         raise ShapeError(f"attention input {shape}, head expects {(mh.n, mh.p)}")
     if mh.n_q != mh.n:
-        raise ShapeError("head has distinct query input size; use eval_encdec_attention")
+        raise ShapeError("head has distinct query input size; use eval_multihead_encdec")
 
 
 def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
@@ -466,16 +428,6 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
     _require_backend("attention", mh.backends, x.backend, y.backend)
     return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend,
                                        *_numerators(x), *_numerators(y)))
-
-
-def eval_attention(head: AttentionHead, x: Mat) -> Mat:
-    """One self-attention head: the layer kernel with a single head."""
-    return eval_multihead(MultiheadAttention((head,)), x)
-
-
-def eval_encdec_attention(head: AttentionHead, x: Mat, y: Mat) -> Mat:
-    """One cross-attention head: the layer kernel with a single head."""
-    return eval_multihead_encdec(MultiheadAttention((head,)), x, y)
 
 
 @dataclass(frozen=True)
@@ -680,9 +632,8 @@ class EncoderModel:
 
     @cached_property
     def blocks(self) -> tuple:
-        return tuple(replace(blk, attn=MultiheadAttention.stored(
-            *blk.attn.mats, blk.attn.table,
-            [(d, masked, scaled, self.activation) for d, masked, scaled, _ in blk.attn.groups]))
+        return tuple(replace(blk, attn=replace(blk.attn, groups=[
+            (d, masked, scaled, self.activation) for d, masked, scaled, _ in blk.attn.groups]))
             for blk in blocks_to_float(self.weights))
 
     def __call__(self, x: Mat) -> Mat:
@@ -705,8 +656,7 @@ def pass_through(a: Mat, b: Mat) -> tuple:
 
 def blocks_to_float(blocks: Sequence[EncoderBlock]) -> tuple:
     return tuple(EncoderBlock(
-        MultiheadAttention.stored(*(m.to_float() for m in blk.attn.mats),
-                                  blk.attn.table, blk.attn.groups),
+        blk.attn.to_float(),
         FeedForwardNet(tuple((a.to_float(), b.to_float()) for a, b in blk.ffn.layers)),
         blk.residual) for blk in blocks)
 
@@ -754,16 +704,16 @@ def _mat_field(obj, key: str, where: str) -> Mat:
     return mat_from_json(json_field(obj, key, list, where))
 
 
-def _head_from_json(obj) -> AttentionHead:
+def _head_from_json(obj) -> MultiheadAttention:
     mats = [_mat_field(obj, key, "a head") for key in _MAP_KEYS]
     masked, scaled, activation = _flags_from_json(obj, "head")
-    return AttentionHead(*mats, activation=activation, masked=masked, scaled=scaled)
+    return attention_head(*mats, activation=activation, masked=masked, scaled=scaled)
 
 
 def _attn_from_json(obj) -> MultiheadAttention:
     groups = [(json_field(g, "d", int, "a group"), *_flags_from_json(g, "group"))
               for g in json_field(obj, "groups", list, "an attention layer")]
-    return MultiheadAttention.stored(
+    return MultiheadAttention(
         *(_mat_field(obj, key, "an attention layer") for key in _MAP_KEYS),
         json_field(obj, "heads", list, "an attention layer"), groups)
 
@@ -787,8 +737,8 @@ def blocks_from_json(obj) -> tuple:
         if isinstance(b, dict) and "attn" in b:
             attn = _attn_from_json(json_field(b, "attn", dict, "a block"))
         else:
-            attn = MultiheadAttention(tuple(
-                _head_from_json(h) for h in json_field(b, "heads", list, "a block")))
+            attn = MultiheadAttention.of([
+                _head_from_json(h) for h in json_field(b, "heads", list, "a block")])
         layers = json_field(json_field(b, "ffn", dict, "a block"), "layers", list, "an ffn")
         ffn = FeedForwardNet(tuple((_mat_field(l, "A", "a layer"), _mat_field(l, "b", "a layer"))
                                    for l in layers))

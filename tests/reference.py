@@ -4,15 +4,17 @@ The package computes every attention activation in one place, the
 stacked kernel `transformer._pattern`.  The operations here spell the
 same mask and activations out matrix by matrix, with the dense helpers
 and model adapters that only tests need, so that a test can build a
-head's output from first principles and compare.  The compiler's
-single-head builders and the writer of the per-head weights form, which
-only tests use, live here too.
+head's output from first principles and compare.  A head is a
+`MultiheadAttention` of one head; the compiler's single-head builders,
+`replace_head`, which also rebuilds such a head's group with new flags,
+and the writer of the per-head weights form, which only tests use, live
+here too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -110,6 +112,15 @@ def build_const_head(j: int, n: int, p: int, masked: bool = False):
     return _layer([("const", j - 1)], n, p, masked).heads[0]
 
 
+def replace_head(head, **changes):
+    """`dataclasses.replace` for a one-head layer, where `masked`,
+    `scaled` and `activation` rebuild its group."""
+    d, masked, scaled, activation = head.groups[0]
+    group = (d, changes.pop("masked", masked), changes.pop("scaled", scaled),
+             changes.pop("activation", activation))
+    return replace(head, groups=(group,), **changes)
+
+
 def identity_ffn(dim: int) -> FeedForwardNet:
     """x = relu(x) - relu(-x) as a one-hidden-layer net."""
     return FeedForwardNet(pass_through(Mat.identity(dim), Mat.zeros(dim, 1)))
@@ -148,13 +159,14 @@ def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
 # -- the per-head weights form -------------------------------------------------
 
 def _head_json(h) -> dict:
+    _, masked, scaled, activation = h.groups[0]
     obj = {"A_Q": mat_to_json(h.a_q), "B_Q": mat_to_json(h.b_q),
            "A_K": mat_to_json(h.a_k), "B_K": mat_to_json(h.b_k),
            "A_V": mat_to_json(h.a_v), "B_V": mat_to_json(h.b_v),
-           "masked": h.masked, "activation": h.activation.kind}
-    if h.activation.kind == "softplus":
-        obj["beta"] = h.activation.beta
-    if h.scaled:
+           "masked": masked, "activation": activation.kind}
+    if activation.kind == "softplus":
+        obj["beta"] = activation.beta
+    if scaled:
         obj["scaled"] = True
     return obj
 

@@ -19,11 +19,11 @@ from splineformer.compiler import (CompileOptions, build_eps2, compile_autoregre
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
                                  const, emax, emin, escale, normalize_to_pbform, var)
 from splineformer.tensor import Mat
-from splineformer.transformer import (AttentionHead, EncDecStack, EncDecStage,
+from splineformer.transformer import (EncDecStack, EncDecStage,
                                       EncoderBlock, EncoderModel, FeedForwardNet,
-                                      MultiheadAttention, blocks_to_float,
-                                      eval_attention, eval_encdec, eval_encoder,
-                                      eval_ffn)
+                                      MultiheadAttention, attention_head, blocks_to_float,
+                                      eval_encdec, eval_encoder, eval_ffn,
+                                      eval_multihead)
 from splineformer.veronese import VeroneseIndex, veronese_eval
 from splineformer.verifier import (autoregressive_check, estimate_degree,
                                    oracle_equiv, random_rational_mat,
@@ -49,12 +49,12 @@ def poly_power(i, j, k):
 def test_01_cubic_identity():
     start = time.monotonic()
     one, zero = Mat.rational([[1]]), Mat.rational([[0]])
-    head = AttentionHead(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero)
+    head = attention_head(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero)
     ok = True
     for t in range(1000):
         xv = trial_rng(42, t)
         val = F(xv.randint(-10, 10), xv.randint(1, 7))
-        got = eval_attention(head, Mat.rational([[val]])).at(0, 0)
+        got = eval_multihead(head, Mat.rational([[val]])).at(0, 0)
         if got != val ** 3:
             ok = False
             break
@@ -143,45 +143,45 @@ def test_05_degree_bounds():
     start = time.monotonic()
     ok = True
 
-    fixture = AttentionHead(
+    fixture = attention_head(
         a_q=Mat.rational([[1, 2]]), b_q=Mat.rational([[0]]),
         a_k=Mat.rational([[1, 2]]), b_k=Mat.rational([[0]]),
         a_v=Mat.rational([[3, 1]]), b_v=Mat.rational([[1]]))
-    rep = estimate_degree(FnModel(lambda X: eval_attention(fixture, X), 2, 1),
+    rep = estimate_degree(FnModel(lambda X: eval_multihead(fixture, X), 2, 1),
                           max_deg=5, trials=50, seed=11, bound=3)
     ok &= rep.modal_degree == 3 and rep.bound_satisfied
 
     rng = random.Random(2)
     for _ in range(2):
-        h = AttentionHead(
+        h = attention_head(
             a_q=random_rational_mat(rng, 1, 2), b_q=random_rational_mat(rng, 1, 2),
             a_k=random_rational_mat(rng, 1, 2), b_k=random_rational_mat(rng, 1, 2),
             a_v=random_rational_mat(rng, 1, 2), b_v=random_rational_mat(rng, 1, 2))
-        rep = estimate_degree(FnModel(lambda X, h=h: eval_attention(h, X), 2, 2),
+        rep = estimate_degree(FnModel(lambda X, h=h: eval_multihead(h, X), 2, 2),
                               max_deg=6, trials=50, seed=13, bound=3)
         ok &= rep.bound_satisfied
 
     def head(aq, bq, ak, bk, av, bv, masked=False):
-        return AttentionHead(a_q=Mat.rational(aq), b_q=Mat.rational(bq),
-                             a_k=Mat.rational(ak), b_k=Mat.rational(bk),
-                             a_v=Mat.rational(av), b_v=Mat.rational(bv),
-                             masked=masked)
+        return attention_head(a_q=Mat.rational(aq), b_q=Mat.rational(bq),
+                              a_k=Mat.rational(ak), b_k=Mat.rational(bk),
+                              a_v=Mat.rational(av), b_v=Mat.rational(bv),
+                              masked=masked)
 
-    b1 = EncoderBlock(MultiheadAttention((head([[1, 2]], [[0]], [[1, 2]], [[0]],
-                                               [[3, 1]], [[1]]),)), identity_ffn(1))
-    b2 = EncoderBlock(MultiheadAttention((head([[1]], [[0]], [[1]], [[0]],
-                                               [[1]], [[1]]),)), identity_ffn(1))
+    b1 = EncoderBlock(MultiheadAttention.of((head([[1, 2]], [[0]], [[1, 2]], [[0]],
+                                                  [[3, 1]], [[1]]),)), identity_ffn(1))
+    b2 = EncoderBlock(MultiheadAttention.of((head([[1]], [[0]], [[1]], [[0]],
+                                                  [[1]], [[1]]),)), identity_ffn(1))
     rep = estimate_degree(EncoderModel([b1, b2]), max_deg=11, trials=50, seed=17,
                           bound=9)
     ok &= rep.modal_degree <= 9 and rep.bound_satisfied
 
     c = F(1, 100)
-    eb = EncoderBlock(MultiheadAttention((head([[c]], [[0]], [[c]], [[0]],
-                                               [[c]], [[F(1, 50)]]),)), identity_ffn(1))
+    eb = EncoderBlock(MultiheadAttention.of((head([[c]], [[0]], [[c]], [[0]],
+                                                  [[c]], [[F(1, 50)]]),)), identity_ffn(1))
     sh = head([[c]], [[0]], [[c]], [[0]], [[c]], [[F(1, 30)]], masked=True)
     ch = head([[1]], [[1]], [[1]], [[1]], [[1]], [[F(1, 10)]])
     stack = EncDecStack(encoder=(eb,), stages=(EncDecStage(
-        self_attn=MultiheadAttention((sh,)), cross_attn=MultiheadAttention((ch,)),
+        self_attn=MultiheadAttention.of((sh,)), cross_attn=MultiheadAttention.of((ch,)),
         ffn=identity_ffn(1)),))
 
     def joint(Z):
@@ -275,8 +275,8 @@ def test_08_mask_semantics():
 
 def test_09_smoothing_convergence():
     one, zero = Mat.rational([[1]]), Mat.rational([[0]])
-    head = AttentionHead(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero)
-    cubic = EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))
+    head = attention_head(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero)
+    cubic = EncoderBlock(MultiheadAttention.of((head,)), identity_ffn(1))
     xs = [random_rational_mat(trial_rng(99, t), 1, 1) for t in range(96)]
     xs += [Mat.rational([[F(1, 7)]]), Mat.rational([[F(-1, 7)]]),
            Mat.rational([[F(1, 6)]]), Mat.rational([[F(-1, 6)]])]

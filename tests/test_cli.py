@@ -8,7 +8,7 @@ from splineformer import cli, spline as spline_module
 from splineformer.cli import MAX_LINE_POINTS, main
 from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
 from splineformer.tensor import Mat, mat_from_json, mat_to_json
-from splineformer.transformer import (AttentionHead, EncoderBlock, MultiheadAttention,
+from splineformer.transformer import (EncoderBlock, MultiheadAttention, attention_head,
                                       blocks_from_json, blocks_to_float, blocks_to_json,
                                       eval_encoder)
 
@@ -679,10 +679,10 @@ class TestSeedVariable:
 
 def wide_blocks(n, p):
     """One block reading an n x p input: a head copying entry (1, 1)."""
-    head = AttentionHead(a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, 1),
-                         a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
-                         a_v=Mat.basis(1, n, 1, 1), b_v=Mat.zeros(1, p))
-    return [EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))]
+    head = attention_head(a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, 1),
+                          a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 1),
+                          a_v=Mat.basis(1, n, 1, 1), b_v=Mat.zeros(1, p))
+    return [EncoderBlock(MultiheadAttention.of((head,)), identity_ffn(1))]
 
 
 class TestInputCap:
@@ -754,18 +754,18 @@ class TestLayerForm:
 
 class TestNoHeadView:
     """No pass builds the per-head view: loading and running faithful
-    weights constructs no `AttentionHead`."""
+    weights reads no layer's `heads`."""
 
     def test_commands_build_no_head(self, tmp_path, capsys, monkeypatch):
         spath, out = compile_to(tmp_path, GRID_2X2, extra=("--mode", "faithful"))
         capsys.readouterr()
         built = []
-        post_init = AttentionHead.__post_init__
+        view = MultiheadAttention.heads.func
 
         def counting(self):
             built.append(self)
-            post_init(self)
-        monkeypatch.setattr(AttentionHead, "__post_init__", counting)
+            return view(self)
+        monkeypatch.setattr(MultiheadAttention, "heads", property(counting))
         x = write(tmp_path / "x.json", [["1/2", "-3"], ["2/3", "5"]])
         for argv in (["eval", out, x], ["eval", out, x, "--backend", "float"],
                      ["verify", out, spath, "--samples", "2", "--seed", "0"],

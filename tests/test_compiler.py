@@ -12,8 +12,8 @@ from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
                                  const, emax, emin, eprod, escale, esum,
                                  normalize_to_pbform, var)
 from splineformer.tensor import Mat
-from splineformer.transformer import (FeedForwardNet, eval_attention,
-                                      eval_encoder, eval_ffn)
+from splineformer.transformer import (FeedForwardNet, eval_encoder, eval_ffn,
+                                      eval_multihead)
 from splineformer.veronese import VeroneseIndex, veronese_eval
 from splineformer.verifier import oracle_equiv, random_rational_mat, trial_rng
 from reference import build_const_head, build_copy_head, check_layout_soundness
@@ -34,17 +34,17 @@ def grid1(f, n):
 class TestCopyHead:
     def test_column_vector_source(self):
         h = build_copy_head(2, 1, 1, 2, 1)
-        out = eval_attention(h, Mat.rational([[1], [5]]))
+        out = eval_multihead(h, Mat.rational([[1], [5]]))
         assert out == Mat.rational([[5]])
 
     def test_row_vector_placement(self):
         h = build_copy_head(1, 1, 2, 1, 2)
-        out = eval_attention(h, Mat.rational([[1, 2]]))
+        out = eval_multihead(h, Mat.rational([[1, 2]]))
         assert out == Mat.rational([[0, 1]])
 
     def test_zero_input(self):
         h = build_copy_head(1, 2, 2, 2, 2)
-        assert eval_attention(h, Mat.zeros(2, 2)) == Mat.zeros(1, 2)
+        assert eval_multihead(h, Mat.zeros(2, 2)) == Mat.zeros(1, 2)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -54,19 +54,19 @@ class TestCopyHead:
 class TestConstHead:
     def test_first_column(self):
         h = build_const_head(1, 2, 2)
-        out = eval_attention(h, Mat.rational([[1, 2], [3, 4]]))
+        out = eval_multihead(h, Mat.rational([[1, 2], [3, 4]]))
         assert out == Mat.rational([[1, 0]])
 
     def test_second_column(self):
         h = build_const_head(2, 2, 2)
-        out = eval_attention(h, Mat.rational([[1, 2], [3, 4]]))
+        out = eval_multihead(h, Mat.rational([[1, 2], [3, 4]]))
         assert out == Mat.rational([[0, 1]])
 
     def test_input_independent(self):
         h = build_const_head(1, 2, 2)
         rng = random.Random(0)
-        a = eval_attention(h, random_rational_mat(rng, 2, 2))
-        b = eval_attention(h, random_rational_mat(rng, 2, 2))
+        a = eval_multihead(h, random_rational_mat(rng, 2, 2))
+        b = eval_multihead(h, random_rational_mat(rng, 2, 2))
         assert a == b
 
 

@@ -57,8 +57,6 @@ PAPER_SURFACE = {
     "emin": "lattice-expression authoring API",
     "eval_maxdef": "the expression language's independent evaluator",
     "grid_to_json": "the inverse of grid_from_json",
-    "eval_attention": "a single attention head, the paper's object",
-    "eval_encdec_attention": "a single encoder-decoder head, the paper's object",
     "DecoderBlock": "encoder-decoder attention",
     "EncDecStage": "encoder-decoder attention",
     "eval_encdec": "encoder-decoder attention",

@@ -24,7 +24,7 @@ from pathlib import Path
 from splineformer.compiler import (CompileOptions, NotAutoregressiveError, ResourceLimitError,
                                    compile_autoregressive, compile_spline)
 from splineformer.spline import grid_from_json
-from splineformer.transformer import blocks_from_json, blocks_to_json
+from splineformer.transformer import MultiheadAttention, blocks_from_json, blocks_to_json
 
 from reference import per_head_json
 
@@ -105,6 +105,9 @@ def test_corpus_digest():
             # the layer form reads back to equal blocks, as does its per-head spelling
             assert blocks_from_json(json.loads(json.dumps(doc))) == compiled.blocks, label
             assert blocks_from_json(per_head_json(compiled.blocks)) == compiled.blocks, label
+            # a layer is its heads, grouped again
+            assert all(MultiheadAttention.of(blk.attn.heads) == blk.attn
+                       for blk in compiled.blocks), label
             sidecar = json.dumps(compiled.sidecar_json(), sort_keys=True)
             texts = (json.dumps(per_head_json(compiled.blocks), sort_keys=True) + "\n" + sidecar,
                      json.dumps(doc, sort_keys=True) + "\n" + sidecar)

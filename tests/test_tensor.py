@@ -189,6 +189,11 @@ class TestMask:
             apply_mask(Mat.rational([[1, 2]]))
 
 
+class Dense(tuple):
+    """The rows of a matrix in the dense spelling, for a test that also
+    reads sparse ones."""
+
+
 class TestJson:
     def test_rational_roundtrip(self):
         m = Mat.rational([[F(3, 2), -1], [0, F(-7, 5)]])
@@ -258,10 +263,18 @@ class TestJson:
         ([[[True, "1"]]], FormatError), ([[["0", "1"]]], FormatError),
         ([[[0, "1", "2"]]], FormatError), (["x"], FormatError), ([[[0, True]]], BackendError),
         ([[[0, None]]], BackendError), ([[[0, "abc"]]], ValueError),
-        ([[[0, "1/0"]]], ZeroDivisionError), ([[[0, 10 ** 400]], [[0, 1.5]]], OverflowError)])
+        ([[[0, "1/0"]]], ZeroDivisionError), ([[[0, 10 ** 400]], [[0, 1.5]]], OverflowError),
+        # the dense spellings of the cases above that have one
+        (Dense([["1", "2"], ["0", "0", "1"]]), ShapeError), (Dense([[True, "0"]]), BackendError),
+        (Dense([[None, "0"]]), BackendError), (Dense([["abc", "0"]]), ValueError),
+        (Dense([["1/0", "0"]]), ZeroDivisionError),
+        (Dense([[10 ** 400, "0"], [1.5, "0"]]), OverflowError)])
     def test_bad_sparse_matrices(self, rows, error):
         with pytest.raises(error) as caught:
-            sparse_from_json({"cols": 2, "rows": rows})
+            if isinstance(rows, Dense):
+                mat_from_json(list(rows))
+            else:
+                sparse_from_json({"cols": 2, "rows": rows})
         assert type(caught.value) is error
 
 

@@ -4,24 +4,26 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import grid_from_json
 from splineformer.tensor import (FLOAT, BackendError, DegenerateColumnError, Mat, ShapeError,
                                  add, matmul, scale, stack_rows)
-from splineformer.transformer import (Activation, AttentionHead, DecoderBlock,
+from splineformer.transformer import (Activation, DecoderBlock,
                                       EncDecStack, EncDecStage, EncoderBlock,
                                       FeedForwardNet,
-                                      MultiheadAttention, blocks_from_json,
-                                      blocks_to_float, blocks_to_json, eval_attention,
-                                      eval_encdec, eval_encdec_attention,
+                                      MultiheadAttention, attention_head, blocks_from_json,
+                                      blocks_to_float, blocks_to_json,
+                                      eval_encdec,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec,
                                       softplus, _attend, _walk)
 from splineformer.transformer import EncoderModel, _image
 from splineformer.verifier import random_rational_mat, trial_rng
 from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
-                       softmax_columns,
+                       replace_head, softmax_columns,
                        softplus_beta, transpose)
 
 
@@ -33,11 +35,36 @@ def scalar_head(**kw):
     base = dict(a_q=rmat([[1]]), b_q=rmat([[0]]), a_k=rmat([[1]]), b_k=rmat([[0]]),
                 a_v=rmat([[1]]), b_v=rmat([[0]]))
     base.update(kw)
-    return AttentionHead(**base)
+    return attention_head(**base)
+
+
+@st.composite
+def drawn_layers(draw):
+    """A layer of one to five heads over one to three drawn attention
+    patterns, so that heads share groups, with drawn flags; heads drawn in
+    floats make a mixed layer, stored as its float image."""
+    n, n_q, p, m = (draw(st.integers(1, 3)) for _ in range(4))
+    entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
+
+    def mat(rows, cols):
+        return Mat.rational(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)))
+
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 2))
+        patterns.append(dict(a_q=mat(d, n_q), b_q=mat(d, p), a_k=mat(d, n), b_k=mat(d, p),
+                             masked=draw(st.booleans()), scaled=draw(st.booleans()),
+                             activation=draw(st.sampled_from(KERNEL_ACTIVATIONS))))
+    heads = []
+    for _ in range(draw(st.integers(1, 5))):
+        head = attention_head(a_v=mat(m, n), b_v=mat(m, p), **draw(st.sampled_from(patterns)))
+        heads.append(head.to_float() if draw(st.booleans()) else head)
+    return MultiheadAttention.of(heads)
 
 
 def random_head(rng, n, p, masked=False):
-    return AttentionHead(
+    return attention_head(
         a_q=random_rational_mat(rng, 1, n), b_q=random_rational_mat(rng, 1, p),
         a_k=random_rational_mat(rng, 1, n), b_k=random_rational_mat(rng, 1, p),
         a_v=random_rational_mat(rng, 1, n), b_v=random_rational_mat(rng, 1, p),
@@ -48,96 +75,118 @@ class TestAttention:
     def test_scalar_cubic(self):
         h = scalar_head()
         for x in (F(2), F(-3), F(5, 7)):
-            out = eval_attention(h, rmat([[x]]))
+            out = eval_multihead(h, rmat([[x]]))
             assert out.at(0, 0) == x * max(x * x, F(0))
 
     def test_copy_head_entry(self):
         # A_V = E_{1,i^}, B_K = E_{1,j^}, B_Q = E_{1,j}: output (1,j) is x_{i^,j^}
         n, p = 2, 3
-        h = AttentionHead(
+        h = attention_head(
             a_q=Mat.zeros(1, n), b_q=Mat.basis(1, p, 1, 2),
             a_k=Mat.zeros(1, n), b_k=Mat.basis(1, p, 1, 3),
             a_v=Mat.basis(1, n, 1, 2), b_v=Mat.zeros(1, p))
         x = rmat([[1, 2, 3], [4, 5, 6]])
-        out = eval_attention(h, x)
+        out = eval_multihead(h, x)
         assert out.at(0, 1) == 6  # x_{2,3} lands in column 2
         assert out.at(0, 0) == 0 and out.at(0, 2) == 0
 
     def test_zero_parameters(self):
-        h = AttentionHead(a_q=Mat.zeros(1, 2), b_q=Mat.zeros(1, 2),
-                          a_k=Mat.zeros(1, 2), b_k=Mat.zeros(1, 2),
-                          a_v=Mat.zeros(1, 2), b_v=Mat.zeros(1, 2))
-        assert eval_attention(h, rmat([[1, 2], [3, 4]])) == Mat.zeros(1, 2)
+        h = attention_head(a_q=Mat.zeros(1, 2), b_q=Mat.zeros(1, 2),
+                           a_k=Mat.zeros(1, 2), b_k=Mat.zeros(1, 2),
+                           a_v=Mat.zeros(1, 2), b_v=Mat.zeros(1, 2))
+        assert eval_multihead(h, rmat([[1, 2], [3, 4]])) == Mat.zeros(1, 2)
 
     def test_softmax_on_rational_rejected(self):
         h = scalar_head(activation=Activation("softmax"))
         with pytest.raises(BackendError):
-            eval_attention(h, rmat([[1]]))
+            eval_multihead(h, rmat([[1]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            eval_attention(scalar_head(), rmat([[1], [2]]))
+            eval_multihead(scalar_head(), rmat([[1], [2]]))
 
     def test_scaled_needs_float(self):
         h = scalar_head(scaled=True)
         with pytest.raises(BackendError):
-            eval_attention(h, rmat([[1]]))
-        fh = AttentionHead(a_q=Mat.from_floats([[1.0]]), b_q=Mat.from_floats([[0.0]]),
-                           a_k=Mat.from_floats([[1.0]]), b_k=Mat.from_floats([[0.0]]),
-                           a_v=Mat.from_floats([[1.0]]), b_v=Mat.from_floats([[0.0]]),
-                           scaled=True)
-        out = eval_attention(fh, Mat.from_floats([[2.0]]))
+            eval_multihead(h, rmat([[1]]))
+        fh = attention_head(a_q=Mat.from_floats([[1.0]]), b_q=Mat.from_floats([[0.0]]),
+                            a_k=Mat.from_floats([[1.0]]), b_k=Mat.from_floats([[0.0]]),
+                            a_v=Mat.from_floats([[1.0]]), b_v=Mat.from_floats([[0.0]]),
+                            scaled=True)
+        out = eval_multihead(fh, Mat.from_floats([[2.0]]))
         assert out.at(0, 0) == 2.0 * max(2.0 * 2.0, 0.0)  # d=1: scale is 1
 
 
 class TestEncDecAttention:
     def test_query_independent_when_aq_zero(self):
         rng = random.Random(0)
-        h = AttentionHead(
+        h = attention_head(
             a_q=Mat.zeros(1, 1), b_q=rmat([[2, 1]]),
             a_k=random_rational_mat(rng, 1, 2), b_k=random_rational_mat(rng, 1, 2),
             a_v=random_rational_mat(rng, 1, 2), b_v=random_rational_mat(rng, 1, 2))
         x = random_rational_mat(rng, 2, 2)
         y1 = random_rational_mat(rng, 1, 2)
         y2 = random_rational_mat(rng, 1, 2)
-        assert eval_encdec_attention(h, x, y1) == eval_encdec_attention(h, x, y2)
+        assert eval_multihead_encdec(h, x, y1) == eval_multihead_encdec(h, x, y2)
 
     def test_scalar_case(self):
         h = scalar_head()
         for x, y in [(F(2), F(3)), (F(-1), F(4)), (F(3), F(-2))]:
-            out = eval_encdec_attention(h, rmat([[x]]), rmat([[y]]))
+            out = eval_multihead_encdec(h, rmat([[x]]), rmat([[y]]))
             assert out.at(0, 0) == x * max(x * y, F(0))
 
     def test_zero_inputs(self):
         h = scalar_head(b_v=rmat([[0]]))
-        assert eval_encdec_attention(h, rmat([[0]]), rmat([[5]])) == Mat.zeros(1, 1)
+        assert eval_multihead_encdec(h, rmat([[0]]), rmat([[5]])) == Mat.zeros(1, 1)
 
 
 class TestMultihead:
     def test_single_head_matches_attention(self):
         rng = random.Random(1)
         h = random_head(rng, 2, 2)
-        mh = MultiheadAttention((h,))
+        mh = MultiheadAttention.of((h,))
         for t in range(20):
             x = random_rational_mat(trial_rng(0, t), 2, 2)
-            assert eval_multihead(mh, x) == eval_attention(h, x)
+            assert eval_multihead(mh, x) == eval_multihead(h, x)
 
     def test_two_heads_row_order(self):
         rng = random.Random(2)
         h1, h2 = random_head(rng, 2, 2), random_head(rng, 2, 2)
-        mh = MultiheadAttention((h1, h2))
+        mh = MultiheadAttention.of((h1, h2))
         x = random_rational_mat(rng, 2, 2)
         out = eval_multihead(mh, x)
         assert out.rows == 2
-        assert out.data[0] == eval_attention(h1, x).data[0]
-        assert out.data[1] == eval_attention(h2, x).data[0]
+        assert out.data[0] == eval_multihead(h1, x).data[0]
+        assert out.data[1] == eval_multihead(h2, x).data[0]
 
     def test_all_zero_heads(self):
-        z = AttentionHead(a_q=Mat.zeros(1, 2), b_q=Mat.zeros(1, 2),
-                          a_k=Mat.zeros(1, 2), b_k=Mat.zeros(1, 2),
-                          a_v=Mat.zeros(1, 2), b_v=Mat.zeros(1, 2))
-        mh = MultiheadAttention((z, z, z))
+        z = attention_head(a_q=Mat.zeros(1, 2), b_q=Mat.zeros(1, 2),
+                           a_k=Mat.zeros(1, 2), b_k=Mat.zeros(1, 2),
+                           a_v=Mat.zeros(1, 2), b_v=Mat.zeros(1, 2))
+        mh = MultiheadAttention.of((z, z, z))
         assert eval_multihead(mh, rmat([[1, 2], [3, 4]])) == Mat.zeros(3, 2)
+
+    @pytest.mark.parametrize("fault,message", [
+        ({"a_k": rmat([[1], [1]])}, "query/key maps"),  # d differs among the Q/K maps
+        ({"b_k": rmat([[0, 0]])}, "bias matrices"),  # p differs among the biases
+        ({"a_v": rmat([[1], [1]])}, "value maps"),  # A_V and B_V differ in rows
+        ({"a_v": rmat([[1, 1]])}, "key and value maps")])  # A_K and A_V read different inputs
+    def test_head_shape_faults(self, fault, message):
+        with pytest.raises(ShapeError, match=message):
+            scalar_head(**fault)
+
+    def test_of_takes_one_head_layers(self):
+        two = MultiheadAttention.of((scalar_head(), scalar_head(a_v=rmat([[2]]))))
+        with pytest.raises(ValueError, match="one-head layers"):
+            MultiheadAttention.of((two,))
+        with pytest.raises(ValueError, match="at least one head"):
+            MultiheadAttention.of(())
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(layer=drawn_layers())
+    def test_of_heads_is_the_layer(self, layer):
+        assert all(len(h.table) == 1 for h in layer.heads)
+        assert MultiheadAttention.of(layer.heads) == layer
 
 
 def sparse_random_mat(rng, rows, cols):
@@ -154,12 +203,12 @@ def random_multihead(rng, n, n_q, p, m, masked, head_dim=None):
     heads = []
     for _ in range(rng.randint(1, 4)):
         d = rng.randint(1, 3) if head_dim is None else head_dim
-        heads.append(AttentionHead(
+        heads.append(attention_head(
             a_q=sparse_random_mat(rng, d, n_q), b_q=sparse_random_mat(rng, d, p),
             a_k=sparse_random_mat(rng, d, n), b_k=sparse_random_mat(rng, d, p),
             a_v=sparse_random_mat(rng, m, n), b_v=sparse_random_mat(rng, m, p),
             masked=masked))
-    return MultiheadAttention(tuple(heads))
+    return MultiheadAttention.of(tuple(heads))
 
 
 def reference_attention(mh, x, y):
@@ -170,26 +219,27 @@ def reference_attention(mh, x, y):
         k = add(matmul(h.a_k, x), h.b_k)
         v = add(matmul(h.a_v, x), h.b_v)
         s = matmul(transpose(k), q)
-        if h.scaled:
-            s = scale(s, 1.0 / math.sqrt(h.d))
-        if h.masked:
+        d, masked, scaled, activation = h.groups[0]
+        if scaled:
+            s = scale(s, 1.0 / math.sqrt(d))
+        if masked:
             s = apply_mask(s)
-        if h.activation.kind == "relu":
+        if activation.kind == "relu":
             a = relu(s)
-        elif h.activation.kind == "softmax":
+        elif activation.kind == "softmax":
             a = softmax_columns(s)
         else:
-            a = softplus_beta(s, h.activation.beta)
+            a = softplus_beta(s, activation.beta)
         outs.append(matmul(v, a))
     return stack_rows(outs)
 
 
 def float_heads(mh, activation, scaled):
-    return MultiheadAttention(tuple(
-        AttentionHead(a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
-                      a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
-                      a_v=h.a_v.to_float(), b_v=h.b_v.to_float(),
-                      activation=activation, masked=h.masked, scaled=scaled)
+    return MultiheadAttention.of(tuple(
+        attention_head(a_q=h.a_q.to_float(), b_q=h.b_q.to_float(),
+                       a_k=h.a_k.to_float(), b_k=h.b_k.to_float(),
+                       a_v=h.a_v.to_float(), b_v=h.b_v.to_float(),
+                       activation=activation, masked=h.masked, scaled=scaled)
         for h in mh.heads))
 
 
@@ -254,8 +304,8 @@ class TestStackedKernel:
         rng = random.Random(21)
         mh = random_multihead(rng, 2, 2, 2, 1, False)
         for activation in (Activation("softmax"), softplus(10.0)):
-            smooth = MultiheadAttention(
-                mh.heads[:-1] + (replace(mh.heads[-1], activation=activation),))
+            smooth = MultiheadAttention.of(
+                mh.heads[:-1] + (replace_head(mh.heads[-1], activation=activation),))
             x, y = self.inputs(rng, 2, 2, 2, cross)
             with pytest.raises(BackendError):
                 self.evaluate(smooth, x, y, cross)
@@ -263,7 +313,7 @@ class TestStackedKernel:
     def test_stacked_maps_are_not_compared(self):
         rng = random.Random(22)
         mh = random_multihead(rng, 2, 2, 2, 1, False)
-        twin = MultiheadAttention(mh.heads)
+        twin = MultiheadAttention.of(mh.heads)
         eval_multihead(mh, sparse_random_mat(rng, 2, 2))
         assert mh == twin and hash(mh) == hash(twin)
 
@@ -400,15 +450,15 @@ class TestEncoder:
     def test_one_block_is_ffn_after_attention(self):
         rng = random.Random(3)
         h = random_head(rng, 2, 2)
-        blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((h,)), identity_ffn(1))
         x = random_rational_mat(rng, 2, 2)
-        assert eval_encoder([blk], x) == eval_attention(h, x)
+        assert eval_encoder([blk], x) == eval_multihead(h, x)
 
     def test_identity_ffns_reduce_to_attention_chain(self):
         rng = random.Random(4)
         h1 = random_head(rng, 2, 1)
-        mh1 = MultiheadAttention((h1, random_head(rng, 2, 1)))
-        mh2 = MultiheadAttention((random_head(rng, 2, 1),))
+        mh1 = MultiheadAttention.of((h1, random_head(rng, 2, 1)))
+        mh2 = MultiheadAttention.of((random_head(rng, 2, 1),))
         b1 = EncoderBlock(mh1, identity_ffn(2))
         b2 = EncoderBlock(mh2, identity_ffn(1))
         for t in range(20):
@@ -418,7 +468,7 @@ class TestEncoder:
 
     def test_residual_adds_input(self):
         rng = random.Random(5)
-        heads = MultiheadAttention((random_head(rng, 2, 2), random_head(rng, 2, 2)))
+        heads = MultiheadAttention.of((random_head(rng, 2, 2), random_head(rng, 2, 2)))
         blk = EncoderBlock(heads, identity_ffn(2), residual=True)
         x = random_rational_mat(rng, 2, 2)
         expected = eval_multihead(heads, x)
@@ -428,8 +478,8 @@ class TestEncoder:
 
     def test_chain_mismatch_names_block(self):
         rng = random.Random(6)
-        b1 = EncoderBlock(MultiheadAttention((random_head(rng, 2, 2),)), identity_ffn(1))
-        b2 = EncoderBlock(MultiheadAttention((random_head(rng, 3, 2),)), identity_ffn(1))
+        b1 = EncoderBlock(MultiheadAttention.of((random_head(rng, 2, 2),)), identity_ffn(1))
+        b2 = EncoderBlock(MultiheadAttention.of((random_head(rng, 3, 2),)), identity_ffn(1))
         with pytest.raises(ShapeError, match="block 1"):
             eval_encoder([b1, b2], random_rational_mat(rng, 2, 2))
 
@@ -447,43 +497,43 @@ class TestMaskedAttention:
                 for c in range(j, 3):
                     data[i][c] = F(trng.randint(-10, 10), trng.randint(1, 7))
             xp = rmat(data)
-            a, b = eval_attention(h, x), eval_attention(h, xp)
+            a, b = eval_multihead(h, x), eval_multihead(h, xp)
             for c in range(j):
                 assert a.at(0, c) == b.at(0, c)
 
     def test_unmasked_witness(self):
         # d = m = 1 head whose scores couple columns: editing column 2
         # changes output column 1
-        h = AttentionHead(a_q=rmat([[1]]), b_q=rmat([[0, 0]]),
-                          a_k=rmat([[1]]), b_k=rmat([[0, 0]]),
-                          a_v=rmat([[1]]), b_v=rmat([[0, 0]]))
+        h = attention_head(a_q=rmat([[1]]), b_q=rmat([[0, 0]]),
+                           a_k=rmat([[1]]), b_k=rmat([[0, 0]]),
+                           a_v=rmat([[1]]), b_v=rmat([[0, 0]]))
         x = rmat([[1, 2]])
         xp = rmat([[1, 5]])
-        a, b = eval_attention(h, x), eval_attention(h, xp)
+        a, b = eval_multihead(h, x), eval_multihead(h, xp)
         assert a.at(0, 0) != b.at(0, 0)
 
     def test_decoder_block_requires_masked(self):
         rng = random.Random(8)
         with pytest.raises(ValueError):
-            DecoderBlock(MultiheadAttention((random_head(rng, 2, 2),)), identity_ffn(1))
-        DecoderBlock(MultiheadAttention((random_head(rng, 2, 2, masked=True),)),
+            DecoderBlock(MultiheadAttention.of((random_head(rng, 2, 2),)), identity_ffn(1))
+        DecoderBlock(MultiheadAttention.of((random_head(rng, 2, 2, masked=True),)),
                      identity_ffn(1))
 
 
 class TestEncDec:
     def build_stack(self, rng, residual=False):
-        enc_block = EncoderBlock(MultiheadAttention((random_head(rng, 1, 2),)),
+        enc_block = EncoderBlock(MultiheadAttention.of((random_head(rng, 1, 2),)),
                                  identity_ffn(1))
         stage = EncDecStage(
-            self_attn=MultiheadAttention((random_head(rng, 1, 2, masked=True),)),
-            cross_attn=MultiheadAttention((random_head(rng, 1, 2),)),
+            self_attn=MultiheadAttention.of((random_head(rng, 1, 2, masked=True),)),
+            cross_attn=MultiheadAttention.of((random_head(rng, 1, 2),)),
             ffn=identity_ffn(1), residual=residual)
         return EncDecStack(encoder=(enc_block,), stages=(stage,))
 
     def test_no_stages_returns_y(self):
         rng = random.Random(9)
         stack = EncDecStack(encoder=(EncoderBlock(
-            MultiheadAttention((random_head(rng, 1, 2),)), identity_ffn(1)),),
+            MultiheadAttention.of((random_head(rng, 1, 2),)), identity_ffn(1)),),
             stages=())
         x, y = random_rational_mat(rng, 1, 2), random_rational_mat(rng, 1, 2)
         assert eval_encdec(stack, x, y) == y
@@ -516,7 +566,7 @@ class TestWeightJson:
     def test_roundtrip(self):
         rng = random.Random(12)
         h = random_head(rng, 2, 2, masked=True)
-        blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((h,)), identity_ffn(1))
         obj = blocks_to_json([blk])
         assert obj["blocks"][0]["attn"]["groups"][0]["masked"] is True
         assert obj["blocks"][0]["attn"]["groups"][0]["activation"] == "relu"
@@ -526,9 +576,9 @@ class TestWeightJson:
 
     def test_softplus_beta_roundtrip(self):
         h = scalar_head(activation=softplus(50.0))
-        blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((h,)), identity_ffn(1))
         loaded = blocks_from_json(blocks_to_json([blk]))
-        assert loaded[0].attn.heads[0].activation == softplus(50.0)
+        assert loaded[0].attn.heads[0].groups[0][3] == softplus(50.0)
 
     def test_both_spellings_load_equal(self):
         # grouped heads, float copies, smooth and scaled heads, a mixed-backend layer
@@ -542,7 +592,7 @@ class TestWeightJson:
                 assert blocks_from_json(blocks_to_json(chain)) == chain
                 assert blocks_from_json(per_head_json(chain)) == chain
         head = scalar_head(a_q=Mat.from_floats([[0.5]]))
-        mixed = (EncoderBlock(MultiheadAttention((head,)), FeedForwardNet((
+        mixed = (EncoderBlock(MultiheadAttention.of((head,)), FeedForwardNet((
             (rmat([[F(1, 3)]]), Mat.from_floats([[0.25]])),))),)
         assert mixed[0].attn.backends == {FLOAT}
         assert blocks_from_json(blocks_to_json(mixed)) == mixed
@@ -557,7 +607,7 @@ class TestWeightJson:
     def test_heads_view_is_the_heads_given(self):
         rng = random.Random("view")
         mh = with_clones(rng, random_multihead(rng, 2, 2, 3, 2, True))
-        again = MultiheadAttention(mh.heads)
+        again = MultiheadAttention.of(mh.heads)
         assert again == mh and again.heads == mh.heads
         assert len(mh.heads) == len(mh.table) > len(mh.groups)
 
@@ -609,7 +659,7 @@ class TestFloatImage:
         head = scalar_head(a_q=rmat([[tiny, F(1, 3)]]), b_q=rmat([[tiny]]),
                            a_k=rmat([[1, tiny]]), a_v=rmat([[tiny, 2]]))
         ffn = FeedForwardNet(((rmat([[tiny], [F(-2, 7)]]), rmat([[tiny], [1]])),))
-        blocks = [EncoderBlock(MultiheadAttention((head,)), ffn)]
+        blocks = [EncoderBlock(MultiheadAttention.of((head,)), ffn)]
         self.assert_image_of_copy(blocks)
         (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.floats
         assert aq == (((1, 1 / 3),),) and bq == (None,)
@@ -624,7 +674,7 @@ class TestFloatImage:
     def test_mixed_backend_layer(self):
         head = scalar_head(a_q=Mat.from_floats([[0.5]]))
         ffn = FeedForwardNet(((rmat([[F(1, 3)]]), Mat.from_floats([[0.25]])),))
-        self.assert_image_of_copy([EncoderBlock(MultiheadAttention((head,)), ffn)])
+        self.assert_image_of_copy([EncoderBlock(MultiheadAttention.of((head,)), ffn)])
 
     def test_float_pass_over_rational_weights(self):
         # eval_encoder still refuses mixed backends; the private walk reads the image
@@ -687,13 +737,13 @@ class TestFusedActivations:
         # the score k q = -x^2 overflows to -inf for a large input entry
         one = Mat.from_floats([[1.0]])
         zero = Mat.from_floats([[0.0, 0.0]])
-        return AttentionHead(a_q=Mat.from_floats([[-1.0]]), b_q=zero, a_k=one, b_k=zero,
-                             a_v=one, b_v=zero, activation=Activation("softmax"),
-                             masked=masked)
+        return attention_head(a_q=Mat.from_floats([[-1.0]]), b_q=zero, a_k=one, b_k=zero,
+                              a_v=one, b_v=zero, activation=Activation("softmax"),
+                              masked=masked)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_softmax_column_with_minus_inf_score(self, masked):
-        mh = MultiheadAttention((self.overflowing_head(masked),))
+        mh = MultiheadAttention.of((self.overflowing_head(masked),))
         x = Mat.from_floats([[2.0, 1e200]])
         got = eval_multihead(mh, x)
         assert got == reference_attention(mh, x, x)
@@ -702,7 +752,7 @@ class TestFusedActivations:
     @pytest.mark.parametrize("masked", [False, True])
     def test_degenerate_column(self, masked):
         # column 0 holds only -inf (masked entries are -inf too)
-        mh = MultiheadAttention((self.overflowing_head(masked),))
+        mh = MultiheadAttention.of((self.overflowing_head(masked),))
         x = Mat.from_floats([[1e200, 1e200]])
         with pytest.raises(DegenerateColumnError, match="column 0") as want:
             reference_attention(mh, x, x)
@@ -711,14 +761,14 @@ class TestFusedActivations:
         assert str(got.value) == str(want.value)
 
     def test_head_layout_is_cached(self):
-        head = replace(scalar_head(), scaled=True, masked=True)
-        mh = MultiheadAttention((head, scalar_head(activation=softplus(2.0))))
+        head = replace_head(scalar_head(), scaled=True, masked=True)
+        mh = MultiheadAttention.of((head, scalar_head(activation=softplus(2.0))))
         assert mh.head_layout is mh.head_layout
         assert mh.head_layout == ((0, 1, True, 1.0, Activation("relu")),
                                   (1, 1, False, None, softplus(2.0)))
         assert mh.rational_error == "softplus attention needs the float backend"
-        assert MultiheadAttention((head,)).rational_error.startswith("score scaling")
-        assert MultiheadAttention((scalar_head(),)).rational_error is None
+        assert MultiheadAttention.of((head,)).rational_error.startswith("score scaling")
+        assert MultiheadAttention.of((scalar_head(),)).rational_error is None
 
 
 def with_clones(rng, mh):
@@ -731,7 +781,7 @@ def with_clones(rng, mh):
             heads.append(replace(h, a_v=sparse_random_mat(rng, h.m, h.n),
                                  b_v=sparse_random_mat(rng, h.m, h.p)))
     rng.shuffle(heads)
-    return MultiheadAttention(tuple(heads))
+    return MultiheadAttention.of(tuple(heads))
 
 
 def cloned_chain(rng, n, p, d, m):
@@ -807,24 +857,24 @@ class TestGroupedHeads:
                         Activation("relu"), False).heads[0]
 
         def clone(**kw):
-            return replace(h, a_v=sparse_random_mat(rng, 2, 2).to_float(), **kw)
+            return replace_head(h, a_v=sparse_random_mat(rng, 2, 2).to_float(), **kw)
 
-        mh = MultiheadAttention((h, clone(), clone(masked=True), clone(scaled=True),
-                                 clone(activation=softplus(10.0)),
-                                 clone(activation=softplus(0.5)),
-                                 clone(activation=Activation("softmax")),
-                                 clone(masked=True),
-                                 clone(b_q=h.b_q.to_float()),
-                                 clone(b_q=sparse_random_mat(rng, 2, 3).to_float()),
-                                 clone(a_k=sparse_random_mat(rng, 2, 2).to_float())))
+        mh = MultiheadAttention.of((h, clone(), clone(masked=True), clone(scaled=True),
+                                    clone(activation=softplus(10.0)),
+                                    clone(activation=softplus(0.5)),
+                                    clone(activation=Activation("softmax")),
+                                    clone(masked=True),
+                                    clone(b_q=h.b_q.to_float()),
+                                    clone(b_q=sparse_random_mat(rng, 2, 3).to_float()),
+                                    clone(a_k=sparse_random_mat(rng, 2, 2).to_float())))
         assert mh.table == (0, 0, 1, 2, 3, 4, 5, 1, 0, 6, 7)
         assert group_count(mh) == 8
         x = sparse_random_mat(rng, 2, 3).to_float()
         assert eval_multihead(mh, x) == reference_attention(mh, x, x)
         blk = blocks_to_float([EncoderBlock(mh, random_ffn(rng, mh.out_rows, 2))])[0]
         for activation in KERNEL_ACTIVATIONS:
-            swapped = MultiheadAttention(tuple(replace(g, activation=activation)
-                                               for g in mh.heads))
+            swapped = MultiheadAttention.of(tuple(replace_head(g, activation=activation)
+                                                  for g in mh.heads))
             want = reference_encoder([EncoderBlock(swapped, blk.ffn)], x)
             assert _walk([blk], x, activation=activation) == want
 
@@ -841,7 +891,7 @@ class TestGroupedHeads:
             for i, blk in enumerate(blocks):
                 rows = [list(row) for row in _walk(blocks[:i], x, activation=activation).data]
                 for h in blk.attn.heads:
-                    one = MultiheadAttention((h,))
+                    one = MultiheadAttention.of((h,))
                     _attend(one, one.floats, FLOAT, rows, 1, rows, 1, split, activation)
             assert [s[0] for s in grouped.seen] == [h.masked for blk in blocks
                                                     for h in blk.attn.heads]
@@ -855,7 +905,7 @@ class TestGroupedHeads:
             # a mixed-backend layer is grouped on its float copy
             mh = blocks[0].attn
             h = mh.heads[0]
-            mixed = MultiheadAttention(mh.heads + (replace(h, a_v=h.a_v.to_float()),))
+            mixed = MultiheadAttention.of(mh.heads + (replace(h, a_v=h.a_v.to_float()),))
             TestFloatImage.assert_image_of_copy([EncoderBlock(mixed, identity_ffn(mixed.out_rows))])
             assert mixed.table[-1] == mixed.table[mh.heads.index(h)]
 
@@ -891,7 +941,7 @@ class TestEncoderModel:
 
     def test_rational_input_stays_strict(self):
         head = scalar_head(a_q=Mat.from_floats([[0.5]]))
-        model = EncoderModel([EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))])
+        model = EncoderModel([EncoderBlock(MultiheadAttention.of((head,)), identity_ffn(1))])
         with pytest.raises(BackendError):
             model(rmat([[2]]))
         # v * relu(k * q) = 2 * (2 * 0.5 * 2) on the float image of the mixed weights

@@ -9,10 +9,11 @@ from splineformer import verifier
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import PBForm, Polynomial, SplineGrid, grid_from_json
 from splineformer.tensor import FLOAT, Mat, add, matmul, stack_rows
-from splineformer.transformer import (Activation, AttentionHead, EncoderBlock,
+from splineformer.transformer import (Activation, EncoderBlock,
                                       EncoderModel, FeedForwardNet,
-                                      MultiheadAttention, _walk, blocks_to_float,
-                                      eval_attention, eval_encoder, softplus)
+                                      MultiheadAttention, _walk, attention_head,
+                                      blocks_to_float, eval_encoder, eval_multihead,
+                                      softplus)
 from splineformer.verifier import (_forward_diff_degree,
                                    autoregressive_check,
                                    estimate_degree, oracle_equiv,
@@ -21,7 +22,7 @@ from splineformer.verifier import (_forward_diff_degree,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
 from reference import (FnModel, apply_mask, broadcast_cols, identity_ffn, relu,
-                       softmax_columns, transpose)
+                       replace_head, softmax_columns, transpose)
 from test_transformer import (cloned_chain, group_count, random_chain, reference_ffn,
                               smooth_chain, sparse_random_mat)
 
@@ -32,8 +33,8 @@ def x(i, j=1):
 
 def cubic_head(masked=False):
     one, zero = Mat.rational([[1]]), Mat.rational([[0]])
-    return AttentionHead(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero,
-                         masked=masked)
+    return attention_head(a_q=one, b_q=zero, a_k=one, b_k=zero, a_v=one, b_v=zero,
+                          masked=masked)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ def _bump_head_entry(blocks, bi, hi, field, r, c):
             continue
         heads = list(blk.attn.heads)
         heads[hi] = replace(heads[hi], **{field: _bump(getattr(heads[hi], field), r, c)})
-        out.append(EncoderBlock(MultiheadAttention(tuple(heads)), blk.ffn, blk.residual))
+        out.append(EncoderBlock(MultiheadAttention.of(tuple(heads)), blk.ffn, blk.residual))
     return tuple(out)
 
 
@@ -145,14 +146,14 @@ class TestAutoregressiveCheck:
         h = cubic_head(masked=True)
         h = replace(h, b_q=Mat.rational([[0, 0, 0]]), b_k=Mat.rational([[0, 0, 0]]),
                     b_v=Mat.rational([[0, 0, 0]]))
-        model = FnModel(lambda X: eval_attention(h, X), 1, 3)
+        model = FnModel(lambda X: eval_multihead(h, X), 1, 3)
         assert autoregressive_check(model, 100, 1).passed
 
     def test_unmasked_fails_with_witness(self):
         h = cubic_head()
         h = replace(h, b_q=Mat.rational([[0, 0]]), b_k=Mat.rational([[0, 0]]),
                     b_v=Mat.rational([[0, 0]]))
-        model = FnModel(lambda X: eval_attention(h, X), 1, 2)
+        model = FnModel(lambda X: eval_multihead(h, X), 1, 2)
         rep = autoregressive_check(model, 100, 2)
         assert not rep.passed
         X, Xp, j, col = rep.witness
@@ -194,7 +195,7 @@ class TestEstimateDegree:
 
     def test_cubic_attention_head(self):
         h = cubic_head()
-        model = FnModel(lambda X: eval_attention(h, X), 1, 1)
+        model = FnModel(lambda X: eval_multihead(h, X), 1, 1)
         rep = estimate_degree(model, max_deg=5, trials=25, seed=7, bound=3)
         assert rep.modal_degree == 3 and rep.bound_satisfied
 
@@ -206,14 +207,14 @@ class TestEstimateDegree:
 
     def test_single_encoder_block_within_cubic_bound(self):
         rng = random.Random(20)
-        h = AttentionHead(
+        h = attention_head(
             a_q=random_rational_mat(rng, 1, 2), b_q=random_rational_mat(rng, 1, 1),
             a_k=random_rational_mat(rng, 1, 2), b_k=random_rational_mat(rng, 1, 1),
             a_v=random_rational_mat(rng, 1, 2), b_v=random_rational_mat(rng, 1, 1))
         ffn = FeedForwardNet((
             (random_rational_mat(rng, 2, 1), random_rational_mat(rng, 2, 1)),
             (random_rational_mat(rng, 1, 2), random_rational_mat(rng, 1, 1))))
-        blk = EncoderBlock(MultiheadAttention((h,)), ffn)
+        blk = EncoderBlock(MultiheadAttention.of((h,)), ffn)
         rep = estimate_degree(EncoderModel([blk]), max_deg=5, trials=50, seed=21,
                               bound=3)
         assert rep.bound_satisfied
@@ -269,7 +270,7 @@ class TestSmoothSwap:
     def test_swap_replaces_attention_only(self, compiled_cube):
         _, c = compiled_cube
         sw = smooth_swap(c, softplus(100.0))
-        assert all(h.activation == softplus(100.0)
+        assert all(h.groups[0][3] == softplus(100.0)
                    for b in sw.blocks for h in b.attn.heads)
         # feed-forward weights untouched
         for b_orig, b_new in zip(blocks_to_float(c.blocks), sw.blocks):
@@ -291,13 +292,13 @@ class TestSmoothSwap:
         h = cubic_head(masked=True)
         h = replace(h, b_q=Mat.rational([[0, 0]]), b_k=Mat.rational([[0, 0]]),
                     b_v=Mat.rational([[0, 0]]))
-        blk = EncoderBlock(MultiheadAttention((h,)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((h,)), identity_ffn(1))
         xs = [random_rational_mat(trial_rng(9, t), 1, 2) for t in range(20)]
         checks = softmax_probability_check([blk], xs)
         assert checks["probability_columns"] and checks["masked_zeros"]
 
     def test_convergence_table_monotone(self):
-        blk = EncoderBlock(MultiheadAttention((cubic_head(),)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((cubic_head(),)), identity_ffn(1))
         xs = [random_rational_mat(trial_rng(10, t), 1, 1) for t in range(40)]
         xs.append(Mat.rational([[F(1, 7)]]))
         betas = [10.0, 20.0, 40.0, 80.0]
@@ -307,13 +308,13 @@ class TestSmoothSwap:
             assert b <= a
 
     def test_infinite_beta_sentinel(self):
-        blk = EncoderBlock(MultiheadAttention((cubic_head(),)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((cubic_head(),)), identity_ffn(1))
         xs = [Mat.rational([[F(1, 2)]])]
         rows = smooth_convergence_table([blk], xs, [10.0, math.inf])
         assert rows[-1] == {"beta": "inf", "max_abs_error": 0.0}
 
     def test_empty_beta_list(self):
-        blk = EncoderBlock(MultiheadAttention((cubic_head(),)), identity_ffn(1))
+        blk = EncoderBlock(MultiheadAttention.of((cubic_head(),)), identity_ffn(1))
         assert smooth_convergence_table([blk], [], []) == []
 
     def test_error_bound_holds(self, compiled_cube):
@@ -505,7 +506,7 @@ class TestObservedPasses:
         # the value map overflows to inf, so the outputs are not finite
         head = cubic_head()
         head = replace(head, a_v=Mat.rational([[F(10) ** 300]]))
-        blocks = [EncoderBlock(MultiheadAttention((head,)), identity_ffn(1))]
+        blocks = [EncoderBlock(MultiheadAttention.of((head,)), identity_ffn(1))]
         xs = [Mat.rational([[F(10) ** 10]]), Mat.rational([[F(1, 2)]])]
         want = dense_probability_check(blocks, xs, 1e-12)
         assert want["finite_outputs"] is False
@@ -536,8 +537,8 @@ class TestSmoothModelPass:
     def test_equals_walk_over_float_copy(self, d, m, scaled):
         for blocks, x in chains("smooth-model", d, m, count=2):
             if scaled:
-                blocks = [EncoderBlock(MultiheadAttention(tuple(
-                    replace(h, scaled=True) for h in blk.attn.heads)), blk.ffn, blk.residual)
+                blocks = [EncoderBlock(MultiheadAttention.of(tuple(
+                    replace_head(h, scaled=True) for h in blk.attn.heads)), blk.ffn, blk.residual)
                     for blk in blocks]
             for activation in (softplus(0.5), softplus(10.0), softplus(1e6), Activation("softmax")):
                 sw = smooth_swap(blocks, activation)
