@@ -14,7 +14,9 @@ import math
 import os
 import sys
 
-from .compiler import (CompileOptions, NotAutoregressiveError,
+# compile_autoregressive is not called here; the benchmark's CLI probe
+# (bench/workloads.py, patch_cli) wraps it by name
+from .compiler import (CompileOptions, NotAutoregressiveError,  # noqa: F401
                        ResourceLimitError, compile_autoregressive, compile_spline)
 from .spline import MAX_INPUT_ENTRIES, FormSizeError, grid_from_json
 from .tensor import RATIONAL, BackendError, ShapeError, mat_from_json, mat_to_json
@@ -77,10 +79,7 @@ def cmd_compile(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read spline: {exc}")
     opts = CompileOptions(mode=args.mode, masked=args.masked)
     try:
-        if args.masked:
-            compiled = compile_autoregressive(spline, opts)
-        else:
-            compiled = compile_spline(spline, opts)
+        compiled = compile_spline(spline, opts)
     except NotAutoregressiveError as exc:
         return _fail(EXIT_RESOURCE_ERROR, f"masked compile rejected: {exc}")
     except ResourceLimitError as exc:

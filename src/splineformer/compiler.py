@@ -443,41 +443,41 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     masked = opts.masked
     faithful = mode == "faithful"
     num = _num_stages(s)
-    target_sets = [None] * num
-    refresh_sets = [None] * num
+    # per column, sets[i] is what stage i's copy pass carries and sets[i + 1]
+    # what its product pass builds (sets[num] is the targets); a linear
+    # spline's one copy pass carries sets[1]
+    sets = [None] * (num + 1)
     if not faithful:
-        target_sets[num - 1] = [list(targets_final[j]) for j in range(p)]
+        sets[num] = [list(targets_final[j]) for j in range(p)]
         for i in range(num - 1, -1, -1):
             cap_deg = 2 ** (i + 1)
             prev_cap = 2 ** i
             needed = [set() for _ in range(p)]
             for j in range(p):
-                for mon in target_sets[i][j]:
+                for mon in sets[i + 1][j]:
                     if mon.degree == 0:
                         continue
-                    if mon.degree <= prev_cap or (s <= 1):
+                    if mon.degree <= prev_cap:
                         needed[j].add(mon)
                     elif mon.degree <= cap_deg:
                         needed[j].update(factor_pair(mon, prev_cap))
                     else:
                         raise ValueError(f"monomial {mon!r} exceeds stage degree {cap_deg}")
-            ordered = [sorted(needed[j], key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
+            sets[i] = [sorted(needed[j],
+                              key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
                        for j in range(p)]
-            refresh_sets[i] = ordered
-            if i > 0:
-                target_sets[i - 1] = ordered
 
     layout = MonomialLayout(n, p)
     stages: list = []
     for i in range(num):
         if s <= 1:
-            stage = _linear_stage(layout, target_sets[i], masked, faithful)
+            stage = _linear_stage(layout, sets[i + 1], masked, faithful)
             stages.append(("linear-copy-pass", stage))
             layout = stage.layout
             continue
-        refresh = _linear_stage(layout, refresh_sets[i], masked, faithful)
+        refresh = _linear_stage(layout, sets[i], masked, faithful)
         stages.append(("linear-copy-pass", refresh))
-        quad = _quadratic_stage(refresh.layout, layout, target_sets[i], 2 ** i,
+        quad = _quadratic_stage(refresh.layout, layout, sets[i + 1], 2 ** i,
                                 masked, faithful)
         stages.append(("quadratic-product-pass", quad))
         layout = quad.layout

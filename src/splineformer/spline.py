@@ -340,32 +340,23 @@ def eval_maxdef(e, x: Mat) -> Scalar:
     raise TypeError(f"malformed expression node {e!r}")
 
 
-def _is_pure_poly(e) -> bool:
-    if isinstance(e, Polynomial):
-        return True
-    if isinstance(e, (Sum, Prod)):
-        return all(_is_pure_poly(a) for a in e.args)
-    if isinstance(e, ScaleE):
-        return _is_pure_poly(e.arg)
-    return False
-
-
-def _to_polynomial(e) -> Polynomial:
+def _poly(e):
+    """e as one polynomial when it holds no max or min, else None."""
     if isinstance(e, Polynomial):
         return e
-    if isinstance(e, Sum):
-        acc = Polynomial.from_terms({})
-        for a in e.args:
-            acc = acc.add(_to_polynomial(a))
-        return acc
-    if isinstance(e, Prod):
-        acc = Polynomial.constant(1)
-        for a in e.args:
-            acc = acc.mul(_to_polynomial(a))
-        return acc
     if isinstance(e, ScaleE):
-        return _to_polynomial(e.arg).scale(e.coef)
-    raise TypeError(f"not a polynomial subtree: {e!r}")
+        p = _poly(e.arg)
+        return None if p is None else p.scale(e.coef)
+    if not isinstance(e, (Sum, Prod)):
+        return None
+    times = isinstance(e, Prod)
+    acc = Polynomial.constant(1 if times else 0)
+    for a in e.args:
+        p = _poly(a)
+        if p is None:
+            return None
+        acc = acc.mul(p) if times else acc.add(p)
+    return acc
 
 
 def _poly_times_plus(q: Polynomial, d) -> PBForm:
@@ -374,47 +365,56 @@ def _poly_times_plus(q: Polynomial, d) -> PBForm:
     q*d+ = max(min(q*d, (q^2+1)*d), min(0, -(q^2+1)*d)); the factor q^2+1
     is pointwise positive, so it distributes straight into the form of d.
     """
-    qd = _poly_times_expr(q, d)
+    qd = _form(d, q)
     c = q.mul(q).add(Polynomial.constant(1))
-    cd = _pb_scale_positive_poly(normalize_to_pbform(d), c)
+    cd = _pb_scale_positive_poly(_form(d), c)
     zero = PBForm.of_poly(Polynomial.from_terms({}))
     return pb_max([pb_min([qd, cd]), pb_min([zero, pb_negate(cd)])])
 
 
-def _poly_times_expr(q: Polynomial, e) -> PBForm:
-    if _is_pure_poly(e):
-        return PBForm.of_poly(q.mul(_to_polynomial(e)))
+def _form(e, q: Polynomial | None = None) -> PBForm:
+    """The max-min form of q * e, or of e when q is None.  A product moves
+    its polynomial factors into q; max and min under a factor q take the
+    sign-split identity, without one the lattice's own pb_max and pb_min."""
+    p = _poly(e)
+    if p is not None:
+        return PBForm.of_poly(p if q is None else q.mul(p))
     if isinstance(e, Sum):
         acc = None
         for a in e.args:
-            part = _poly_times_expr(q, a)
+            part = _form(a, q)
             acc = part if acc is None else pb_sum(acc, part)
         return acc
     if isinstance(e, ScaleE):
-        return _poly_times_expr(q.scale(e.coef), e.arg)
+        return pb_scale(_form(e.arg), e.coef) if q is None else _form(e.arg, q.scale(e.coef))
     if isinstance(e, Prod):
-        polys = [a for a in e.args if _is_pure_poly(a)]
-        others = [a for a in e.args if not _is_pure_poly(a)]
+        polys = [_poly(a) for a in e.args]
+        others = [a for a, p in zip(e.args, polys) if p is None]
         if len(others) != 1:
             raise UnsupportedProductError(f"product with several max/min factors: {e!r}")
-        for a in polys:
-            q = q.mul(_to_polynomial(a))
-        return _poly_times_expr(q, others[0])
+        q = Polynomial.constant(1) if q is None else q
+        for p in polys:
+            if p is not None:
+                q = q.mul(p)
+        return _form(others[0], q)
     if isinstance(e, (Max, Min)):
         if not e.args:
             raise ValueError("max-min form needs at least one nonempty row")
-        if len(e.args) == 1:
-            return _poly_times_expr(q, e.args[0])
-        # fold the rest into the second operand: op(a, b, c) = op(a, op(b, c))
+        if q is None:
+            forms = [_form(a) for a in e.args]
+            return pb_max(forms) if isinstance(e, Max) else pb_min(forms)
         lhs, rest = e.args[0], e.args[1:]
+        if not rest:
+            return _form(lhs, q)
+        # fold the rest into the second operand: op(a, b, c) = op(a, op(b, c))
         rhs = rest[0] if len(rest) == 1 else type(e)(rest)
         if isinstance(e, Max):
             # q*max(a,b) = q*a + q*(b-a)+
             diff = Sum((rhs, ScaleE(Fraction(-1), lhs)))
-            return pb_sum(_poly_times_expr(q, lhs), _poly_times_plus(q, diff))
+            return pb_sum(_form(lhs, q), _poly_times_plus(q, diff))
         # q*min(a,b) = q*a - q*(a-b)+
         diff = Sum((lhs, ScaleE(Fraction(-1), rhs)))
-        return pb_sum(_poly_times_expr(q, lhs), pb_negate(_poly_times_plus(q, diff)))
+        return pb_sum(_form(lhs, q), pb_negate(_poly_times_plus(q, diff)))
     raise TypeError(f"malformed expression node {e!r}")
 
 
@@ -425,23 +425,7 @@ def normalize_to_pbform(e) -> PBForm:
     one factor is a pure polynomial; products of two max/min-bearing
     factors are rejected.
     """
-    if _is_pure_poly(e):
-        return PBForm.of_poly(_to_polynomial(e))
-    if isinstance(e, Max):
-        return pb_max([normalize_to_pbform(a) for a in e.args])
-    if isinstance(e, Min):
-        return pb_min([normalize_to_pbform(a) for a in e.args])
-    if isinstance(e, Sum):
-        acc = None
-        for a in e.args:
-            part = normalize_to_pbform(a)
-            acc = part if acc is None else pb_sum(acc, part)
-        return acc
-    if isinstance(e, ScaleE):
-        return pb_scale(normalize_to_pbform(e.arg), e.coef)
-    if isinstance(e, Prod):
-        return _poly_times_expr(Polynomial.constant(1), e)
-    raise TypeError(f"malformed expression node {e!r}")
+    return _form(e)
 
 
 # -- matrix-valued spline grids ----------------------------------------------

@@ -314,7 +314,7 @@ def mat_from_json(obj) -> Mat:
     """Inverse of `mat_to_json`, read in one pass over the entries.  The
     matrix is read as float only when it holds a JSON float or "-inf";
     integers and strings are exact rationals.  A row that is not a list
-    raises ShapeError as it is met; of the other faults, an entry of the
+    raises FormatError as it is met; of the other faults, an entry of the
     wrong type (BackendError) is reported first, then the first entry
     that does not parse or, in a float matrix, overflows, then ragged
     rows (ShapeError)."""
@@ -324,7 +324,7 @@ def mat_from_json(obj) -> Mat:
     out, is_float, ragged, bad_type, bad_value = [], False, False, None, None
     for row in obj:
         if type(row) is not list:
-            raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
+            raise FormatError(f"a matrix row must be a list, got {type(row).__name__}")
         ragged = ragged or len(row) != width
         nz = []
         for c, v in enumerate(row):

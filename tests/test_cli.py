@@ -752,6 +752,48 @@ class TestLayerForm:
         one_line_exit_2(capsys, ["eval", w, write(tmp_path / "x.json", [["1"]])])
 
 
+def misfit(doc, case):
+    """The compiled identity weights `doc` (one block whose attention emits
+    two rows into a net of one layer) with parts that do not fit."""
+    blk = doc["blocks"][0]
+    layer = blk["ffn"]["layers"][0]
+    if case == "no-blocks":
+        doc["blocks"] = []
+    elif case == "no-layers":
+        blk["ffn"]["layers"] = []
+    elif case == "bias-2-columns":
+        layer["b"] = {"cols": 2, "rows": [[]]}
+    elif case == "chain-mismatch":
+        blk["ffn"]["layers"] = [layer, layer]
+    else:
+        layer["A"] = {"cols": 3, "rows": [[[0, "1"]]]}
+    return doc
+
+
+class TestMisfitWeights:
+    """A weights document whose parts do not fit together exits 2 with one
+    line naming the misfit."""
+
+    @pytest.mark.parametrize("case,message", [
+        ("no-blocks", "need at least one block"),
+        ("no-layers", "feed-forward net needs at least one layer"),
+        ("bias-2-columns", "bias (1, 2) does not fit layer of 1 rows"),
+        ("chain-mismatch", "layer chain mismatch: (1, 2) then (1, 2)"),
+        ("net-reads-3-rows", "ffn reads 3 rows but attention emits 2"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "W", "X"], ["verify", "W", "S", "--samples", "1"],
+        ["degree", "W", "--trials", "1"], ["smooth", "W", "--samples", "1"],
+    ], ids=["eval", "verify", "degree", "smooth"])
+    def test_exits_2(self, tmp_path, capsys, case, message, argv):
+        spath, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        w = write(tmp_path / "misfit.json", misfit(json.loads(open(out).read()), case))
+        x = write(tmp_path / "x.json", [["1"]])
+        err = one_line_exit_2(capsys, [{"W": w, "S": spath, "X": x}.get(a, a) for a in argv])
+        assert message in err
+
+
 class TestNoHeadView:
     """No pass builds the per-head view: loading and running faithful
     weights reads no layer's `heads`."""

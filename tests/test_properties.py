@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from splineformer.cli import main
 from splineformer.compiler import CompileOptions, compile_autoregressive, compile_spline
-from splineformer.spline import grid_from_json
+from splineformer.spline import (FormSizeError, Monomial, Polynomial, UnsupportedProductError,
+                                 emax, emin, eprod, escale, esum, eval_maxdef, grid_from_json,
+                                 normalize_to_pbform)
 from splineformer.transformer import blocks_to_json
-from splineformer.verifier import autoregressive_check, oracle_equiv
+from splineformer.verifier import (autoregressive_check, oracle_equiv, random_rational_mat,
+                                   trial_rng)
 
 from reference import per_head_json
 
@@ -82,6 +85,58 @@ class TestCompileThenVerify:
     def test_faithful(self, data, masked, seed):
         doc = data.draw(st.one_of(spline_docs((1,), 3, masked), spline_docs((2,), 2, masked)))
         assert_compiles_exact(doc, "faithful", masked, seed)
+
+
+# -- max-min normal forms of lattice expressions --------------------------------
+
+NODES = {"sum": esum, "prod": eprod, "max": emax, "min": emin}
+
+
+@st.composite
+def polynomials(draw):
+    """A polynomial of up to two terms of degree <= 2 in the entries of a
+    2 x 1 input."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 2))):
+            v = draw(st.sampled_from([(1, 1), (2, 1)]))
+            exps[v] = exps.get(v, 0) + 1
+        m = Monomial.from_dict(exps)
+        terms[m] = terms.get(m, 0) + Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return Polynomial.from_terms(terms)
+
+
+@st.composite
+def lattice_exprs(draw, depth=3):
+    """A lattice expression with `polynomials` as leaves under at most
+    `depth` levels of sums, products, scalings, maxes and mins.  A max or
+    min has one to three arguments, a sum or product none to three."""
+    kind = "poly" if depth == 0 else draw(st.sampled_from(["poly", "scale", *NODES]))
+    if kind == "poly":
+        return draw(polynomials())
+    if kind == "scale":
+        coef = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        return escale(coef, draw(lattice_exprs(depth - 1)))
+    low = 1 if kind in ("max", "min") else 0
+    return NODES[kind](*[draw(lattice_exprs(depth - 1))
+                         for _ in range(draw(st.integers(low, 3)))])
+
+
+class TestNormalForm:
+    @settings(PROPERTY, max_examples=200)
+    @given(e=lattice_exprs(), q=polynomials(), seed=st.integers(0, 99))
+    def test_form_equals_expression(self, e, q, seed):
+        # e and q * e: a product of two max/min factors, or a form above the cap,
+        # is refused; any other expression's form has its value at every point
+        for expr in (e, eprod(q, e)):
+            try:
+                f = normalize_to_pbform(expr)
+            except (UnsupportedProductError, FormSizeError):
+                continue
+            for t in range(3):
+                x = random_rational_mat(trial_rng(seed, t), 2, 1)
+                assert f.eval(x) == eval_maxdef(expr, x)
 
 
 # -- exit codes of mutated documents ------------------------------------------------

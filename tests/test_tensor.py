@@ -268,7 +268,7 @@ class TestJson:
         (Dense([["1", "2"], ["0", "0", "1"]]), ShapeError), (Dense([[True, "0"]]), BackendError),
         (Dense([[None, "0"]]), BackendError), (Dense([["abc", "0"]]), ValueError),
         (Dense([["1/0", "0"]]), ZeroDivisionError),
-        (Dense([[10 ** 400, "0"], [1.5, "0"]]), OverflowError)])
+        (Dense([[10 ** 400, "0"], [1.5, "0"]]), OverflowError), (Dense(["x"]), FormatError)])
     def test_bad_sparse_matrices(self, rows, error):
         with pytest.raises(error) as caught:
             if isinstance(rows, Dense):
@@ -276,6 +276,13 @@ class TestJson:
             else:
                 sparse_from_json({"cols": 2, "rows": rows})
         assert type(caught.value) is error
+
+    @pytest.mark.parametrize("obj", [[["1"], 5], [["1"], "x"], [None]])
+    def test_row_not_a_list_named(self, obj):
+        # the message names the type of the row, not of the matrix
+        with pytest.raises(FormatError, match=f"a matrix row must be a list, got "
+                                              f"{type(obj[-1]).__name__}$"):
+            mat_from_json(obj)
 
 
 # -- storage: only the nonzeros are kept ----------------------------------------
