@@ -243,17 +243,6 @@ class MonomialLayout:
         j, mon = self._slots[r]
         return mon if j == c else None
 
-    def source(self, mon: Monomial, j: int) -> tuple:
-        """The entry (r, c), 0-based, that a head copying `mon` into column
-        j (0-based) reads: the input variable itself, or its row in
-        column j's block."""
-        if self.columns is None:
-            (i, c), _ = mon.exps[0]
-            return i - 1, c - 1
-        if not self.has(mon, j + 1):
-            raise KeyError(f"monomial {mon!r} missing from column {j + 1}")
-        return self.row_of(mon, j + 1), j
-
     def entries(self):
         for (m, c), r in sorted(self._rows.items(), key=lambda kv: kv[1]):
             yield m, c, r
@@ -313,9 +302,11 @@ def _guard(*quantities: int):
 
 
 def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool) -> _Stage:
-    """Copy existing values forward so every column holds its own block of
-    them (plus constants where requested).  Faithful mode copies every
-    entry the column may read, after a constant row."""
+    """Copy entries of `src` forward so every column holds its own block of
+    them.  Faithful mode copies every entry the column may read, after a
+    constant row.  Pruned mode reads only the raw input, and column j's
+    block holds targets[j]: variable x_i_c is copied from entry
+    (i - 1, c - 1), and the constant comes from a const head."""
     p, rows = src.p, src.total_rows
     keys = ()
     if faithful:
@@ -327,19 +318,27 @@ def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool) ->
                       for r in range(rows) for c in range(p) if not (masked and c > j)]
                    for j in range(p)]
     else:
-        columns = [[(mon, {("const", j) if mon == ONE else ("copy", *src.source(mon, j), j): 1})
-                    for mon in targets[j]] for j in range(p)]
+        def head(mon, j):
+            if mon == ONE:
+                return ("const", j)
+            (i, c), _ = mon.exps[0]
+            return ("copy", i - 1, c - 1, j)
+
+        columns = [[(mon, {head(mon, j): 1}) for mon in targets[j]] for j in range(p)]
     return _emit(src, columns, masked, keys)
 
 
-def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
+def _quadratic_stage(blocks: MonomialLayout, src: MonomialLayout, targets,
                      cap_deg: int, masked: bool, faithful: bool) -> _Stage:
-    """Form pairwise products of the refreshed rows.  A product row for
-    (a, b) at column j computes u_a * relu(u_b) - u_a * relu(-u_b) = u_a u_b,
-    and stays zero outside column j because row b is.  Faithful mode forms
-    every product of the entries of `src` the column may read, from the
-    faithful refresh's copies, and emits the head for every row pair."""
-    p, rows = src.p, refreshed.total_rows
+    """Form pairwise products of the rows of `blocks`, the per-column
+    blocks this pass reads: the output of the copy pass that read `src`,
+    or in pruned mode after the first stage the previous product pass's
+    output, which holds this stage's factors row for row.  A product row
+    for (a, b) at column j computes u_a * relu(u_b) - u_a * relu(-u_b) =
+    u_a u_b, and stays zero outside column j because row b is.  Faithful
+    mode forms every product of the entries of `src` the column may read,
+    from its copy pass's copies, and emits the head for every row pair."""
+    p, rows = src.p, blocks.total_rows
 
     def product(j, ra, rb) -> dict:
         return {("quad", ra, rb, j, 1): 1, ("quad", ra, rb, j, -1): -1}
@@ -348,12 +347,12 @@ def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
         yvars = [(r, c) for r in range(src.total_rows) for c in range(p)]
         _guard(2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
         allowed = [[(r, c) for r, c in yvars if not (masked and c > j)] for j in range(p)]
-        # the faithful refresh holds allowed[j][k] on row k + 1 of column j's block
-        var_row = [{v: refreshed.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
+        # the faithful copy pass holds allowed[j][k] on row k + 1 of column j's block
+        var_row = [{v: blocks.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
                    for j in range(p)]
         keys = [("copy", var_row[j][v], j, j) for v in yvars for j in range(p)
                 if v in var_row[j]] + [("const", j) for j in range(p)]
-        for j, (lo, hi) in enumerate(refreshed.block_spans):
+        for j, (lo, hi) in enumerate(blocks.block_spans):
             pairs = range(lo, hi) if masked else range(rows)
             keys += [("quad", a, b, j, sign) for a in pairs for b in pairs for sign in (1, -1)]
         columns = []
@@ -364,19 +363,19 @@ def _quadratic_stage(refreshed: MonomialLayout, src: MonomialLayout, targets,
                            + [(xa.mul(xb) if xa is not None and xb is not None else None,
                                product(j, ra, rb))
                               for i, (xa, ra) in enumerate(xs) for xb, rb in xs[i:]])
-        return _emit(refreshed, columns, masked, keys)
+        return _emit(blocks, columns, masked, keys)
 
     def slot(mon, j) -> dict:
         if mon == ONE:
             return {("const", j): 1}
-        if refreshed.has(mon, j + 1):
-            return {("copy", refreshed.row_of(mon, j + 1), j, j): 1}
+        if blocks.has(mon, j + 1):
+            return {("copy", blocks.row_of(mon, j + 1), j, j): 1}
         m1, m2 = factor_pair(mon, cap_deg)
-        if not (refreshed.has(m1, j + 1) and refreshed.has(m2, j + 1)):
+        if not (blocks.has(m1, j + 1) and blocks.has(m2, j + 1)):
             raise KeyError(f"factors of {mon!r} missing from column {j + 1}")
-        return product(j, refreshed.row_of(m1, j + 1), refreshed.row_of(m2, j + 1))
+        return product(j, blocks.row_of(m1, j + 1), blocks.row_of(m2, j + 1))
 
-    return _emit(refreshed, [[(mon, slot(mon, j)) for mon in targets[j]] for j in range(p)],
+    return _emit(blocks, [[(mon, slot(mon, j)) for mon in targets[j]] for j in range(p)],
                  masked)
 
 
@@ -443,9 +442,11 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     masked = opts.masked
     faithful = mode == "faithful"
     num = _num_stages(s)
-    # per column, sets[i] is what stage i's copy pass carries and sets[i + 1]
-    # what its product pass builds (sets[num] is the targets); a linear
-    # spline's one copy pass carries sets[1]
+    # per column, sets[i + 1] is what stage i's product pass builds (sets[num]
+    # is the targets) from the rows of sets[i]: the first copy pass carries
+    # sets[0] out of the raw input, and every later product pass reads
+    # sets[i] off the previous product pass's blocks; a linear spline's one
+    # copy pass carries sets[1]
     sets = [None] * (num + 1)
     if not faithful:
         sets[num] = [list(targets_final[j]) for j in range(p)]
@@ -467,20 +468,18 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
                               key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
                        for j in range(p)]
 
-    layout = MonomialLayout(n, p)
+    src = MonomialLayout(n, p)
+    if s <= 1:
+        return [("linear-copy-pass", _linear_stage(src, sets[1], masked, faithful))]
     stages: list = []
     for i in range(num):
-        if s <= 1:
-            stage = _linear_stage(layout, sets[i + 1], masked, faithful)
-            stages.append(("linear-copy-pass", stage))
-            layout = stage.layout
-            continue
-        refresh = _linear_stage(layout, sets[i], masked, faithful)
-        stages.append(("linear-copy-pass", refresh))
-        quad = _quadratic_stage(refresh.layout, layout, sets[i + 1], 2 ** i,
-                                masked, faithful)
+        if faithful or i == 0:
+            copy = _linear_stage(src, sets[i], masked, faithful)
+            stages.append(("linear-copy-pass", copy))
+            blocks = copy.layout
+        quad = _quadratic_stage(blocks, src, sets[i + 1], 2 ** i, masked, faithful)
         stages.append(("quadratic-product-pass", quad))
-        layout = quad.layout
+        src = blocks = quad.layout
     return stages
 
 

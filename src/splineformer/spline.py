@@ -209,6 +209,8 @@ class PBForm:
 
 
 def pb_max(forms: Sequence[PBForm]) -> PBForm:
+    # max of max-min forms: the operands' rows, joined
+    _check_size(sum(len(f.rows) for f in forms), sum(map(_form_size, forms)))
     return PBForm(tuple(row for f in forms for row in f.rows))
 
 

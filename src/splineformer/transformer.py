@@ -641,10 +641,6 @@ class EncoderModel:
             return eval_encoder(self.weights, x)
         return _walk(self.weights, x.to_float(), activation=self.activation)
 
-    def swap_back(self) -> tuple:
-        """The untouched original weights."""
-        return self.weights
-
 
 def pass_through(a: Mat, b: Mat) -> tuple:
     """Two net layers computing u = a x + b as relu(u) - relu(-u)."""

@@ -53,12 +53,6 @@ class VeroneseIndex:
     def __len__(self):
         return len(self.monomials)
 
-    def position(self, m: Monomial) -> int:
-        return self.monomials.index(m)
-
-    def monomial_at(self, idx: int) -> Monomial:
-        return self.monomials[idx]
-
 
 def veronese_eval(idx: VeroneseIndex, x: Mat) -> Mat:
     """Column vector of the monomial values, in index order."""

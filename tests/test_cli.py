@@ -169,6 +169,17 @@ class TestDegree:
         assert report["bound_satisfied"] is True
         assert report["modal_degree"] == 1
 
+    def test_default_bound_of_a_pruned_chain(self, tmp_path, capsys):
+        # pruned x^16 is one copy pass and four product passes: bound 3^5
+        x16 = {"n": 1, "p": 1, "grid": [[
+            {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 16}}]}]]}
+        _, out = compile_to(tmp_path, x16)
+        assert json.loads(capsys.readouterr().out)["blocks"] == 5
+        assert main(["degree", out, "--trials", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bound"] == 243 and report["bound_satisfied"] is True
+        assert report["modal_degree"] == 16
+
     def test_explicit_bound(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
@@ -560,6 +571,25 @@ class TestResourceCaps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cap" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_max_just_over_cap(self, tmp_path, capsys, command):
+        # a max joins rows: max(m8, m8, x_1_1), with m8 the min of eight two-way
+        # maxes, is 513 rows of 4097 polynomials, one over the cap
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        m8 = min_of_maxes(8)["grid"][0][0]
+        x = {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]}
+        doc = {"n": 2, "p": 1, "grid": [[{"op": "max", "args": [m8, m8, x]}]]}
+        spath = write(tmp_path / "tall.json", doc)
+        w = tmp_path / "tall_w.json"
+        argv = {"compile": ["compile", spath, "-o", str(w)],
+                "verify": ["verify", out, spath, "--samples", "1"]}[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not w.exists()
+        assert "4097 polynomials in 513 rows" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def power_spline(self, n, p, exps):
         return {"n": n, "p": p, "grid": [[{"op": "poly", "terms": [

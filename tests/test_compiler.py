@@ -342,9 +342,10 @@ class TestCompileSpline:
         g = grid1(PBForm.of_poly(Monomial.from_dict({(1, 1): 3}) and Polynomial.from_terms(
             {Monomial.from_dict({(1, 1): 3}): F(1)})), 1)
         c = compile_spline(g)
-        assert c.stats["blocks"] == len(c.blocks) == 4
-        assert len(c.provenance) == 4
-        assert "readout" in c.provenance[-1]
+        # pruned x^3: one copy pass, then a product pass per stage
+        assert c.stats["blocks"] == len(c.blocks) == 3
+        assert c.provenance == ("linear-copy-pass", "quadratic-product-pass",
+                                "quadratic-product-pass+readout(max-min net, recombine)")
 
 
 class TestCompileAutoregressive:

@@ -32,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 RANDOM_GRIDS = 40
-DIGEST = "8717adbc942e0bfb683ff1cc40ef082b5934160d43f075bf5e3605b53bec390c"
-DIGEST_LAYER = "fcc4a4845015947111bc74905fdedee725cf44a49592379a81f0bec711243bcf"
+DIGEST = "145252b16b524b442b84641949fd00d98e0304f3a9a4d696710d0f3683f6f9f8"
+DIGEST_LAYER = "2ae22366f55fa75da04d716ebae33a0f9222545004caf527dda3a3ad6276cb73"
 
 
 def random_doc(rng: random.Random) -> dict:

@@ -62,14 +62,19 @@ def assert_compiles_exact(doc, mode, masked, seed):
     compiled = compile_fn(grid, CompileOptions(mode=mode))
     report = oracle_equiv(compiled, grid, 3, seed)
     assert report.exact, report.to_json()
+    if compiled.mode == "pruned" and grid.degree >= 3:
+        # one copy pass out of the raw input, then a product pass per stage
+        assert compiled.provenance.count("linear-copy-pass") == 1
+        assert len(compiled.blocks) == compiled.stages + 1
     if masked and grid.p > 1:
         assert autoregressive_check(compiled, 3, seed).passed
 
 
 class TestCompileThenVerify:
+    # pieces of degree 5 to 8 take three product stages
     @settings(PROPERTY, max_examples=40)
-    @given(doc=spline_docs((1, 2), 3), mode=st.sampled_from(["pruned", "auto"]),
-           seed=st.integers(0, 99))
+    @given(doc=st.sampled_from([3, 8]).flatmap(lambda d: spline_docs((1, 2), d)),
+           mode=st.sampled_from(["pruned", "auto"]), seed=st.integers(0, 99))
     def test_pruned_and_auto(self, doc, mode, seed):
         assert_compiles_exact(doc, mode, False, seed)
 

@@ -9,7 +9,7 @@ from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
                                  VariableRangeError, const, emax, emin, eprod,
                                  escale, esum, eval_maxdef, expr_from_json, expr_to_json,
                                  grid_from_json, grid_to_json, normalize_to_pbform,
-                                 pb_min, pb_negate, pb_scale, pb_sum, var)
+                                 pb_max, pb_min, pb_negate, pb_scale, pb_sum, var)
 from splineformer.tensor import Mat
 from splineformer.verifier import random_rational_mat, trial_rng
 
@@ -151,8 +151,9 @@ class TestNormalize:
 
 
 class TestSizeCap:
-    """Min, sum and negation multiply form sizes; each is sized from its
-    operands and refused above MAX_FORM_SIZE polynomials before it is built."""
+    """Max adds form sizes, and min, sum and negation multiply them; each is
+    sized from its operands and refused above MAX_FORM_SIZE polynomials
+    before it is built."""
 
     @staticmethod
     def tall(rows, width=1):
@@ -165,6 +166,13 @@ class TestSizeCap:
         assert len(f.rows) == half and sum(map(len, f.rows)) == MAX_FORM_SIZE
         with pytest.raises(FormSizeError, match=str(MAX_FORM_SIZE)):
             pb_min([self.tall(1), self.tall(half + 1)])
+
+    def test_max_at_and_just_over_cap(self):
+        # a max joins its operands' rows: 2048 + 2048 is the cap, 2048 + 2049 over it
+        half = MAX_FORM_SIZE // 2
+        assert len(pb_max([self.tall(half), self.tall(half)]).rows) == MAX_FORM_SIZE
+        with pytest.raises(FormSizeError, match=str(MAX_FORM_SIZE)):
+            pb_max([self.tall(half), self.tall(half + 1)])
 
     def test_sum_just_over_cap(self):
         assert len(pb_sum(self.tall(1, 64), self.tall(1, 64)).rows[0]) == MAX_FORM_SIZE

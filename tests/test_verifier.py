@@ -279,8 +279,8 @@ class TestSmoothSwap:
     def test_swap_back_bit_exact(self, compiled_cube):
         _, c = compiled_cube
         sw = smooth_swap(c, softplus(10.0))
-        assert sw.swap_back() is not None
-        assert sw.swap_back() == c.blocks
+        assert sw.weights is not None
+        assert sw.weights == c.blocks
 
     def test_swap_requires_relu(self, compiled_cube):
         _, c = compiled_cube

@@ -40,8 +40,8 @@ class TestOrdering:
     def test_index_bijective(self):
         idx = VeroneseIndex.for_matrix(2, 2, 3)
         for pos, m in enumerate(idx.monomials):
-            assert idx.position(m) == pos
-            assert idx.monomial_at(pos) == m
+            assert idx.monomials.index(m) == pos
+            assert idx.monomials[pos] == m
 
 
 class TestVeroneseEval:
