@@ -9,6 +9,7 @@ seed; reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,7 +219,10 @@ def cmd_smooth(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first `main` call and reused by
+    every later one: parsing fills a new namespace and keeps no state."""
     parser = argparse.ArgumentParser(
         prog="splineformer",
         description="compile max-min splines to encoder weights and verify them")
@@ -262,8 +266,11 @@ def main(argv=None) -> int:
     s.add_argument("--samples", type=int, default=100)
     s.add_argument("--seed", type=int, default=None)
     s.set_defaults(fn=cmd_smooth)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # a check on zero samples or trials would pass on no evidence
     for flag in ("samples", "trials"):
         count = getattr(args, flag, 1)

@@ -1,4 +1,6 @@
+import argparse
 import copy
+import importlib.util
 import json
 import os
 
@@ -848,3 +850,108 @@ class TestNoHeadView:
         assert built == []
         # the guard sees a construction
         assert blocks_from_json(json.loads(open(out).read()))[1].attn.heads and built
+
+
+def count_parsers(monkeypatch) -> list:
+    """Record every `argparse.ArgumentParser` built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def all_parsers(parser):
+    """`parser` and the parsers of its subcommands."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from all_parsers(sub)
+
+
+class TestParserReuse:
+    """`main` builds its parser on the first call and reuses it; a call
+    carries nothing into the next one."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        spath, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        return {"W": out, "S": spath, "X": write(tmp_path / "x.json", [["2"]]),
+                "O": str(tmp_path / "again.json")}
+
+    def run(self, capsys, files, argv):
+        code = main([files.get(a, a) for a in argv])
+        return code, capsys.readouterr()
+
+    def test_built_once_and_lazily(self, files, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        built = count_parsers(monkeypatch)
+        counts = []
+        for argv in (["compile", "S", "-o", "O"], ["eval", "W", "X"],
+                     ["verify", "W", "S", "--samples", "2"], ["degree", "W", "--trials", "1"],
+                     ["smooth", "W", "--samples", "1", "--betas", "10"]) * 2:
+            assert self.run(capsys, files, argv)[0] == 0, argv
+            counts.append(len(built))
+        assert counts[0] > 0 and counts[0] == counts[-1]
+
+    def test_import_builds_no_parser(self, monkeypatch):
+        built = count_parsers(monkeypatch)
+        spec = importlib.util.find_spec("splineformer.cli")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert built == [] and fresh._parser.cache_info().currsize == 0
+
+    def test_default_bound_after_explicit_bound(self, files, capsys):
+        code, captured = self.run(capsys, files, ["degree", "W", "--trials", "1", "--bound", "2"])
+        assert code == 0 and json.loads(captured.out)["bound"] == 2
+        code, captured = self.run(capsys, files, ["degree", "W", "--trials", "1"])
+        blocks = len(blocks_from_json(json.loads(open(files["W"]).read())))
+        assert code == 0 and json.loads(captured.out)["bound"] == 3 ** blocks
+
+    def test_backend_inferred_after_float(self, files, capsys):
+        code, captured = self.run(capsys, files, ["eval", "W", "X", "--backend", "float"])
+        assert code == 0 and json.loads(captured.out) == [[8.0]]
+        code, captured = self.run(capsys, files, ["eval", "W", "X"])
+        assert code == 0 and json.loads(captured.out) == [["8"]]
+
+    def test_seed_variable_read_on_each_call(self, files, capsys, monkeypatch):
+        for seed in (7, 11):
+            monkeypatch.setenv("SPLINEFORMER_SEED", str(seed))
+            code, captured = self.run(capsys, files, ["verify", "W", "S", "--samples", "2"])
+            assert code == 0 and json.loads(captured.out)["seed"] == seed
+
+    def test_usage_error_then_valid_command(self, files, capsys):
+        cli._parser.cache_clear()
+        want = self.run(capsys, files, ["eval", "W", "X"])
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["eval", files["W"]])
+        assert capsys.readouterr().err
+        assert self.run(capsys, files, ["eval", "W", "X"]) == want
+
+    def test_no_mutable_default(self):
+        accumulating = (argparse._AppendAction, argparse._AppendConstAction)
+        for parser in all_parsers(cli._parser()):
+            defaults = [a.default for a in parser._actions] + list(parser._defaults.values())
+            assert not [d for d in defaults if isinstance(d, (list, dict, set))], parser.prog
+            assert not [a for a in parser._actions if isinstance(a, accumulating)], parser.prog
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "w.json"], ["bogus"], ["verify", "w.json", "s.json", "--samples", "x"],
+        ["compile", "s.json", "--mode", "bogus"],
+    ], ids=["missing-positional", "unknown-command", "samples-not-int", "unknown-mode"])
+    def test_usage_error_exits_2(self, capsys, argv, warm):
+        cli._parser.cache_clear()
+        if warm:
+            cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: splineformer")
