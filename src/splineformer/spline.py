@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -33,9 +34,10 @@ class FormSizeError(RuntimeError):
 
 # Polynomials in one max-min form, summed over its rows.  Min, sum and
 # negation multiply sizes, so a short expression can ask for billions;
-# each is sized from its operands before anything is built.  The readout
-# network compiled from a form keeps only its nonzero weights: min of 8
-# two-way maxes (256 rows, 2048 polynomials, 17k nonzero of 6.3M
+# each is sized from its operands, themselves absorbed, before anything
+# is built, so the cap measures a result before it is absorbed.  The
+# readout network compiled from a form keeps only its nonzero weights:
+# min of 8 two-way maxes (256 rows, 2048 polynomials, 17k nonzero of 6.3M
 # feed-forward entries) compiles in about 0.07 s and 22 MB, min of 9
 # (4608 polynomials, 45k nonzero of 45M) in about 0.2 s and 28 MB
 # (2-vCPU Xeon VM, Python 3.11, one process under `ulimit -v`).
@@ -208,10 +210,34 @@ class PBForm:
         return max(min(values[i] for i in row) for row in rows)
 
 
+def absorb(rows: Sequence[Sequence[Polynomial]]) -> PBForm:
+    """The form of `rows` after the lattice's absorption law: each row
+    loses its repeats, and a row whose polynomials include every one of
+    another row's is dropped, since its min is never the larger one.  Of
+    equal rows the first stays; kept rows and polynomials keep their
+    order.  A row is tested only against the kept rows filed under one of
+    its polynomials, each row filed under its least used one."""
+    index: dict = {}
+    distinct: dict = {}
+    for row in rows:
+        row = tuple(dict.fromkeys([index.setdefault(p, len(index)) for p in row]))
+        distinct.setdefault(frozenset(row), row)
+    if len(set(map(len, distinct))) > 1:  # rows of one length hold no other
+        uses = Counter(itertools.chain.from_iterable(distinct))
+        filed: dict = {}
+        for s in sorted(distinct, key=len):
+            if any(t <= s for k in s for t in filed.get(k, ())):
+                del distinct[s]
+            else:
+                filed.setdefault(min(s, key=uses.__getitem__), []).append(s)
+    polys = tuple(index)
+    return PBForm(tuple(tuple(polys[k] for k in row) for row in distinct.values()))
+
+
 def pb_max(forms: Sequence[PBForm]) -> PBForm:
     # max of max-min forms: the operands' rows, joined
     _check_size(sum(len(f.rows) for f in forms), sum(map(_form_size, forms)))
-    return PBForm(tuple(row for f in forms for row in f.rows))
+    return absorb([row for f in forms for row in f.rows])
 
 
 def _form_size(f: PBForm) -> int:
@@ -231,15 +257,13 @@ def pb_min(forms: Sequence[PBForm]) -> PBForm:
     rows = [()]
     for f in forms:
         rows = [acc + r for acc in rows for r in f.rows]
-    return PBForm(tuple(rows))
+    return absorb(rows)
 
 
 def pb_sum(a: PBForm, b: PBForm) -> PBForm:
     # max distributes over + on the outside, min on the inside
     _check_size(len(a.rows) * len(b.rows), _form_size(a) * _form_size(b))
-    return PBForm(tuple(
-        tuple(p.add(q) for p in ra for q in rb)
-        for ra in a.rows for rb in b.rows))
+    return absorb([[p.add(q) for p in ra for q in rb] for ra in a.rows for rb in b.rows])
 
 
 def pb_negate(f: PBForm) -> PBForm:
@@ -247,9 +271,7 @@ def pb_negate(f: PBForm) -> PBForm:
     count = math.prod(map(len, f.rows))
     _check_size(count, count * len(f.rows))
     choices = itertools.product(*[range(len(r)) for r in f.rows])
-    return PBForm(tuple(
-        tuple(f.rows[i][k].neg() for i, k in enumerate(choice))
-        for choice in choices))
+    return absorb([[f.rows[i][k].neg() for i, k in enumerate(choice)] for choice in choices])
 
 
 def pb_scale(f: PBForm, c) -> PBForm:

@@ -8,17 +8,23 @@ head's output from first principles and compare.  A head is a
 `MultiheadAttention` of one head; the compiler's single-head builders,
 `replace_head`, which also rebuilds such a head's group with new flags,
 and the writer of the per-head weights form, which only tests use, live
-here too.
+here too, as do the max-min combinators as they were before forms were
+absorbed, and the normal form built with them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
+from unittest import mock
 
+from splineformer import spline
 from splineformer.compiler import CompiledEncoder, _layer
+from splineformer.spline import PBForm, _check_size, _form_size
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
                                  _softmax_column, _softplus_scalar, mat_to_json)
 from splineformer.transformer import FeedForwardNet, blocks_from_json, eval_encoder, pass_through
@@ -186,3 +192,47 @@ def per_head_json(blocks) -> dict:
 def per_head_file(path) -> dict:
     """The per-head document of the weights file at `path`."""
     return per_head_json(blocks_from_json(json.loads(Path(path).read_text())))
+
+
+# -- unabsorbed max-min forms ----------------------------------------------------
+
+def pb_max(forms: Sequence[PBForm]) -> PBForm:
+    # max of max-min forms: the operands' rows, joined
+    _check_size(sum(len(f.rows) for f in forms), sum(map(_form_size, forms)))
+    return PBForm(tuple(row for f in forms for row in f.rows))
+
+
+def pb_min(forms: Sequence[PBForm]) -> PBForm:
+    # min of max-min forms: distribute, one row drawn from each operand
+    count = math.prod(len(f.rows) for f in forms)
+    _check_size(count, sum(_form_size(f) * (count // len(f.rows)) for f in forms))
+    rows = [()]
+    for f in forms:
+        rows = [acc + r for acc in rows for r in f.rows]
+    return PBForm(tuple(rows))
+
+
+def pb_sum(a: PBForm, b: PBForm) -> PBForm:
+    # max distributes over + on the outside, min on the inside
+    _check_size(len(a.rows) * len(b.rows), _form_size(a) * _form_size(b))
+    return PBForm(tuple(
+        tuple(p.add(q) for p in ra for q in rb)
+        for ra in a.rows for rb in b.rows))
+
+
+def pb_negate(f: PBForm) -> PBForm:
+    """-f re-expressed as max-min (lattice distribution over row choices)."""
+    count = math.prod(map(len, f.rows))
+    _check_size(count, count * len(f.rows))
+    choices = itertools.product(*[range(len(r)) for r in f.rows])
+    return PBForm(tuple(
+        tuple(f.rows[i][k].neg() for i, k in enumerate(choice))
+        for choice in choices))
+
+
+def unabsorbed_form(e) -> PBForm:
+    """`normalize_to_pbform(e)` built with the combinators above, so that
+    no row or repeated polynomial is dropped; the caps apply as there."""
+    with mock.patch.multiple(spline, pb_max=pb_max, pb_min=pb_min, pb_sum=pb_sum,
+                             pb_negate=pb_negate):
+        return spline.normalize_to_pbform(e)

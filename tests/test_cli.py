@@ -593,6 +593,35 @@ class TestResourceCaps:
         assert "4097 polynomials in 513 rows" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @staticmethod
+    def min_of_two_maxes(distinct):
+        """min(max of 64 pieces (k+1)*x_1_1, max of 33 pieces x_2_1 + k): 2112
+        rows of two, 4224 polynomials, before absorption; unless distinct, every
+        piece of a max is a copy of its first."""
+        def pieces(count, terms):
+            return {"op": "max", "args": [{"op": "poly", "terms": terms(k if distinct else 0)}
+                                          for k in range(count)]}
+        return {"n": 2, "p": 1, "grid": [[{"op": "min", "args": [
+            pieces(64, lambda k: [{"coef": str(k + 1), "exps": {"x_1_1": 1}}]),
+            pieces(33, lambda k: [{"coef": "1", "exps": {"x_2_1": 1}},
+                                  {"coef": str(k), "exps": {}}])]}]]}
+
+    def test_redundant_document_compiles(self, tmp_path, capsys):
+        # each max of copies absorbs to one row before the min sizes its operands
+        spath, out = compile_to(tmp_path, self.min_of_two_maxes(distinct=False))
+        capsys.readouterr()
+        assert main(["verify", out, spath, "--samples", "50"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact"] is True and report["samples"] == 50
+
+    def test_distinct_document_just_over_cap(self, tmp_path, capsys):
+        spath = write(tmp_path / "distinct.json", self.min_of_two_maxes(distinct=True))
+        w = tmp_path / "distinct_w.json"
+        assert main(["compile", spath, "-o", str(w)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not w.exists()
+        assert "4224 polynomials in 2112 rows" in captured.err
+
     def power_spline(self, n, p, exps):
         return {"n": n, "p": p, "grid": [[{"op": "poly", "terms": [
             {"coef": "1", "exps": exps}]}] * p]}

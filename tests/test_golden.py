@@ -32,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 RANDOM_GRIDS = 40
-DIGEST = "145252b16b524b442b84641949fd00d98e0304f3a9a4d696710d0f3683f6f9f8"
-DIGEST_LAYER = "2ae22366f55fa75da04d716ebae33a0f9222545004caf527dda3a3ad6276cb73"
+DIGEST = "af3555da5e131175c6e38e6cb5014c5eafbff7b991ff1f405934fbf520496fbc"
+DIGEST_LAYER = "da4a226fb796941bd120fc39ff9c258c354f575fc74d0f1bb5c199bb65bc2583"
 
 
 def random_doc(rng: random.Random) -> dict:

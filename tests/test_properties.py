@@ -3,24 +3,26 @@ randomly mutated input documents end in a documented exit code."""
 
 import copy
 import io
+import itertools
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splineformer.cli import main
 from splineformer.compiler import CompileOptions, compile_autoregressive, compile_spline
 from splineformer.spline import (FormSizeError, Monomial, Polynomial, UnsupportedProductError,
-                                 emax, emin, eprod, escale, esum, eval_maxdef, grid_from_json,
-                                 normalize_to_pbform)
+                                 absorb, emax, emin, eprod, escale, esum, eval_maxdef,
+                                 grid_from_json, normalize_to_pbform)
 from splineformer.transformer import blocks_to_json
 from splineformer.verifier import (autoregressive_check, oracle_equiv, random_rational_mat,
                                    trial_rng)
 
-from reference import per_head_json
+from reference import per_head_json, unabsorbed_form
 
 # the same examples on every run, so a tier-1 result does not depend on the draw
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -142,6 +144,33 @@ class TestNormalForm:
             for t in range(3):
                 x = random_rational_mat(trial_rng(seed, t), 2, 1)
                 assert f.eval(x) == eval_maxdef(expr, x)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(e=lattice_exprs(), seed=st.integers(0, 99))
+    def test_form_is_absorbed(self, e, seed):
+        # against the form built without absorption: the same value, no more rows
+        # or polynomials, no row that holds another (or a repeat), and a fixed
+        # point of absorb; what is refused with absorption is refused without it
+        try:
+            f = normalize_to_pbform(e)
+        except (UnsupportedProductError, FormSizeError) as exc:
+            with pytest.raises(type(exc)):
+                unabsorbed_form(e)
+            return
+        try:
+            ref = unabsorbed_form(e)
+        except FormSizeError:
+            ref = None
+        if ref is not None:
+            assert len(f.rows) <= len(ref.rows)
+            assert sum(map(len, f.rows)) <= sum(map(len, ref.rows))
+            for t in range(3):
+                x = random_rational_mat(trial_rng(seed, t), 2, 1)
+                assert f.eval(x) == ref.eval(x)
+        sets = [frozenset(row) for row in f.rows]
+        assert all(len(s) == len(row) for s, row in zip(sets, f.rows))
+        assert not any(a <= b for a, b in itertools.permutations(sets, 2))
+        assert absorb(f.rows) == f
 
 
 # -- exit codes of mutated documents ------------------------------------------------

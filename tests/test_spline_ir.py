@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,16 +8,23 @@ from hypothesis import strategies as st
 
 from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
                                  Polynomial, SplineGrid, UnsupportedProductError,
-                                 VariableRangeError, const, emax, emin, eprod,
+                                 VariableRangeError, absorb, const, emax, emin, eprod,
                                  escale, esum, eval_maxdef, expr_from_json, expr_to_json,
                                  grid_from_json, grid_to_json, normalize_to_pbform,
                                  pb_max, pb_min, pb_negate, pb_scale, pb_sum, var)
 from splineformer.tensor import Mat
 from splineformer.verifier import random_rational_mat, trial_rng
 
+from reference import unabsorbed_form
+
 
 def x(i, j=1):
     return Polynomial.variable(i, j)
+
+
+def power(k, i=1):
+    """x_i_1^k."""
+    return Polynomial.from_terms({Monomial.from_dict({(i, 1): k}): F(1)})
 
 
 def mat(rows):
@@ -58,9 +67,9 @@ class TestEvalPBForm:
         assert f.eval(mat([[2], [-3]])) == 0
 
     def test_each_distinct_polynomial_evaluated_once(self, monkeypatch):
-        # 64 rows and 256 slots, but only 9 distinct polynomials
-        f = normalize_to_pbform(eprod(esum(var(1, 1), var(2, 1)),
-                                      emin(var(1, 1), emax(var(2, 1), const(1)))))
+        # unabsorbed: 64 rows and 256 slots, but only 9 distinct polynomials
+        f = unabsorbed_form(eprod(esum(var(1, 1), var(2, 1)),
+                                  emin(var(1, 1), emax(var(2, 1), const(1)))))
         assert (len(f.rows), sum(map(len, f.rows))) == (64, 256)
         assert len({p for row in f.rows for p in row}) == 9
         calls = []
@@ -155,9 +164,14 @@ class TestSizeCap:
     sized from its operands and refused above MAX_FORM_SIZE polynomials
     before it is built."""
 
-    @staticmethod
-    def tall(rows, width=1):
-        return PBForm(((x(1),) * width,) * rows)
+    powers = itertools.count(1)
+
+    @classmethod
+    def tall(cls, rows, width=1):
+        # each polynomial a power x_1_1^k never used before, so no two are equal,
+        # no row holds another, and sums across two forms are distinct too
+        return PBForm(tuple(tuple(power(next(cls.powers)) for _ in range(width))
+                            for _ in range(rows)))
 
     def test_min_at_and_just_over_cap(self):
         half = MAX_FORM_SIZE // 2
@@ -190,15 +204,42 @@ class TestSizeCap:
             pb_scale(self.tall(9, 2), -1)
 
     def test_min_of_maxes_just_over_cap(self):
-        pair = emax(var(1, 1), var(2, 1))
-        assert len(normalize_to_pbform(emin(*[pair] * 8)).rows) == 256
+        pairs = [emax(const(2 * k), const(2 * k + 1)) for k in range(9)]
+        assert len(normalize_to_pbform(emin(*pairs[:8])).rows) == 256
         with pytest.raises(FormSizeError):
-            normalize_to_pbform(emin(*[pair] * 9))
+            normalize_to_pbform(emin(*pairs))
 
     def test_sum_of_mins_just_over_cap(self):
-        # row widths multiply under a sum: mins of 64 and 65 make one row of 4160
+        # row widths multiply under a sum: mins of 64 and 64 make one row of 4096,
+        # of 64 and 65 one row of 4160
+        def row(i, width):
+            return emin(*[power(k, i) for k in range(1, width + 1)])
+        f = normalize_to_pbform(esum(row(1, 64), row(2, 64)))
+        assert len(f.rows) == 1 and len(f.rows[0]) == MAX_FORM_SIZE
         with pytest.raises(FormSizeError):
-            normalize_to_pbform(esum(emin(*[var(1, 1)] * 64), emin(*[var(2, 1)] * 65)))
+            normalize_to_pbform(esum(row(1, 64), row(2, 65)))
+
+
+class TestAbsorb:
+    def test_drops_repeats_and_rows_holding_another(self):
+        a, b, c = x(1), x(2), Polynomial.constant(3)
+        f = absorb([[a, b, a], [c, a], [b], [c, b], [a, c], [c, a, c]])
+        # of the equal rows {a, c} the first stays, in its own order
+        assert f.rows == ((c, a), (b,))
+
+    @pytest.mark.parametrize("singles, pairs", [(4096, 0), (1364, 1363)],
+                             ids=["singletons", "mixed"])
+    def test_distinct_rows_unchanged_and_fast(self, singles, pairs):
+        # forms at the cap in which nothing absorbs; in the mixed one every
+        # two-polynomial row is tested against the one-polynomial rows.  Testing
+        # every pair of rows took about 1.8 s and 0.8 s on them, absorb takes
+        # about 0.01 s (2-vCPU Xeon VM, Python 3.11)
+        c = [Polynomial.constant(k) for k in range(singles + 2 * pairs)]
+        rows = tuple((p,) for p in c[:singles]) + tuple(zip(c[singles::2], c[singles + 1::2]))
+        assert len(rows) == singles + pairs
+        start = time.perf_counter()
+        assert absorb(rows) == PBForm(rows)
+        assert time.perf_counter() - start < 1
 
 
 class TestDegree:
