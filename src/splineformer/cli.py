@@ -20,7 +20,8 @@ import sys
 from .compiler import (CompileOptions, NotAutoregressiveError,  # noqa: F401
                        ResourceLimitError, compile_autoregressive, compile_spline)
 from .spline import MAX_INPUT_ENTRIES, FormSizeError, grid_from_json
-from .tensor import RATIONAL, BackendError, ShapeError, mat_from_json, mat_to_json
+from .tensor import (RATIONAL, BackendError, DegenerateColumnError, ShapeError, mat_from_json,
+                     mat_to_json)
 from .transformer import EncoderModel, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        require_relu, smooth_convergence_table,
@@ -138,6 +139,9 @@ def cmd_eval(args) -> int:
     except (ShapeError, BackendError, OverflowError) as exc:
         # OverflowError: a rational weight or input beyond the float range
         return _fail(EXIT_INPUT_ERROR, f"evaluation failed: {exc}")
+    except DegenerateColumnError:
+        # finite weights and inputs give a SoftMax column of -inf only by overflow
+        return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
     if not _finite(out):
         return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
     _emit(mat_to_json(out))

@@ -245,14 +245,13 @@ class MultiheadAttention:
         return frozenset((self.a_q.backend,))
 
     @cached_property
-    def head_layout(self) -> tuple:
-        """Per head, the constants a pass reads: the row t where its group's
-        Q and K rows start, d, masked, its score scale (1/sqrt(d), or None
-        when unscaled) and its activation."""
-        starts = list(accumulate((d for d, *_ in self.groups), initial=0))
-        consts = [(t, d, masked, 1.0 / math.sqrt(d) if scaled else None, activation)
-                  for t, (d, masked, scaled, activation) in zip(starts, self.groups)]
-        return tuple(consts[g] for g in self.table)
+    def group_layout(self) -> tuple:
+        """Per group, the constants a pass reads: the row t where its Q and
+        K rows start, d, masked, its score scale (1/sqrt(d), or None when
+        unscaled) and its activation."""
+        starts = accumulate((d for d, *_ in self.groups), initial=0)
+        return tuple((t, d, masked, 1.0 / math.sqrt(d) if scaled else None, activation)
+                     for t, (d, masked, scaled, activation) in zip(starts, self.groups))
 
     @cached_property
     def heads(self) -> tuple:
@@ -261,12 +260,12 @@ class MultiheadAttention:
         def cut(mat: Mat, lo: int, hi: int) -> Mat:
             return Mat(mat.backend, mat.nz[lo:hi], mat.cols)
 
-        m = self.m
+        m, layout = self.m, self.group_layout
         return tuple(MultiheadAttention(*(cut(a, t, t + d) for a in self.mats[:4]),
                                         *(cut(a, u, u + m) for a in self.mats[4:]),
                                         (0,), (self.groups[g],))
-                     for u, g, (t, d, *_) in zip(range(0, self.out_rows, m), self.table,
-                                                 self.head_layout))
+                     for u, g in zip(range(0, self.out_rows, m), self.table)
+                     for t, d, *_ in (layout[g],))
 
     def to_float(self) -> MultiheadAttention:
         """The layer of the float image of its maps."""
@@ -363,19 +362,18 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
 
 
 def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, observer=None, activation: Activation | None = None) -> tuple:
+            y: list, dy: int, activation: Activation | None = None) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
     read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
     `mh.floats`).  Returns the output numerators, stacked in head order,
-    and their shared denominator.
+    their shared denominator, and the pass's record: its q, k and v rows
+    and, in group order, each group's activation rows.
 
     Q, K and V of all heads come from one sparse product each.  Each
     group of heads forms its attention pattern once per pass (`_pattern`,
     at the group's row offset); each head's value rows then multiply the
     nonzero activations of its group.  `activation`, if given, stands in
-    for every head's own.  `observer.head` is handed, per head in head
-    order, whether it is masked, its q, k and v rows and its activation
-    rows, one object per group.
+    for every head's own.
     """
     if backend == RATIONAL and mh.rational_error:
         raise BackendError(mh.rational_error)
@@ -385,14 +383,11 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     q = _affine(aq, bq, y, dy, zero)
     k = _affine(ak, bk, x, dx, zero)
     v = _affine(av, bv, x, dx, zero)
+    acts = [_pattern(q, k, t, d, p, masked, root, activation or own, zero)
+            for t, d, masked, root, own in mh.group_layout]
     out = []
-    acts = {}
-    for u, (t, d, masked, root, own) in zip(range(0, len(v), m), mh.head_layout):
-        act = acts.get(t)
-        if act is None:
-            act = acts[t] = _pattern(q, k, t, d, p, masked, root, activation or own, zero)
-        if observer is not None:
-            observer.head(masked, q[t:t + d], k[t:t + d], v[u:u + m], act)
+    for u, g in zip(range(0, len(v), m), mh.table):
+        act = acts[g]
         for vrow in v[u:u + m]:
             acc = [zero] * p
             for a, c in enumerate(vrow):
@@ -400,7 +395,7 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
                     for b, w in act[a]:
                         acc[b] += c * w
             out.append(acc)
-    return out, dq * dy * dk * dx * dv * dx
+    return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts)
 
 
 def _check_self_input(mh: MultiheadAttention, shape: tuple):
@@ -415,7 +410,7 @@ def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     _check_self_input(mh, x.shape)
     _require_backend("attention", mh.backends, x.backend)
     rows, den = _numerators(x)
-    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend, rows, den, rows, den))
+    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend, rows, den, rows, den)[:2])
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -427,7 +422,7 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
         raise ShapeError("cross-attention inputs must share the sequence length")
     _require_backend("attention", mh.backends, x.backend, y.backend)
     return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend,
-                                       *_numerators(x), *_numerators(y)))
+                                       *_numerators(x), *_numerators(y))[:2])
 
 
 @dataclass(frozen=True)
@@ -537,10 +532,10 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     A rational pass reads the integer caches (`stacked`, `sparse`); a float
     pass reads their float image (`floats`), so rational weights run in
     floats with no float copy of the matrices.  `activation`, if given,
-    stands in for every head's own.  An `observer` sees every head through
-    `observer.head` (see `_attend`) and then each block through
-    `observer.block(blk, maps, layers)`, with the weight rows the pass read.
-    The caller checks the weights' backends.
+    stands in for every head's own.  An `observer` is called once per
+    block, after its net and residual, as `observer(blk, maps, layers, q,
+    k, v, acts)`: the weight rows the pass read and the record `_attend`
+    returns.  The caller checks the weights' backends.
     """
     backend = x.backend
     rows, den = _numerators(x)
@@ -553,13 +548,13 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
             maps, layers = blk.attn.stacked, blk.ffn.sparse
         else:
             maps, layers = blk.attn.floats, blk.ffn.floats
-        y, dy = _feed(layers, backend, *_attend(blk.attn, maps, backend, rows, den,
-                                                rows, den, observer, activation))
+        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activation)
+        y, dy = _feed(layers, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)
         if observer is not None:
-            observer.block(blk, maps, layers)
+            observer(blk, maps, layers, *record)
     return _to_mat(backend, rows, den)
 
 

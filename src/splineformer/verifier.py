@@ -252,37 +252,30 @@ class _ErrorBound:
     def __init__(self, gap: float, x: Mat):
         self.gap = gap
         self.err = [[0.0] * x.cols for _ in range(x.rows)]
-        self.heads = []
 
-    def head(self, masked, q, k, v, act):
-        self.heads.append((masked, q, k, v, act))
-
-    def block(self, blk, maps, layers):
-        p = len(self.err[0])
+    def __call__(self, blk, maps, layers, q, k, v, acts):
+        p, m = len(self.err[0]), blk.attn.m
         # the error maps are |coef| of the rows the pass read
         eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in maps)
+        patterns = []  # per group: |A| + es and es, shared by the group's heads
+        for (t, d, masked, *_), act in zip(blk.attn.group_layout, acts):
+            eqh, ekt = eq[t:t + d], list(zip(*ek[t:t + d]))
+            # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
+            es = _sum(_sum(_product(zip(*_abs_rows(k[t:t + d])), eqh),
+                           _product(ekt, _abs_rows(q[t:t + d]))), _product(ekt, eqh))
+            # masked entries are exactly 0 under both activations
+            es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
+                  for i, row in enumerate(es)]
+            patterns.append((_sum(Mat(FLOAT, tuple(map(tuple, act)), p).data, es), es))
         out = []
-        patterns = {}  # per group offset: |A| + es and es, shared by the group's heads
-        u = 0
-        for (masked, q, k, v, act), (t, *_) in zip(self.heads, blk.attn.head_layout):
-            if t not in patterns:
-                eqh, ekt = eq[t:t + len(q)], list(zip(*ek[t:t + len(q)]))
-                # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
-                es = _sum(_sum(_product(zip(*_abs_rows(k)), eqh), _product(ekt, _abs_rows(q))),
-                          _product(ekt, eqh))
-                # masked entries are exactly 0 under both activations
-                es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
-                      for i, row in enumerate(es)]
-                patterns[t] = _sum(Mat(FLOAT, tuple(map(tuple, act)), p).data, es), es
-            a_es, es = patterns[t]
+        for u, g in zip(range(0, len(v), m), blk.attn.table):
+            a_es, es = patterns[g]
             # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
-            out += _sum(_product(ev[u:u + len(v)], a_es), _product(_abs_rows(v), es))
-            u += len(v)
+            out += _sum(_product(ev[u:u + m], a_es), _product(_abs_rows(v[u:u + m]), es))
         for rows, _, _ in layers:
             # relu is 1-Lipschitz: error carries over
             out = sparse_product(_abs_map(rows), out, p, 0.0)
         self.err = _sum(out, self.err) if blk.residual else out
-        self.heads = []
 
 
 def softplus_error_bound(model, x: Mat, beta: float) -> float:
@@ -299,33 +292,27 @@ def softplus_error_bound(model, x: Mat, beta: float) -> float:
 
 
 class _ProbabilityColumns:
-    """Observer of a float softmax pass that checks every activation block
-    of a layer once, column by column: the heads of a group share their
-    block (one object), and agree in `masked`."""
+    """Observer of a float softmax pass that checks every group's
+    activation rows once per block, column by column."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self.columns_ok = True
         self.masked_zeros_ok = True
-        self.seen = set()  # ids of the blocks checked in the current layer
 
-    def head(self, masked, q, k, v, act):
-        if id(act) in self.seen:
-            return
-        self.seen.add(id(act))
-        # act holds the nonzero entries only; adding 0.0 changes no column sum
-        cols = [[] for _ in act]
-        for i, row in enumerate(act):
-            for j, w in row:
-                cols[j].append(w)
-                if masked and i > j:
-                    self.masked_zeros_ok = False
-        for col in cols:
-            if abs(sum(col) - 1.0) > self.tol or any(e < 0 or e > 1 for e in col):
-                self.columns_ok = False
-
-    def block(self, blk, maps, layers):
-        self.seen = set()
+    def __call__(self, blk, maps, layers, q, k, v, acts):
+        for (_, masked, *_), act in zip(blk.attn.groups, acts):
+            # act holds the nonzero entries only; adding 0.0 changes no column sum
+            cols = [[] for _ in act]
+            for i, row in enumerate(act):
+                for j, w in row:
+                    cols[j].append(w)
+                    if masked and i > j:
+                        self.masked_zeros_ok = False
+            for col in cols:
+                # written so that a NaN entry or sum fails the check
+                if not (abs(sum(col) - 1.0) <= self.tol and all(0 <= e <= 1 for e in col)):
+                    self.columns_ok = False
 
 
 def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> dict:

@@ -41,6 +41,15 @@ def write(path, obj):
     return str(path)
 
 
+def one_head_weights(**head) -> dict:
+    """A 1x1 weights document: one head, its maps 1 and its biases 0 unless
+    given, and a one-layer identity net."""
+    maps = {"A_Q": [["1"]], "A_K": [["1"]], "A_V": [["1"]],
+            "B_Q": [["0"]], "B_K": [["0"]], "B_V": [["0"]]}
+    return {"blocks": [{"heads": [{**maps, **head}],
+                        "ffn": {"layers": [{"A": [["1"]], "b": [["0"]]}]}}]}
+
+
 def compile_to(tmp_path, spline, name="w.json", extra=()):
     spath = write(tmp_path / "spline.json", spline)
     out = str(tmp_path / name)
@@ -206,6 +215,14 @@ class TestSmooth:
         report = json.loads(capsys.readouterr().out)
         assert report["probability_columns"] is True
         assert report["finite_outputs"] is True
+
+    def test_nan_columns_are_not_probabilities(self, tmp_path, capsys):
+        # the scores 1e400 x^2 overflow to inf, and their SoftMax columns to NaN
+        w = write(tmp_path / "w.json", one_head_weights(A_Q=[["1e200"]], A_K=[["1e200"]]))
+        assert main(["smooth", w, "--activation", "softmax", "--samples", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["probability_columns"] is False
+        assert report["finite_outputs"] is False
 
     def test_empty_betas_empty_table(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, ABS_SPLINE)
@@ -515,6 +532,16 @@ class TestFloatEval:
         assert inferred == capsys.readouterr().out
         if x == [[2.0]]:
             assert inferred == "[[8.0]]\n"
+
+
+    def test_softmax_column_of_minus_inf_exits_2(self, tmp_path, capsys):
+        # the score -(1e200)^2 overflows to -inf, leaving no finite entry in
+        # the one SoftMax column
+        w = write(tmp_path / "w.json", one_head_weights(A_K=[["-1"]], activation="softmax"))
+        assert main(["eval", w, write(tmp_path / "x.json", [[1e200]])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "evaluation failed: the float pass overflowed\n"
 
 
 def min_of_maxes(k):

@@ -760,12 +760,12 @@ class TestFusedActivations:
             eval_multihead(mh, x)
         assert str(got.value) == str(want.value)
 
-    def test_head_layout_is_cached(self):
+    def test_group_layout_is_cached(self):
         head = replace_head(scalar_head(), scaled=True, masked=True)
-        mh = MultiheadAttention.of((head, scalar_head(activation=softplus(2.0))))
-        assert mh.head_layout is mh.head_layout
-        assert mh.head_layout == ((0, 1, True, 1.0, Activation("relu")),
-                                  (1, 1, False, None, softplus(2.0)))
+        mh = MultiheadAttention.of((head, scalar_head(activation=softplus(2.0)), head))
+        assert mh.group_layout is mh.group_layout
+        assert mh.group_layout == ((0, 1, True, 1.0, Activation("relu")),
+                                   (1, 1, False, None, softplus(2.0)))
         assert mh.rational_error == "softplus attention needs the float backend"
         assert MultiheadAttention.of((head,)).rational_error.startswith("score scaling")
         assert MultiheadAttention.of((scalar_head(),)).rational_error is None
@@ -799,16 +799,13 @@ def group_count(mh):
 
 
 class Recorder:
-    """Observer that keeps what every head is handed."""
+    """Observer that keeps the record of every block."""
 
     def __init__(self):
         self.seen = []
 
-    def head(self, masked, q, k, v, act):
-        self.seen.append((masked, q, k, v, act))
-
-    def block(self, blk, maps, layers):
-        pass
+    def __call__(self, blk, maps, layers, q, k, v, acts):
+        self.seen.append((blk, q, k, v, acts))
 
 
 # the bench's 2x2 grid, compiled by `splineformer compile --mode faithful`
@@ -880,6 +877,8 @@ class TestGroupedHeads:
 
     @pytest.mark.parametrize("activation", KERNEL_ACTIVATIONS)
     def test_observer_sees_every_head_as_split(self, activation):
+        # one record per block; each group's pattern is the one its first
+        # head forms alone, and q, k, v are the split heads' rows stacked
         rng = random.Random(f"grouped-observer:{activation}")
         for _ in range(3):
             n, p = rng.randint(1, 3), rng.randint(1, 3)
@@ -887,15 +886,19 @@ class TestGroupedHeads:
             x = sparse_random_mat(rng, n, p).to_float()
             grouped = Recorder()
             _walk(blocks, x, grouped, activation)
-            split = Recorder()
-            for i, blk in enumerate(blocks):
+            assert [blk for blk, *_ in grouped.seen] == blocks
+            for i, (blk, q, k, v, acts) in enumerate(grouped.seen):
                 rows = [list(row) for row in _walk(blocks[:i], x, activation=activation).data]
+                split = []
                 for h in blk.attn.heads:
                     one = MultiheadAttention.of((h,))
-                    _attend(one, one.floats, FLOAT, rows, 1, rows, 1, split, activation)
-            assert [s[0] for s in grouped.seen] == [h.masked for blk in blocks
-                                                    for h in blk.attn.heads]
-            assert grouped.seen == split.seen
+                    split.append(_attend(one, one.floats, FLOAT, rows, 1, rows, 1, activation)[2])
+                firsts = [split[blk.attn.table.index(g)] for g in range(len(blk.attn.groups))]
+                assert len(acts) == len(blk.attn.groups)
+                assert acts == [act for _, _, _, (act,) in firsts]
+                assert q == [r for sq, _, _, _ in firsts for r in sq]
+                assert k == [r for _, sk, _, _ in firsts for r in sk]
+                assert v == [r for _, _, sv, _ in split for r in sv]
 
     def test_float_image_keeps_groups(self):
         rng = random.Random("grouped-image")

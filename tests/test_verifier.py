@@ -395,7 +395,7 @@ def dense_probability_check(blocks, xs, tol):
                 probs = softmax_columns(apply_mask(s) if h.masked else s)
                 for j in range(probs.cols):
                     col = probs.col_entries(j)
-                    if abs(sum(col) - 1.0) > tol or any(e < 0 or e > 1 for e in col):
+                    if not (abs(sum(col) - 1.0) <= tol and all(0 <= e <= 1 for e in col)):
                         columns_ok = False
                     if h.masked and any(probs.at(i, j) != 0.0 for i in range(j + 1, probs.rows)):
                         masked_zeros_ok = False
@@ -481,16 +481,17 @@ class TestObservedPasses:
         checked = []
 
         class Counting(verifier._ProbabilityColumns):
-            def block(self, blk, maps, layers):
-                checked.append(len(self.seen))
-                super().block(blk, maps, layers)
+            def __call__(self, blk, maps, layers, q, k, v, acts):
+                checked.append(len(acts))
+                super().__call__(blk, maps, layers, q, k, v, acts)
 
         monkeypatch.setattr(verifier, "_ProbabilityColumns", Counting)
         blocks = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks
         xs = [random_rational_mat(trial_rng(5, t), 2, 2) for t in range(2)]
         assert softmax_probability_check(blocks, xs) == dense_probability_check(blocks, xs, 1e-12)
         groups = [group_count(blk.attn) for blk in blocks]
-        assert sum(groups) == 47 and sum(len(blk.attn.heads) for blk in blocks) == 420
+        assert groups == [4, 43] and sum(len(blk.attn.heads) for blk in blocks) == 420
+        # one record per block per input, holding every group's activation rows
         assert checked == groups * len(xs)
 
     def test_probability_check_verdicts_vary(self):
