@@ -73,7 +73,10 @@ def _maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
     reduces all forms in lockstep, pairwise: first the min within each
     row, then the max over the row minima.  min(a,b) = a - relu(a-b);
     max(a,b) = a + relu(b-a); a lone candidate (and so a form already
-    reduced) passes as relu(a) - relu(-a).
+    reduced) passes as relu(a) - relu(-a).  A level makes one unit per
+    distinct pre-activation row (value numbering): a constant row is
+    relu(bias), folded into the reading candidate's bias, and a unit no
+    candidate reads (its coefficients cancel) is not made.
     """
     state = []  # per form: candidate rows, then (one row each) the row minima
     for form, coord in forms:
@@ -100,16 +103,23 @@ def _maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
     layers = []
     cols = width
     while any(sum(map(len, rows)) > 1 for rows in state):
-        feats = []  # this level's pre-activation rows
+        made = {}  # this level's distinct pre-activation rows: key -> (id, coefs, bias)
 
-        def feature(*signed) -> int:
+        def feature(*signed) -> tuple:
+            # (id of the row, bias), or (None, bias) for the constant relu(bias)
             coefs, bias = {}, Fraction(0)
-            for (cand, b), sign in signed:
+            for (cand, b), sign in signed:  # sign is 1 or -1
                 for c, v in cand.items():
-                    coefs[c] = coefs.get(c, 0) + sign * v
-                bias += sign * b
-            feats.append((coefs, bias))
-            return len(feats) - 1
+                    v = v if sign > 0 else -v
+                    coefs[c] = coefs[c] + v if c in coefs else v
+                bias += b if sign > 0 else -b
+            coefs = {c: v for c, v in sorted(coefs.items()) if v}
+            if not coefs:
+                return None, bias
+            # keyed in integers, since hashing a Fraction is slow
+            key = (*((c, v.numerator, v.denominator) for c, v in coefs.items()),
+                   bias.numerator, bias.denominator)
+            return made.setdefault(key, (len(made), coefs, bias))[0], bias
 
         for f, rows in enumerate(state):
             is_min = any(len(row) > 1 for row in rows)
@@ -118,16 +128,26 @@ def _maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
             for group in rows if is_min else [[c for row in rows for c in row]]:
                 out = []
                 for k in range(0, len(group), 2):
-                    a, coefs = group[k], {}
+                    a, coefs, bias = group[k], {}, Fraction(0)
+                    units = [(feature((a, 1)), 1), (feature((a, -1)), -1)]
                     if k + 1 < len(group):
-                        coefs[feature((a, -sign), (group[k + 1], sign))] = sign
-                    coefs[feature((a, 1))] = 1
-                    coefs[feature((a, -1))] = -1
-                    out.append((coefs, Fraction(0)))
+                        units.insert(0, (feature((a, -sign), (group[k + 1], sign)), sign))
+                    for (i, b), v in units:
+                        if i is None:
+                            bias += v * max(b, 0)
+                        else:
+                            coefs[i] = coefs.get(i, 0) + v
+                    out.append(({i: v for i, v in coefs.items() if v}, bias))
                 reduced += [out] if is_min else [[c] for c in out]
             state[f] = reduced
-        layers.append(layer(feats, cols))
-        cols = len(feats)
+        # this level's units: the rows some candidate reads, in first-read order
+        live = list(dict.fromkeys(i for rows in state for row in rows for cs, _ in row for i in cs))
+        index, feats = {i: k for k, i in enumerate(live)}, list(made.values())
+        state = [[[({index[i]: v for i, v in coefs.items()}, bias) for coefs, bias in row]
+                  for row in rows] for rows in state]
+        if live:
+            layers.append(layer([feats[i][1:] for i in live], cols))
+            cols = len(live)
     return FeedForwardNet(tuple(layers) + (layer([rows[0][0] for rows in state], cols),))
 
 
@@ -331,13 +351,14 @@ def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool) ->
 def _quadratic_stage(blocks: MonomialLayout, src: MonomialLayout, targets,
                      cap_deg: int, masked: bool, faithful: bool) -> _Stage:
     """Form pairwise products of the rows of `blocks`, the per-column
-    blocks this pass reads: the output of the copy pass that read `src`,
-    or in pruned mode after the first stage the previous product pass's
-    output, which holds this stage's factors row for row.  A product row
-    for (a, b) at column j computes u_a * relu(u_b) - u_a * relu(-u_b) =
-    u_a u_b, and stays zero outside column j because row b is.  Faithful
-    mode forms every product of the entries of `src` the column may read,
-    from its copy pass's copies, and emits the head for every row pair."""
+    blocks this pass reads: the output of the copy pass that read `src`
+    (at p = 1 in pruned mode, the raw input), or in pruned mode after the
+    first stage the previous product pass's output, which holds this
+    stage's factors row for row.  A product row for (a, b) at column j
+    computes u_a * relu(u_b) - u_a * relu(-u_b) = u_a u_b, and stays zero
+    outside column j because row b is.  Faithful mode forms every product
+    of the entries of `src` the column may read, from its copy pass's
+    copies, and emits the head for every row pair."""
     p, rows = src.p, blocks.total_rows
 
     def product(j, ra, rb) -> dict:
@@ -443,10 +464,10 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     faithful = mode == "faithful"
     num = _num_stages(s)
     # per column, sets[i + 1] is what stage i's product pass builds (sets[num]
-    # is the targets) from the rows of sets[i]: the first copy pass carries
-    # sets[0] out of the raw input, and every later product pass reads
-    # sets[i] off the previous product pass's blocks; a linear spline's one
-    # copy pass carries sets[1]
+    # is the targets) from the rows of sets[i]: the first product pass reads
+    # sets[0] off a copy pass out of the raw input, or at p = 1 off the raw
+    # input itself, and every later one reads sets[i] off the previous
+    # product pass's blocks; a linear spline's one copy pass carries sets[1]
     sets = [None] * (num + 1)
     if not faithful:
         sets[num] = [list(targets_final[j]) for j in range(p)]
@@ -471,9 +492,12 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     src = MonomialLayout(n, p)
     if s <= 1:
         return [("linear-copy-pass", _linear_stage(src, sets[1], masked, faithful))]
+    # at p = 1 the raw input is column 1's block of sets[0]: row i - 1 holds x_i_1
+    blocks = (MonomialLayout(n, 1, [[Monomial.variable(i, 1) for i in range(1, n + 1)]])
+              if p == 1 and not faithful else None)
     stages: list = []
     for i in range(num):
-        if faithful or i == 0:
+        if faithful or (i == 0 and blocks is None):
             copy = _linear_stage(src, sets[i], masked, faithful)
             stages.append(("linear-copy-pass", copy))
             blocks = copy.layout

@@ -9,7 +9,8 @@ head's output from first principles and compare.  A head is a
 `replace_head`, which also rebuilds such a head's group with new flags,
 and the writer of the per-head weights form, which only tests use, live
 here too, as do the max-min combinators as they were before forms were
-absorbed, and the normal form built with them.
+absorbed, the normal form built with them, and the max-min readout net
+as it was before equal units were shared.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 from unittest import mock
 
 from splineformer import spline
-from splineformer.compiler import CompiledEncoder, _layer
+from splineformer.compiler import CompiledEncoder, _layer, _sparse
 from splineformer.spline import PBForm, _check_size, _form_size
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
                                  _softmax_column, _softplus_scalar, mat_to_json)
@@ -236,3 +238,64 @@ def unabsorbed_form(e) -> PBForm:
     with mock.patch.multiple(spline, pb_max=pb_max, pb_min=pb_min, pb_sum=pb_sum,
                              pb_negate=pb_negate):
         return spline.normalize_to_pbform(e)
+
+
+# -- the unshared max-min readout net ---------------------------------------------
+
+def unshared_maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
+    """`compiler._maxmin_ffn` with one unit per use: every pre-activation
+    row is its own unit, equal, constant and unread ones included."""
+    state = []  # per form: candidate rows, then (one row each) the row minima
+    for form, coord in forms:
+        rows = []
+        for row in form.rows:
+            pieces = []
+            for poly in row:
+                coefs, bias = {}, Fraction(0)
+                for mon, c in poly.terms:
+                    i = coord(mon)
+                    if i is None:
+                        bias = c
+                    else:
+                        coefs[i] = c
+                pieces.append((coefs, bias))
+            rows.append(pieces)
+        state.append(rows)
+
+    def layer(cands: Sequence[tuple], cols: int) -> tuple:
+        entries = {(r, c): v for r, (coefs, _) in enumerate(cands) for c, v in coefs.items()}
+        return (_sparse(len(cands), cols, entries),
+                _sparse(len(cands), 1, {(r, 0): b for r, (_, b) in enumerate(cands)}))
+
+    layers = []
+    cols = width
+    while any(sum(map(len, rows)) > 1 for rows in state):
+        feats = []  # this level's pre-activation rows
+
+        def feature(*signed) -> int:
+            coefs, bias = {}, Fraction(0)
+            for (cand, b), sign in signed:
+                for c, v in cand.items():
+                    coefs[c] = coefs.get(c, 0) + sign * v
+                bias += sign * b
+            feats.append((coefs, bias))
+            return len(feats) - 1
+
+        for f, rows in enumerate(state):
+            is_min = any(len(row) > 1 for row in rows)
+            sign = -1 if is_min else 1
+            reduced = []
+            for group in rows if is_min else [[c for row in rows for c in row]]:
+                out = []
+                for k in range(0, len(group), 2):
+                    a, coefs = group[k], {}
+                    if k + 1 < len(group):
+                        coefs[feature((a, -sign), (group[k + 1], sign))] = sign
+                    coefs[feature((a, 1))] = 1
+                    coefs[feature((a, -1))] = -1
+                    out.append((coefs, Fraction(0)))
+                reduced += [out] if is_min else [[c] for c in out]
+            state[f] = reduced
+        layers.append(layer(feats, cols))
+        cols = len(feats)
+    return FeedForwardNet(tuple(layers) + (layer([rows[0][0] for rows in state], cols),))

@@ -24,6 +24,9 @@ ABS_SPLINE = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
 CUBE_SPLINE = {"n": 1, "p": 1, "grid": [[
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 3}}]}]]}
 
+QUINTIC_SPLINE = {"n": 1, "p": 1, "grid": [[
+    {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 5}}]}]]}
+
 IDENTITY_SPLINE = {"n": 1, "p": 1, "grid": [[
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]}]]}
 
@@ -181,14 +184,15 @@ class TestDegree:
         assert report["modal_degree"] == 1
 
     def test_default_bound_of_a_pruned_chain(self, tmp_path, capsys):
-        # pruned x^16 is one copy pass and four product passes: bound 3^5
+        # pruned x^16 is four product passes, the first reading the raw
+        # input with no copy pass: bound 3^4
         x16 = {"n": 1, "p": 1, "grid": [[
             {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 16}}]}]]}
         _, out = compile_to(tmp_path, x16)
-        assert json.loads(capsys.readouterr().out)["blocks"] == 5
+        assert json.loads(capsys.readouterr().out)["blocks"] == 4
         assert main(["degree", out, "--trials", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["bound"] == 243 and report["bound_satisfied"] is True
+        assert report["bound"] == 81 and report["bound_satisfied"] is True
         assert report["modal_degree"] == 16
 
     def test_explicit_bound(self, tmp_path, capsys):
@@ -338,11 +342,16 @@ class TestInputErrors:
             "softplus-pass", "softmax-pass"])
     def test_beyond_float_range_exits_2(self, tmp_path, capsys, argv):
         # a 401-digit rational has no float, and the cube of 1e200 overflows;
-        # with every value weight at 1e200 both softplus passes give -inf
+        # with every value weight of x^5 (three product passes) at 1e200 both
+        # smoothed passes overflow: under softmax each product row reads 0,
+        # but block 2 copies x forward as 1e200 * 1e200 * x, and block 3's
+        # x^4 * x head scores that row
+        _, out = compile_to(tmp_path, QUINTIC_SPLINE, name="huge.json")
+        capsys.readouterr()
+        huge = per_head_file(out)
         _, out = compile_to(tmp_path, CUBE_SPLINE)
         capsys.readouterr()
         doc = per_head_file(out)
-        huge = copy.deepcopy(doc)
         for blk in huge["blocks"]:
             for h in blk["heads"]:
                 h["A_V"] = [["1" + "0" * 200 if v != "0" else v for v in row] for row in h["A_V"]]

@@ -342,9 +342,10 @@ class TestCompileSpline:
         g = grid1(PBForm.of_poly(Monomial.from_dict({(1, 1): 3}) and Polynomial.from_terms(
             {Monomial.from_dict({(1, 1): 3}): F(1)})), 1)
         c = compile_spline(g)
-        # pruned x^3: one copy pass, then a product pass per stage
-        assert c.stats["blocks"] == len(c.blocks) == 3
-        assert c.provenance == ("linear-copy-pass", "quadratic-product-pass",
+        # pruned x^3 at p = 1: a product pass per stage, the first reading
+        # the raw input with no copy pass
+        assert c.stats["blocks"] == len(c.blocks) == 2
+        assert c.provenance == ("quadratic-product-pass",
                                 "quadratic-product-pass+readout(max-min net, recombine)")
 
 

@@ -32,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 RANDOM_GRIDS = 40
-DIGEST = "af3555da5e131175c6e38e6cb5014c5eafbff7b991ff1f405934fbf520496fbc"
-DIGEST_LAYER = "da4a226fb796941bd120fc39ff9c258c354f575fc74d0f1bb5c199bb65bc2583"
+DIGEST = "74a5ea217e8b0c07ae17f52324205d7febb46fb34321746b4eed8ce733272f28"
+DIGEST_LAYER = "3e793093b00ffe81ea840c60815a39f5475b8a81c8a65a3fa3352293c840b33e"
 
 
 def random_doc(rng: random.Random) -> dict:

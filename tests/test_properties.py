@@ -14,15 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splineformer.cli import main
-from splineformer.compiler import CompileOptions, compile_autoregressive, compile_spline
-from splineformer.spline import (FormSizeError, Monomial, Polynomial, UnsupportedProductError,
-                                 absorb, emax, emin, eprod, escale, esum, eval_maxdef,
-                                 grid_from_json, normalize_to_pbform)
-from splineformer.transformer import blocks_to_json
+from splineformer.compiler import (CompileOptions, compile_autoregressive, compile_spline,
+                                   linear_spline_to_ffn)
+from splineformer.spline import (ONE, FormSizeError, Monomial, PBForm, Polynomial,
+                                 UnsupportedProductError, absorb, emax, emin, eprod, escale, esum,
+                                 eval_maxdef, grid_from_json, normalize_to_pbform)
+from splineformer.tensor import Mat
+from splineformer.transformer import blocks_to_json, eval_ffn
 from splineformer.verifier import (autoregressive_check, oracle_equiv, random_rational_mat,
                                    trial_rng)
 
-from reference import per_head_json, unabsorbed_form
+from reference import per_head_json, unabsorbed_form, unshared_maxmin_ffn
 
 # the same examples on every run, so a tier-1 result does not depend on the draw
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -64,10 +66,13 @@ def assert_compiles_exact(doc, mode, masked, seed):
     compiled = compile_fn(grid, CompileOptions(mode=mode))
     report = oracle_equiv(compiled, grid, 3, seed)
     assert report.exact, report.to_json()
-    if compiled.mode == "pruned" and grid.degree >= 3:
-        # one copy pass out of the raw input, then a product pass per stage
-        assert compiled.provenance.count("linear-copy-pass") == 1
-        assert len(compiled.blocks) == compiled.stages + 1
+    if compiled.mode == "pruned":
+        # one copy pass out of the raw input, then a product pass per stage;
+        # one column's raw input is the first product pass's block, so it
+        # needs a copy pass only when there is no product pass
+        copies = 1 if grid.p >= 2 or grid.degree <= 1 else 0
+        assert sum(t.startswith("linear-copy-pass") for t in compiled.provenance) == copies
+        assert len(compiled.blocks) == (1 if grid.degree <= 1 else compiled.stages + copies)
     if masked and grid.p > 1:
         assert autoregressive_check(compiled, 3, seed).passed
 
@@ -92,6 +97,113 @@ class TestCompileThenVerify:
     def test_faithful(self, data, masked, seed):
         doc = data.draw(st.one_of(spline_docs((1,), 3, masked), spline_docs((2,), 2, masked)))
         assert_compiles_exact(doc, "faithful", masked, seed)
+
+
+class TestOneColumnChain:
+    # s <= 8 takes up to three product stages; auto is pruned from s = 3
+    @settings(PROPERTY, max_examples=40)
+    @given(doc=st.sampled_from([1, 2, 3, 5, 8]).flatmap(lambda d: spline_docs((1,), d)),
+           mode=st.sampled_from(["pruned", "auto"]), masked=st.booleans(),
+           seed=st.integers(0, 99))
+    def test_no_copy_pass(self, doc, mode, masked, seed):
+        grid = grid_from_json(doc)
+        compile_fn = compile_autoregressive if masked else compile_spline
+        compiled = compile_fn(grid, CompileOptions(mode=mode))
+        assert oracle_equiv(compiled, grid, 3, seed).exact
+        s = grid.degree
+        assert compiled.mode == ("pruned" if mode == "pruned" or s >= 3 else "faithful")
+        if compiled.mode == "pruned":
+            assert len(compiled.blocks) == (math.ceil(math.log2(s)) if s >= 2 else 1)
+            assert compiled.provenance[0].startswith(
+                "linear-copy-pass" if s <= 1 else "quadratic-product-pass")
+            # a mask on one column does nothing: the masked compile is the same chain
+            plain = compile_spline(grid, CompileOptions(mode=mode))
+            assert compiled.provenance == plain.provenance
+            assert [blk.ffn for blk in compiled.blocks] == [blk.ffn for blk in plain.blocks]
+
+
+# -- the readout net with equal units shared ---------------------------------------
+
+def _coord(mon):
+    return None if mon == ONE else mon.exps[0][0][0] - 1
+
+
+@st.composite
+def affine_forms(draw):
+    """One to three max-min forms over a 2 x 1 input, each of one to three
+    rows of one to three affine pieces with coefficients in {-1, 0, 1, 2},
+    so that equal and constant rows are common."""
+    mons = (ONE, Monomial.variable(1, 1), Monomial.variable(2, 1))
+
+    def piece():
+        return Polynomial.from_terms({m: draw(st.sampled_from([-1, 0, 1, 2])) for m in mons})
+
+    def form():
+        return PBForm.of_rows([[piece() for _ in range(draw(st.integers(1, 3)))]
+                               for _ in range(draw(st.integers(1, 3)))])
+
+    return [form() for _ in range(draw(st.integers(1, 3)))]
+
+
+def hidden_units(net) -> list:
+    return [a.rows for a, _ in net.layers[:-1]]
+
+
+class TestSharedReadout:
+    @settings(PROPERTY, max_examples=200)
+    @given(forms=affine_forms(), seed=st.integers(0, 99))
+    def test_equals_unshared_net(self, forms, seed):
+        net = linear_spline_to_ffn(forms, 2)
+        ref = unshared_maxmin_ffn([(f, _coord) for f in forms], 2)
+        for t in range(3):
+            x = random_rational_mat(trial_rng(seed, t), 2, 1)
+            out = eval_ffn(net, x)
+            assert out == eval_ffn(ref, x)
+            assert [row[0] for row in out.data] == [f.eval(x) for f in forms]
+        assert sum(hidden_units(net)) <= sum(hidden_units(ref))
+        for (a, b), (after, _) in zip(net.layers, net.layers[1:]):
+            rows = list(zip(a.nz, b.nz))
+            assert len(set(rows)) == len(rows)  # no two equal units
+            assert all(a.nz)  # no constant unit
+            assert {c for row in after.nz for c, _ in row} == set(range(a.rows))  # all read
+
+    def test_constant_row_folds_into_bias(self):
+        # max(min(x, y), 2): the lone row 2 passes as relu(2) - relu(-2) in
+        # the unshared net; shared, it is the next level's bias
+        x, y = Polynomial.from_terms({Monomial.variable(1, 1): 1}), Polynomial.from_terms(
+            {Monomial.variable(2, 1): 1})
+        form = PBForm.of_rows([[x, y], [Polynomial.constant(2)]])
+        net = linear_spline_to_ffn(form, 2)
+        assert hidden_units(unshared_maxmin_ffn([(form, _coord)], 2)) == [5, 3]
+        assert hidden_units(net) == [3, 3]
+        assert net.layers[0][1] == Mat.zeros(3, 1)  # min(x, y)'s units read no constant
+        assert net.layers[1][1].data == ((Fraction(2),), (Fraction(0),), (Fraction(0),))
+        for pt in ([[3], [5]], [[1], [-4]], [[Fraction(5, 2)], [7]]):
+            m = Mat.rational(pt)
+            assert eval_ffn(net, m).data == ((max(min(m.at(0, 0), m.at(1, 0)), 2),),)
+
+    def test_constant_form_has_no_hidden_layer(self):
+        # max(min(1, 4), 3): every unit the unshared net makes is constant, so
+        # the shared net folds it all into the output bias
+        c = Polynomial.constant
+        form = PBForm.of_rows([[c(1), c(4)], [c(3)]])
+        assert hidden_units(unshared_maxmin_ffn([(form, _coord)], 1)) == [5, 3]
+        net = linear_spline_to_ffn(form, 1)
+        assert hidden_units(net) == []
+        assert eval_ffn(net, Mat.rational([[-7]])).data == ((Fraction(3),),)
+        grid = grid_from_json({"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
+            {"op": "min", "args": [{"op": "poly", "terms": [{"coef": str(k), "exps": {}}]}
+                                   for k in (1, 4)]},
+            {"op": "poly", "terms": [{"coef": "3", "exps": {}}]}]}]]})
+        assert oracle_equiv(compile_spline(grid), grid, 3, 0).exact
+
+    def test_cancelled_unit_is_dropped(self):
+        # max(x, 0) = relu(-x) + relu(x) - relu(-x): relu(-x) is made once and read
+        # with coefficient 0, so the net is one unit
+        form = PBForm.of_rows([[Polynomial.from_terms({Monomial.variable(1, 1): 1})],
+                               [Polynomial.constant(0)]])
+        assert hidden_units(unshared_maxmin_ffn([(form, _coord)], 1)) == [3]
+        assert hidden_units(linear_spline_to_ffn(form, 1)) == [1]
 
 
 # -- max-min normal forms of lattice expressions --------------------------------
