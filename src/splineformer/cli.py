@@ -42,6 +42,9 @@ INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError, OverflowError,
 # model evaluations per `degree` trial (max_deg + 2 line points)
 MAX_LINE_POINTS = 1024
 
+# weights documents whose blocks stay loaded, keyed on their text
+WEIGHTS_CACHE = 4
+
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -52,9 +55,9 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return fh.read()
 
 
 def _parse_betas(text: str) -> list:
@@ -74,7 +77,7 @@ def _layout_path(out_path: str) -> str:
 
 def cmd_compile(args) -> int:
     try:
-        spline = grid_from_json(_load_json(args.spline))
+        spline = grid_from_json(json.loads(_read(args.spline)))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:
@@ -109,9 +112,15 @@ def _finite(m) -> bool:
     return m.backend == RATIONAL or all(math.isfinite(v) for row in m.nz for _, v in row)
 
 
+@functools.lru_cache(maxsize=WEIGHTS_CACHE)
+def _blocks_of(text: str) -> tuple:
+    """The blocks of a weights document, kept with the pass images built on
+    them for a later command on the same text; a document that raises is not."""
+    return blocks_from_json(json.loads(text))
+
+
 def _load_model(path: str):
-    blocks = blocks_from_json(_load_json(path))
-    return EncoderModel(blocks)
+    return EncoderModel(_blocks_of(_read(path)))
 
 
 def _input_cap(model):
@@ -127,7 +136,7 @@ def _input_cap(model):
 def cmd_eval(args) -> int:
     try:
         model = _load_model(args.weights)
-        x = mat_from_json(_load_json(args.input))
+        x = mat_from_json(json.loads(_read(args.input)))
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     if args.backend == "rational" and x.backend != "rational":
@@ -151,7 +160,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     try:
         model = _load_model(args.weights)
-        spline = grid_from_json(_load_json(args.spline))
+        spline = grid_from_json(json.loads(_read(args.spline)))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:

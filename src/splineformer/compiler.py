@@ -465,13 +465,14 @@ def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
     num = _num_stages(s)
     # per column, sets[i + 1] is what stage i's product pass builds (sets[num]
     # is the targets) from the rows of sets[i]: the first product pass reads
-    # sets[0] off a copy pass out of the raw input, or at p = 1 off the raw
-    # input itself, and every later one reads sets[i] off the previous
-    # product pass's blocks; a linear spline's one copy pass carries sets[1]
+    # sets[0] off a copy pass out of the raw input, and every later one reads
+    # sets[i] off the previous product pass's blocks; a linear spline's one
+    # copy pass carries sets[1], and at p = 1 the first product pass reads the
+    # raw input itself, so neither works out sets[0]
     sets = [None] * (num + 1)
     if not faithful:
         sets[num] = [list(targets_final[j]) for j in range(p)]
-        for i in range(num - 1, -1, -1):
+        for i in range(num - 1, -1 if p >= 2 and s >= 2 else 0, -1):
             cap_deg = 2 ** (i + 1)
             prev_cap = 2 ** i
             needed = [set() for _ in range(p)]

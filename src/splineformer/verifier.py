@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import (FLOAT, DegenerateColumnError, Mat, add, mat_to_json, nonzero_rows, scale,
+from .tensor import (DegenerateColumnError, Mat, add, mat_to_json, nonzero_rows, scale,
                      sparse_product, sub)
 from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk
 
@@ -266,7 +266,8 @@ class _ErrorBound:
             # masked entries are exactly 0 under both activations
             es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
                   for i, row in enumerate(es)]
-            patterns.append((_sum(Mat(FLOAT, tuple(map(tuple, act)), p).data, es), es))
+            dense = [[dict(nz).get(j, 0.0) for j in range(p)] for nz in act]
+            patterns.append((_sum(dense, es), es))
         out = []
         for u, g in zip(range(0, len(v), m), blk.attn.table):
             a_es, es = patterns[g]

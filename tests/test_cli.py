@@ -1020,3 +1020,108 @@ class TestParserReuse:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: splineformer")
+
+
+class TestWeightsCache:
+    """`main` keeps the blocks of the last `WEIGHTS_CACHE` weights documents,
+    keyed on their text: a warm cache changes no output, a rewritten file
+    is read again, and a document that fails to load is not kept."""
+
+    COMMANDS = (["eval", "W", "XF", "--backend", "float"], ["eval", "W", "X"],
+                ["smooth", "W", "--samples", "2", "--betas", "10,100"],
+                ["smooth", "W", "--activation", "softmax", "--samples", "2"],
+                ["verify", "W", "S", "--samples", "3", "--seed", "5"],
+                ["degree", "W", "--trials", "2", "--max-deg", "4", "--seed", "5"])
+
+    def run(self, capsys, files, argv):
+        code = main([files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def count_parses(self, monkeypatch) -> list:
+        parsed = []
+
+        def counting(obj):
+            parsed.append(obj)
+            return blocks_from_json(obj)
+        monkeypatch.setattr(cli, "blocks_from_json", counting)
+        return parsed
+
+    @pytest.mark.parametrize("spline, flags, x", [
+        (GRID_2X2, ["--mode", "faithful"], [["1/2", "-3"], ["2/3", "5"]]),
+        (GRID_2X2, ["--mode", "pruned"], [["1/2", "-3"], ["2/3", "5"]]),
+        (AUTOREGRESSIVE_SPLINE, ["--masked"], [["-7/4", "3"]]),
+    ], ids=["faithful", "pruned", "masked"])
+    def test_warm_equals_cold(self, tmp_path, capsys, spline, flags, x):
+        spath, out = compile_to(tmp_path, spline, extra=flags)
+        capsys.readouterr()
+        files = {"W": out, "S": spath, "X": write(tmp_path / "x.json", x),
+                 "XF": write(tmp_path / "xf.json", mat_to_json(Mat.rational(x).to_float()))}
+        cold = []
+        for argv in self.COMMANDS:
+            cli._blocks_of.cache_clear()
+            cold.append(self.run(capsys, files, argv))
+        cli._blocks_of.cache_clear()
+        # the float eval builds the float images the later commands read
+        warm = [self.run(capsys, files, argv) for argv in self.COMMANDS]
+        info = cli._blocks_of.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.COMMANDS) - 1)
+        assert warm == cold
+        assert all(code == 0 for code, _, _ in warm)
+
+    def test_rewritten_file_is_read_again(self, tmp_path, capsys):
+        cli._blocks_of.cache_clear()
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        x = write(tmp_path / "x.json", [["2"]])
+        assert main(["eval", out, x]) == 0
+        assert json.loads(capsys.readouterr().out) == [["8"]]
+        compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        assert main(["eval", out, x]) == 0
+        assert json.loads(capsys.readouterr().out) == [["2"]]
+
+    def test_equal_text_parses_once(self, tmp_path, capsys, monkeypatch):
+        cli._blocks_of.cache_clear()
+        parsed = self.count_parses(monkeypatch)
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        copy_path = tmp_path / "copy.json"
+        copy_path.write_bytes(open(out, "rb").read())
+        x = write(tmp_path / "x.json", [["2"]])
+        for path in (out, str(copy_path), out):
+            assert main(["eval", path, x]) == 0
+        assert len(parsed) == 1
+
+    @pytest.mark.parametrize("raw", [
+        b"{not json", b'{"blocks": 5}', b'{"blocks": [{"heads": []}]}',
+        b'{\r\n  "blocks": [\r\n    {"heads": [\r\n  }\r\n',
+    ], ids=["not-json", "not-a-list", "no-ffn", "crlf"])
+    def test_failure_is_not_kept(self, tmp_path, capsys, raw):
+        cli._blocks_of.cache_clear()
+        path = tmp_path / "w.json"
+        path.write_bytes(raw)
+        x = write(tmp_path / "x.json", [["2"]])
+        errs = set()
+        for argv in (["eval", str(path), x], ["degree", str(path)]) * 2:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.add(captured.err.split(": ", 1)[1])
+        assert len(errs) == 1 and cli._blocks_of.cache_info().currsize == 0
+        if raw.startswith(b"{\r\n"):
+            # read in text mode, so the offset counts one character per newline
+            with pytest.raises(json.JSONDecodeError) as exc:
+                json.loads(raw.decode().replace("\r\n", "\n"))
+            assert errs == {f"{exc.value}\n"}
+
+    def test_bounded_lru(self, tmp_path, capsys, monkeypatch):
+        cli._blocks_of.cache_clear()
+        parsed = self.count_parses(monkeypatch)
+        x = write(tmp_path / "x.json", [["2"]])
+        docs = [write(tmp_path / f"w{k}.json", one_head_weights(A_V=[[str(k)]]))
+                for k in range(cli.WEIGHTS_CACHE + 1)]
+        # one document more than the bound evicts the first; the rest stay
+        for path in docs + docs[:1] + docs[2:]:
+            assert main(["eval", path, x]) == 0
+        assert len(parsed) == cli.WEIGHTS_CACHE + 2
+        assert cli._blocks_of.cache_info().currsize == cli.WEIGHTS_CACHE
