@@ -207,8 +207,9 @@ def cmd_smooth(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
     if (code := _input_cap(model)) is not None:
         return code
-    xs = [random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
-          for t in range(args.samples)]
+    # drawn as the checks read them, a pass's chunk at a time
+    xs = (random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
+          for t in range(args.samples))
     # weights whose attention is not ReLU, or whose blocks do not chain, raise
     # ValueError; a weight beyond the float range or an overflowing pass, OverflowError
     if args.activation == "softmax":
@@ -217,7 +218,7 @@ def cmd_smooth(args) -> int:
             checks = softmax_probability_check(model.blocks, xs)
         except (ValueError, OverflowError) as exc:
             return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
-        _emit({"kind": "smooth", "activation": "softmax", "samples": len(xs), **checks})
+        _emit({"kind": "smooth", "activation": "softmax", "samples": args.samples, **checks})
         return EXIT_OK
     try:
         betas = _parse_betas(args.betas)
@@ -227,7 +228,7 @@ def cmd_smooth(args) -> int:
         rows = smooth_convergence_table(model.blocks, xs, betas)
     except (ValueError, OverflowError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot smooth: {exc}")
-    _emit({"kind": "smooth", "activation": "softplus", "samples": len(xs),
+    _emit({"kind": "smooth", "activation": "softplus", "samples": args.samples,
            "rows": rows})
     return EXIT_OK
 

@@ -160,9 +160,6 @@ class Mat:
         return Mat(FLOAT, tuple(tuple((c, f) for c, v in row if (f := float(v)))
                                 for row in self.nz), self.cols)
 
-    def max_abs(self) -> Scalar:
-        return max((abs(v) for row in self.nz for _, v in row), default=_ZEROS[self.backend])
-
     def __repr__(self):
         return f"Mat({self.backend}, {self.rows}x{self.cols})"
 
@@ -223,10 +220,6 @@ def add(a: Mat, b: Mat) -> Mat:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
     return Mat(a.backend, tuple(_collect(ra + rb) for ra, rb in zip(a.nz, b.nz)), a.cols)
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return add(a, scale(b, -1))
 
 
 def scale(a: Mat, c: Scalar) -> Mat:

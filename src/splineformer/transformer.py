@@ -124,12 +124,15 @@ def _image(a_rows, b_rows, width: int, exact: bool) -> tuple:
 
 def _affine(rows, bias, x: list, dx: int, zero) -> list:
     """Numerators of A X + B over den * dx, where A and B are an `_image`
-    over den and x is over dx; a one-entry bias row is broadcast across
-    the columns, and zero bias entries are skipped."""
-    out = sparse_product(rows, x, len(x[0]), zero)
+    over den and x is over dx; a bias row is repeated across the columns
+    of x (a one-entry row of a net on every column, a p-entry row of an
+    attention map on every input of a batch), and zero bias entries are
+    skipped."""
+    width = len(x[0])
+    out = sparse_product(rows, x, width, zero)
     for acc, b in zip(out, bias):
         if b is not None:
-            for j, bj in enumerate(b * len(acc) if len(b) == 1 else b):
+            for j, bj in enumerate(b if len(b) == width else b * (width // len(b))):
                 if bj:
                     acc[j] += bj * dx
     return out
@@ -254,6 +257,12 @@ class MultiheadAttention:
                      for t, (d, masked, scaled, activation) in zip(starts, self.groups))
 
     @cached_property
+    def row_groups(self) -> tuple:
+        """The group of each value row, in head order; built on first
+        use and kept."""
+        return tuple(g for g in self.table for _ in range(self.m))
+
+    @cached_property
     def heads(self) -> tuple:
         """One one-head layer per head, in head order, cut from the stored
         rows; built on the first read and kept.  No pass reads it."""
@@ -320,81 +329,91 @@ def attention_head(a_q: Mat, b_q: Mat, a_k: Mat, b_k: Mat, a_v: Mat, b_v: Mat,
 
 
 def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
-             activation: Activation, zero) -> list:
+             stand_ins: Sequence, own: Activation, zero) -> list:
     """The activation rows ((col, value) pairs of the nonzero entries) of
-    the attention pattern read from q and k rows t to t + d.
+    the attention pattern read from q and k rows t to t + d, for a batch of
+    inputs side by side, p columns each.
 
-    Only the p x p score block K^T Q is formed, as plain lists; then, in
-    the same loop nest, the optional 1/sqrt(d) scale (`root`), the mask and
-    the activation.  ReLU keeps the positive entries (on rationals a sign
-    test on the numerator) and SoftPlus maps entry by entry; both skip
-    masked entries, which come out as 0.  SoftMax masks entries to -inf
-    and acts column by column, through `tensor._softmax_column`.  This is
-    the only place an attention activation is computed.
+    Per input, in columns o to o + p, only its p x p score block K^T Q is
+    formed, as plain lists; then, in the same loop nest, the optional
+    1/sqrt(d) scale (`root`), the mask and the activation: the input's
+    entry of `stand_ins`, or `own` where that is None.  ReLU keeps the
+    positive entries (on rationals a sign test on the numerator) and
+    SoftPlus maps entry by entry; both skip masked entries, which come out
+    as 0.  SoftMax masks entries to -inf and acts column by column, through
+    `tensor._softmax_column`.  Rows o to o + p of the result are the
+    input's own, with entries in its columns only, so the pattern of a
+    batch is block-diagonal.  This is the only place an attention
+    activation is computed.
     """
-    kind, beta = activation.kind, activation.beta
-    act = []
-    for a in range(p):
-        lo = a if masked else 0  # masked entries are never formed
-        srow = [zero] * p
-        for r in range(t, t + d):
-            c = k[r][a]
-            if c:
-                qr = q[r]
-                for b in range(lo, p):
-                    w = qr[b]
-                    if w:
-                        srow[b] += c * w
-        if root is not None:
-            srow = [root * w for w in srow]
-        if kind == "relu":
-            act.append([(b, w) for b in range(lo, p) if (w := srow[b]) > 0])
-        elif kind == "softplus":
-            act.append([(b, w) for b in range(lo, p)
-                        if (w := _softplus_scalar(srow[b], beta))])
-        else:
-            srow[:lo] = [NEG_INF] * lo
-            act.append(srow)
-    if kind == "softmax":
-        cols = [_softmax_column([row[b] for row in act], b) for b in range(p)]
-        act = [[(b, e) for b, col in enumerate(cols) if (e := col[a])] for a in range(p)]
+    act, o = [], 0
+    for activation in stand_ins:
+        activation = activation or own
+        kind, beta, end = activation.kind, activation.beta, o + p
+        for a in range(o, end):
+            lo = a if masked else o  # masked entries are never formed
+            srow = [zero] * p
+            for r in range(t, t + d):
+                c = k[r][a]
+                if c:
+                    for b, w in enumerate(q[r][lo:end], lo - o):
+                        if w:
+                            srow[b] += c * w
+            if root is not None:
+                srow = [root * w for w in srow]
+            if kind == "relu":
+                act.append([(b, w) for b, w in enumerate(srow, o) if w > 0])
+            elif kind == "softplus":
+                act.append([(b, w) for b, s in enumerate(srow[lo - o:], lo)
+                            if (w := _softplus_scalar(s, beta))])
+            else:
+                srow[:lo - o] = [NEG_INF] * (lo - o)
+                act.append(srow)
+        if kind == "softmax":
+            cols = [_softmax_column([row[b] for row in act[o:]], b) for b in range(p)]
+            act[o:] = [[(o + b, e) for b, col in enumerate(cols) if (e := col[a])]
+                       for a in range(p)]
+        o = end
     return act
 
 
 def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, activation: Activation | None = None) -> tuple:
+            y: list, dy: int, activations: Sequence = (None,)) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
     read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
-    `mh.floats`).  Returns the output numerators, stacked in head order,
-    their shared denominator, and the pass's record: its q, k and v rows
-    and, in group order, each group's activation rows.
+    `mh.floats`).  x and y hold a batch of len(activations) inputs side by
+    side, each its p columns; input i runs with activations[i] standing in
+    for every head's own activation, or with each head's own where that is
+    None.  Returns the output numerators, stacked in head order and batched
+    as the input, their shared denominator, and the pass's record: its q, k
+    and v rows, as wide as the batch, and, in group order, each group's
+    block-diagonal activation rows (`_pattern`).
 
-    Q, K and V of all heads come from one sparse product each.  Each
-    group of heads forms its attention pattern once per pass (`_pattern`,
-    at the group's row offset); each head's value rows then multiply the
-    nonzero activations of its group.  `activation`, if given, stands in
-    for every head's own.
+    Q, K and V of all heads and inputs come from one sparse product each.
+    Each group of heads forms its attention pattern once per pass (at the
+    group's row offset); each head's value rows then multiply the nonzero
+    activations of its group.
     """
     if backend == RATIONAL and mh.rational_error:
         raise BackendError(mh.rational_error)
     zero = 0 if backend == RATIONAL else 0.0
-    p, m = len(x[0]), mh.m
+    width = len(x[0])
+    p = width // len(activations)
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
     q = _affine(aq, bq, y, dy, zero)
     k = _affine(ak, bk, x, dx, zero)
     v = _affine(av, bv, x, dx, zero)
-    acts = [_pattern(q, k, t, d, p, masked, root, activation or own, zero)
+    acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
             for t, d, masked, root, own in mh.group_layout]
     out = []
-    for u, g in zip(range(0, len(v), m), mh.table):
+    for vrow, g in zip(v, mh.row_groups):
         act = acts[g]
-        for vrow in v[u:u + m]:
-            acc = [zero] * p
-            for a, c in enumerate(vrow):
-                if c:
-                    for b, w in act[a]:
-                        acc[b] += c * w
-            out.append(acc)
+        acc = [zero] * width
+        for a, c in enumerate(vrow):
+            if c:
+                for b, w in act[a]:
+                    acc[b] += c * w
+        out.append(acc)
     return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts)
 
 
@@ -524,31 +543,37 @@ class DecoderBlock(EncoderBlock):
 
 
 def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
-          activation: Activation | None = None) -> Mat:
-    """The block walk behind every encoder pass.  The input is scaled to
-    numerators once and carried through every block; each block's output
-    is reduced by the gcd of its denominator and numerators.
+          activations: Sequence = (None,)) -> Mat:
+    """The block walk behind every encoder pass, on a batch: x holds
+    len(activations) inputs of one shape side by side, n x p each, and
+    input i runs with activations[i] standing in for every head's own
+    activation (None keeps each head's own).  The output holds the inputs'
+    outputs side by side in the same order; a batch of one is a plain pass.
+    The input is scaled to numerators once and carried through every
+    block; each block's output is reduced by the gcd of its denominator
+    and numerators.
 
     A rational pass reads the integer caches (`stacked`, `sparse`); a float
     pass reads their float image (`floats`), so rational weights run in
-    floats with no float copy of the matrices.  `activation`, if given,
-    stands in for every head's own.  An `observer` is called once per
-    block, after its net and residual, as `observer(blk, maps, layers, q,
-    k, v, acts)`: the weight rows the pass read and the record `_attend`
-    returns.  The caller checks the weights' backends.
+    floats with no float copy of the matrices.  An `observer` is called
+    once per block and pass, after its net and residual, as
+    `observer(blk, maps, layers, q, k, v, acts)`: the weight rows the pass
+    read and the record `_attend` returns, whose q, k and v span the batch
+    and whose activation rows are block-diagonal, input i in rows and
+    columns i * p to i * p + p.  The caller checks the weights' backends.
     """
-    backend = x.backend
+    backend, batch = x.backend, len(activations)
     rows, den = _numerators(x)
     for i, blk in enumerate(blocks):
         try:
-            _check_self_input(blk.attn, (len(rows), len(rows[0])))
+            _check_self_input(blk.attn, (len(rows), len(rows[0]) // batch))
         except ShapeError as exc:
             raise ShapeError(f"block {i}: {exc}") from exc
         if backend == RATIONAL:
             maps, layers = blk.attn.stacked, blk.ffn.sparse
         else:
             maps, layers = blk.attn.floats, blk.ffn.floats
-        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activation)
+        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activations)
         y, dy = _feed(layers, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
@@ -634,7 +659,7 @@ class EncoderModel:
     def __call__(self, x: Mat) -> Mat:
         if x.backend == RATIONAL and self.activation is None:
             return eval_encoder(self.weights, x)
-        return _walk(self.weights, x.to_float(), activation=self.activation)
+        return _walk(self.weights, x.to_float(), activations=(self.activation,))
 
 
 def pass_through(a: Mat, b: Mat) -> tuple:

@@ -8,11 +8,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import (DegenerateColumnError, Mat, add, mat_to_json, nonzero_rows, scale,
-                     sparse_product, sub)
+from .tensor import (FLOAT, DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
+                     nonzero_rows, scale, sparse_product)
 from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk
 
 
@@ -198,33 +199,61 @@ def smooth_swap(model, activation: Activation) -> EncoderModel:
     return EncoderModel(blocks, activation)
 
 
-def smooth_convergence_table(model, xs: Sequence[Mat], betas: Sequence[float]):
+# the widest batch one smoothing pass evaluates, in input columns: a chunk
+# of samples fills it side by side, once per activation the pass compares,
+# so memory does not grow with the sample count
+PASS_COLUMNS = 128
+
+
+def _chunks(xs: Iterable[Mat], copies: int):
+    """xs in order, as lists of at least one input whose side-by-side
+    batch, repeated `copies` times, is at most PASS_COLUMNS wide; an input
+    is read only when its list is cut."""
+    it = iter(xs)
+    for first in it:
+        yield [first, *islice(it, max(1, PASS_COLUMNS // (first.cols * copies)) - 1)]
+
+
+def _side_by_side(xs: Sequence[Mat], copies: int = 1) -> Mat:
+    """The float images of inputs of one shape as one batch, in order, all
+    of them repeated `copies` times: input i of copy c in the p columns from
+    (c * len(xs) + i) * p."""
+    fxs = [x.to_float() for x in xs]
+    n, p = fxs[0].shape
+    if any(x.shape != (n, p) for x in fxs):
+        raise ShapeError(f"a batch needs inputs of one shape, got {[x.shape for x in xs]}")
+    fxs *= copies
+    return Mat(FLOAT, tuple(tuple((o + j, v) for o, x in zip(range(0, len(fxs) * p, p), fxs)
+                                  for j, v in x.nz[i]) for i in range(n)), len(fxs) * p)
+
+
+def smooth_convergence_table(model, xs: Iterable[Mat], betas: Sequence[float]):
     """Max |softplus-swapped - relu| per beta, rows in the given order;
-    math.inf is accepted as the relu-itself sentinel (error 0).  Every pass
-    reads the float image of the same weights, so a new beta copies none."""
+    math.inf is accepted as the relu-itself sentinel (error 0), and a beta
+    given twice gets its row twice.
+
+    xs is read a chunk at a time (`_chunks`).  Each chunk takes one batched
+    pass: the ReLU base of every input, then every input again for each
+    distinct finite beta, in that order, side by side.  Every pass reads
+    the float image of the same weights, so a new beta copies none."""
     blocks = _model_blocks(model)
     require_relu(blocks)
-    fxs = [x.to_float() for x in xs]
-    base = [_finite_pass(blocks, x) for x in fxs]
-    rows = []
-    for beta in betas:
-        if beta == math.inf:
-            rows.append({"beta": "inf", "max_abs_error": 0.0})
-            continue
-        activation = Activation("softplus", float(beta))
-        err = max((sub(_finite_pass(blocks, x, activation), want).max_abs()
-                   for x, want in zip(fxs, base)), default=0.0)
-        rows.append({"beta": beta, "max_abs_error": err})
-    return rows
-
-
-def _finite_pass(blocks, x: Mat, activation: Optional[Activation] = None) -> Mat:
-    """A float pass, which raises OverflowError unless every output entry
-    is finite: an error between passes that overflowed would read as NaN."""
-    out = _walk(blocks, x, activation=activation)
-    if not all(math.isfinite(v) for row in out.nz for _, v in row):
-        raise OverflowError("the float pass overflowed")
-    return out
+    finite = list(dict.fromkeys(beta for beta in betas if beta != math.inf))
+    stand_ins = [None, *(Activation("softplus", float(beta)) for beta in finite)]
+    worst = dict.fromkeys(finite, 0.0)
+    for chunk in _chunks(xs, len(stand_ins)):
+        out = _walk(blocks, _side_by_side(chunk, len(stand_ins)),
+                    activations=[a for a in stand_ins for _ in chunk])
+        # an error between passes that overflowed would read as NaN
+        if not all(math.isfinite(v) for row in out.nz for _, v in row):
+            raise OverflowError("the float pass overflowed")
+        out = out.data
+        w = len(out[0]) // len(stand_ins)
+        for c, beta in enumerate(finite, 1):
+            worst[beta] = max(worst[beta], max(abs(a - b) for row in out
+                                               for a, b in zip(row[c * w:c * w + w], row)))
+    return [{"beta": "inf", "max_abs_error": 0.0} if beta == math.inf
+            else {"beta": beta, "max_abs_error": worst[beta]} for beta in betas]
 
 
 def _abs_rows(rows) -> list:
@@ -288,13 +317,14 @@ def softplus_error_bound(model, x: Mat, beta: float) -> float:
     beside one float pass of the ReLU model.
     """
     bound = _ErrorBound(math.log(2) / beta, x)
-    _walk(_model_blocks(model), x.to_float(), bound, RELU)
+    _walk(_model_blocks(model), x.to_float(), bound, (RELU,))
     return max(abs(e) for row in bound.err for e in row)
 
 
 class _ProbabilityColumns:
-    """Observer of a float softmax pass that checks every group's
-    activation rows once per block, column by column."""
+    """Observer of float softmax passes that checks every group's
+    activation rows once per block and pass, column by column; a batch's
+    rows are block-diagonal, so each column holds one input's entries."""
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -316,17 +346,19 @@ class _ProbabilityColumns:
                     self.columns_ok = False
 
 
-def softmax_probability_check(model, xs: Sequence[Mat], tol: float = 1e-12) -> dict:
-    """Watch one softmax-swapped pass per input: every attention score
-    matrix must map to probability columns (sums within tol of 1, entries
-    in [0, 1]), on masked heads the strictly-lower entries must be exactly
-    0, and every output must be finite."""
+def softmax_probability_check(model, xs: Iterable[Mat], tol: float = 1e-12) -> dict:
+    """Watch softmax-swapped passes over xs: every attention score matrix
+    must map to probability columns (sums within tol of 1, entries in
+    [0, 1]), on masked heads the strictly-lower entries must be exactly
+    0, and every output must be finite.  xs is read a chunk at a time
+    (`_chunks`), and each chunk takes one batched pass, so the observer
+    sees one record per block and pass, each input's columns on their own."""
     blocks = _model_blocks(model)
     check = _ProbabilityColumns(tol)
     finite = True
-    for x in xs:
+    for chunk in _chunks(xs, 1):
         try:
-            out = _walk(blocks, x.to_float(), check, SOFTMAX)
+            out = _walk(blocks, _side_by_side(chunk), check, [SOFTMAX] * len(chunk))
         except DegenerateColumnError:
             # finite weights and inputs give a score of -inf only by overflow
             raise OverflowError("the float pass overflowed") from None

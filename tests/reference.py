@@ -28,7 +28,7 @@ from splineformer import spline
 from splineformer.compiler import CompiledEncoder, _layer, _sparse
 from splineformer.spline import PBForm, _check_size, _form_size
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
-                                 _softmax_column, _softplus_scalar, mat_to_json)
+                                 _softmax_column, _softplus_scalar, add, mat_to_json, scale)
 from splineformer.transformer import FeedForwardNet, blocks_from_json, eval_encoder, pass_through
 
 
@@ -44,6 +44,15 @@ class MaskedScores:
     """
 
     mat: Mat
+
+
+def sub(a: Mat, b: Mat) -> Mat:
+    return add(a, scale(b, -1))
+
+
+def max_abs(m: Mat):
+    """The largest |entry| of m, or zero."""
+    return max((abs(v) for row in m.nz for _, v in row), default=0.0 if m.backend == FLOAT else Fraction(0))
 
 
 def transpose(a: Mat) -> Mat:

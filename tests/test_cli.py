@@ -3,6 +3,7 @@ import copy
 import importlib.util
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from splineformer.tensor import Mat, mat_from_json, mat_to_json
 from splineformer.transformer import (EncoderBlock, MultiheadAttention, attention_head,
                                       blocks_from_json, blocks_to_float, blocks_to_json,
                                       eval_encoder)
+from splineformer.verifier import PASS_COLUMNS, random_rational_mat, trial_rng
 
 from reference import identity_ffn, per_head_file, per_head_json
 from test_transformer import GRID_2X2
@@ -37,6 +39,10 @@ AUTOREGRESSIVE_SPLINE = {"n": 1, "p": 2, "grid": [[
 NOT_AUTOREGRESSIVE = {"n": 1, "p": 2, "grid": [[
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_2": 1}}]},
     {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]}]]}
+
+
+# a sample count whose batched passes cannot all fit in one
+OVER_PASS = str(PASS_COLUMNS + 1)
 
 
 def write(path, obj):
@@ -235,6 +241,31 @@ class TestSmooth:
         assert json.loads(capsys.readouterr().out)["rows"] == []
 
 
+class TestSmoothMemory:
+    """`smooth` draws its samples a pass's chunk at a time, so the memory
+    it holds does not grow with --samples."""
+
+    @pytest.mark.parametrize("argv", [["--betas", ""], ["--activation", "softmax"]],
+                             ids=["softplus", "softmax"])
+    def test_peak_does_not_grow_with_samples(self, tmp_path, capsys, argv):
+        # the ReLU base alone keeps the softplus run short; every beta takes
+        # the same chunks
+        _, out = compile_to(tmp_path, ABS_SPLINE, extra=("--mode", "pruned"))
+        main(["smooth", out, "--samples", "1", *argv])  # the parser is built once
+        peaks = []
+        for samples in (2000, 20000):
+            cli._blocks_of.cache_clear()
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert main(["smooth", out, "--samples", str(samples), *argv]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert json.loads(capsys.readouterr().out)["samples"] == samples
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
+
+
 class TestInputErrors:
     """Bad counts and unreadable inputs exit 2 with a message, never a traceback."""
 
@@ -338,14 +369,30 @@ class TestInputErrors:
         ["smooth", "BIG", "--activation", "softmax", "--samples", "1"],
         ["smooth", "HUGE", "--samples", "2"],
         ["smooth", "HUGE", "--activation", "softmax", "--samples", "2"],
+        ["smooth", "HUGE", "--samples", OVER_PASS],
+        ["smooth", "HUGE", "--activation", "softmax", "--samples", OVER_PASS],
+        ["smooth", "SOFTMAX", "--samples", OVER_PASS],
+        ["smooth", "SOFTMAX", "--activation", "softmax", "--samples", OVER_PASS],
+        ["smooth", "CHAIN", "--samples", OVER_PASS],
+        ["smooth", "CHAIN", "--activation", "softmax", "--samples", OVER_PASS],
+        ["smooth", "CUBED", "--samples", OVER_PASS, "--seed", "7"],
+        ["smooth", "CUBED", "--betas", "", "--samples", OVER_PASS, "--seed", "7"],
+        ["smooth", "SQUARED", "--activation", "softmax", "--samples", OVER_PASS, "--seed", "7"],
     ], ids=["input", "weight", "weight-float-input", "float-pass", "softplus", "softmax",
-            "softplus-pass", "softmax-pass"])
+            "softplus-pass", "softmax-pass", "softplus-passes", "softmax-passes",
+            "softplus-non-relu", "softmax-non-relu", "softplus-chain", "softmax-chain",
+            "softplus-one-sample", "relu-one-sample", "softmax-one-column"])
     def test_beyond_float_range_exits_2(self, tmp_path, capsys, argv):
         # a 401-digit rational has no float, and the cube of 1e200 overflows;
         # with every value weight of x^5 (three product passes) at 1e200 both
         # smoothed passes overflow: under softmax each product row reads 0,
         # but block 2 copies x forward as 1e200 * 1e200 * x, and block 3's
-        # x^4 * x head scores that row
+        # x^4 * x head scores that row.  Above one pass's PASS_COLUMNS the
+        # samples take several batched passes, whose errors keep their text:
+        # SoftMax heads are refused, a chain whose block 1 reads 1 row of
+        # the 2 block 0 writes names the shape of one input, and at seed 7
+        # only sample 53 is x = +-10, whose 2e305 x^3 (CUBED) overflows and
+        # whose score -2e306 x^2 (SQUARED) is -inf, its SoftMax column with it
         _, out = compile_to(tmp_path, QUINTIC_SPLINE, name="huge.json")
         capsys.readouterr()
         huge = per_head_file(out)
@@ -355,13 +402,35 @@ class TestInputErrors:
         for blk in huge["blocks"]:
             for h in blk["heads"]:
                 h["A_V"] = [["1" + "0" * 200 if v != "0" else v for v in row] for row in h["A_V"]]
+        softmax = per_head_file(out)
+        for blk in softmax["blocks"]:
+            for h in blk["heads"]:
+                h["activation"] = "softmax"
         doc["blocks"][0]["heads"][0]["A_V"][0][0] = "1" + "0" * 400
+        chain = one_head_weights()
+        chain["blocks"][0]["ffn"]["layers"][0] = {"A": [["1"], ["1"]], "b": [["0"], ["0"]]}
+        chain["blocks"].append(one_head_weights()["blocks"][0])
         paths = {"W": out, "BIG": write(tmp_path / "big.json", doc),
-                 "HUGE": write(tmp_path / "huge.json", huge)}
+                 "HUGE": write(tmp_path / "huge.json", huge),
+                 "SOFTMAX": write(tmp_path / "softmax.json", softmax),
+                 "CHAIN": write(tmp_path / "chain.json", chain),
+                 "CUBED": write(tmp_path / "cubed.json", one_head_weights(A_V=[["2" + "0" * 305]])),
+                 "SQUARED": write(tmp_path / "squared.json",
+                                  one_head_weights(A_Q=[["-2" + "0" * 306]]))}
         err = one_line_exit_2(capsys, [write(tmp_path / "x.json", a) if isinstance(a, list)
                                        else paths.get(a, a) for a in argv])
         if "HUGE" in argv:
             assert "cannot smooth: the float pass overflowed" in err
+        if argv[-2:] == ["--seed", "7"]:
+            draws = [random_rational_mat(trial_rng(7, t), 1, 1).data[0][0]
+                     for t in range(PASS_COLUMNS + 1)]
+            assert [t for t, v in enumerate(draws) if abs(v) == 10] == [53]
+        want = {"SOFTMAX": "cannot smooth: smooth swap expects a relu-activated model, "
+                           "found softmax attention\n",
+                "CHAIN": "cannot smooth: block 1: attention input (2, 1), head expects (1, 1)\n",
+                "CUBED": "cannot smooth: the float pass overflowed\n",
+                "SQUARED": "cannot smooth: the float pass overflowed\n"}
+        assert err == want.get(argv[1], err)
 
     def test_negative_max_deg_exits_2(self, tmp_path, capsys):
         _, out = compile_to(tmp_path, IDENTITY_SPLINE)

@@ -5,7 +5,8 @@ must equal the checked-in digest.  `DIGEST` hashes the weights in the
 per-head form (`reference.per_head_json`), so it pins every nonzero and
 the head order; `DIGEST_LAYER` hashes the bytes `blocks_to_json` writes.
 A change that alters compiled weights on purpose updates the digests and
-says why.
+says why.  `SMOOTH_DIGEST` pins, byte for byte, what `smooth` prints on
+the two grids the benchmark smooths.
 
 The corpus is the benchmark's 13 grids from `bench/workloads.py` and
 `RANDOM_GRIDS` seeded random grids with n, p <= 2.  Each grid compiles
@@ -21,10 +22,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from splineformer.cli import main
 from splineformer.compiler import (CompileOptions, NotAutoregressiveError, ResourceLimitError,
                                    compile_autoregressive, compile_spline)
 from splineformer.spline import grid_from_json
 from splineformer.transformer import MultiheadAttention, blocks_from_json, blocks_to_json
+from splineformer.verifier import PASS_COLUMNS
 
 from reference import per_head_json
 
@@ -34,6 +37,7 @@ import workloads  # noqa: E402
 RANDOM_GRIDS = 40
 DIGEST = "74a5ea217e8b0c07ae17f52324205d7febb46fb34321746b4eed8ce733272f28"
 DIGEST_LAYER = "3e793093b00ffe81ea840c60815a39f5475b8a81c8a65a3fa3352293c840b33e"
+SMOOTH_DIGEST = "2f99c1aed7295d4107cd06f9fb38996664885792f7f491b1d7bac8b4fc316cb1"
 
 
 def random_doc(rng: random.Random) -> dict:
@@ -116,3 +120,26 @@ def test_corpus_digest():
     assert 0 < refused
     assert per_head.hexdigest() == DIGEST
     assert layer.hexdigest() == DIGEST_LAYER
+
+
+def test_smooth_digest(tmp_path, capsys):
+    """The exit code, stdout and stderr of `smooth` on the benchmark's
+    smoothed grids, each compiled by the CLI in every mode and masked as
+    the benchmark masks it: softplus at the default betas and at a repeated
+    beta and inf, and softmax, each at 1, 2 and PASS_COLUMNS + 1 samples,
+    the last too many for one batched pass."""
+    digest = hashlib.sha256()
+    for doc, masked in ((workloads.GRID_2X2, ()), (workloads.GRID_MASKED, ("--masked",))):
+        spath = tmp_path / "spline.json"
+        spath.write_text(json.dumps(doc))
+        for mode in ("auto", "pruned", "faithful"):
+            weights = str(tmp_path / "w.json")
+            assert main(["compile", str(spath), "--mode", mode, *masked, "-o", weights]) == 0
+            capsys.readouterr()
+            for samples in ("1", "2", str(PASS_COLUMNS + 1)):
+                for extra in ((), ("--betas", "10,10,inf"), ("--activation", "softmax")):
+                    argv = ["--samples", samples, "--seed", "5", *extra]
+                    code = main(["smooth", weights, *argv])
+                    captured = capsys.readouterr()
+                    digest.update(f"{mode} {argv}\n{code}\n{captured.out}{captured.err}".encode())
+    assert digest.hexdigest() == SMOOTH_DIGEST

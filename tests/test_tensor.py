@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
                                  DegenerateColumnError, FormatError, Mat, ShapeError, add,
                                  mat_from_json, mat_to_json, matmul, scale,
-                                 sparse_from_json, sparse_to_json, stack_rows, sub)
+                                 sparse_from_json, sparse_to_json, stack_rows)
 from reference import (MaskedScores, apply_mask, relu, softmax_columns,
-                       softplus_beta)
+                       softplus_beta, sub)
 
 fractions = st.builds(F, st.integers(-10, 10), st.integers(1, 7))
 

@@ -716,7 +716,7 @@ class TestFusedActivations:
                 assert eval_encoder(swapped, x) == want
                 if not scaled:
                     # the same pass over the rational weights' float image
-                    assert _walk(blocks, x, activation=activation) == want
+                    assert _walk(blocks, x, activations=(activation,)) == want
 
     @pytest.mark.parametrize("n,m,masked,cross", KERNEL_CASES)
     def test_layers_equal_reference(self, n, m, masked, cross):
@@ -846,7 +846,7 @@ class TestGroupedHeads:
                     assert eval_encoder(swapped, x) == want
                     if not scaled:
                         # the override on the rational weights' float image
-                        assert _walk(blocks, x, activation=activation) == want
+                        assert _walk(blocks, x, activations=(activation,)) == want
 
     def test_differing_flags_are_not_merged(self):
         rng = random.Random("grouped-flags")
@@ -873,7 +873,7 @@ class TestGroupedHeads:
             swapped = MultiheadAttention.of(tuple(replace_head(g, activation=activation)
                                                   for g in mh.heads))
             want = reference_encoder([EncoderBlock(swapped, blk.ffn)], x)
-            assert _walk([blk], x, activation=activation) == want
+            assert _walk([blk], x, activations=(activation,)) == want
 
     @pytest.mark.parametrize("activation", KERNEL_ACTIVATIONS)
     def test_observer_sees_every_head_as_split(self, activation):
@@ -885,14 +885,14 @@ class TestGroupedHeads:
             blocks = cloned_chain(rng, n, p, 2, 2)
             x = sparse_random_mat(rng, n, p).to_float()
             grouped = Recorder()
-            _walk(blocks, x, grouped, activation)
+            _walk(blocks, x, grouped, (activation,))
             assert [blk for blk, *_ in grouped.seen] == blocks
             for i, (blk, q, k, v, acts) in enumerate(grouped.seen):
-                rows = [list(row) for row in _walk(blocks[:i], x, activation=activation).data]
+                rows = [list(row) for row in _walk(blocks[:i], x, activations=(activation,)).data]
                 split = []
                 for h in blk.attn.heads:
                     one = MultiheadAttention.of((h,))
-                    split.append(_attend(one, one.floats, FLOAT, rows, 1, rows, 1, activation)[2])
+                    split.append(_attend(one, one.floats, FLOAT, rows, 1, rows, 1, (activation,))[2])
                 firsts = [split[blk.attn.table.index(g)] for g in range(len(blk.attn.groups))]
                 assert len(acts) == len(blk.attn.groups)
                 assert acts == [act for _, _, _, (act,) in firsts]
@@ -918,6 +918,85 @@ class TestGroupedHeads:
         compiled = compile_spline(grid_from_json(GRID_2X2), CompileOptions(mode="faithful"))
         blk = blocks_from_json(blocks_to_json(compiled.blocks))[1]
         assert (len(blk.attn.heads), group_count(blk.attn)) == (410, 43)
+
+
+def side_by_side(xs):
+    """Inputs of one shape as one batch, in order."""
+    p = xs[0].cols
+    return Mat(xs[0].backend, tuple(tuple((i * p + j, v) for i, x in enumerate(xs) for j, v in x.nz[r])
+                                    for r in range(xs[0].rows)), len(xs) * p)
+
+
+@st.composite
+def batched_chains(draw):
+    """A `cloned_chain` (plain, residual, masked, then masked residual
+    block; heads grouped), a batch of one to four of its inputs and a
+    stand-in activation for each.  Exact: rational ReLU weights and inputs,
+    stand-ins None or ReLU.  Otherwise float inputs, and each group drawn
+    scaled or not and with an activation of its own."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, p, d, m = (draw(st.integers(1, 3)) for _ in range(4))
+    blocks = cloned_chain(rng, n, p, d, m)
+    xs = [sparse_random_mat(rng, n, p) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        return blocks, xs, draw(st.lists(st.sampled_from([None, Activation("relu")]),
+                                         min_size=len(xs), max_size=len(xs)))
+    flagged = []
+    for blk in blocks:
+        flags = [dict(scaled=draw(st.booleans()),
+                      activation=draw(st.sampled_from(KERNEL_ACTIVATIONS))) for _ in blk.attn.groups]
+        mh = MultiheadAttention.of(tuple(replace_head(h, **flags[g])
+                                         for h, g in zip(blk.attn.heads, blk.attn.table)))
+        flagged.append(EncoderBlock(mh, blk.ffn, blk.residual))
+    stand_ins = draw(st.lists(st.sampled_from([None, *KERNEL_ACTIVATIONS]),
+                              min_size=len(xs), max_size=len(xs)))
+    return flagged, [x.to_float() for x in xs], stand_ins
+
+
+class TestBatchedWalk:
+    """One pass over a batch of inputs side by side must equal its inputs
+    run one by one: floats bit for bit, rationals exactly, and the
+    observer's one record per block must be the inputs' own records side
+    by side, with the groups' activation rows block-diagonal."""
+
+    @given(case=batched_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_inputs_one_by_one(self, case):
+        blocks, xs, stand_ins = case
+        batch = Recorder()
+        got = _walk(blocks, side_by_side(xs), batch, stand_ins)
+        outs, records = [], []
+        for x, stand_in in zip(xs, stand_ins):
+            one = Recorder()
+            outs.append(_walk(blocks, x, one, (stand_in,)))
+            records.append(one.seen)
+        want = side_by_side(outs)
+        # repr tells -0.0 from 0.0 and matches NaN; Fractions must be equal
+        assert (got.backend, got.cols, repr(got.nz)) == (want.backend, want.cols, repr(want.nz))
+        assert len(batch.seen) == len(blocks)
+        if got.backend != FLOAT:
+            return  # a batch's numerators share a denominator the inputs' do not
+        p = xs[0].cols
+        for i, (blk, q, k, v, acts) in enumerate(batch.seen):
+            ones = [seen[i] for seen in records]
+            assert all(one[0] is blk for one in ones)
+            for field, rows in ((1, q), (2, k), (3, v)):
+                assert repr(rows) == repr([sum(parts, []) for parts in zip(*(one[field] for one in ones))])
+            assert repr(acts) == repr([[[(j + c * p, w) for j, w in row]
+                                        for c, one in enumerate(ones) for row in one[4][g]]
+                                       for g in range(len(blk.attn.groups))])
+
+    def test_shape_error_names_one_input(self):
+        # block 1 reads 1 row but block 0 writes 2, in every input of the batch
+        rng = random.Random("batch-shape")
+        blocks = [EncoderBlock(MultiheadAttention.of((random_head(rng, 1, 2),)),
+                               FeedForwardNet(((rmat([[1], [1]]), rmat([[0], [0]])),))),
+                  EncoderBlock(MultiheadAttention.of((random_head(rng, 1, 2),)), identity_ffn(1))]
+        x = sparse_random_mat(rng, 1, 2).to_float()
+        for batch in (1, 3):
+            with pytest.raises(ShapeError) as exc:
+                _walk(blocks, side_by_side([x] * batch), activations=(None,) * batch)
+            assert str(exc.value) == "block 1: attention input (2, 2), head expects (1, 2)"
 
 
 class TestEncoderModel:

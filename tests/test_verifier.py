@@ -14,7 +14,7 @@ from splineformer.transformer import (Activation, EncoderBlock,
                                       MultiheadAttention, _walk, attention_head,
                                       blocks_to_float, eval_encoder, eval_multihead,
                                       softplus)
-from splineformer.verifier import (_forward_diff_degree,
+from splineformer.verifier import (PASS_COLUMNS, _chunks, _forward_diff_degree,
                                    autoregressive_check,
                                    estimate_degree, oracle_equiv,
                                    random_fraction, random_rational_mat,
@@ -22,7 +22,7 @@ from splineformer.verifier import (_forward_diff_degree,
                                    smooth_swap, softmax_probability_check,
                                    softplus_error_bound, trial_rng)
 from reference import (FnModel, apply_mask, broadcast_cols, identity_ffn, relu,
-                       replace_head, softmax_columns, transpose)
+                       max_abs, replace_head, softmax_columns, sub, transpose)
 from test_transformer import (cloned_chain, group_count, random_chain, reference_ffn,
                               smooth_chain, sparse_random_mat)
 
@@ -378,7 +378,7 @@ def dense_error_bound(blocks, x, beta):
         if blk.residual:
             h_out, e_out = add(h_out, cur), add(e_out, err)
         cur, err = h_out, e_out
-    return err.max_abs()
+    return max_abs(err)
 
 
 def dense_probability_check(blocks, xs, tol):
@@ -493,8 +493,9 @@ class TestObservedPasses:
         assert softmax_probability_check(blocks, xs) == dense_probability_check(blocks, xs, 1e-12)
         groups = [group_count(blk.attn) for blk in blocks]
         assert groups == [4, 43] and sum(len(blk.attn.heads) for blk in blocks) == 420
-        # one record per block per input, holding every group's activation rows
-        assert checked == groups * len(xs)
+        # both inputs share one pass: one record per block and pass, holding
+        # every group's activation rows
+        assert checked == groups
 
     def test_probability_check_verdicts_vary(self):
         # at tol 0 some column sums miss 1 by rounding; at 1e-12 none does
@@ -521,13 +522,56 @@ class TestObservedPasses:
             relu_float = blocks_to_float(blocks)
             want_base = eval_encoder(relu_float, x.to_float())
             for beta in (1.0, 10.0, 100.0):
-                got = _walk(blocks, x.to_float(), activation=softplus(beta))
+                got = _walk(blocks, x.to_float(), activations=(softplus(beta),))
                 want = EncoderModel(blocks, softplus(beta))(x)
                 assert got == want
                 gap = max(abs(a - b) for ra, rb in zip(want.data, want_base.data)
                           for a, b in zip(ra, rb))
                 assert smooth_convergence_table(blocks, [x], [beta]) == [
                     {"beta": beta, "max_abs_error": gap}]
+
+
+class TestBatchedSmoothing:
+    """The smoothing checks read their inputs a chunk at a time and run
+    each chunk as one batched pass; their reports must equal those of
+    passes run input by input."""
+
+    def test_chunks_are_cut_as_read(self):
+        drawn = []
+
+        def draws(count, p):
+            for t in range(count):
+                drawn.append(t)
+                yield Mat.zeros(2, p)
+
+        chunks = _chunks(draws(2 * PASS_COLUMNS // 8 + 5, 2), 4)
+        assert len(next(chunks)) == PASS_COLUMNS // 8 == len(drawn)
+        assert [len(c) for c in chunks] == [PASS_COLUMNS // 8, 5]
+        # an input wider than a pass still takes one of its own
+        assert [len(c) for c in _chunks(draws(3, PASS_COLUMNS + 1), 1)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 3)])
+    def test_table_equals_passes_one_by_one(self, d, m):
+        rng = random.Random(f"batched-table:{d}:{m}")
+        betas = [10.0, math.inf, 0.5, 10.0, 1e6]
+        for blocks, x in chains("batched-table", d, m, count=2):
+            xs = [sparse_random_mat(rng, x.rows, x.cols) for _ in range(PASS_COLUMNS // 3 + 5)]
+            base = [_walk(blocks, x.to_float()) for x in xs]
+            want = [{"beta": "inf", "max_abs_error": 0.0} if beta == math.inf else
+                    {"beta": beta, "max_abs_error": max(
+                        max_abs(sub(_walk(blocks, x.to_float(), activations=(softplus(beta),)), b))
+                        for x, b in zip(xs, base))} for beta in betas]
+            assert smooth_convergence_table(blocks, xs, betas) == want
+            assert smooth_convergence_table(blocks, iter(xs), betas) == want
+
+    @pytest.mark.parametrize("d,m", [(1, 1), (2, 3)])
+    def test_probability_check_equals_dense_walk(self, d, m):
+        rng = random.Random(f"batched-columns:{d}:{m}")
+        for blocks, x in chains("batched-columns", d, m, count=1):
+            xs = [sparse_random_mat(rng, x.rows, x.cols) for _ in range(PASS_COLUMNS // x.cols + 2)]
+            for tol in (1e-12, 0.0):
+                assert softmax_probability_check(blocks, iter(xs), tol) == \
+                    dense_probability_check(blocks, xs, tol)
 
 
 class TestSmoothModelPass:
