@@ -122,6 +122,12 @@ def _image(a_rows, b_rows, width: int, exact: bool) -> tuple:
                               for row in bias), den
 
 
+def _magnitudes(images) -> tuple:
+    """Per `_image`, |coef| of its A rows: the maps that carry an entrywise
+    error bound through a float pass (`verifier.softplus_error_bound`)."""
+    return tuple(tuple(tuple((j, abs(c)) for j, c in row) for row in rows) for rows, _, _ in images)
+
+
 def _affine(rows, bias, x: list, dx: int, zero) -> list:
     """Numerators of A X + B over den * dx, where A and B are an `_image`
     over den and x is over dx; a bias row is repeated across the columns
@@ -224,9 +230,10 @@ class MultiheadAttention:
         return self.a_q, self.b_q, self.a_k, self.b_k, self.a_v, self.b_v
 
     def _maps(self, exact: bool) -> tuple:
-        """For Q, K and V in turn, the `_image` of the stored rows."""
-        return tuple(_image(a.nz, b.nz, self.p, exact)
-                     for a, b in ((self.a_q, self.b_q), (self.a_k, self.b_k), (self.a_v, self.b_v)))
+        """For Q, K and V in turn, the `_image` of the rows a pass computes
+        (`_firsts`); the denominator is that of all the stored rows."""
+        return tuple(_image(_firsts(a.nz, shared), _firsts(b.nz, shared), self.p, exact)
+                     for a, b, shared in zip(self.mats[::2], self.mats[1::2], self.row_layout))
 
     @cached_property
     def stacked(self) -> tuple:
@@ -243,6 +250,11 @@ class MultiheadAttention:
         softplus beta) reuses it."""
         return self.stacked if FLOAT in self.backends else self._maps(False)
 
+    @cached_property
+    def magnitudes(self) -> tuple:
+        """`_magnitudes` of `floats`; built on first use and kept."""
+        return _magnitudes(self.floats)
+
     @property
     def backends(self) -> frozenset:
         return frozenset((self.a_q.backend,))
@@ -257,10 +269,26 @@ class MultiheadAttention:
                      for t, (d, masked, scaled, activation) in zip(starts, self.groups))
 
     @cached_property
-    def row_groups(self) -> tuple:
-        """The group of each value row, in head order; built on first
-        use and kept."""
-        return tuple(g for g in self.table for _ in range(self.m))
+    def row_layout(self) -> tuple:
+        """Where a pass takes each stored row from, then the group of each
+        value row, in head order; built on first use and kept.
+
+        For Q, K and V in turn: None when no two of the map's (A row, bias
+        row) pairs are equal, so a pass computes every row; otherwise
+        (firsts, index), the stored rows that open a new pair, in order,
+        and per stored row the position in firsts of its pair.  A pass
+        computes the rows in firsts only, once each (value numbering), and
+        hands every row of a pair the same list."""
+        layout = []
+        for a, b in zip(self.mats[::2], self.mats[1::2]):
+            seen, firsts, index = {}, [], []
+            for r, pair in enumerate(zip(a.nz, b.nz)):
+                i = seen.setdefault(pair, len(firsts))
+                if i == len(firsts):
+                    firsts.append(r)
+                index.append(i)
+            layout.append(None if len(firsts) == a.rows else (tuple(firsts), tuple(index)))
+        return (*layout, tuple(g for g in self.table for _ in range(self.m)))
 
     @cached_property
     def heads(self) -> tuple:
@@ -377,6 +405,20 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
     return act
 
 
+def _firsts(rows, shared):
+    """Of a map's stored rows (or of one row per stored row), those a pass
+    computes: all of them where `shared` (an entry of
+    `MultiheadAttention.row_layout`) is None, else the firsts of pairs."""
+    return rows if shared is None else [rows[r] for r in shared[0]]
+
+
+def _spread(rows: list, shared) -> list:
+    """The rows of a map a pass computed, one per stored row: as computed
+    where `shared` is None, else each stored row's pair's list, by
+    reference."""
+    return rows if shared is None else [rows[i] for i in shared[1]]
+
+
 def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
             y: list, dy: int, activations: Sequence = (None,)) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
@@ -389,7 +431,11 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     and v rows, as wide as the batch, and, in group order, each group's
     block-diagonal activation rows (`_pattern`).
 
-    Q, K and V of all heads and inputs come from one sparse product each.
+    Q, K and V of all heads and inputs come from one sparse product each,
+    over the distinct rows of each map only (`row_layout`): every stored
+    row of a pair is handed the list computed for the pair, by reference.
+    Rows a pass computes are never mutated after `_affine` returns them,
+    by this pass, the observer or the caller, so sharing them is exact.
     Each group of heads forms its attention pattern once per pass (at the
     group's row offset); each head's value rows then multiply the nonzero
     activations of its group.
@@ -400,13 +446,14 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     width = len(x[0])
     p = width // len(activations)
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
-    q = _affine(aq, bq, y, dy, zero)
-    k = _affine(ak, bk, x, dx, zero)
-    v = _affine(av, bv, x, dx, zero)
+    shared_q, shared_k, shared_v, row_groups = mh.row_layout
+    q = _spread(_affine(aq, bq, y, dy, zero), shared_q)
+    k = _spread(_affine(ak, bk, x, dx, zero), shared_k)
+    v = _spread(_affine(av, bv, x, dx, zero), shared_v)
     acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
             for t, d, masked, root, own in mh.group_layout]
     out = []
-    for vrow, g in zip(v, mh.row_groups):
+    for vrow, g in zip(v, row_groups):
         act = acts[g]
         acc = [zero] * width
         for a, c in enumerate(vrow):
@@ -489,6 +536,11 @@ class FeedForwardNet:
         """`sparse` in floats, over 1, as `MultiheadAttention.floats`."""
         return self.sparse if FLOAT in self.backends else self._layers(False)
 
+    @cached_property
+    def magnitudes(self) -> tuple:
+        """`_magnitudes` of `floats`; built on first use and kept."""
+        return _magnitudes(self.floats)
+
     def _layers(self, exact: bool) -> tuple:
         return tuple(_image(a.nz, b.nz, b.cols, exact) for a, b in self.layers)
 
@@ -557,10 +609,11 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     pass reads their float image (`floats`), so rational weights run in
     floats with no float copy of the matrices.  An `observer` is called
     once per block and pass, after its net and residual, as
-    `observer(blk, maps, layers, q, k, v, acts)`: the weight rows the pass
-    read and the record `_attend` returns, whose q, k and v span the batch
-    and whose activation rows are block-diagonal, input i in rows and
-    columns i * p to i * p + p.  The caller checks the weights' backends.
+    `observer(blk, q, k, v, acts)`: the record `_attend` returns, whose q,
+    k and v hold one row per stored row and span the batch, and whose
+    activation rows are block-diagonal, input i in rows and columns i * p
+    to i * p + p.  The observer reads the record and never mutates it.
+    The caller checks the weights' backends.
     """
     backend, batch = x.backend, len(activations)
     rows, den = _numerators(x)
@@ -579,7 +632,7 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)
         if observer is not None:
-            observer(blk, maps, layers, *record)
+            observer(blk, *record)
     return _to_mat(backend, rows, den)
 
 

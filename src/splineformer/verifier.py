@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .spline import SplineGrid
 from .tensor import (FLOAT, DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
                      nonzero_rows, scale, sparse_product)
-from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _walk
+from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _firsts, _spread, _walk
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -260,11 +260,6 @@ def _abs_rows(rows) -> list:
     return [[abs(v) for v in row] for row in rows]
 
 
-def _abs_map(rows) -> list:
-    """|coef| of (col, coef) rows."""
-    return [[(j, abs(c)) for j, c in row] for row in rows]
-
-
 def _product(a, b: list) -> list:
     """a b for row lists, summed as `matmul` sums it."""
     return sparse_product(nonzero_rows(a), b, len(b[0]), 0.0)
@@ -282,12 +277,20 @@ class _ErrorBound:
         self.gap = gap
         self.err = [[0.0] * x.cols for _ in range(x.rows)]
 
-    def __call__(self, blk, maps, layers, q, k, v, acts):
-        p, m = len(self.err[0]), blk.attn.m
-        # the error maps are |coef| of the rows the pass read
-        eq, ek, ev = (sparse_product(_abs_map(rows), self.err, p, 0.0) for rows, _, _ in maps)
+    def __call__(self, blk, q, k, v, acts):
+        attn = blk.attn
+        p, m = len(self.err[0]), attn.m
+        shared_q, shared_k, shared_v, _ = attn.row_layout
+        # the error maps are |coef| of the rows the pass computed: each
+        # product is formed once per distinct row, then handed out per
+        # stored row as the pass handed out its rows
+        mq, mk, mv = attn.magnitudes
+        eq = _spread(sparse_product(mq, self.err, p, 0.0), shared_q)
+        ek = _spread(sparse_product(mk, self.err, p, 0.0), shared_k)
+        ev = _spread(nonzero_rows(sparse_product(mv, self.err, p, 0.0)), shared_v)
+        abs_v = _spread(nonzero_rows(_abs_rows(_firsts(v, shared_v))), shared_v)
         patterns = []  # per group: |A| + es and es, shared by the group's heads
-        for (t, d, masked, *_), act in zip(blk.attn.group_layout, acts):
+        for (t, d, masked, *_), act in zip(attn.group_layout, acts):
             eqh, ekt = eq[t:t + d], list(zip(*ek[t:t + d]))
             # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
             es = _sum(_sum(_product(zip(*_abs_rows(k[t:t + d])), eqh),
@@ -298,13 +301,14 @@ class _ErrorBound:
             dense = [[dict(nz).get(j, 0.0) for j in range(p)] for nz in act]
             patterns.append((_sum(dense, es), es))
         out = []
-        for u, g in zip(range(0, len(v), m), blk.attn.table):
+        for u, g in zip(range(0, len(v), m), attn.table):
             a_es, es = patterns[g]
             # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
-            out += _sum(_product(ev[u:u + m], a_es), _product(_abs_rows(v[u:u + m]), es))
-        for rows, _, _ in layers:
+            out += _sum(sparse_product(ev[u:u + m], a_es, p, 0.0),
+                        sparse_product(abs_v[u:u + m], es, p, 0.0))
+        for rows in blk.ffn.magnitudes:
             # relu is 1-Lipschitz: error carries over
-            out = sparse_product(_abs_map(rows), out, p, 0.0)
+            out = sparse_product(rows, out, p, 0.0)
         self.err = _sum(out, self.err) if blk.residual else out
 
 
@@ -331,7 +335,7 @@ class _ProbabilityColumns:
         self.columns_ok = True
         self.masked_zeros_ok = True
 
-    def __call__(self, blk, maps, layers, q, k, v, acts):
+    def __call__(self, blk, q, k, v, acts):
         for (_, masked, *_), act in zip(blk.attn.groups, acts):
             # act holds the nonzero entries only; adding 0.0 changes no column sum
             cols = [[] for _ in act]

@@ -9,8 +9,9 @@ head's output from first principles and compare.  A head is a
 `replace_head`, which also rebuilds such a head's group with new flags,
 and the writer of the per-head weights form, which only tests use, live
 here too, as do the max-min combinators as they were before forms were
-absorbed, the normal form built with them, and the max-min readout net
-as it was before equal units were shared.
+absorbed, the normal form built with them, the max-min readout net as
+it was before equal units were shared, and the block walk as it was
+before equal attention-map rows were shared.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from splineformer.compiler import CompiledEncoder, _layer, _sparse
 from splineformer.spline import PBForm, _check_size, _form_size
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
                                  _softmax_column, _softplus_scalar, add, mat_to_json, scale)
-from splineformer.transformer import FeedForwardNet, blocks_from_json, eval_encoder, pass_through
+from splineformer.transformer import (FeedForwardNet, _added, _affine, _feed, _image,
+                                      _numerators, _pattern, _reduced, _to_mat, blocks_from_json,
+                                      eval_encoder, pass_through)
 
 
 # -- dense matrix operations -------------------------------------------------
@@ -308,3 +311,41 @@ def unshared_maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
         layers.append(layer(feats, cols))
         cols = len(feats)
     return FeedForwardNet(tuple(layers) + (layer([rows[0][0] for rows in state], cols),))
+
+
+# -- the unshared block walk -------------------------------------------------------
+
+def unshared_walk(blocks, x: Mat, observer=None, activations: Sequence = (None,)) -> Mat:
+    """`transformer._walk` with every stored query, key and value row
+    computed on its own, from the image of all the stored rows, as before
+    equal rows were shared; the observer gets the same record."""
+    backend, exact = x.backend, x.backend == RATIONAL
+    zero = 0 if exact else 0.0
+    rows, den = _numerators(x)
+    for blk in blocks:
+        mh = blk.attn
+        if exact and mh.rational_error:
+            raise BackendError(mh.rational_error)
+        maps = [_image(a.nz, b.nz, mh.p, exact) for a, b in zip(mh.mats[::2], mh.mats[1::2])]
+        q, k, v = (_affine(a, b, rows, den, zero) for a, b, _ in maps)
+        width = len(rows[0])
+        p = width // len(activations)
+        acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
+                for t, d, masked, root, own in mh.group_layout]
+        out = []
+        for u, g in zip(range(0, len(v), mh.m), mh.table):
+            for vrow in v[u:u + mh.m]:
+                acc = [zero] * width
+                for a, c in enumerate(vrow):
+                    if c:
+                        for b, w in acts[g][a]:
+                            acc[b] += c * w
+                out.append(acc)
+        dy = math.prod(d for *_, d in maps) * den ** 3
+        y, dy = _feed(blk.ffn.sparse if exact else blk.ffn.floats, backend, out, dy)
+        if blk.residual:
+            y, dy = _added(y, dy, rows, den)
+        rows, den = _reduced(y, dy)
+        if observer is not None:
+            observer(blk, q, k, v, acts)
+    return _to_mat(backend, rows, den)

@@ -24,7 +24,7 @@ from splineformer.transformer import EncoderModel, _image
 from splineformer.verifier import random_rational_mat, trial_rng
 from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
                        replace_head, softmax_columns,
-                       softplus_beta, transpose)
+                       softplus_beta, transpose, unshared_walk)
 
 
 def rmat(rows):
@@ -804,7 +804,7 @@ class Recorder:
     def __init__(self):
         self.seen = []
 
-    def __call__(self, blk, maps, layers, q, k, v, acts):
+    def __call__(self, blk, q, k, v, acts):
         self.seen.append((blk, q, k, v, acts))
 
 
@@ -997,6 +997,125 @@ class TestBatchedWalk:
             with pytest.raises(ShapeError) as exc:
                 _walk(blocks, side_by_side([x] * batch), activations=(None,) * batch)
             assert str(exc.value) == "block 1: attention input (2, 2), head expects (1, 2)"
+
+
+def pooled_layer(rng, n, p, d, m, heads, **flags):
+    """A layer of `heads` heads whose query, key and value rows are each
+    drawn from a pool of two (A row, bias row) pairs per map, so that rows
+    repeat within and across groups; the pairs of a pool may share their A
+    row.  `flags` maps a head's draw to its group flags."""
+    pools = []
+    for _ in range(3):
+        a = sparse_random_mat(rng, 1, n)
+        pools.append([(a, sparse_random_mat(rng, 1, p)),
+                      (rng.choice([a, sparse_random_mat(rng, 1, n)]), sparse_random_mat(rng, 1, p))])
+
+    def drawn(pool, count):
+        picks = [rng.choice(pool) for _ in range(count)]
+        return stack_rows([a for a, _ in picks]), stack_rows([b for _, b in picks])
+
+    return MultiheadAttention.of(tuple(
+        attention_head(*drawn(pools[0], d), *drawn(pools[1], d), *drawn(pools[2], m),
+                       **{key: draw() for key, draw in flags.items()})
+        for _ in range(heads)))
+
+
+@st.composite
+def pooled_chains(draw):
+    """A plain, a residual, a masked and a masked residual block of
+    `pooled_layer`s of three to five heads (so value rows repeat), a batch
+    of one to four inputs and a stand-in activation for each, as in
+    `batched_chains`: exact, with rational ReLU weights and inputs and
+    stand-ins None or ReLU, or float, with each head drawn scaled or not
+    and with an activation of its own."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, p, d, m = (draw(st.integers(1, 3)) for _ in range(4))
+    exact = draw(st.booleans())
+    flags = {} if exact else dict(scaled=lambda: rng.random() < 0.5,
+                                  activation=lambda: rng.choice(KERNEL_ACTIVATIONS))
+    blocks = []
+    for masked, residual in ((False, False), (False, True), (True, False), (True, True)):
+        mh = pooled_layer(rng, n, p, d, m, rng.randint(3, 5), masked=lambda: masked, **flags)
+        out = n if residual else rng.randint(1, 3)
+        blocks.append(EncoderBlock(mh, random_ffn(rng, mh.out_rows, out), residual))
+        n = out
+    xs = [sparse_random_mat(rng, blocks[0].attn.n, p) for _ in range(draw(st.integers(1, 4)))]
+    stand_ins = draw(st.lists(st.sampled_from([None, Activation("relu")] if exact
+                                              else [None, *KERNEL_ACTIVATIONS]),
+                              min_size=len(xs), max_size=len(xs)))
+    return blocks, xs if exact else [x.to_float() for x in xs], stand_ins
+
+
+class TestSharedRows:
+    """A pass computes each distinct (A row, bias row) pair of a query,
+    key or value map once and hands every row of the pair that list; it
+    must equal the walk that computes every stored row on its own."""
+
+    @given(case=pooled_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_pass_equals_unshared_reference(self, case):
+        blocks, xs, stand_ins = case
+        assert all(blk.attn.row_layout[2] is not None for blk in blocks)
+        x = side_by_side(xs)
+        shared, unshared = Recorder(), Recorder()
+        got = _walk(blocks, x, shared, stand_ins)
+        want = unshared_walk(blocks, x, unshared, stand_ins)
+        # repr tells -0.0 from 0.0 and matches NaN; Fractions must be equal
+        assert (got.backend, got.cols, repr(got.nz)) == (want.backend, want.cols, repr(want.nz))
+        assert len(shared.seen) == len(unshared.seen) == len(blocks)
+        for (blk, *record), (ref_blk, *ref_record) in zip(shared.seen, unshared.seen):
+            assert blk is ref_blk
+            for rows, ref_rows in zip(record, ref_record):
+                assert len(rows) == len(ref_rows)
+                assert all(repr(row) == repr(ref) for row, ref in zip(rows, ref_rows))
+
+    def test_faithful_distinct_rows(self):
+        faithful = CompileOptions(mode="faithful")
+        grid = compile_spline(grid_from_json(GRID_2X2), faithful).blocks[1].attn
+        eps2 = build_eps2(1, 3, faithful).blocks[1].attn
+        for mh, stored, distinct in ((grid, (43, 43, 410), (22, 2, 11)),
+                                     (eps2, (77, 77, 876), (27, 3, 13))):
+            assert (mh.a_q.rows, mh.a_k.rows, mh.a_v.rows) == stored
+            assert tuple(len(firsts) for firsts, _ in mh.row_layout[:3]) == distinct
+            assert tuple(len(index) for _, index in mh.row_layout[:3]) == stored
+            # the images hold the distinct rows only, exact and float
+            for maps in (mh.stacked, mh.floats):
+                assert tuple(len(rows) for rows, _, _ in maps) == distinct
+
+    def test_map_without_repeats_has_no_index(self):
+        rng = random.Random("no-repeats")
+        mh = MultiheadAttention.of(tuple(random_head(rng, 2, 2) for _ in range(3)))
+        assert mh.row_layout == (None, None, None, (0, 1, 2))
+        assert tuple(len(rows) for rows, _, _ in mh.stacked) == (3, 3, 3)
+        # clones keep Q and K, so only the value map repeats across groups
+        shared = MultiheadAttention.of(mh.heads + (replace(mh.heads[2], a_v=mh.heads[0].a_v,
+                                                           b_v=mh.heads[0].b_v),))
+        assert shared.row_layout == (None, None, ((0, 1, 2), (0, 1, 2, 0)), (0, 1, 2, 2))
+        assert tuple(len(rows) for rows, _, _ in shared.stacked) == (3, 3, 3)
+
+    def test_shared_rows_are_not_mutated(self):
+        # a residual chain with multi-layer nets over heads that share value
+        # rows, run twice on the same layers and once on an unshared copy
+        rng = random.Random("aliasing")
+        n, p = 2, 3
+        blocks = []
+        for _ in range(3):
+            mh = pooled_layer(rng, n, p, 1, 2, 4)
+            ffn = FeedForwardNet(tuple((sparse_random_mat(rng, o, i), sparse_random_mat(rng, o, 1))
+                                       for i, o in ((mh.out_rows, 3), (3, 2), (2, n))))
+            blocks.append(EncoderBlock(mh, ffn, residual=True))
+        assert all(blk.attn.row_layout[2] is not None for blk in blocks)
+        def records(recorder):
+            return repr([record for _, *record in recorder.seen])
+
+        for x in (sparse_random_mat(rng, n, p), sparse_random_mat(rng, n, p).to_float()):
+            first, second = Recorder(), Recorder()
+            runs = [_walk(blocks, x, first)]
+            seen = records(first)
+            runs.append(_walk(blocks, x, second))
+            runs.append(unshared_walk(blocks_from_json(blocks_to_json(blocks)), x))
+            assert len({repr(out.nz) for out in runs}) == 1
+            assert records(first) == seen == records(second)
 
 
 class TestEncoderModel:

@@ -483,9 +483,9 @@ class TestObservedPasses:
         checked = []
 
         class Counting(verifier._ProbabilityColumns):
-            def __call__(self, blk, maps, layers, q, k, v, acts):
+            def __call__(self, blk, q, k, v, acts):
                 checked.append(len(acts))
-                super().__call__(blk, maps, layers, q, k, v, acts)
+                super().__call__(blk, q, k, v, acts)
 
         monkeypatch.setattr(verifier, "_ProbabilityColumns", Counting)
         blocks = build_eps2(2, 2, CompileOptions(mode="faithful")).blocks
