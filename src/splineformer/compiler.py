@@ -232,7 +232,7 @@ class MonomialLayout:
     (columns None), or per column a block of monomial rows (None where
     identically zero), stacked block-diagonally, so each row is nonzero
     only in its own column.  Maps (monomial, column) to the first row
-    holding it; columns are 1-based in `row_of`, `has` and `entries`."""
+    holding it; columns are 1-based in `row_of`, `locate` and `entries`."""
 
     def __init__(self, n: int, p: int,
                  columns: Optional[Sequence[Sequence[Optional[Monomial]]]] = None):
@@ -253,8 +253,18 @@ class MonomialLayout:
     def row_of(self, mon: Monomial, col: int) -> int:
         return self._rows[(mon, col)]
 
-    def has(self, mon: Monomial, col: int) -> bool:
-        return (mon, col) in self._rows
+    def locate(self, mon: Monomial, col: int) -> Optional[tuple]:
+        """The 0-based entry (row, column) holding `mon` that column `col`
+        reads, or None: on the raw input variable x_i_c is entry (i - 1,
+        c - 1), whatever the column; on stacked blocks, mon's row in column
+        col's block."""
+        if self.columns is None:
+            if mon.degree != 1:
+                return None
+            (i, c), _ = mon.exps[0]
+            return i - 1, c - 1
+        r = self._rows.get((mon, col))
+        return None if r is None else (r, col - 1)
 
     def entry(self, r: int, c: int) -> Optional[Monomial]:
         """Symbolic value of matrix entry (r, c), 0-based."""
@@ -321,82 +331,73 @@ def _guard(*quantities: int):
             f"(cap {ROW_CAP}); use pruned mode")
 
 
-def _linear_stage(src: MonomialLayout, targets, masked: bool, faithful: bool) -> _Stage:
-    """Copy entries of `src` forward so every column holds its own block of
-    them.  Faithful mode copies every entry the column may read, after a
-    constant row.  Pruned mode reads only the raw input, and column j's
-    block holds targets[j]: variable x_i_c is copied from entry
-    (i - 1, c - 1), and the constant comes from a const head."""
+def _copy_pass(src: MonomialLayout, masked: bool) -> _Stage:
+    """The faithful copy pass: column j's block holds a constant row, then
+    a copy of every entry of `src` the column may read."""
     p, rows = src.p, src.total_rows
-    keys = ()
-    if faithful:
-        _guard(rows * p * p + p, p * (rows * p + 1))
-        keys = [("copy", r, c, j) for r in range(rows) for c in range(p) for j in range(p)
-                if not (masked and c > j)] + [("const", j) for j in range(p)]
-        columns = [[(ONE, {("const", j): 1})]
-                   + [(src.entry(r, c), {("copy", r, c, j): 1})
-                      for r in range(rows) for c in range(p) if not (masked and c > j)]
-                   for j in range(p)]
-    else:
-        def head(mon, j):
-            if mon == ONE:
-                return ("const", j)
-            (i, c), _ = mon.exps[0]
-            return ("copy", i - 1, c - 1, j)
-
-        columns = [[(mon, {head(mon, j): 1}) for mon in targets[j]] for j in range(p)]
+    _guard(rows * p * p + p, p * (rows * p + 1))
+    keys = [("copy", r, c, j) for r in range(rows) for c in range(p) for j in range(p)
+            if not (masked and c > j)] + [("const", j) for j in range(p)]
+    columns = [[(ONE, {("const", j): 1})]
+               + [(src.entry(r, c), {("copy", r, c, j): 1})
+                  for r in range(rows) for c in range(p) if not (masked and c > j)]
+               for j in range(p)]
     return _emit(src, columns, masked, keys)
 
 
-def _quadratic_stage(blocks: MonomialLayout, src: MonomialLayout, targets,
-                     cap_deg: int, masked: bool, faithful: bool) -> _Stage:
-    """Form pairwise products of the rows of `blocks`, the per-column
-    blocks this pass reads: the output of the copy pass that read `src`
-    (at p = 1 in pruned mode, the raw input), or in pruned mode after the
-    first stage the previous product pass's output, which holds this
-    stage's factors row for row.  A product row for (a, b) at column j
-    computes u_a * relu(u_b) - u_a * relu(-u_b) = u_a u_b, and stays zero
-    outside column j because row b is.  Faithful mode forms every product
-    of the entries of `src` the column may read, from its copy pass's
-    copies, and emits the head for every row pair."""
+def _product(j: int, ra: int, rb: int) -> dict:
+    """The slot of row ra times row rb at column j: u_a * relu(u_b) -
+    u_a * relu(-u_b) = u_a u_b, zero outside column j because row rb is."""
+    return {("quad", ra, rb, j, 1): 1, ("quad", ra, rb, j, -1): -1}
+
+
+def _product_pass(blocks: MonomialLayout, src: MonomialLayout, masked: bool) -> _Stage:
+    """The faithful product pass over `blocks`, the output of the copy pass
+    that read `src`: every product of the entries of `src` the column may
+    read, from the copies, after the constant and the copies themselves,
+    with the head for every row pair."""
     p, rows = src.p, blocks.total_rows
+    yvars = [(r, c) for r in range(src.total_rows) for c in range(p)]
+    _guard(2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
+    allowed = [[(r, c) for r, c in yvars if not (masked and c > j)] for j in range(p)]
+    # the copy pass holds allowed[j][k] on row k + 1 of column j's block
+    var_row = [{v: blocks.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
+               for j in range(p)]
+    keys = [("copy", var_row[j][v], j, j) for v in yvars for j in range(p)
+            if v in var_row[j]] + [("const", j) for j in range(p)]
+    for j, (lo, hi) in enumerate(blocks.block_spans):
+        pairs = range(lo, hi) if masked else range(rows)
+        keys += [("quad", a, b, j, sign) for a in pairs for b in pairs for sign in (1, -1)]
+    columns = []
+    for j in range(p):
+        xs = [(src.entry(*v), var_row[j][v]) for v in allowed[j]]
+        columns.append([(ONE, {("const", j): 1})]
+                       + [(x, {("copy", r, j, j): 1}) for x, r in xs]
+                       + [(xa.mul(xb) if xa is not None and xb is not None else None,
+                           _product(j, ra, rb))
+                          for i, (xa, ra) in enumerate(xs) for xb, rb in xs[i:]])
+    return _emit(blocks, columns, masked, keys)
 
-    def product(j, ra, rb) -> dict:
-        return {("quad", ra, rb, j, 1): 1, ("quad", ra, rb, j, -1): -1}
 
-    if faithful:
-        yvars = [(r, c) for r in range(src.total_rows) for c in range(p)]
-        _guard(2 * rows * rows * p, p * math.comb(len(yvars) + 2, 2))
-        allowed = [[(r, c) for r, c in yvars if not (masked and c > j)] for j in range(p)]
-        # the faithful copy pass holds allowed[j][k] on row k + 1 of column j's block
-        var_row = [{v: blocks.block_spans[j][0] + 1 + k for k, v in enumerate(allowed[j])}
-                   for j in range(p)]
-        keys = [("copy", var_row[j][v], j, j) for v in yvars for j in range(p)
-                if v in var_row[j]] + [("const", j) for j in range(p)]
-        for j, (lo, hi) in enumerate(blocks.block_spans):
-            pairs = range(lo, hi) if masked else range(rows)
-            keys += [("quad", a, b, j, sign) for a in pairs for b in pairs for sign in (1, -1)]
-        columns = []
-        for j in range(p):
-            xs = [(src.entry(*v), var_row[j][v]) for v in allowed[j]]
-            columns.append([(ONE, {("const", j): 1})]
-                           + [(x, {("copy", r, j, j): 1}) for x, r in xs]
-                           + [(xa.mul(xb) if xa is not None and xb is not None else None,
-                               product(j, ra, rb))
-                              for i, (xa, ra) in enumerate(xs) for xb, rb in xs[i:]])
-        return _emit(blocks, columns, masked, keys)
-
+def _pruned_pass(src: MonomialLayout, targets, cap_deg: int, masked: bool) -> _Stage:
+    """The pruned pass reading `src` whose column j's block holds
+    targets[j].  A slot is the constant head, a copy of the entry of `src`
+    holding the monomial, or else the product of the rows holding its
+    `factor_pair` at `cap_deg`."""
     def slot(mon, j) -> dict:
         if mon == ONE:
             return {("const", j): 1}
-        if blocks.has(mon, j + 1):
-            return {("copy", blocks.row_of(mon, j + 1), j, j): 1}
-        m1, m2 = factor_pair(mon, cap_deg)
-        if not (blocks.has(m1, j + 1) and blocks.has(m2, j + 1)):
+        at = src.locate(mon, j + 1)
+        if at is not None:
+            return {("copy", *at, j): 1}
+        a, b = (src.locate(m, j + 1) for m in factor_pair(mon, cap_deg))
+        # a product's rows must be zero outside column j: every block row
+        # is, and a raw input row only at p = 1
+        if None in (a, b) or src.columns is None and src.p > 1:
             raise KeyError(f"factors of {mon!r} missing from column {j + 1}")
-        return product(j, blocks.row_of(m1, j + 1), blocks.row_of(m2, j + 1))
+        return _product(j, a[0], b[0])
 
-    return _emit(blocks, [[(mon, slot(mon, j)) for mon in targets[j]] for j in range(p)],
+    return _emit(src, [[(mon, slot(mon, j)) for mon in targets[j]] for j in range(src.p)],
                  masked)
 
 
@@ -458,53 +459,49 @@ def _num_stages(s: int) -> int:
 def _build_chain(n: int, p: int, s: int, targets_final, opts: CompileOptions,
                  mode: str) -> list:
     """The (provenance tag, stage) list of the monomial stages up to degree
-    s.  Pruned mode works its target sets back from `targets_final`, per
-    column; faithful mode's stages read no target sets."""
+    s.  Faithful mode runs a copy pass and a product pass per stage and
+    reads no target sets; pruned mode works its target sets back from
+    `targets_final`, per column, and runs one pruned pass per set."""
     masked = opts.masked
-    faithful = mode == "faithful"
     num = _num_stages(s)
-    # per column, sets[i + 1] is what stage i's product pass builds (sets[num]
-    # is the targets) from the rows of sets[i]: the first product pass reads
-    # sets[0] off a copy pass out of the raw input, and every later one reads
-    # sets[i] off the previous product pass's blocks; a linear spline's one
-    # copy pass carries sets[1], and at p = 1 the first product pass reads the
-    # raw input itself, so neither works out sets[0]
-    sets = [None] * (num + 1)
-    if not faithful:
-        sets[num] = [list(targets_final[j]) for j in range(p)]
-        for i in range(num - 1, -1 if p >= 2 and s >= 2 else 0, -1):
-            cap_deg = 2 ** (i + 1)
-            prev_cap = 2 ** i
-            needed = [set() for _ in range(p)]
-            for j in range(p):
-                for mon in sets[i + 1][j]:
-                    if mon.degree == 0:
-                        continue
-                    if mon.degree <= prev_cap:
-                        needed[j].add(mon)
-                    elif mon.degree <= cap_deg:
-                        needed[j].update(factor_pair(mon, prev_cap))
-                    else:
-                        raise ValueError(f"monomial {mon!r} exceeds stage degree {cap_deg}")
-            sets[i] = [sorted(needed[j],
-                              key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
-                       for j in range(p)]
-
     src = MonomialLayout(n, p)
-    if s <= 1:
-        return [("linear-copy-pass", _linear_stage(src, sets[1], masked, faithful))]
-    # at p = 1 the raw input is column 1's block of sets[0]: row i - 1 holds x_i_1
-    blocks = (MonomialLayout(n, 1, [[Monomial.variable(i, 1) for i in range(1, n + 1)]])
-              if p == 1 and not faithful else None)
-    stages: list = []
-    for i in range(num):
-        if faithful or (i == 0 and blocks is None):
-            copy = _linear_stage(src, sets[i], masked, faithful)
+    stages = []
+    if mode == "faithful":
+        for _ in range(num):
+            copy = _copy_pass(src, masked)
             stages.append(("linear-copy-pass", copy))
-            blocks = copy.layout
-        quad = _quadratic_stage(blocks, src, sets[i + 1], 2 ** i, masked, faithful)
-        stages.append(("quadratic-product-pass", quad))
-        src = blocks = quad.layout
+            if s > 1:
+                quad = _product_pass(copy.layout, src, masked)
+                stages.append(("quadratic-product-pass", quad))
+                src = quad.layout
+        return stages
+    # per column, sets[i + 1] is what the product pass of stage i builds
+    # (sets[num] is the targets) from the rows of sets[i]; sets[0] is a copy
+    # of the raw input's variables.  A linear spline's one pass copies
+    # sets[1] off the raw input, and at p = 1 the raw input already is
+    # column 1's block of sets[0], so neither works out sets[0]
+    start = 0 if p >= 2 and s >= 2 else 1
+    sets = [None] * (num + 1)
+    sets[num] = [list(targets_final[j]) for j in range(p)]
+    for i in range(num - 1, start - 1, -1):
+        prev_cap = 2 ** i
+        needed = [set() for _ in range(p)]
+        for j in range(p):
+            for mon in sets[i + 1][j]:
+                if mon.degree == 0:
+                    continue
+                if mon.degree <= prev_cap:
+                    needed[j].add(mon)
+                else:
+                    needed[j].update(factor_pair(mon, prev_cap))
+        sets[i] = [sorted(needed[j],
+                          key=lambda m: _grlex_key(m, _allowed_vars(n, p, j + 1, masked)))
+                   for j in range(p)]
+    for i in range(start, num + 1):
+        # pass i multiplies rows of sets[i - 1], of degree at most 2 ** (i - 1)
+        stage = _pruned_pass(src, sets[i], 2 ** i // 2, masked)
+        stages.append(("quadratic-product-pass" if i and s > 1 else "linear-copy-pass", stage))
+        src = stage.layout
     return stages
 
 

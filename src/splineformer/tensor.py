@@ -2,8 +2,9 @@
 
 Every value is immutable after construction.  The rational backend does
 exact arithmetic through `fractions.Fraction` and never holds -inf; the
-float backend admits -inf as a distinguished score value so that masking
-and SoftMax exclusion behave as expected.
+float backend admits -inf, because the weights format spells "-inf".
+Attention scores are plain lists, not matrices: a pass masks and
+activates them in `transformer`, through the scalar helpers below.
 """
 
 from __future__ import annotations
@@ -254,8 +255,6 @@ def _softmax_column(entries: Sequence[float], j: int) -> list:
 
 
 def _softplus_scalar(x: float, beta: float) -> float:
-    if x == NEG_INF:
-        return 0.0
     z = beta * x
     if z > 0:
         return x + math.log1p(math.exp(-z)) / beta

@@ -689,30 +689,21 @@ class EncoderModel:
     runs the exact pass (`eval_encoder`, which refuses weights of another
     backend); any other input, or a model whose `activation` stands in for
     every attention activation (the nets stay ReLU), runs one float pass
-    over the float image of `weights`.  With an activation, `blocks` is the
-    swapped float copy of the weights, built only when it is read."""
+    over the float image of `blocks`."""
 
     def __init__(self, blocks: Sequence[EncoderBlock], activation: Activation | None = None):
         if not blocks:
             raise ValueError("need at least one block")
-        self.weights = tuple(blocks)
+        self.blocks = tuple(blocks)
         self.activation = activation
-        if activation is None:
-            self.blocks = self.weights
-        attn = self.weights[0].attn
+        attn = self.blocks[0].attn
         self.n = attn.n
         self.p = attn.p
 
-    @cached_property
-    def blocks(self) -> tuple:
-        return tuple(replace(blk, attn=replace(blk.attn, groups=[
-            (d, masked, scaled, self.activation) for d, masked, scaled, _ in blk.attn.groups]))
-            for blk in blocks_to_float(self.weights))
-
     def __call__(self, x: Mat) -> Mat:
         if x.backend == RATIONAL and self.activation is None:
-            return eval_encoder(self.weights, x)
-        return _walk(self.weights, x.to_float(), activations=(self.activation,))
+            return eval_encoder(self.blocks, x)
+        return _walk(self.blocks, x.to_float(), activations=(self.activation,))
 
 
 def pass_through(a: Mat, b: Mat) -> tuple:

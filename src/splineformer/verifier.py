@@ -145,14 +145,19 @@ def _forward_diff_degree(values: Sequence[Sequence[Fraction]], max_deg: int) -> 
     return deg
 
 
+# the spacing of the collinear points `estimate_degree` evaluates
+DEGREE_STEP = Fraction(1, 1000)
+
+
 def estimate_degree(model, max_deg: int, trials: int, seed: int,
-                    bound: Optional[int] = None, step: Fraction = Fraction(1, 1000)) -> DegreeReport:
+                    bound: Optional[int] = None) -> DegreeReport:
     """Exact finite differences along random rational lines.
 
-    Per trial the model is evaluated at max_deg + 2 collinear points; the
-    estimated degree is the largest order with a nonvanishing difference
-    (max_deg + 1 marks "at least max_deg + 1", e.g. a crossed piece
-    boundary).  The mode over trials is reported against the bound.
+    Per trial the model is evaluated at max_deg + 2 collinear points
+    DEGREE_STEP apart; the estimated degree is the largest order with a
+    nonvanishing difference (max_deg + 1 marks "at least max_deg + 1", e.g.
+    a crossed piece boundary).  The mode over trials is reported against
+    the bound.
     """
     per_trial = []
     for t in range(trials):
@@ -163,7 +168,7 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
             direction = random_rational_mat(rng, model.n, model.p)
         values = []
         for k in range(max_deg + 2):
-            out = model(add(base, scale(direction, k * step)))
+            out = model(add(base, scale(direction, k * DEGREE_STEP)))
             values.append([x for row in out.data for x in row])
         per_trial.append(_forward_diff_degree(values, max_deg))
     counts: dict = {}
@@ -182,11 +187,14 @@ def _model_blocks(model) -> tuple:
     return getattr(model, "blocks", model)
 
 
-def require_relu(blocks):
+def require_relu(model):
     """Raise ValueError, naming the activation found, unless every
-    attention head of `blocks` is ReLU (the model a swap starts from)."""
-    for blk in blocks:
-        for *_, activation in blk.attn.groups:
+    attention head of `model`, a model or its blocks, is ReLU (the model a
+    swap starts from); a model's stand-in counts in place of each head's own."""
+    stand_in = getattr(model, "activation", None)
+    for blk in _model_blocks(model):
+        for *_, own in blk.attn.groups:
+            activation = own if stand_in is None else stand_in
             if activation.kind != "relu":
                 raise ValueError(f"smooth swap expects a relu-activated model, "
                                  f"found {activation.kind} attention")
@@ -194,9 +202,8 @@ def require_relu(blocks):
 
 def smooth_swap(model, activation: Activation) -> EncoderModel:
     """Replace every attention activation (the nets keep ReLU)."""
-    blocks = _model_blocks(model)
-    require_relu(blocks)
-    return EncoderModel(blocks, activation)
+    require_relu(model)
+    return EncoderModel(_model_blocks(model), activation)
 
 
 # the widest batch one smoothing pass evaluates, in input columns: a chunk
@@ -237,7 +244,7 @@ def smooth_convergence_table(model, xs: Iterable[Mat], betas: Sequence[float]):
     distinct finite beta, in that order, side by side.  Every pass reads
     the float image of the same weights, so a new beta copies none."""
     blocks = _model_blocks(model)
-    require_relu(blocks)
+    require_relu(model)
     finite = list(dict.fromkeys(beta for beta in betas if beta != math.inf))
     stand_ins = [None, *(Activation("softplus", float(beta)) for beta in finite)]
     worst = dict.fromkeys(finite, 0.0)

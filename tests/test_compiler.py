@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from splineformer.compiler import (CompileOptions, NotAutoregressiveError,
+from splineformer.compiler import (CompileOptions, MonomialLayout, NotAutoregressiveError,
                                    ResourceLimitError, build_eps2,
                                    build_veronese_encoder, compile_autoregressive,
                                    compile_spline, ffn_block_form,
-                                   ffn_to_encoder_blocks, linear_spline_to_ffn)
+                                   ffn_to_encoder_blocks, linear_spline_to_ffn, _pruned_pass)
 from splineformer.spline import (Monomial, ONE, PBForm, Polynomial, SplineGrid,
                                  const, emax, emin, eprod, escale, esum,
                                  normalize_to_pbform, var)
@@ -150,7 +150,7 @@ class TestVeroneseEncoder:
         assert enc.stages == 2
         idx = VeroneseIndex.for_matrix(2, 1, 3)
         for mon in idx.monomials:
-            assert enc.layout.has(mon, 1)
+            assert enc.layout.locate(mon, 1) is not None
         X = Mat.rational([[F(2)], [F(-3, 2)]])
         out = enc(X)
         v = veronese_eval(idx, X)
@@ -168,8 +168,55 @@ class TestVeroneseEncoder:
             X = random_rational_mat(trial_rng(t, 5), 1, 1)
             out_a, out_b = a(X), b(X)
             for mon, col, row_a in a.layout.entries():
-                if b.layout.has(mon, col):
+                if b.layout.locate(mon, col) is not None:
                     assert out_a.at(row_a, col - 1) == out_b.at(b.layout.row_of(mon, col), col - 1)
+
+
+class TestLocate:
+    """`MonomialLayout.locate` gives the 0-based entry holding a monomial
+    that a column reads."""
+
+    def test_raw_input_holds_variables_only(self):
+        raw = MonomialLayout(2, 3)
+        x11, x21 = Monomial.variable(1, 1), Monomial.variable(2, 1)
+        for col in (1, 2, 3):
+            assert raw.locate(Monomial.variable(2, 3), col) == (1, 2)
+            for mon in (x11.mul(x11), x11.mul(x21), ONE):
+                assert raw.locate(mon, col) is None
+
+    def test_block_holds_its_own_column_only(self):
+        x11, x12 = Monomial.variable(1, 1), Monomial.variable(1, 2)
+        lay = MonomialLayout(1, 2, [[ONE, x11, x11.mul(x11)], [ONE, x12, x12.mul(x12)]])
+        assert lay.locate(x11.mul(x11), 1) == (2, 0)
+        assert lay.locate(x12.mul(x12), 2) == (5, 1)
+        assert lay.locate(ONE, 2) == (3, 1)
+        for mon in (x11, x11.mul(x11)):
+            assert lay.locate(mon, 2) is None
+        for mon in (x12, x12.mul(x12)):
+            assert lay.locate(mon, 1) is None
+        for mode in ("pruned", "faithful"):
+            enc = build_eps2(2, 2, CompileOptions(mode=mode))
+            for mon, col, row in enc.layout.entries():
+                assert enc.layout.locate(mon, col) == (row, col - 1)
+
+    def test_masked_column_misses_later_entries(self):
+        x12, x11 = Monomial.variable(1, 2), Monomial.variable(1, 1)
+        for mode in ("pruned", "faithful"):
+            masked = build_eps2(2, 2, CompileOptions(mode=mode, masked=True)).layout
+            unmasked = build_eps2(2, 2, CompileOptions(mode=mode)).layout
+            for mon in (x12, x11.mul(x12)):
+                assert masked.locate(mon, 1) is None
+                assert masked.locate(mon, 2) is not None
+                assert unmasked.locate(mon, 1) is not None
+
+
+    def test_products_read_raw_rows_only_at_one_column(self):
+        x11 = Monomial.variable(1, 1)
+        stage = _pruned_pass(MonomialLayout(1, 1), [[x11.mul(x11)]], 1, False)
+        assert eval_encoder([stage.block()], Mat.rational([[F(-3, 2)]])) == Mat.rational([[F(9, 4)]])
+        # with two columns a raw row is nonzero in both, so no product reads it
+        with pytest.raises(KeyError, match="missing from column 1"):
+            _pruned_pass(MonomialLayout(1, 2), [[x11.mul(x11)], []], 1, False)
 
 
 class TestLinearSplineToFfn:

@@ -87,15 +87,20 @@ def names_read(tree) -> Counter:
     return names
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(name, node) for each public top-level function and class of a
-    module and each public method of its classes, as `Class.method`."""
+    """(name, node) for each top-level function and class of a module and
+    each method of its classes, as `Class.method`, public or private;
+    dunder methods are called by the language, so they are left out."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not dunder(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -109,4 +114,4 @@ def test_src_defines_only_what_runs():
     unread = [where for tree in trees for where, node in definitions(tree)
               if where not in PAPER_SURFACE and node.name not in outside
               and src_reads[node.name] == names_read(node)[node.name]]
-    assert not unread, f"public definitions that only tests read: {unread}"
+    assert not unread, f"definitions that only tests read: {unread}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
                                  DegenerateColumnError, FormatError, Mat, ShapeError, add,
                                  mat_from_json, mat_to_json, matmul, scale,
-                                 sparse_from_json, sparse_to_json, stack_rows)
+                                 _softplus_scalar, sparse_from_json, sparse_to_json, stack_rows)
 from reference import (MaskedScores, apply_mask, relu, softmax_columns,
                        softplus_beta, sub)
 
@@ -145,6 +145,10 @@ class TestSoftplus:
 
     def test_neg_inf_maps_to_zero(self):
         assert softplus_beta(Mat.from_floats([[NEG_INF]]), 10.0).at(0, 0) == 0.0
+
+    def test_scalar_at_neg_inf_is_zero(self):
+        for beta in (1e-300, 1.0, 1e300):
+            assert _softplus_scalar(NEG_INF, beta) == 0.0
 
     @given(st.floats(-40, 40), st.sampled_from([1.0, 10.0, 100.0]))
     @settings(max_examples=80, deadline=None)

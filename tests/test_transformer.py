@@ -1138,7 +1138,7 @@ class TestEncoderModel:
             x = sparse_random_mat(rng, 2, 2)
             assert model(x) == eval_encoder(blocks, x)
             assert model(x.to_float()) == eval_encoder(blocks_to_float(blocks), x.to_float())
-            assert model.blocks == model.weights == tuple(blocks)
+            assert model.blocks == tuple(blocks)
 
     def test_rational_input_stays_strict(self):
         head = scalar_head(a_q=Mat.from_floats([[0.5]]))

@@ -272,23 +272,39 @@ class TestSmoothSwap:
     def test_swap_replaces_attention_only(self, compiled_cube):
         _, c = compiled_cube
         sw = smooth_swap(c, softplus(100.0))
-        assert all(h.groups[0][3] == softplus(100.0)
-                   for b in sw.blocks for h in b.attn.heads)
-        # feed-forward weights untouched
-        for b_orig, b_new in zip(blocks_to_float(c.blocks), sw.blocks):
-            assert b_orig.ffn.layers == b_new.ffn.layers
+        # the activation stands in for every head's own; the weights,
+        # feed-forward nets included, are untouched
+        assert sw.activation == softplus(100.0)
+        assert sw.blocks == c.blocks
 
     def test_swap_back_bit_exact(self, compiled_cube):
         _, c = compiled_cube
         sw = smooth_swap(c, softplus(10.0))
-        assert sw.weights is not None
-        assert sw.weights == c.blocks
+        assert sw.blocks == c.blocks
+        assert sw.activation == softplus(10.0)
 
     def test_swap_requires_relu(self, compiled_cube):
         _, c = compiled_cube
         sw = smooth_swap(c, softplus(10.0))
         with pytest.raises(ValueError):
             smooth_swap(sw, softplus(10.0))
+
+    def test_swapped_model_is_refused_by_its_stand_in(self, compiled_cube):
+        # the swapped model keeps the ReLU weights, so its stand-in is what is refused
+        _, c = compiled_cube
+        xs = [random_rational_mat(trial_rng(3, t), 1, 1) for t in range(3)]
+        for activation in (softplus(10.0), Activation("softmax")):
+            sw = smooth_swap(c, activation)
+            message = f"smooth swap expects a relu-activated model, found {activation.kind} attention"
+            for refused in (lambda: smooth_swap(sw, softplus(1.0)),
+                            lambda: smooth_convergence_table(sw, xs, [1.0, 10.0])):
+                with pytest.raises(ValueError) as err:
+                    refused()
+                assert str(err.value) == message
+            assert softplus_error_bound(sw, xs[0], 10.0) == softplus_error_bound(c, xs[0], 10.0)
+        # a ReLU stand-in is the weights' own activation
+        relu_sw = smooth_swap(c, Activation("relu"))
+        assert smooth_convergence_table(relu_sw, xs, [1.0]) == smooth_convergence_table(c, xs, [1.0])
 
     def test_softmax_on_masked_zeroes_lower_triangle(self):
         h = cubic_head(masked=True)
@@ -577,7 +593,7 @@ class TestBatchedSmoothing:
 class TestSmoothModelPass:
     """A swapped model walks the float image of the original weights with
     the activation standing in; it must equal eval_encoder over a swapped
-    float copy, which it builds only when `blocks` is read."""
+    float copy, which it never builds."""
 
     @pytest.mark.parametrize("d,m", CHAIN_SHAPES)
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
@@ -591,8 +607,8 @@ class TestSmoothModelPass:
                 sw = smooth_swap(blocks, activation)
                 copy = tuple(smooth_chain(blocks, activation, scaled))
                 assert sw(x) == eval_encoder(copy, x.to_float())
-                assert "blocks" not in vars(sw)  # the pass made no copy
-                assert sw.blocks == copy
+                assert sw.blocks == tuple(blocks)  # the pass made no copy
+                assert sw.activation == activation
 
     def test_compiled_model(self, compiled_cube):
         _, c = compiled_cube
