@@ -22,7 +22,7 @@ from .compiler import (CompileOptions, NotAutoregressiveError,  # noqa: F401
 from .spline import MAX_INPUT_ENTRIES, FormSizeError, grid_from_json
 from .tensor import (RATIONAL, BackendError, DegenerateColumnError, ShapeError, mat_from_json,
                      mat_to_json)
-from .transformer import EncoderModel, blocks_from_json, blocks_to_json
+from .transformer import EncoderModel, PassSizeError, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        require_relu, smooth_convergence_table,
                        softmax_probability_check, trial_rng)
@@ -106,6 +106,15 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _unprintable() -> int:
+    """The exit of a command whose exact report holds an integer above
+    Python's limit on integer-to-string conversion (a ValueError from `str`),
+    which is left as it is."""
+    return _fail(EXIT_RESOURCE_ERROR,
+                 f"the exact result has an integer of more than {sys.get_int_max_str_digits()} "
+                 f"digits, above the limit for printing one")
+
+
 def _finite(m) -> bool:
     """Whether a float matrix holds no NaN or infinity, which JSON cannot
     spell; a rational one always does."""
@@ -151,9 +160,15 @@ def cmd_eval(args) -> int:
     except DegenerateColumnError:
         # finite weights and inputs give a SoftMax column of -inf only by overflow
         return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
+    except PassSizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     if not _finite(out):
         return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
-    _emit(mat_to_json(out))
+    try:
+        report = mat_to_json(out)
+    except ValueError:
+        return _unprintable()
+    _emit(report)
     return EXIT_OK
 
 
@@ -167,9 +182,15 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     try:
         report = oracle_equiv(model, spline, args.samples, args.seed)
+    except PassSizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (ShapeError, BackendError, ValueError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"verification could not run: {exc}")
-    _emit(report.to_json())
+    try:
+        obj = report.to_json()
+    except ValueError:
+        return _unprintable()
+    _emit(obj)
     return EXIT_OK if report.exact else EXIT_VERIFY_FAILED
 
 
@@ -194,6 +215,8 @@ def cmd_degree(args) -> int:
     try:
         report = estimate_degree(model, max_deg=max_deg, trials=args.trials,
                                  seed=args.seed, bound=bound)
+    except PassSizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (ShapeError, BackendError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"degree estimation could not run: {exc}")
     _emit(report.to_json())

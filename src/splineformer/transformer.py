@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, FormatError, Mat, ShapeError,
@@ -419,8 +419,65 @@ def _spread(rows: list, shared) -> list:
     return rows if shared is None else [rows[i] for i in shared[1]]
 
 
+def _picked(stored: Sequence, shared) -> tuple:
+    """Of a map whose entry of `MultiheadAttention.row_layout` is `shared`,
+    the stored rows `stored` as a view reads them: the positions in the
+    map's image (its distinct rows) that they read, each once, in order of
+    first read, and the view's entry of its `row_layout` for them (None
+    when they read distinct rows, else those positions and each stored
+    row's place among them)."""
+    pos = list(stored) if shared is None else [shared[1][r] for r in stored]
+    pick = tuple(dict.fromkeys(pos))
+    if len(pick) == len(pos):
+        return pick, None
+    place = {i: n for n, i in enumerate(pick)}
+    return pick, (pick, tuple(place[i] for i in pos))
+
+
+class LiveView:
+    """The part of an attention layer that a block's net reads
+    (`EncoderBlock.live`), in the form a pass reads a layer.  `rows` are
+    the value rows the net reads and `groups` the groups they use, both in
+    order.  Over just those, `group_layout` and `row_layout` are laid out
+    as the layer's (each live group's query and key rows stacked in group
+    order, then each live value row), and `stacked` and `floats` are the
+    layer's images cut to the distinct rows they read, over the same
+    denominators; both are cut on first use and kept."""
+
+    def __init__(self, attn: MultiheadAttention, read: set):
+        shared_q, shared_k, shared_v, row_groups = attn.row_layout
+        self.attn = attn
+        self.rows = tuple(sorted(read))
+        self.groups = tuple(sorted({row_groups[r] for r in self.rows}))
+        layout, qk = [], []
+        for g in self.groups:
+            t, d, *flags = attn.group_layout[g]
+            layout.append((len(qk), d, *flags))
+            qk.extend(range(t, t + d))
+        self.group_layout = tuple(layout)
+        picks = [_picked(stored, shared)
+                 for stored, shared in ((qk, shared_q), (qk, shared_k), (self.rows, shared_v))]
+        self.picks = tuple(pick for pick, _ in picks)
+        place = {g: i for i, g in enumerate(self.groups)}
+        self.row_layout = (*(entry for _, entry in picks),
+                           tuple(place[row_groups[r]] for r in self.rows))
+
+    def _cut(self, maps: tuple) -> tuple:
+        return tuple((tuple(rows[i] for i in pick), tuple(bias[i] for i in pick), den)
+                     for (rows, bias, den), pick in zip(maps, self.picks))
+
+    @cached_property
+    def stacked(self) -> tuple:
+        return self._cut(self.attn.stacked)
+
+    @cached_property
+    def floats(self) -> tuple:
+        return self._cut(self.attn.floats)
+
+
 def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, activations: Sequence = (None,)) -> tuple:
+            y: list, dy: int, activations: Sequence = (None,),
+            live: LiveView | None = None) -> tuple:
     """Every head of the layer at once, on numerator rows: keys and values
     read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
     `mh.floats`).  x and y hold a batch of len(activations) inputs side by
@@ -430,6 +487,13 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     as the input, their shared denominator, and the pass's record: its q, k
     and v rows, as wide as the batch, and, in group order, each group's
     block-diagonal activation rows (`_pattern`).
+
+    With `live`, the view of mh that a block's net reads (`EncoderBlock.live`),
+    and `maps` taken from the view, only the rows the view names are
+    computed: the query and key rows and patterns of its groups and its
+    value rows.  Every other output row is one shared zero row, which the
+    net never reads; the record then holds the computed rows only.  The
+    denominator is that of the full pass.
 
     Q, K and V of all heads and inputs come from one sparse product each,
     over the distinct rows of each map only (`row_layout`): every stored
@@ -446,12 +510,13 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
     width = len(x[0])
     p = width // len(activations)
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
-    shared_q, shared_k, shared_v, row_groups = mh.row_layout
+    layout = mh if live is None else live
+    shared_q, shared_k, shared_v, row_groups = layout.row_layout
     q = _spread(_affine(aq, bq, y, dy, zero), shared_q)
     k = _spread(_affine(ak, bk, x, dx, zero), shared_k)
     v = _spread(_affine(av, bv, x, dx, zero), shared_v)
     acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
-            for t, d, masked, root, own in mh.group_layout]
+            for t, d, masked, root, own in layout.group_layout]
     out = []
     for vrow, g in zip(v, row_groups):
         act = acts[g]
@@ -461,6 +526,10 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
                 for b, w in act[a]:
                     acc[b] += c * w
         out.append(acc)
+    if live is not None:
+        computed, out = out, [[zero] * width] * mh.out_rows
+        for r, acc in zip(live.rows, computed):
+            out[r] = acc
     return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts)
 
 
@@ -585,6 +654,16 @@ class EncoderBlock:
     def masked(self) -> bool:
         return self.attn.masked
 
+    @cached_property
+    def live(self) -> LiveView | None:
+        """The view of the attention layer that the net reads (`LiveView`):
+        the value rows in whose columns the net's first layer stores a
+        nonzero (its float image only drops entries, so it reads no other
+        row).  None when the net reads every value row.  Built on first
+        read and kept."""
+        read = {j for row in self.ffn.layers[0][0].nz for j, _ in row}
+        return None if len(read) == self.attn.out_rows else LiveView(self.attn, read)
+
 
 @dataclass(frozen=True)
 class DecoderBlock(EncoderBlock):
@@ -592,6 +671,16 @@ class DecoderBlock(EncoderBlock):
         super().__post_init__()
         if not self.masked:
             raise ValueError("decoder blocks require every head to be masked")
+
+
+# the most bits a numerator or the denominator that an exact pass carries
+# out of a block may take; a monomial of the top spline degree
+# (`spline.MAX_DEGREE`) at sampled inputs carries at most about a third
+MAX_PASS_BITS = 1 << 17
+
+
+class PassSizeError(ArithmeticError):
+    """An exact pass carries a number longer than `MAX_PASS_BITS` bits."""
 
 
 def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
@@ -603,7 +692,11 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     outputs side by side in the same order; a batch of one is a plain pass.
     The input is scaled to numerators once and carried through every
     block; each block's output is reduced by the gcd of its denominator
-    and numerators.
+    and numerators, and an exact pass raises `PassSizeError` where that
+    denominator or a numerator takes more than `MAX_PASS_BITS` bits.
+    With no observer, each block computes only the attention rows its net
+    reads (`EncoderBlock.live`), which leaves the carried rows and
+    denominator as they are.
 
     A rational pass reads the integer caches (`stacked`, `sparse`); a float
     pass reads their float image (`floats`), so rational weights run in
@@ -622,15 +715,25 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
             _check_self_input(blk.attn, (len(rows), len(rows[0]) // batch))
         except ShapeError as exc:
             raise ShapeError(f"block {i}: {exc}") from exc
+        # an observer's record holds every row
+        live = blk.live if observer is None else None
+        images = blk.attn if live is None else live
         if backend == RATIONAL:
-            maps, layers = blk.attn.stacked, blk.ffn.sparse
+            maps, layers = images.stacked, blk.ffn.sparse
         else:
-            maps, layers = blk.attn.floats, blk.ffn.floats
-        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activations)
+            maps, layers = images.floats, blk.ffn.floats
+        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activations, live)
         y, dy = _feed(layers, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)
+        if backend == RATIONAL:
+            # one scan; a shift is nonzero exactly when the bit length passes the cap
+            top = max(map(abs, chain((den,), *rows)))
+            if top >> MAX_PASS_BITS:
+                raise PassSizeError(f"block {i}: the exact pass carries a number of "
+                                    f"{top.bit_length()} bits, above the cap of "
+                                    f"{MAX_PASS_BITS} bits")
         if observer is not None:
             observer(blk, *record)
     return _to_mat(backend, rows, den)

@@ -285,9 +285,9 @@ class _ErrorBound:
         self.err = [[0.0] * x.cols for _ in range(x.rows)]
 
     def __call__(self, blk, q, k, v, acts):
-        attn = blk.attn
-        p, m = len(self.err[0]), attn.m
-        shared_q, shared_k, shared_v, _ = attn.row_layout
+        attn, live = blk.attn, blk.live
+        p = len(self.err[0])
+        shared_q, shared_k, shared_v, row_groups = attn.row_layout
         # the error maps are |coef| of the rows the pass computed: each
         # product is formed once per distinct row, then handed out per
         # stored row as the pass handed out its rows
@@ -296,8 +296,15 @@ class _ErrorBound:
         ek = _spread(sparse_product(mk, self.err, p, 0.0), shared_k)
         ev = _spread(nonzero_rows(sparse_product(mv, self.err, p, 0.0)), shared_v)
         abs_v = _spread(nonzero_rows(_abs_rows(_firsts(v, shared_v))), shared_v)
-        patterns = []  # per group: |A| + es and es, shared by the group's heads
-        for (t, d, masked, *_), act in zip(attn.group_layout, acts):
+        # per group, the value rows of its heads that the net reads
+        # (`blk.live`); the other rows stay 0, in columns the net's
+        # magnitudes never read
+        members = {}
+        for r in range(len(v)) if live is None else live.rows:
+            members.setdefault(row_groups[r], []).append(r)
+        out = [[0.0] * p] * len(v)
+        for g, read in members.items():
+            (t, d, masked, *_), act = attn.group_layout[g], acts[g]
             eqh, ekt = eq[t:t + d], list(zip(*ek[t:t + d]))
             # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
             es = _sum(_sum(_product(zip(*_abs_rows(k[t:t + d])), eqh),
@@ -306,13 +313,12 @@ class _ErrorBound:
             es = [[e + self.gap if not masked or i <= j else 0.0 for j, e in enumerate(row)]
                   for i, row in enumerate(es)]
             dense = [[dict(nz).get(j, 0.0) for j in range(p)] for nz in act]
-            patterns.append((_sum(dense, es), es))
-        out = []
-        for u, g in zip(range(0, len(v), m), attn.table):
-            a_es, es = patterns[g]
-            # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA
-            out += _sum(sparse_product(ev[u:u + m], a_es, p, 0.0),
-                        sparse_product(abs_v[u:u + m], es, p, 0.0))
+            # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA, one product per group
+            # over its rows: each row's sums are its own
+            bound = _sum(sparse_product([ev[r] for r in read], _sum(dense, es), p, 0.0),
+                         sparse_product([abs_v[r] for r in read], es, p, 0.0))
+            for r, row in zip(read, bound):
+                out[r] = row
         for rows in blk.ffn.magnitudes:
             # relu is 1-Lipschitz: error carries over
             out = sparse_product(rows, out, p, 0.0)

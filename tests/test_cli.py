@@ -3,11 +3,14 @@ import copy
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from splineformer import cli, spline as spline_module
+from splineformer import cli, spline as spline_module, transformer
 from splineformer.cli import MAX_LINE_POINTS, main
 from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
 from splineformer.tensor import Mat, mat_from_json, mat_to_json
@@ -764,6 +767,115 @@ class TestResourceCaps:
 
 
 DEEP = "[" * 200_000 + "]" * 200_000
+
+
+# x^512: at 99999999999/7 its output's numerator has about 5,600 digits
+POW_512 = {"n": 1, "p": 1, "grid": [[
+    {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 512}}]}]]}
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    """The CLI in a new interpreter, under Python's default limit on
+    integer-to-string conversion."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "splineformer.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def one_line_exit_3(capsys, argv, *phrases):
+    """Run argv in-process: it must exit 3 with nothing on stdout and one
+    stderr line holding every phrase; returns that line."""
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert all(phrase in captured.err for phrase in phrases), captured.err
+    return captured.err
+
+
+def repeated_grid(tmp_path, times):
+    """The auto-mode weights of the 2x2 grid, their block list repeated:
+    the carried bit length doubles with each repetition."""
+    _, out = compile_to(tmp_path, GRID_2X2, extra=("--mode", "auto"))
+    doc = json.loads(open(out).read())
+    doc["blocks"] = doc["blocks"] * times
+    return write(tmp_path / f"repeated{times}.json", doc)
+
+
+class TestExactSizeCaps:
+    """An exact pass carries numbers of at most `MAX_PASS_BITS` bits out of
+    each block, and an exact result with an integer above Python's limit on
+    integer-to-string conversion is not printed: both exit 3 with one
+    stderr line and nothing on stdout, in-process and as a program."""
+
+    LIMIT = f"more than {sys.get_int_max_str_digits()} digits"
+
+    def test_eval_output_too_long_to_print(self, tmp_path, capsys):
+        _, w = compile_to(tmp_path, POW_512)
+        x = write(tmp_path / "x.json", [["99999999999/7"]])
+        err = one_line_exit_3(capsys, ["eval", w, x], self.LIMIT)
+        proc = run_cli("eval", w, x)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+        # an output under the limit prints
+        x = write(tmp_path / "small.json", [["10/7"]])
+        assert main(["eval", w, x]) == 0
+        assert json.loads(capsys.readouterr().out) == [[f"{10 ** 512}/{7 ** 512}"]]
+
+    def test_verify_error_too_long_to_print(self, tmp_path, capsys):
+        # c^4 x^3 with c = 10^1200 against x: the error has over 4,800 digits
+        c = "1" + "0" * 1200
+        doc = one_head_weights(A_Q=[[c]], A_K=[[c]], A_V=[[c]])
+        doc["blocks"][0]["ffn"]["layers"][0]["A"] = [[c]]
+        w = write(tmp_path / "w.json", doc)
+        spath = write(tmp_path / "spline.json", IDENTITY_SPLINE)
+        argv = ["verify", w, spath, "--samples", "3"]
+        err = one_line_exit_3(capsys, argv, self.LIMIT)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+    def test_repeated_chain_hits_bit_cap(self, tmp_path, capsys):
+        # 600 blocks; the bit length passes the cap in block 39, not at the end
+        w = repeated_grid(tmp_path, 300)
+        x = write(tmp_path / "x.json", [["1/3", "2"], ["3", "-4/7"]])
+        err = one_line_exit_3(capsys, ["eval", w, x], "block 39:",
+                              f"above the cap of {transformer.MAX_PASS_BITS} bits")
+        proc = run_cli("eval", w, x)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+    @pytest.mark.parametrize("command", ["verify", "degree"])
+    def test_checks_hit_bit_cap(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(transformer, "MAX_PASS_BITS", 64)
+        w = repeated_grid(tmp_path, 8)
+        spath = write(tmp_path / "grid.json", GRID_2X2)
+        argv = {"verify": ["verify", w, spath, "--samples", "2"],
+                "degree": ["degree", w, "--trials", "1", "--max-deg", "2"]}[command]
+        one_line_exit_3(capsys, argv, "above the cap of 64 bits")
+
+    def test_bit_cap_boundary(self, tmp_path, capsys, monkeypatch):
+        # the identity is one block, and carries 100/7 out of it: 7 bits
+        _, w = compile_to(tmp_path, IDENTITY_SPLINE)
+        assert len(json.loads(open(w).read())["blocks"]) == 1
+        x = write(tmp_path / "x.json", [["100/7"]])
+        monkeypatch.setattr(transformer, "MAX_PASS_BITS", 7)
+        capsys.readouterr()
+        assert main(["eval", w, x]) == 0
+        assert json.loads(capsys.readouterr().out) == [["100/7"]]
+        monkeypatch.setattr(transformer, "MAX_PASS_BITS", 6)
+        one_line_exit_3(capsys, ["eval", w, x],
+                        "block 0: the exact pass carries a number of 7 bits", "cap of 6 bits")
+
+    def test_cap_admits_top_degree_at_sampled_inputs(self, tmp_path, capsys):
+        # x^4096 at 10/7, the largest sampled input, prints about 7.5 kB
+        _, w = compile_to(tmp_path, {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "1", "exps": {"x_1_1": MAX_DEGREE}}]}]]})
+        x = write(tmp_path / "x.json", [["10/7"]])
+        capsys.readouterr()
+        assert main(["eval", w, x]) == 0
+        assert json.loads(capsys.readouterr().out) == [[f"{10 ** 4096}/{7 ** 4096}"]]
 
 
 class TestDeepNesting:

@@ -2,11 +2,14 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from splineformer import transformer
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import grid_from_json
 from splineformer.tensor import (FLOAT, BackendError, DegenerateColumnError, Mat, ShapeError,
@@ -20,7 +23,7 @@ from splineformer.transformer import (Activation, DecoderBlock,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec,
                                       softplus, _attend, _walk)
-from splineformer.transformer import EncoderModel, _image
+from splineformer.transformer import EncoderModel, _image, _reduced
 from splineformer.verifier import random_rational_mat, trial_rng
 from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
                        replace_head, softmax_columns,
@@ -1147,3 +1150,141 @@ class TestEncoderModel:
             model(rmat([[2]]))
         # v * relu(k * q) = 2 * (2 * 0.5 * 2) on the float image of the mixed weights
         assert model(Mat.from_floats([[2.0]])).data == ((4.0,),)
+
+
+def reading(rng, ffn, share):
+    """ffn whose first layer keeps its entries in a drawn subset of its
+    columns, each kept with probability `share`; the other layers stay."""
+    a, b = ffn.layers[0]
+    keep = {j for j in range(a.cols) if rng.random() < share}
+    a = Mat(a.backend, tuple(tuple((j, v) for j, v in row if j in keep) for row in a.nz), a.cols)
+    return FeedForwardNet(((a, b), *ffn.layers[1:]))
+
+
+@st.composite
+def live_chains(draw):
+    """A `pooled_chains` case (a plain, a residual, a masked and a masked
+    residual block, value rows that repeat, nets of up to two hidden
+    layers; exact or float, one to four inputs side by side) whose nets
+    each read a drawn subset of their block's value rows: none, some or
+    all of the rows they read before."""
+    blocks, xs, stand_ins = draw(pooled_chains())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [EncoderBlock(blk.attn, reading(rng, blk.ffn, draw(st.sampled_from([0, 0.3, 0.7, 1]))),
+                           blk.residual)
+              for blk in blocks]
+    return blocks, xs, stand_ins
+
+
+def carried(walk, blocks, x, *args):
+    """The (rows, den) that `walk` carries out of each block, then its
+    output, as one repr: repr tells -0.0 from 0.0 and matches NaN."""
+    seen = []
+
+    def reduced(rows, den):
+        out = _reduced(rows, den)
+        seen.append(out)
+        return out
+
+    with mock.patch.object(transformer, "_reduced", reduced), \
+            mock.patch.object(reference, "_reduced", reduced):
+        out = walk(blocks, x, *args)
+    assert len(seen) == len(blocks)
+    return repr((seen, out.backend, out.cols, out.nz))
+
+
+# per faithful model, the (n, p) of its `build_eps2` or the 2x2 grid, then
+# the live value rows and groups of its block 2, of all its value rows and groups
+FAITHFUL_LIVE = [((1, 2), (18, 150), (11, 27)), ((2, 2), (50, 410), (19, 43)),
+                 ((3, 2), (98, 798), (27, 59)), ((1, 3), (48, 876), (23, 77)),
+                 ("grid", (12, 410), (11, 43))]
+
+
+def faithful_blocks(shape):
+    faithful = CompileOptions(mode="faithful")
+    if shape == "grid":
+        return compile_spline(grid_from_json(GRID_2X2), faithful).blocks
+    return build_eps2(*shape, faithful).blocks
+
+
+class TestLivePass:
+    """A pass with no observer computes only the attention rows a block's
+    net reads (`EncoderBlock.live`); what it carries out of every block,
+    numerators and denominator, must be the full pass's, bit for bit."""
+
+    @given(case=live_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_live_pass_equals_full_pass(self, case):
+        blocks, xs, stand_ins = case
+        x = side_by_side(xs)
+        live = carried(_walk, blocks, x, None, stand_ins)
+        # an observer makes the walk compute every row
+        assert live == carried(_walk, blocks, x, Recorder(), stand_ins)
+        assert live == carried(unshared_walk, blocks, x, None, stand_ins)
+
+    def test_view_of_a_layer(self):
+        # four heads of one value row over two groups; the net reads rows 1 and 3
+        rng = random.Random("live-view")
+        h0, h1 = random_head(rng, 2, 2), random_head(rng, 2, 2)
+        clone = replace(h0, a_v=h1.a_v, b_v=h1.b_v)
+        mh = MultiheadAttention.of((h0, h1, clone, h1))
+        assert mh.table == (0, 1, 0, 1)
+        a = Mat.rational([[0, 1, 0, 2], [0, 0, 0, F(1, 3)]])
+        blk = EncoderBlock(mh, FeedForwardNet(((a, Mat.zeros(2, 1)),)))
+        live = blk.live
+        assert (live.rows, live.groups) == ((1, 3), (1,))
+        assert live.group_layout == ((0,) + mh.group_layout[1][1:],)
+        # rows 1 and 3 of V are one distinct row; group 1 reads Q and K row 1
+        assert mh.row_layout[2] == ((0, 1), (0, 1, 1, 1))
+        assert live.picks == ((1,), (1,), (1,))
+        assert live.row_layout == (None, None, ((1,), (0, 0)), (0, 0))
+        for view, full in ((live.stacked, mh.stacked), (live.floats, mh.floats)):
+            assert [(rows, bias, den) for rows, bias, den in view] == [
+                ((rows[1],), (bias[1],), den) for rows, bias, den in full]
+        assert blk.live is live
+        x = sparse_random_mat(rng, 2, 2)
+        assert _walk([blk], x) == _walk([blk], x, Recorder()) == reference_encoder([blk], x)
+
+    def test_fully_read_layer_has_no_view(self):
+        rng = random.Random("live-none")
+        for blk in random_chain(rng, 2, 2, 2, 2):
+            a, b = blk.ffn.layers[0]
+            full = FeedForwardNet(((Mat.rational([[1] * a.cols] * a.rows), b), *blk.ffn.layers[1:]))
+            assert EncoderBlock(blk.attn, full, blk.residual).live is None
+
+    @pytest.mark.parametrize("shape,rows,groups", FAITHFUL_LIVE,
+                             ids=["eps2_1x2", "eps2_2x2", "eps2_3x2", "eps2_1x3", "grid_2x2"])
+    def test_faithful_live_counts(self, shape, rows, groups):
+        first, second = faithful_blocks(shape)
+        assert first.live is None
+        live = second.live
+        assert (len(live.rows), second.attn.out_rows) == rows
+        assert (len(live.groups), len(second.attn.groups)) == groups
+
+    @pytest.mark.parametrize("mode", ["auto", "pruned"])
+    def test_compiled_models_read_every_row(self, mode):
+        grids = [GRID_2X2, {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "1", "exps": {"x_1_1": 9}}]}]]}]
+        for grid in grids:
+            blocks = compile_spline(grid_from_json(grid), CompileOptions(mode=mode)).blocks
+            assert all(blk.live is None for blk in blocks)
+
+    def test_dead_degenerate_softmax_column(self):
+        # group 0's score k q overflows to -inf, so its SoftMax column has no
+        # finite entry; the net reads only the head of group 1
+        big = Mat.from_floats([[1e200]])
+        dead = attention_head(a_q=big, b_q=Mat.from_floats([[0.0]]),
+                              a_k=scale(big, -1.0), b_k=Mat.from_floats([[0.0]]),
+                              a_v=Mat.from_floats([[1.0]]), b_v=Mat.from_floats([[0.0]]),
+                              activation=Activation("softmax"))
+        one = Mat.from_floats([[1.0]])
+        zero = Mat.from_floats([[0.0]])
+        read = attention_head(one, zero, one, zero, scale(one, 2.0), zero)
+        net = FeedForwardNet(((Mat.from_floats([[0.0, 1.0]]), zero),))
+        blk = EncoderBlock(MultiheadAttention.of((dead, read)), net)
+        assert blk.live.groups == (1,)
+        # the full pass raises; the live pass never forms group 0's pattern
+        with pytest.raises(DegenerateColumnError):
+            _walk([blk], one, Recorder())
+        assert _walk([blk], one).data == ((2.0,),)
+        assert EncoderModel([blk])(one).data == ((2.0,),)
