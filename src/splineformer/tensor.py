@@ -151,9 +151,6 @@ class Mat:
             raise IndexError(f"column {j} outside {self.cols}")
         return dict(self.nz[i]).get(j, _ZEROS[self.backend])
 
-    def col_entries(self, j: int) -> tuple:
-        return tuple(self.at(i, j) for i in range(self.rows))
-
     def to_float(self) -> "Mat":
         if self.backend == FLOAT:
             return self

@@ -683,13 +683,15 @@ class PassSizeError(ArithmeticError):
     """An exact pass carries a number longer than `MAX_PASS_BITS` bits."""
 
 
-def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
-          activations: Sequence = (None,)) -> Mat:
+def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
+           activations: Sequence = (None,)) -> tuple:
     """The block walk behind every encoder pass, on a batch: x holds
     len(activations) inputs of one shape side by side, n x p each, and
     input i runs with activations[i] standing in for every head's own
-    activation (None keeps each head's own).  The output holds the inputs'
-    outputs side by side in the same order; a batch of one is a plain pass.
+    activation (None keeps each head's own).  It returns what it carries
+    out of the last block: the inputs' outputs side by side in the same
+    order, as numerator rows over one shared denominator (1 in floats); a
+    batch of one is a plain pass.
     The input is scaled to numerators once and carried through every
     block; each block's output is reduced by the gcd of its denominator
     and numerators, and an exact pass raises `PassSizeError` where that
@@ -736,15 +738,26 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
                                     f"{MAX_PASS_BITS} bits")
         if observer is not None:
             observer(blk, *record)
-    return _to_mat(backend, rows, den)
+    return rows, den
+
+
+def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
+          activations: Sequence = (None,)) -> Mat:
+    """`_carry` as a matrix of x's backend: the inputs' outputs side by side."""
+    return _to_mat(x.backend, *_carry(blocks, x, observer, activations))
+
+
+def _check_backends(blocks: Sequence[EncoderBlock], backend: str):
+    """Raise BackendError unless every weight matrix of blocks has `backend`."""
+    for blk in blocks:
+        _require_backend("attention", blk.attn.backends, backend)
+        _require_backend("ffn", blk.ffn.backends, backend)
 
 
 def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
     """Compose blocks left to right; an empty list is the identity.  Every
     weight matrix must share the input's backend."""
-    for blk in blocks:
-        _require_backend("attention", blk.attn.backends, x.backend)
-        _require_backend("ffn", blk.ffn.backends, x.backend)
+    _check_backends(blocks, x.backend)
     return _walk(blocks, x)
 
 

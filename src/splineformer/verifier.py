@@ -12,9 +12,10 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .spline import SplineGrid
-from .tensor import (FLOAT, DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
+from .tensor import (DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
                      nonzero_rows, scale, sparse_product)
-from .transformer import RELU, SOFTMAX, Activation, EncoderModel, _firsts, _spread, _walk
+from .transformer import (RELU, SOFTMAX, Activation, EncoderModel, _carry, _check_backends,
+                          _firsts, _numerators, _spread, _walk)
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -32,6 +33,58 @@ def random_fraction(rng: random.Random) -> Fraction:
 def random_rational_mat(rng: random.Random, rows: int, cols: int) -> Mat:
     return Mat.rational([[random_fraction(rng) for _ in range(cols)]
                          for _ in range(rows)])
+
+
+# -- batched passes -------------------------------------------------------------
+
+# the widest batch one pass of a check evaluates, in input columns: a chunk
+# of inputs fills it side by side, once per activation the pass compares,
+# so memory does not grow with the sample count
+PASS_COLUMNS = 128
+
+
+def _chunks(xs: Iterable[Mat], copies: int):
+    """xs in order, as lists of at least one input whose side-by-side
+    batch, repeated `copies` times, is at most PASS_COLUMNS wide; an input
+    is read only when its list is cut."""
+    it = iter(xs)
+    for first in it:
+        yield [first, *islice(it, max(1, PASS_COLUMNS // (first.cols * copies)) - 1)]
+
+
+def _side_by_side(xs: Sequence[Mat], copies: int = 1) -> Mat:
+    """Inputs of one shape and backend as one batch, in order, all of them
+    repeated `copies` times: input i of copy c in the p columns from
+    (c * len(xs) + i) * p."""
+    n, p = xs[0].shape
+    if any(x.shape != (n, p) for x in xs):
+        raise ShapeError(f"a batch needs inputs of one shape, got {[x.shape for x in xs]}")
+    xs = list(xs) * copies
+    return Mat(xs[0].backend, tuple(tuple((o + j, v) for o, x in zip(range(0, len(xs) * p, p), xs)
+                                          for j, v in x.nz[i]) for i in range(n)), len(xs) * p)
+
+
+def _exact_outputs(model, xs: Iterable[Mat]) -> tuple:
+    """The outputs of `model` at the rational inputs xs, side by side in
+    order, as numerator rows over one shared denominator (a float output
+    is its own numerators, over 1).  A model that carries `blocks` and no
+    stand-in `activation` gets the backend check `eval_encoder` makes and
+    one exact pass per chunk of xs (`_chunks`); any other model is called
+    once per input."""
+    blocks = getattr(model, "blocks", None)
+    if blocks is None or getattr(model, "activation", None) is not None:
+        parts = [_numerators(model(x)) for x in xs]
+    else:
+        parts = []
+        for chunk in _chunks(xs, 1):
+            batch = _side_by_side(chunk)
+            _check_backends(blocks, batch.backend)
+            parts.append(_carry(blocks, batch, activations=(None,) * len(chunk)))
+    if len(parts) == 1:
+        return parts[0]
+    den = math.lcm(*(d for _, d in parts))
+    scaled = [(rows, den // d) for rows, d in parts]
+    return [[v * f for rows, f in scaled for v in rows[i]] for i in range(len(parts[0][0]))], den
 
 
 # -- oracle equivalence ---------------------------------------------------------
@@ -103,10 +156,11 @@ def autoregressive_check(model, trials: int, seed: int) -> PrefixReport:
         j = rng.randint(1, model.p - 1)
         xp = Mat.rational([[v if c < j else random_fraction(rng) for c, v in enumerate(row)]
                            for row in x.data])
-        out_a = model(x)
-        out_b = model(xp)
+        # over one denominator, equal outputs have equal numerators
+        rows, _ = _exact_outputs(model, (x, xp))
+        w = len(rows[0]) // 2
         for col in range(j):
-            if out_a.col_entries(col) != out_b.col_entries(col):
+            if any(row[col] != row[w + col] for row in rows):
                 return PrefixReport(trials=trials, passed=False,
                                     witness=(x, xp, j, col + 1))
     return PrefixReport(trials=trials, passed=True, witness=None)
@@ -130,9 +184,10 @@ class DegreeReport:
                 "max_deg": self.max_deg}
 
 
-def _forward_diff_degree(values: Sequence[Sequence[Fraction]], max_deg: int) -> int:
+def _forward_diff_degree(values: Sequence[Sequence], max_deg: int) -> int:
     """Largest k <= max_deg + 1 whose k-th forward difference is nonzero;
-    values are flattened model outputs at equally spaced line points.
+    values are flattened model outputs at equally spaced line points, or
+    their numerators over one shared denominator (only zero tests matter).
     Every level after an all-zero one is all zero, so the difference table
     stops at the first such level."""
     current = [list(v) for v in values]
@@ -154,10 +209,10 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
     """Exact finite differences along random rational lines.
 
     Per trial the model is evaluated at max_deg + 2 collinear points
-    DEGREE_STEP apart; the estimated degree is the largest order with a
-    nonvanishing difference (max_deg + 1 marks "at least max_deg + 1", e.g.
-    a crossed piece boundary).  The mode over trials is reported against
-    the bound.
+    DEGREE_STEP apart (`_exact_outputs`, batched where the model allows);
+    the estimated degree is the largest order with a nonvanishing
+    difference (max_deg + 1 marks "at least max_deg + 1", e.g. a crossed
+    piece boundary).  The mode over trials is reported against the bound.
     """
     per_trial = []
     for t in range(trials):
@@ -166,10 +221,11 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
         direction = random_rational_mat(rng, model.n, model.p)
         while not any(direction.nz):
             direction = random_rational_mat(rng, model.n, model.p)
-        values = []
-        for k in range(max_deg + 2):
-            out = model(add(base, scale(direction, k * DEGREE_STEP)))
-            values.append([x for row in out.data for x in row])
+        points = max_deg + 2
+        rows, _ = _exact_outputs(model, (add(base, scale(direction, k * DEGREE_STEP))
+                                         for k in range(points)))
+        w = len(rows[0]) // points
+        values = [[v for row in rows for v in row[k:k + w]] for k in range(0, points * w, w)]
         per_trial.append(_forward_diff_degree(values, max_deg))
     counts: dict = {}
     for d in per_trial:
@@ -206,34 +262,6 @@ def smooth_swap(model, activation: Activation) -> EncoderModel:
     return EncoderModel(_model_blocks(model), activation)
 
 
-# the widest batch one smoothing pass evaluates, in input columns: a chunk
-# of samples fills it side by side, once per activation the pass compares,
-# so memory does not grow with the sample count
-PASS_COLUMNS = 128
-
-
-def _chunks(xs: Iterable[Mat], copies: int):
-    """xs in order, as lists of at least one input whose side-by-side
-    batch, repeated `copies` times, is at most PASS_COLUMNS wide; an input
-    is read only when its list is cut."""
-    it = iter(xs)
-    for first in it:
-        yield [first, *islice(it, max(1, PASS_COLUMNS // (first.cols * copies)) - 1)]
-
-
-def _side_by_side(xs: Sequence[Mat], copies: int = 1) -> Mat:
-    """The float images of inputs of one shape as one batch, in order, all
-    of them repeated `copies` times: input i of copy c in the p columns from
-    (c * len(xs) + i) * p."""
-    fxs = [x.to_float() for x in xs]
-    n, p = fxs[0].shape
-    if any(x.shape != (n, p) for x in fxs):
-        raise ShapeError(f"a batch needs inputs of one shape, got {[x.shape for x in xs]}")
-    fxs *= copies
-    return Mat(FLOAT, tuple(tuple((o + j, v) for o, x in zip(range(0, len(fxs) * p, p), fxs)
-                                  for j, v in x.nz[i]) for i in range(n)), len(fxs) * p)
-
-
 def smooth_convergence_table(model, xs: Iterable[Mat], betas: Sequence[float]):
     """Max |softplus-swapped - relu| per beta, rows in the given order;
     math.inf is accepted as the relu-itself sentinel (error 0), and a beta
@@ -249,7 +277,7 @@ def smooth_convergence_table(model, xs: Iterable[Mat], betas: Sequence[float]):
     stand_ins = [None, *(Activation("softplus", float(beta)) for beta in finite)]
     worst = dict.fromkeys(finite, 0.0)
     for chunk in _chunks(xs, len(stand_ins)):
-        out = _walk(blocks, _side_by_side(chunk, len(stand_ins)),
+        out = _walk(blocks, _side_by_side([x.to_float() for x in chunk], len(stand_ins)),
                     activations=[a for a in stand_ins for _ in chunk])
         # an error between passes that overflowed would read as NaN
         if not all(math.isfinite(v) for row in out.nz for _, v in row):
@@ -375,7 +403,8 @@ def softmax_probability_check(model, xs: Iterable[Mat], tol: float = 1e-12) -> d
     finite = True
     for chunk in _chunks(xs, 1):
         try:
-            out = _walk(blocks, _side_by_side(chunk), check, [SOFTMAX] * len(chunk))
+            out = _walk(blocks, _side_by_side([x.to_float() for x in chunk]), check,
+                        [SOFTMAX] * len(chunk))
         except DegenerateColumnError:
             # finite weights and inputs give a score of -inf only by overflow
             raise OverflowError("the float pass overflowed") from None

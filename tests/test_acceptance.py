@@ -257,7 +257,7 @@ def test_08_mask_semantics():
                 if i > j and probs.at(i, j) != 0.0:
                     ok = False
         for j in range(size):
-            col = probs.col_entries(j)
+            col = [row[j] for row in probs.data]
             if abs(sum(col) - 1.0) > 1e-12 or any(e < 0 or e > 1 for e in col):
                 ok = False
     for t in range(100):

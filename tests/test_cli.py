@@ -10,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from splineformer import cli, spline as spline_module, transformer
+from splineformer import cli, spline as spline_module, transformer, verifier
 from splineformer.cli import MAX_LINE_POINTS, main
 from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
 from splineformer.tensor import Mat, mat_from_json, mat_to_json
-from splineformer.transformer import (EncoderBlock, MultiheadAttention, attention_head,
-                                      blocks_from_json, blocks_to_float, blocks_to_json,
-                                      eval_encoder)
-from splineformer.verifier import PASS_COLUMNS, random_rational_mat, trial_rng
+from splineformer.transformer import (EncoderBlock, EncoderModel, MultiheadAttention,
+                                      PassSizeError, attention_head, blocks_from_json,
+                                      blocks_to_float, blocks_to_json, eval_encoder)
+from splineformer.verifier import (PASS_COLUMNS, autoregressive_check, random_rational_mat,
+                                   trial_rng)
 
-from reference import identity_ffn, per_head_file, per_head_json
+from reference import FnModel, identity_ffn, per_head_file, per_head_json
 from test_transformer import GRID_2X2
 
 ABS_SPLINE = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
@@ -855,6 +856,15 @@ class TestExactSizeCaps:
                 "degree": ["degree", w, "--trials", "1", "--max-deg", "2"]}[command]
         one_line_exit_3(capsys, argv, "above the cap of 64 bits")
 
+    @pytest.mark.parametrize("bare", [False, True], ids=["batched", "one-by-one"])
+    def test_prefix_check_hits_bit_cap(self, tmp_path, monkeypatch, bare):
+        monkeypatch.setattr(transformer, "MAX_PASS_BITS", 64)
+        model = EncoderModel(blocks_from_json(json.loads(open(repeated_grid(tmp_path, 8)).read())))
+        if bare:
+            model = FnModel(model, model.n, model.p)
+        with pytest.raises(PassSizeError, match="above the cap of 64 bits"):
+            autoregressive_check(model, 2, 1)
+
     def test_bit_cap_boundary(self, tmp_path, capsys, monkeypatch):
         # the identity is one block, and carries 100/7 out of it: 7 bits
         _, w = compile_to(tmp_path, IDENTITY_SPLINE)
@@ -876,6 +886,38 @@ class TestExactSizeCaps:
         capsys.readouterr()
         assert main(["eval", w, x]) == 0
         assert json.loads(capsys.readouterr().out) == [[f"{10 ** 4096}/{7 ** 4096}"]]
+
+
+class TestBatchedChecks:
+    """`degree` runs each trial's line points as batched exact passes of
+    at most `PASS_COLUMNS` input columns each."""
+
+    def test_walks_hold_at_most_pass_columns(self, tmp_path, capsys, monkeypatch):
+        widths = []
+
+        def counting(blocks, x, *args, **kwargs):
+            widths.append(x.cols)
+            return carry(blocks, x, *args, **kwargs)
+        carry = verifier._carry
+        monkeypatch.setattr(verifier, "_carry", counting)
+        _, w = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        max_deg = MAX_LINE_POINTS - 2
+        assert main(["degree", w, "--trials", "2", "--max-deg", str(max_deg), "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["max_deg"], report["per_trial"]) == (max_deg, [1, 1])
+        # 1024 one-column points a trial, in full batches
+        assert widths == [PASS_COLUMNS] * (2 * MAX_LINE_POINTS // PASS_COLUMNS)
+
+    def test_float_weights_exit_2(self, tmp_path, capsys):
+        # a JSON float makes a weight matrix float, which an exact pass refuses
+        _, out = compile_to(tmp_path, CUBE_SPLINE)
+        capsys.readouterr()
+        doc = json.loads(open(out).read())
+        doc["blocks"][0]["ffn"]["layers"][0]["A"]["rows"][0][0][1] = 2.5
+        w = write(tmp_path / "float.json", doc)
+        err = one_line_exit_2(capsys, ["degree", w, "--trials", "1", "--max-deg", "3"])
+        assert "degree estimation could not run" in err and "mixed backends" in err
 
 
 class TestDeepNesting:

@@ -5,8 +5,8 @@ must equal the checked-in digest.  `DIGEST` hashes the weights in the
 per-head form (`reference.per_head_json`), so it pins every nonzero and
 the head order; `DIGEST_LAYER` hashes the bytes `blocks_to_json` writes.
 A change that alters compiled weights on purpose updates the digests and
-says why.  `SMOOTH_DIGEST` pins, byte for byte, what `smooth` prints on
-the two grids the benchmark smooths.
+says why.  `SMOOTH_DIGEST` and `DEGREE_DIGEST` pin, byte for byte, what
+`smooth` and `degree` print on the two grids the benchmark runs them on.
 
 The corpus is the benchmark's 13 grids from `bench/workloads.py` and
 `RANDOM_GRIDS` seeded random grids with n, p <= 2.  Each grid compiles
@@ -26,10 +26,11 @@ from splineformer.cli import main
 from splineformer.compiler import (CompileOptions, NotAutoregressiveError, ResourceLimitError,
                                    compile_autoregressive, compile_spline)
 from splineformer.spline import grid_from_json
-from splineformer.transformer import MultiheadAttention, blocks_from_json, blocks_to_json
-from splineformer.verifier import PASS_COLUMNS
+from splineformer.transformer import (EncoderModel, MultiheadAttention, blocks_from_json,
+                                      blocks_to_json)
+from splineformer.verifier import PASS_COLUMNS, autoregressive_check, estimate_degree
 
-from reference import per_head_json
+from reference import FnModel, per_head_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -38,6 +39,7 @@ RANDOM_GRIDS = 40
 DIGEST = "74a5ea217e8b0c07ae17f52324205d7febb46fb34321746b4eed8ce733272f28"
 DIGEST_LAYER = "3e793093b00ffe81ea840c60815a39f5475b8a81c8a65a3fa3352293c840b33e"
 SMOOTH_DIGEST = "2f99c1aed7295d4107cd06f9fb38996664885792f7f491b1d7bac8b4fc316cb1"
+DEGREE_DIGEST = "4da4ab162b9b91d26ad388658032d1e87e28736ac81fa8ad48902eaae814d5d1"
 
 
 def random_doc(rng: random.Random) -> dict:
@@ -122,13 +124,31 @@ def test_corpus_digest():
     assert layer.hexdigest() == DIGEST_LAYER
 
 
-def test_smooth_digest(tmp_path, capsys):
-    """The exit code, stdout and stderr of `smooth` on the benchmark's
-    smoothed grids, each compiled by the CLI in every mode and masked as
-    the benchmark masks it: softplus at the default betas and at a repeated
-    beta and inf, and softmax, each at 1, 2 and PASS_COLUMNS + 1 samples,
-    the last too many for one batched pass."""
-    digest = hashlib.sha256()
+def test_batched_checks_equal_passes_one_by_one():
+    """`estimate_degree` and `autoregressive_check` run an `EncoderModel`'s
+    inputs as batched exact passes, and a bare function one call per input
+    (`FnModel`); on every compile of the corpus both give the same report,
+    the prefix test's witness included."""
+    witnesses = 0
+    for label, compiled in compiles():
+        if isinstance(compiled, str):
+            continue
+        model = EncoderModel(compiled.blocks)
+        bare = FnModel(model, model.n, model.p)
+        assert (estimate_degree(model, max_deg=3, trials=2, seed=9, bound=2)
+                == estimate_degree(bare, max_deg=3, trials=2, seed=9, bound=2)), label
+        if model.p >= 2:
+            report = autoregressive_check(model, 3, 9)
+            assert report == autoregressive_check(bare, 3, 9), label
+            witnesses += report.witness is not None
+    # unmasked compiles of grids that read later columns fail the prefix test
+    assert witnesses
+
+
+def cli_compiles(tmp_path, capsys):
+    """(grid, mode, weights path) for the benchmark's CLI grids, each
+    compiled by the CLI in every mode and masked as the benchmark masks it;
+    the weights file is rewritten by the next compile."""
     for doc, masked in ((workloads.GRID_2X2, ()), (workloads.GRID_MASKED, ("--masked",))):
         spath = tmp_path / "spline.json"
         spath.write_text(json.dumps(doc))
@@ -136,10 +156,37 @@ def test_smooth_digest(tmp_path, capsys):
             weights = str(tmp_path / "w.json")
             assert main(["compile", str(spath), "--mode", mode, *masked, "-o", weights]) == 0
             capsys.readouterr()
-            for samples in ("1", "2", str(PASS_COLUMNS + 1)):
-                for extra in ((), ("--betas", "10,10,inf"), ("--activation", "softmax")):
-                    argv = ["--samples", samples, "--seed", "5", *extra]
-                    code = main(["smooth", weights, *argv])
-                    captured = capsys.readouterr()
-                    digest.update(f"{mode} {argv}\n{code}\n{captured.out}{captured.err}".encode())
+            yield doc, mode, weights
+
+
+def test_smooth_digest(tmp_path, capsys):
+    """The exit code, stdout and stderr of `smooth` on the benchmark's
+    smoothed grids, each compiled by the CLI in every mode and masked as
+    the benchmark masks it: softplus at the default betas and at a repeated
+    beta and inf, and softmax, each at 1, 2 and PASS_COLUMNS + 1 samples,
+    the last too many for one batched pass."""
+    digest = hashlib.sha256()
+    for _, mode, weights in cli_compiles(tmp_path, capsys):
+        for samples in ("1", "2", str(PASS_COLUMNS + 1)):
+            for extra in ((), ("--betas", "10,10,inf"), ("--activation", "softmax")):
+                argv = ["--samples", samples, "--seed", "5", *extra]
+                code = main(["smooth", weights, *argv])
+                captured = capsys.readouterr()
+                digest.update(f"{mode} {argv}\n{code}\n{captured.out}{captured.err}".encode())
     assert digest.hexdigest() == SMOOTH_DIGEST
+
+
+def test_degree_digest(tmp_path, capsys):
+    """The exit code, stdout and stderr of `degree` on the benchmark's CLI
+    grids, each compiled in every mode: at the benchmark's arguments, at
+    the defaults, and at a --max-deg whose line has more points than one
+    batched pass holds (`PASS_COLUMNS // p`)."""
+    digest = hashlib.sha256()
+    for doc, mode, weights in cli_compiles(tmp_path, capsys):
+        for argv in (workloads.CLI_DEGREE, [],
+                     ["--trials", "2", "--max-deg", str(PASS_COLUMNS // doc["p"])]):
+            argv = [*argv, "--seed", "5"]
+            code = main(["degree", weights, *argv])
+            captured = capsys.readouterr()
+            digest.update(f"{mode} {argv}\n{code}\n{captured.out}{captured.err}".encode())
+    assert digest.hexdigest() == DEGREE_DIGEST

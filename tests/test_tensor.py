@@ -124,7 +124,7 @@ class TestSoftmax:
         m = Mat.from_floats([[rng.uniform(-700, 700) for _ in range(5)] for _ in range(6)])
         out = softmax_columns(m)
         for j in range(5):
-            col = out.col_entries(j)
+            col = [row[j] for row in out.data]
             assert abs(sum(col) - 1.0) <= 1e-12
             assert all(0.0 <= x <= 1.0 for x in col)
 

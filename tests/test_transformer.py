@@ -24,7 +24,7 @@ from splineformer.transformer import (Activation, DecoderBlock,
                                       eval_multihead_encdec,
                                       softplus, _attend, _walk)
 from splineformer.transformer import EncoderModel, _image, _reduced
-from splineformer.verifier import random_rational_mat, trial_rng
+from splineformer.verifier import PASS_COLUMNS, random_rational_mat, trial_rng
 from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
                        replace_head, softmax_columns,
                        softplus_beta, transpose, unshared_walk)
@@ -1024,16 +1024,16 @@ def pooled_layer(rng, n, p, d, m, heads, **flags):
 
 
 @st.composite
-def pooled_chains(draw):
+def pooled_chains(draw, exact=None):
     """A plain, a residual, a masked and a masked residual block of
     `pooled_layer`s of three to five heads (so value rows repeat), a batch
     of one to four inputs and a stand-in activation for each, as in
     `batched_chains`: exact, with rational ReLU weights and inputs and
     stand-ins None or ReLU, or float, with each head drawn scaled or not
-    and with an activation of its own."""
+    and with an activation of its own; `exact` is drawn unless given."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n, p, d, m = (draw(st.integers(1, 3)) for _ in range(4))
-    exact = draw(st.booleans())
+    exact = draw(st.booleans()) if exact is None else exact
     flags = {} if exact else dict(scaled=lambda: rng.random() < 0.5,
                                   activation=lambda: rng.choice(KERNEL_ACTIVATIONS))
     blocks = []
@@ -1288,3 +1288,42 @@ class TestLivePass:
             _walk([blk], one, Recorder())
         assert _walk([blk], one).data == ((2.0,),)
         assert EncoderModel([blk])(one).data == ((2.0,),)
+
+
+@st.composite
+def exact_batches(draw):
+    """An exact `pooled_chains` chain (a plain, a residual, a masked and a
+    masked residual block) in which one drawn block's net skips a drawn
+    value row, so that block has a live view, and one to
+    `PASS_COLUMNS // p` of its inputs."""
+    blocks, xs, _ = draw(pooled_chains(exact=True))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    i = draw(st.integers(0, len(blocks) - 1))
+    blk = blocks[i]
+    skip = draw(st.integers(0, blk.attn.out_rows - 1))
+    (a, b), *rest = blk.ffn.layers
+    a = Mat(a.backend, tuple(tuple((j, v) for j, v in row if j != skip) for row in a.nz), a.cols)
+    blocks[i] = EncoderBlock(blk.attn, FeedForwardNet(((a, b), *rest)), blk.residual)
+    p = xs[0].cols
+    xs = [sparse_random_mat(rng, xs[0].rows, p)
+          for _ in range(draw(st.integers(1, PASS_COLUMNS // p)))]
+    return blocks, xs
+
+
+class TestExactBatch:
+    """An exact pass over up to a full batch of inputs side by side, as the
+    verifier's checks run them, must equal the inputs' single passes,
+    entry for entry as rationals."""
+
+    @given(case=exact_batches())
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_single_passes(self, case):
+        blocks, xs = case
+        assert sum(blk.live is not None for blk in blocks) >= 1
+        got = _walk(blocks, side_by_side(xs), activations=(None,) * len(xs))
+        p = xs[0].cols
+        assert got.backend != FLOAT and got.cols == len(xs) * p
+        for i, x in enumerate(xs):
+            one = _walk(blocks, x)
+            assert all(isinstance(v, F) for row in one.data for v in row)
+            assert [row[i * p:i * p + p] for row in got.data] == list(one.data)

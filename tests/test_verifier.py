@@ -242,7 +242,7 @@ class TestForwardDifferences:
         return [[sum(c * t ** e for e, c in enumerate(cs)) for cs in coefs]
                 for t in range(points)]
 
-    def test_equals_full_table(self):
+    def cases(self):
         rng = random.Random("forward-differences")
         cases = [[[F(5)]], [[F(3), F(-1)]] * 5, [[F(0), F(0)]] * 6,
                  # levels with a zero row that are not all zero
@@ -253,8 +253,21 @@ class TestForwardDifferences:
                 coefs = [[random_fraction(rng) for _ in range(k + 1)] for _ in range(width)]
                 cases.append(self.polynomial_values(coefs, points))
             cases.append([[random_fraction(rng) for _ in range(width)] for _ in range(points)])
-        for values in cases:
+        return cases
+
+    def test_equals_full_table(self):
+        for values in self.cases():
             assert _forward_diff_degree(values, len(values) - 2) == full_table_degree(values)
+
+    def test_integer_numerator_rows(self):
+        # the values as integer numerators over one shared denominator, as
+        # a batched exact pass carries them, give the same degree
+        for values in self.cases():
+            den = math.lcm(*(v.denominator for row in values for v in row))
+            ints = [[v.numerator * (den // v.denominator) for v in row] for row in values]
+            assert all(type(v) is int for row in ints for v in row)
+            assert (_forward_diff_degree(ints, len(ints) - 2)
+                    == _forward_diff_degree(values, len(values) - 2))
 
     def test_edge_sequences(self):
         assert _forward_diff_degree([[F(5)]], -1) == 0
@@ -412,7 +425,7 @@ def dense_probability_check(blocks, xs, tol):
                 s = matmul(transpose(k), q)
                 probs = softmax_columns(apply_mask(s) if h.masked else s)
                 for j in range(probs.cols):
-                    col = probs.col_entries(j)
+                    col = [row[j] for row in probs.data]
                     if not (abs(sum(col) - 1.0) <= tol and all(0 <= e <= 1 for e in col)):
                         columns_ok = False
                     if h.masked and any(probs.at(i, j) != 0.0 for i in range(j + 1, probs.rows)):
