@@ -42,7 +42,8 @@ INPUT_ERRORS = (OSError, KeyError, ValueError, ZeroDivisionError, OverflowError,
 # model evaluations per `degree` trial (max_deg + 2 line points)
 MAX_LINE_POINTS = 1024
 
-# weights documents whose blocks stay loaded, keyed on their text
+# weights documents whose blocks stay loaded, and spline documents whose
+# grids do, keyed on their text (each kind has its own cache of this size)
 WEIGHTS_CACHE = 4
 
 
@@ -75,9 +76,17 @@ def _layout_path(out_path: str) -> str:
     return out_path + ".layout.json"
 
 
+@functools.lru_cache(maxsize=WEIGHTS_CACHE)
+def _grid_of(text: str):
+    """The grid of a spline document, kept for a later command on the same
+    text (a grid is frozen, so one serves them all); a document that raises
+    is not."""
+    return grid_from_json(json.loads(text))
+
+
 def cmd_compile(args) -> int:
     try:
-        spline = grid_from_json(json.loads(_read(args.spline)))
+        spline = _grid_of(_read(args.spline))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:
@@ -175,7 +184,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     try:
         model = _load_model(args.weights)
-        spline = grid_from_json(json.loads(_read(args.spline)))
+        spline = _grid_of(_read(args.spline))
     except FormSizeError as exc:
         return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:

@@ -288,7 +288,8 @@ class MultiheadAttention:
                     firsts.append(r)
                 index.append(i)
             layout.append(None if len(firsts) == a.rows else (tuple(firsts), tuple(index)))
-        return (*layout, tuple(g for g in self.table for _ in range(self.m)))
+        m = self.m
+        return (*layout, tuple(g for g in self.table for _ in range(m)))
 
     @cached_property
     def heads(self) -> tuple:

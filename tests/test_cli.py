@@ -954,6 +954,7 @@ class TestDeepNesting:
             raise RecursionError("maximum recursion depth exceeded")
         spath, out = compile_to(tmp_path, IDENTITY_SPLINE)
         capsys.readouterr()
+        cli._grid_of.cache_clear()
         monkeypatch.setattr(spline_module, "expr_from_json", deep)
         argv = {"compile": ["compile", spath, "-o", str(tmp_path / "o.json")],
                 "verify": ["verify", out, spath, "--samples", "1"]}[command]
@@ -1348,3 +1349,108 @@ class TestWeightsCache:
             assert main(["eval", path, x]) == 0
         assert len(parsed) == cli.WEIGHTS_CACHE + 2
         assert cli._blocks_of.cache_info().currsize == cli.WEIGHTS_CACHE
+
+
+
+class TestSplineCache:
+    """`main` keeps the grids of the last `WEIGHTS_CACHE` spline documents
+    for `compile` and `verify`, keyed on their text, under the rules of
+    the weights cache: a warm cache changes no output, a rewritten file is
+    parsed again, and a document that fails to parse is not kept."""
+
+    def run(self, capsys, files, argv):
+        """Exit code, stdout and stderr of one command, and for `compile`
+        the weights and sidecar bytes it wrote."""
+        code = main([files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        written = b""
+        if argv[0] == "compile":
+            w = Path(files["W"])
+            written = w.read_bytes() + w.with_suffix(".layout.json").read_bytes()
+        return code, captured.out, captured.err, written
+
+    def count_parses(self, monkeypatch) -> list:
+        parsed = []
+
+        def counting(obj):
+            parsed.append(obj)
+            return spline_module.grid_from_json(obj)
+        monkeypatch.setattr(cli, "grid_from_json", counting)
+        return parsed
+
+    @pytest.mark.parametrize("spline, flags", [
+        (GRID_2X2, ["--mode", "faithful"]),
+        (GRID_2X2, ["--mode", "pruned"]),
+        (AUTOREGRESSIVE_SPLINE, ["--masked"]),
+    ], ids=["faithful", "pruned", "masked"])
+    def test_warm_equals_cold(self, tmp_path, capsys, spline, flags):
+        files = {"S": write(tmp_path / "spline.json", spline), "W": str(tmp_path / "w.json")}
+        commands = (["compile", "S", "-o", "W", *flags],
+                    ["verify", "W", "S", "--samples", "3", "--seed", "5"],
+                    ["compile", "S", "-o", "W", *flags])
+        cold = []
+        for argv in commands:
+            cli._grid_of.cache_clear()
+            cold.append(self.run(capsys, files, argv))
+        cli._grid_of.cache_clear()
+        warm = [self.run(capsys, files, argv) for argv in commands]
+        info = cli._grid_of.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands) - 1)
+        assert warm == cold
+        assert all(code == 0 for code, *_ in warm)
+
+    def test_equal_text_parses_once(self, tmp_path, monkeypatch):
+        cli._grid_of.cache_clear()
+        parsed = self.count_parses(monkeypatch)
+        spath = write(tmp_path / "spline.json", CUBE_SPLINE)
+        copy_path = tmp_path / "copy.json"
+        copy_path.write_bytes(Path(spath).read_bytes())
+        w = str(tmp_path / "w.json")
+        for argv in (["compile", spath, "-o", w], ["compile", str(copy_path), "-o", w],
+                     ["verify", w, spath, "--samples", "2"]):
+            assert main(argv) == 0
+        assert len(parsed) == 1
+
+    def test_rewritten_file_is_read_again(self, tmp_path, capsys):
+        cli._grid_of.cache_clear()
+        spath, out = compile_to(tmp_path, CUBE_SPLINE)
+        argv = ["verify", out, spath, "--samples", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        write(tmp_path / "spline.json", IDENTITY_SPLINE)
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["exact"] is False
+
+    @pytest.mark.parametrize("raw, code", [
+        (b"{not json", 2),
+        (json.dumps({"n": 1, "p": 1, "grid": [[{"op": "abs", "args": [CELL]}]]}).encode(), 2),
+        (json.dumps(min_of_maxes(9)).encode(), 3),
+    ], ids=["not-json", "unknown-op", "over-form-cap"])
+    def test_failure_is_not_kept(self, tmp_path, capsys, raw, code):
+        _, out = compile_to(tmp_path, IDENTITY_SPLINE)
+        capsys.readouterr()
+        cli._grid_of.cache_clear()
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        errs = {}
+        for argv in (["compile", str(path), "-o", str(tmp_path / "o.json")],
+                     ["verify", out, str(path), "--samples", "1"]) * 2:
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            errs.setdefault(argv[0], set()).add(captured.err)
+        assert [len(lines) for lines in errs.values()] == [1, 1]
+        assert cli._grid_of.cache_info().currsize == 0
+
+    def test_bounded_lru(self, tmp_path, monkeypatch):
+        cli._grid_of.cache_clear()
+        parsed = self.count_parses(monkeypatch)
+        w = str(tmp_path / "w.json")
+        docs = [write(tmp_path / f"s{k}.json", {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+                    {"coef": str(k + 1), "exps": {"x_1_1": 1}}]}]]})
+                for k in range(cli.WEIGHTS_CACHE + 1)]
+        # one document more than the bound evicts the first; the rest stay
+        for path in docs + docs[:1] + docs[2:]:
+            assert main(["compile", path, "-o", w]) == 0
+        assert len(parsed) == cli.WEIGHTS_CACHE + 2
+        assert cli._grid_of.cache_info().currsize == cli.WEIGHTS_CACHE

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splineformer import verifier
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
@@ -268,6 +270,29 @@ class TestForwardDifferences:
             assert all(type(v) is int for row in ints for v in row)
             assert (_forward_diff_degree(ints, len(ints) - 2)
                     == _forward_diff_degree(values, len(values) - 2))
+
+    @staticmethod
+    @st.composite
+    def perturbed_rows(draw):
+        """Integer rows at 1 to 40 line points: per coordinate a polynomial
+        in the point's index, of degree up to the points' count, plus up
+        to two sparse perturbations, so that the top level is zero on some
+        draws and nonzero on others."""
+        points, width = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+        coefs = [draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=points + 1))
+                 for _ in range(width)]
+        values = TestForwardDifferences.polynomial_values(coefs, points)
+        for _ in range(draw(st.integers(0, 2))):
+            t, c = draw(st.integers(0, points - 1)), draw(st.integers(0, width - 1))
+            values[t][c] += draw(st.integers(-3, 3))
+        return values
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=perturbed_rows())
+    def test_integer_rows_equal_table(self, values):
+        # the binomial sum decides the censored trials, the table the rest
+        assert all(type(v) is int for row in values for v in row)
+        assert _forward_diff_degree(values, len(values) - 2) == full_table_degree(values)
 
     def test_edge_sequences(self):
         assert _forward_diff_degree([[F(5)]], -1) == 0
