@@ -229,32 +229,6 @@ class MultiheadAttention:
         """The six stored maps, in `_HEAD_MATS` order."""
         return self.a_q, self.b_q, self.a_k, self.b_k, self.a_v, self.b_v
 
-    def _maps(self, exact: bool) -> tuple:
-        """For Q, K and V in turn, the `_image` of the rows a pass computes
-        (`_firsts`); the denominator is that of all the stored rows."""
-        return tuple(_image(_firsts(a.nz, shared), _firsts(b.nz, shared), self.p, exact)
-                     for a, b, shared in zip(self.mats[::2], self.mats[1::2], self.row_layout))
-
-    @cached_property
-    def stacked(self) -> tuple:
-        """The maps (`_maps`) an exact pass reads, integer over the lcm of
-        each map's denominators; float weights give their float image.
-        Built on the first evaluation and kept; not a dataclass field, so
-        equality compares the stored maps only."""
-        return self._maps(FLOAT not in self.backends)
-
-    @cached_property
-    def floats(self) -> tuple:
-        """The maps a float pass reads, float(v) of the weights over 1;
-        built on first use and kept, so every float pass (and every
-        softplus beta) reuses it."""
-        return self.stacked if FLOAT in self.backends else self._maps(False)
-
-    @cached_property
-    def magnitudes(self) -> tuple:
-        """`_magnitudes` of `floats`; built on first use and kept."""
-        return _magnitudes(self.floats)
-
     @property
     def backends(self) -> frozenset:
         return frozenset((self.a_q.backend,))
@@ -269,27 +243,12 @@ class MultiheadAttention:
                      for t, (d, masked, scaled, activation) in zip(starts, self.groups))
 
     @cached_property
-    def row_layout(self) -> tuple:
-        """Where a pass takes each stored row from, then the group of each
-        value row, in head order; built on first use and kept.
-
-        For Q, K and V in turn: None when no two of the map's (A row, bias
-        row) pairs are equal, so a pass computes every row; otherwise
-        (firsts, index), the stored rows that open a new pair, in order,
-        and per stored row the position in firsts of its pair.  A pass
-        computes the rows in firsts only, once each (value numbering), and
-        hands every row of a pair the same list."""
-        layout = []
-        for a, b in zip(self.mats[::2], self.mats[1::2]):
-            seen, firsts, index = {}, [], []
-            for r, pair in enumerate(zip(a.nz, b.nz)):
-                i = seen.setdefault(pair, len(firsts))
-                if i == len(firsts):
-                    firsts.append(r)
-                index.append(i)
-            layout.append(None if len(firsts) == a.rows else (tuple(firsts), tuple(index)))
-        m = self.m
-        return (*layout, tuple(g for g in self.table for _ in range(m)))
+    def plan(self) -> AttentionPlan:
+        """The plan of a pass over every value row, which observed passes,
+        `eval_multihead` and `eval_multihead_encdec` run; built on first use
+        and kept.  Not a dataclass field, so equality compares the stored
+        maps only."""
+        return AttentionPlan(self, range(self.out_rows))
 
     @cached_property
     def heads(self) -> tuple:
@@ -406,120 +365,109 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
     return act
 
 
-def _firsts(rows, shared):
-    """Of a map's stored rows (or of one row per stored row), those a pass
-    computes: all of them where `shared` (an entry of
-    `MultiheadAttention.row_layout`) is None, else the firsts of pairs."""
-    return rows if shared is None else [rows[r] for r in shared[0]]
+def _handed(rows: list, index) -> list:
+    """The rows a pass computed for a map's distinct pairs, one per row of
+    its plan: as computed where `index` (an entry of `AttentionPlan.index`)
+    is None, else each row's pair's list, by reference."""
+    return rows if index is None else [rows[i] for i in index]
 
 
-def _spread(rows: list, shared) -> list:
-    """The rows of a map a pass computed, one per stored row: as computed
-    where `shared` is None, else each stored row's pair's list, by
-    reference."""
-    return rows if shared is None else [rows[i] for i in shared[1]]
+class AttentionPlan:
+    """A pass over the value rows `rows` of an attention layer: every row
+    (`MultiheadAttention.plan`) or those a block's net reads
+    (`EncoderBlock.plan`).  `groups` are the groups they use, laid out in
+    `group_layout` as the layer's, and `row_groups` gives each row's place
+    among them.  For Q, K and V in turn (the Q and K rows of `groups`, then
+    `rows`), `pairs` are the distinct (A row, bias row) pairs in order of
+    first use, and `index` each row's position among them, or None where
+    none repeats.  The images `stacked`, `floats` and `magnitudes` are of
+    the pairs only, over the lcm of their denominators; each is built on
+    first use and kept."""
 
-
-def _picked(stored: Sequence, shared) -> tuple:
-    """Of a map whose entry of `MultiheadAttention.row_layout` is `shared`,
-    the stored rows `stored` as a view reads them: the positions in the
-    map's image (its distinct rows) that they read, each once, in order of
-    first read, and the view's entry of its `row_layout` for them (None
-    when they read distinct rows, else those positions and each stored
-    row's place among them)."""
-    pos = list(stored) if shared is None else [shared[1][r] for r in stored]
-    pick = tuple(dict.fromkeys(pos))
-    if len(pick) == len(pos):
-        return pick, None
-    place = {i: n for n, i in enumerate(pick)}
-    return pick, (pick, tuple(place[i] for i in pos))
-
-
-class LiveView:
-    """The part of an attention layer that a block's net reads
-    (`EncoderBlock.live`), in the form a pass reads a layer.  `rows` are
-    the value rows the net reads and `groups` the groups they use, both in
-    order.  Over just those, `group_layout` and `row_layout` are laid out
-    as the layer's (each live group's query and key rows stacked in group
-    order, then each live value row), and `stacked` and `floats` are the
-    layer's images cut to the distinct rows they read, over the same
-    denominators; both are cut on first use and kept."""
-
-    def __init__(self, attn: MultiheadAttention, read: set):
-        shared_q, shared_k, shared_v, row_groups = attn.row_layout
-        self.attn = attn
-        self.rows = tuple(sorted(read))
-        self.groups = tuple(sorted({row_groups[r] for r in self.rows}))
+    def __init__(self, attn: MultiheadAttention, rows: Sequence[int]):
+        # what a pass reads of the layer, copied, so that a layer and the
+        # plan it keeps form no reference cycle and are freed by refcount
+        self.p, self.out_rows, self.rational_error = attn.p, attn.out_rows, attn.rational_error
+        self.exact, self.rows, m = FLOAT not in attn.backends, tuple(rows), attn.m
+        self.groups = tuple(sorted({attn.table[r // m] for r in self.rows}))
         layout, qk = [], []
         for g in self.groups:
             t, d, *flags = attn.group_layout[g]
             layout.append((len(qk), d, *flags))
             qk.extend(range(t, t + d))
         self.group_layout = tuple(layout)
-        picks = [_picked(stored, shared)
-                 for stored, shared in ((qk, shared_q), (qk, shared_k), (self.rows, shared_v))]
-        self.picks = tuple(pick for pick, _ in picks)
         place = {g: i for i, g in enumerate(self.groups)}
-        self.row_layout = (*(entry for _, entry in picks),
-                           tuple(place[row_groups[r]] for r in self.rows))
+        self.row_groups = tuple(place[attn.table[r // m]] for r in self.rows)
+        pairs, index = [], []
+        for a, b, stored in zip(attn.mats[::2], attn.mats[1::2], (qk, qk, self.rows)):
+            seen = {}
+            at = [seen.setdefault((a.nz[r], b.nz[r]), len(seen)) for r in stored]
+            pairs.append(tuple(seen))
+            index.append(None if len(seen) == len(at) else tuple(at))
+        self.pairs, self.index = tuple(pairs), tuple(index)
 
-    def _cut(self, maps: tuple) -> tuple:
-        return tuple((tuple(rows[i] for i in pick), tuple(bias[i] for i in pick), den)
-                     for (rows, bias, den), pick in zip(maps, self.picks))
+    def _images(self, exact: bool) -> tuple:
+        return tuple(_image([a for a, _ in pairs], [b for _, b in pairs], self.p, exact)
+                     for pairs in self.pairs)
 
     @cached_property
     def stacked(self) -> tuple:
-        return self._cut(self.attn.stacked)
+        """The maps an exact pass reads, integer over the lcm of each map's
+        denominators; float weights give their float image."""
+        return self._images(self.exact)
 
     @cached_property
     def floats(self) -> tuple:
-        return self._cut(self.attn.floats)
+        """The maps a float pass reads, float(v) of the weights over 1, so
+        every float pass (and every softplus beta) reuses them."""
+        return self._images(False) if self.exact else self.stacked
+
+    @cached_property
+    def magnitudes(self) -> tuple:
+        """`_magnitudes` of `floats`."""
+        return _magnitudes(self.floats)
 
 
-def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, activations: Sequence = (None,),
-            live: LiveView | None = None) -> tuple:
-    """Every head of the layer at once, on numerator rows: keys and values
-    read x (over dx), queries y (over dy), through `maps` (`mh.stacked` or
-    `mh.floats`).  x and y hold a batch of len(activations) inputs side by
-    side, each its p columns; input i runs with activations[i] standing in
-    for every head's own activation, or with each head's own where that is
-    None.  Returns the output numerators, stacked in head order and batched
-    as the input, their shared denominator, and the pass's record: its q, k
-    and v rows, as wide as the batch, and, in group order, each group's
+def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
+            y: list, dy: int, activations: Sequence = (None,)) -> tuple:
+    """The heads of a layer at once, on numerator rows, as `plan` says:
+    keys and values read x (over dx), queries y (over dy), through `maps`
+    (the plan's `stacked` or `floats`).  x and y hold a batch of
+    len(activations) inputs side by side, each its p columns; input i runs
+    with activations[i] standing in for every head's own activation, or
+    with each head's own where that is None.  Returns the output
+    numerators, stacked in head order and batched as the input, their
+    shared denominator, and the pass's record: the plan's q, k and v rows,
+    as wide as the batch, and, in the plan's group order, each group's
     block-diagonal activation rows (`_pattern`).
 
-    With `live`, the view of mh that a block's net reads (`EncoderBlock.live`),
-    and `maps` taken from the view, only the rows the view names are
-    computed: the query and key rows and patterns of its groups and its
-    value rows.  Every other output row is one shared zero row, which the
-    net never reads; the record then holds the computed rows only.  The
-    denominator is that of the full pass.
+    Only the plan's rows are computed: the query and key rows and patterns
+    of its groups and its value rows.  When it covers fewer than all the
+    layer's value rows, every other output row is one shared zero row,
+    which the block's net never reads.
 
     Q, K and V of all heads and inputs come from one sparse product each,
-    over the distinct rows of each map only (`row_layout`): every stored
-    row of a pair is handed the list computed for the pair, by reference.
-    Rows a pass computes are never mutated after `_affine` returns them,
-    by this pass, the observer or the caller, so sharing them is exact.
-    Each group of heads forms its attention pattern once per pass (at the
-    group's row offset); each head's value rows then multiply the nonzero
-    activations of its group.
+    over the plan's distinct pairs only: every row of a pair is handed the
+    list computed for the pair, by reference.  Rows a pass computes are
+    never mutated after `_affine` returns them, by this pass, the observer
+    or the caller, so sharing them is exact.  Each group of heads forms
+    its attention pattern once per pass (at the group's row offset); each
+    head's value rows then multiply the nonzero activations of its group.
     """
-    if backend == RATIONAL and mh.rational_error:
-        raise BackendError(mh.rational_error)
+    if backend == RATIONAL and plan.rational_error:
+        raise BackendError(plan.rational_error)
     zero = 0 if backend == RATIONAL else 0.0
     width = len(x[0])
     p = width // len(activations)
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
-    layout = mh if live is None else live
-    shared_q, shared_k, shared_v, row_groups = layout.row_layout
-    q = _spread(_affine(aq, bq, y, dy, zero), shared_q)
-    k = _spread(_affine(ak, bk, x, dx, zero), shared_k)
-    v = _spread(_affine(av, bv, x, dx, zero), shared_v)
+    iq, ik, iv = plan.index
+    q = _handed(_affine(aq, bq, y, dy, zero), iq)
+    k = _handed(_affine(ak, bk, x, dx, zero), ik)
+    v = _handed(_affine(av, bv, x, dx, zero), iv)
     acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
-            for t, d, masked, root, own in layout.group_layout]
+            for t, d, masked, root, own in plan.group_layout]
     out = []
-    for vrow, g in zip(v, row_groups):
+    for vrow, g in zip(v, plan.row_groups):
         act = acts[g]
         acc = [zero] * width
         for a, c in enumerate(vrow):
@@ -527,9 +475,9 @@ def _attend(mh: MultiheadAttention, maps: tuple, backend: str, x: list, dx: int,
                 for b, w in act[a]:
                     acc[b] += c * w
         out.append(acc)
-    if live is not None:
-        computed, out = out, [[zero] * width] * mh.out_rows
-        for r, acc in zip(live.rows, computed):
+    if len(out) < plan.out_rows:
+        computed, out = out, [[zero] * width] * plan.out_rows
+        for r, acc in zip(plan.rows, computed):
             out[r] = acc
     return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts)
 
@@ -546,7 +494,8 @@ def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     _check_self_input(mh, x.shape)
     _require_backend("attention", mh.backends, x.backend)
     rows, den = _numerators(x)
-    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend, rows, den, rows, den)[:2])
+    return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
+                                       rows, den, rows, den)[:2])
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -557,7 +506,7 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
     if x.cols != mh.p or y.cols != mh.p:
         raise ShapeError("cross-attention inputs must share the sequence length")
     _require_backend("attention", mh.backends, x.backend, y.backend)
-    return _to_mat(x.backend, *_attend(mh, mh.stacked, x.backend,
+    return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
                                        *_numerators(x), *_numerators(y))[:2])
 
 
@@ -603,7 +552,7 @@ class FeedForwardNet:
 
     @cached_property
     def floats(self) -> tuple:
-        """`sparse` in floats, over 1, as `MultiheadAttention.floats`."""
+        """`sparse` in floats, over 1, as `AttentionPlan.floats`."""
         return self.sparse if FLOAT in self.backends else self._layers(False)
 
     @cached_property
@@ -656,14 +605,15 @@ class EncoderBlock:
         return self.attn.masked
 
     @cached_property
-    def live(self) -> LiveView | None:
-        """The view of the attention layer that the net reads (`LiveView`):
-        the value rows in whose columns the net's first layer stores a
-        nonzero (its float image only drops entries, so it reads no other
-        row).  None when the net reads every value row.  Built on first
-        read and kept."""
+    def plan(self) -> AttentionPlan:
+        """The plan of the attention rows the net reads: the value rows in
+        whose columns its first layer stores a nonzero (its float image
+        only drops entries, so it reads no other row).  The layer's own
+        plan when the net reads every row.  Built on first read and kept."""
         read = {j for row in self.ffn.layers[0][0].nz for j, _ in row}
-        return None if len(read) == self.attn.out_rows else LiveView(self.attn, read)
+        if len(read) == self.attn.out_rows:
+            return self.attn.plan
+        return AttentionPlan(self.attn, sorted(read))
 
 
 @dataclass(frozen=True)
@@ -697,9 +647,10 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     block; each block's output is reduced by the gcd of its denominator
     and numerators, and an exact pass raises `PassSizeError` where that
     denominator or a numerator takes more than `MAX_PASS_BITS` bits.
-    With no observer, each block computes only the attention rows its net
-    reads (`EncoderBlock.live`), which leaves the carried rows and
-    denominator as they are.
+    With no observer, each block runs the plan of the attention rows its
+    net reads (`EncoderBlock.plan`), which leaves the carried rows and
+    denominator as they are: `_reduced` leaves the lcm of the entries'
+    reduced denominators, whatever the images sat over.
 
     A rational pass reads the integer caches (`stacked`, `sparse`); a float
     pass reads their float image (`floats`), so rational weights run in
@@ -719,13 +670,12 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
         except ShapeError as exc:
             raise ShapeError(f"block {i}: {exc}") from exc
         # an observer's record holds every row
-        live = blk.live if observer is None else None
-        images = blk.attn if live is None else live
+        plan = blk.plan if observer is None else blk.attn.plan
         if backend == RATIONAL:
-            maps, layers = images.stacked, blk.ffn.sparse
+            maps, layers = plan.stacked, blk.ffn.sparse
         else:
-            maps, layers = images.floats, blk.ffn.floats
-        y, dy, record = _attend(blk.attn, maps, backend, rows, den, rows, den, activations, live)
+            maps, layers = plan.floats, blk.ffn.floats
+        y, dy, record = _attend(plan, maps, backend, rows, den, rows, den, activations)
         y, dy = _feed(layers, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)

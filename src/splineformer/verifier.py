@@ -15,7 +15,7 @@ from .spline import SplineGrid
 from .tensor import (DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
                      nonzero_rows, scale, sparse_product)
 from .transformer import (RELU, SOFTMAX, Activation, EncoderModel, _carry, _check_backends,
-                          _firsts, _numerators, _spread, _walk)
+                          _handed, _numerators, _walk)
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -187,8 +187,8 @@ class DegreeReport:
                 "max_deg": self.max_deg}
 
 
-def _forward_diff_degree(values: Sequence[Sequence], max_deg: int) -> int:
-    """Largest k <= max_deg + 1 whose k-th forward difference is nonzero;
+def _forward_diff_degree(values: Sequence[Sequence]) -> int:
+    """Largest k < len(values) whose k-th forward difference is nonzero;
     values are flattened model outputs at equally spaced line points, or
     their numerators over one shared denominator (only zero tests matter).
     Every level after an all-zero one is all zero, so the difference table
@@ -243,7 +243,7 @@ def estimate_degree(model, max_deg: int, trials: int, seed: int,
                                          for k in range(points)))
         w = len(rows[0]) // points
         values = [[v for row in rows for v in row[k:k + w]] for k in range(0, points * w, w)]
-        per_trial.append(_forward_diff_degree(values, max_deg))
+        per_trial.append(_forward_diff_degree(values))
     counts: dict = {}
     for d in per_trial:
         counts[d] = counts.get(d, 0) + 1
@@ -330,26 +330,25 @@ class _ErrorBound:
         self.err = [[0.0] * x.cols for _ in range(x.rows)]
 
     def __call__(self, blk, q, k, v, acts):
-        attn, live = blk.attn, blk.live
+        plan = blk.attn.plan
         p = len(self.err[0])
-        shared_q, shared_k, shared_v, row_groups = attn.row_layout
+        iq, ik, iv = plan.index
         # the error maps are |coef| of the rows the pass computed: each
-        # product is formed once per distinct row, then handed out per
+        # product is formed once per distinct pair, then handed out per
         # stored row as the pass handed out its rows
-        mq, mk, mv = attn.magnitudes
-        eq = _spread(sparse_product(mq, self.err, p, 0.0), shared_q)
-        ek = _spread(sparse_product(mk, self.err, p, 0.0), shared_k)
-        ev = _spread(nonzero_rows(sparse_product(mv, self.err, p, 0.0)), shared_v)
-        abs_v = _spread(nonzero_rows(_abs_rows(_firsts(v, shared_v))), shared_v)
+        mq, mk, mv = plan.magnitudes
+        eq = _handed(sparse_product(mq, self.err, p, 0.0), iq)
+        ek = _handed(sparse_product(mk, self.err, p, 0.0), ik)
+        ev = _handed(nonzero_rows(sparse_product(mv, self.err, p, 0.0)), iv)
         # per group, the value rows of its heads that the net reads
-        # (`blk.live`); the other rows stay 0, in columns the net's
+        # (`blk.plan`); the other rows stay 0, in columns the net's
         # magnitudes never read
         members = {}
-        for r in range(len(v)) if live is None else live.rows:
-            members.setdefault(row_groups[r], []).append(r)
+        for r in blk.plan.rows:
+            members.setdefault(plan.row_groups[r], []).append(r)
         out = [[0.0] * p] * len(v)
         for g, read in members.items():
-            (t, d, masked, *_), act = attn.group_layout[g], acts[g]
+            (t, d, masked, *_), act = plan.group_layout[g], acts[g]
             eqh, ekt = eq[t:t + d], list(zip(*ek[t:t + d]))
             # |s~ - s| <= |K|^T eq + ek^T |Q| + ek^T eq
             es = _sum(_sum(_product(zip(*_abs_rows(k[t:t + d])), eqh),
@@ -361,7 +360,7 @@ class _ErrorBound:
             # |V~ A~ - V A| <= eV (|A| + eA) + |V| eA, one product per group
             # over its rows: each row's sums are its own
             bound = _sum(sparse_product([ev[r] for r in read], _sum(dense, es), p, 0.0),
-                         sparse_product([abs_v[r] for r in read], es, p, 0.0))
+                         sparse_product(nonzero_rows(_abs_rows(v[r] for r in read)), es, p, 0.0))
             for r, row in zip(read, bound):
                 out[r] = row
         for rows in blk.ffn.magnitudes:

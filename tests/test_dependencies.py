@@ -115,3 +115,12 @@ def test_src_defines_only_what_runs():
               if where not in PAPER_SURFACE and node.name not in outside
               and src_reads[node.name] == names_read(node)[node.name]]
     assert not unread, f"definitions that only tests read: {unread}"
+
+
+def test_reference_walk_builds_its_own_rows():
+    # `reference.unshared_walk` computes every stored row from the images
+    # of the stored maps; were it to read the pass's plan, the tests that
+    # compare the two would compare the plan with itself
+    reads = names_read(parse(Path(__file__).resolve().parent / "reference.py"))
+    assert {"_image", "mats", "group_layout"} <= set(reads)
+    assert not {"plan", "AttentionPlan", "_handed"} & set(reads)

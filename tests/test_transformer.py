@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
@@ -375,7 +377,7 @@ class TestIntegerCore:
             assert got == reference_encoder(blocks, x)
             assert all_fractions(got)
             # the weight maps sit over shared denominators above 1
-            assert all(max(den for *_, den in blk.attn.stacked[:3]) > 1 for blk in blocks)
+            assert all(max(den for *_, den in blk.attn.plan.stacked[:3]) > 1 for blk in blocks)
             assert max(den for blk in blocks for *_, den in blk.ffn.sparse) > 1
 
     def test_float_chain_matches_reference(self):
@@ -648,7 +650,7 @@ class TestFloatImage:
     @staticmethod
     def assert_image_of_copy(blocks):
         for blk, twin in zip(blocks, blocks_to_float(blocks)):
-            assert blk.attn.floats == twin.attn.stacked
+            assert blk.attn.plan.floats == twin.attn.plan.stacked
             assert blk.ffn.floats == twin.ffn.sparse
 
     @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3)])
@@ -664,14 +666,14 @@ class TestFloatImage:
         ffn = FeedForwardNet(((rmat([[tiny], [F(-2, 7)]]), rmat([[tiny], [1]])),))
         blocks = [EncoderBlock(MultiheadAttention.of((head,)), ffn)]
         self.assert_image_of_copy(blocks)
-        (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.floats
+        (aq, bq, _), (ak, _, _), (av, _, _) = blocks[0].attn.plan.floats
         assert aq == (((1, 1 / 3),),) and bq == (None,)
         assert ak == (((0, 1.0),),) and av == (((1, 2.0),),)
         assert blocks[0].ffn.floats[0][0] == ((), ((0, -2 / 7),))
 
     def test_float_weights_are_their_own_image(self):
         blk = blocks_to_float(random_chain(random.Random(7), 2, 2, 1, 1))[0]
-        assert blk.attn.floats is blk.attn.stacked
+        assert blk.attn.plan.floats is blk.attn.plan.stacked
         assert blk.ffn.floats is blk.ffn.sparse
 
     def test_mixed_backend_layer(self):
@@ -895,7 +897,8 @@ class TestGroupedHeads:
                 split = []
                 for h in blk.attn.heads:
                     one = MultiheadAttention.of((h,))
-                    split.append(_attend(one, one.floats, FLOAT, rows, 1, rows, 1, (activation,))[2])
+                    split.append(_attend(one.plan, one.plan.floats, FLOAT, rows, 1, rows, 1,
+                                         (activation,))[2])
                 firsts = [split[blk.attn.table.index(g)] for g in range(len(blk.attn.groups))]
                 assert len(acts) == len(blk.attn.groups)
                 assert acts == [act for _, _, _, (act,) in firsts]
@@ -1058,7 +1061,7 @@ class TestSharedRows:
     @settings(max_examples=80, deadline=None)
     def test_pass_equals_unshared_reference(self, case):
         blocks, xs, stand_ins = case
-        assert all(blk.attn.row_layout[2] is not None for blk in blocks)
+        assert all(blk.attn.plan.index[2] is not None for blk in blocks)
         x = side_by_side(xs)
         shared, unshared = Recorder(), Recorder()
         got = _walk(blocks, x, shared, stand_ins)
@@ -1072,29 +1075,37 @@ class TestSharedRows:
                 assert len(rows) == len(ref_rows)
                 assert all(repr(row) == repr(ref) for row, ref in zip(rows, ref_rows))
 
-    def test_faithful_distinct_rows(self):
-        faithful = CompileOptions(mode="faithful")
-        grid = compile_spline(grid_from_json(GRID_2X2), faithful).blocks[1].attn
-        eps2 = build_eps2(1, 3, faithful).blocks[1].attn
-        for mh, stored, distinct in ((grid, (43, 43, 410), (22, 2, 11)),
-                                     (eps2, (77, 77, 876), (27, 3, 13))):
-            assert (mh.a_q.rows, mh.a_k.rows, mh.a_v.rows) == stored
-            assert tuple(len(firsts) for firsts, _ in mh.row_layout[:3]) == distinct
-            assert tuple(len(index) for _, index in mh.row_layout[:3]) == stored
-            # the images hold the distinct rows only, exact and float
-            for maps in (mh.stacked, mh.floats):
-                assert tuple(len(rows) for rows, _, _ in maps) == distinct
-
     def test_map_without_repeats_has_no_index(self):
         rng = random.Random("no-repeats")
         mh = MultiheadAttention.of(tuple(random_head(rng, 2, 2) for _ in range(3)))
-        assert mh.row_layout == (None, None, None, (0, 1, 2))
-        assert tuple(len(rows) for rows, _, _ in mh.stacked) == (3, 3, 3)
+        assert (mh.plan.index, mh.plan.row_groups) == ((None, None, None), (0, 1, 2))
+        assert tuple(len(rows) for rows, _, _ in mh.plan.stacked) == (3, 3, 3)
         # clones keep Q and K, so only the value map repeats across groups
         shared = MultiheadAttention.of(mh.heads + (replace(mh.heads[2], a_v=mh.heads[0].a_v,
                                                            b_v=mh.heads[0].b_v),))
-        assert shared.row_layout == (None, None, ((0, 1, 2), (0, 1, 2, 0)), (0, 1, 2, 2))
-        assert tuple(len(rows) for rows, _, _ in shared.stacked) == (3, 3, 3)
+        plan = shared.plan
+        assert (plan.index, plan.row_groups) == ((None, None, (0, 1, 2, 0)), (0, 1, 2, 2))
+        assert tuple(len(rows) for rows, _, _ in plan.stacked) == (3, 3, 3)
+
+    def test_layer_is_freed_with_its_plans(self):
+        # a plan copies what it reads of its layer, so a layer and the plans
+        # it and its block keep form no reference cycle: dropping the block
+        # frees them by refcount, with no wait for the cyclic collector
+        rng = random.Random("freed")
+        mh = pooled_layer(rng, 2, 2, 1, 1, 3)
+        net = FeedForwardNet(((Mat.rational([[1] + [0] * (mh.out_rows - 1)]), Mat.zeros(1, 1)),))
+        blk = EncoderBlock(mh, net)
+        x = sparse_random_mat(rng, 2, 2)
+        _walk([blk], x)
+        _walk([blk], x, Recorder())
+        assert blk.plan is not mh.plan and blk.plan.stacked and mh.plan.stacked
+        refs = [weakref.ref(blk), weakref.ref(mh)]
+        gc.disable()
+        try:
+            del blk, mh
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_shared_rows_are_not_mutated(self):
         # a residual chain with multi-layer nets over heads that share value
@@ -1107,7 +1118,7 @@ class TestSharedRows:
             ffn = FeedForwardNet(tuple((sparse_random_mat(rng, o, i), sparse_random_mat(rng, o, 1))
                                        for i, o in ((mh.out_rows, 3), (3, 2), (2, n))))
             blocks.append(EncoderBlock(mh, ffn, residual=True))
-        assert all(blk.attn.row_layout[2] is not None for blk in blocks)
+        assert all(blk.attn.plan.index[2] is not None for blk in blocks)
         def records(recorder):
             return repr([record for _, *record in recorder.seen])
 
@@ -1194,10 +1205,14 @@ def carried(walk, blocks, x, *args):
 
 
 # per faithful model, the (n, p) of its `build_eps2` or the 2x2 grid, then
-# the live value rows and groups of its block 2, of all its value rows and groups
-FAITHFUL_LIVE = [((1, 2), (18, 150), (11, 27)), ((2, 2), (50, 410), (19, 43)),
-                 ((3, 2), (98, 798), (27, 59)), ((1, 3), (48, 876), (23, 77)),
-                 ("grid", (12, 410), (11, 43))]
+# of its block 2: the stored Q, K and V rows, the distinct Q, K and V pairs
+# of its layer's plan, and the value rows and groups of the plan of the rows
+# its net reads, of all its value rows and groups
+FAITHFUL_LIVE = [((1, 2), (27, 27, 150), (14, 2, 7), (18, 150), (11, 27)),
+                 ((2, 2), (43, 43, 410), (22, 2, 11), (50, 410), (19, 43)),
+                 ((3, 2), (59, 59, 798), (30, 2, 15), (98, 798), (27, 59)),
+                 ((1, 3), (77, 77, 876), (27, 3, 13), (48, 876), (23, 77)),
+                 ("grid", (43, 43, 410), (22, 2, 11), (12, 410), (11, 43))]
 
 
 def faithful_blocks(shape):
@@ -1209,7 +1224,7 @@ def faithful_blocks(shape):
 
 class TestLivePass:
     """A pass with no observer computes only the attention rows a block's
-    net reads (`EncoderBlock.live`); what it carries out of every block,
+    net reads (`EncoderBlock.plan`); what it carries out of every block,
     numerators and denominator, must be the full pass's, bit for bit."""
 
     @given(case=live_chains())
@@ -1222,7 +1237,7 @@ class TestLivePass:
         assert live == carried(_walk, blocks, x, Recorder(), stand_ins)
         assert live == carried(unshared_walk, blocks, x, None, stand_ins)
 
-    def test_view_of_a_layer(self):
+    def test_plan_of_read_rows(self):
         # four heads of one value row over two groups; the net reads rows 1 and 3
         rng = random.Random("live-view")
         h0, h1 = random_head(rng, 2, 2), random_head(rng, 2, 2)
@@ -1231,35 +1246,44 @@ class TestLivePass:
         assert mh.table == (0, 1, 0, 1)
         a = Mat.rational([[0, 1, 0, 2], [0, 0, 0, F(1, 3)]])
         blk = EncoderBlock(mh, FeedForwardNet(((a, Mat.zeros(2, 1)),)))
-        live = blk.live
-        assert (live.rows, live.groups) == ((1, 3), (1,))
-        assert live.group_layout == ((0,) + mh.group_layout[1][1:],)
+        plan = blk.plan
+        assert (plan.rows, plan.groups) == ((1, 3), (1,))
+        assert plan.group_layout == ((0,) + mh.group_layout[1][1:],)
         # rows 1 and 3 of V are one distinct row; group 1 reads Q and K row 1
-        assert mh.row_layout[2] == ((0, 1), (0, 1, 1, 1))
-        assert live.picks == ((1,), (1,), (1,))
-        assert live.row_layout == (None, None, ((1,), (0, 0)), (0, 0))
-        for view, full in ((live.stacked, mh.stacked), (live.floats, mh.floats)):
-            assert [(rows, bias, den) for rows, bias, den in view] == [
-                ((rows[1],), (bias[1],), den) for rows, bias, den in full]
-        assert blk.live is live
+        assert mh.plan.index[2] == (0, 1, 1, 1)
+        maps = list(zip(mh.mats[::2], mh.mats[1::2]))
+        assert plan.pairs == tuple(((a.nz[1], b.nz[1]),) for a, b in maps)
+        assert (plan.index, plan.row_groups) == ((None, None, (0, 0)), (0, 0))
+        # the images are of those rows alone, over their own denominators
+        for exact, images in ((True, plan.stacked), (False, plan.floats)):
+            assert images == tuple(_image((a.nz[1],), (b.nz[1],), mh.p, exact) for a, b in maps)
+        assert blk.plan is plan
         x = sparse_random_mat(rng, 2, 2)
         assert _walk([blk], x) == _walk([blk], x, Recorder()) == reference_encoder([blk], x)
 
-    def test_fully_read_layer_has_no_view(self):
+    def test_fully_read_block_shares_the_layer_plan(self):
+        # so a block whose net reads every row builds no second set of images
         rng = random.Random("live-none")
         for blk in random_chain(rng, 2, 2, 2, 2):
             a, b = blk.ffn.layers[0]
             full = FeedForwardNet(((Mat.rational([[1] * a.cols] * a.rows), b), *blk.ffn.layers[1:]))
-            assert EncoderBlock(blk.attn, full, blk.residual).live is None
+            read = EncoderBlock(blk.attn, full, blk.residual)
+            assert read.plan is read.attn.plan
 
-    @pytest.mark.parametrize("shape,rows,groups", FAITHFUL_LIVE,
+    @pytest.mark.parametrize("shape,stored,distinct,rows,groups", FAITHFUL_LIVE,
                              ids=["eps2_1x2", "eps2_2x2", "eps2_3x2", "eps2_1x3", "grid_2x2"])
-    def test_faithful_live_counts(self, shape, rows, groups):
+    def test_faithful_live_counts(self, shape, stored, distinct, rows, groups):
         first, second = faithful_blocks(shape)
-        assert first.live is None
-        live = second.live
-        assert (len(live.rows), second.attn.out_rows) == rows
-        assert (len(live.groups), len(second.attn.groups)) == groups
+        assert first.plan is first.attn.plan
+        mh, live = second.attn, second.plan
+        assert (mh.a_q.rows, mh.a_k.rows, mh.a_v.rows) == stored
+        assert tuple(len(pairs) for pairs in mh.plan.pairs) == distinct
+        assert tuple(len(index) for index in mh.plan.index) == stored
+        # the images hold the distinct rows only, exact and float
+        for maps in (mh.plan.stacked, mh.plan.floats):
+            assert tuple(len(rows) for rows, _, _ in maps) == distinct
+        assert (len(live.rows), mh.out_rows) == rows
+        assert (len(live.groups), len(mh.groups)) == groups
 
     @pytest.mark.parametrize("mode", ["auto", "pruned"])
     def test_compiled_models_read_every_row(self, mode):
@@ -1267,7 +1291,7 @@ class TestLivePass:
             {"coef": "1", "exps": {"x_1_1": 9}}]}]]}]
         for grid in grids:
             blocks = compile_spline(grid_from_json(grid), CompileOptions(mode=mode)).blocks
-            assert all(blk.live is None for blk in blocks)
+            assert all(blk.plan is blk.attn.plan for blk in blocks)
 
     def test_dead_degenerate_softmax_column(self):
         # group 0's score k q overflows to -inf, so its SoftMax column has no
@@ -1282,7 +1306,7 @@ class TestLivePass:
         read = attention_head(one, zero, one, zero, scale(one, 2.0), zero)
         net = FeedForwardNet(((Mat.from_floats([[0.0, 1.0]]), zero),))
         blk = EncoderBlock(MultiheadAttention.of((dead, read)), net)
-        assert blk.live.groups == (1,)
+        assert blk.plan.groups == (1,)
         # the full pass raises; the live pass never forms group 0's pattern
         with pytest.raises(DegenerateColumnError):
             _walk([blk], one, Recorder())
@@ -1294,7 +1318,7 @@ class TestLivePass:
 def exact_batches(draw):
     """An exact `pooled_chains` chain (a plain, a residual, a masked and a
     masked residual block) in which one drawn block's net skips a drawn
-    value row, so that block has a live view, and one to
+    value row, so that block has a plan of its own, and one to
     `PASS_COLUMNS // p` of its inputs."""
     blocks, xs, _ = draw(pooled_chains(exact=True))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -1319,7 +1343,7 @@ class TestExactBatch:
     @settings(max_examples=30, deadline=None)
     def test_batch_equals_single_passes(self, case):
         blocks, xs = case
-        assert sum(blk.live is not None for blk in blocks) >= 1
+        assert sum(blk.plan is not blk.attn.plan for blk in blocks) >= 1
         got = _walk(blocks, side_by_side(xs), activations=(None,) * len(xs))
         p = xs[0].cols
         assert got.backend != FLOAT and got.cols == len(xs) * p

@@ -259,7 +259,7 @@ class TestForwardDifferences:
 
     def test_equals_full_table(self):
         for values in self.cases():
-            assert _forward_diff_degree(values, len(values) - 2) == full_table_degree(values)
+            assert _forward_diff_degree(values) == full_table_degree(values)
 
     def test_integer_numerator_rows(self):
         # the values as integer numerators over one shared denominator, as
@@ -268,8 +268,7 @@ class TestForwardDifferences:
             den = math.lcm(*(v.denominator for row in values for v in row))
             ints = [[v.numerator * (den // v.denominator) for v in row] for row in values]
             assert all(type(v) is int for row in ints for v in row)
-            assert (_forward_diff_degree(ints, len(ints) - 2)
-                    == _forward_diff_degree(values, len(values) - 2))
+            assert _forward_diff_degree(ints) == _forward_diff_degree(values)
 
     @staticmethod
     @st.composite
@@ -292,18 +291,18 @@ class TestForwardDifferences:
     def test_integer_rows_equal_table(self, values):
         # the binomial sum decides the censored trials, the table the rest
         assert all(type(v) is int for row in values for v in row)
-        assert _forward_diff_degree(values, len(values) - 2) == full_table_degree(values)
+        assert _forward_diff_degree(values) == full_table_degree(values)
 
     def test_edge_sequences(self):
-        assert _forward_diff_degree([[F(5)]], -1) == 0
-        assert _forward_diff_degree([[F(3), F(-1)]] * 5, 3) == 0
-        assert _forward_diff_degree([[F(0), F(0)]] * 6, 4) == 0
-        assert _forward_diff_degree([[F(1)], [F(1)], [F(2)]], 1) == 2
+        assert _forward_diff_degree([[F(5)]]) == 0
+        assert _forward_diff_degree([[F(3), F(-1)]] * 5) == 0
+        assert _forward_diff_degree([[F(0), F(0)]] * 6) == 0
+        assert _forward_diff_degree([[F(1)], [F(1)], [F(2)]]) == 2
         for max_deg in range(5):
             # degree max_deg + 1 is censored at max_deg + 1
             coefs = [[F(0)] * (max_deg + 1) + [F(2, 3)], [F(1)]]
             values = self.polynomial_values(coefs, max_deg + 2)
-            assert _forward_diff_degree(values, max_deg) == max_deg + 1
+            assert _forward_diff_degree(values) == max_deg + 1
 
 
 class TestSmoothSwap:
