@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .tensor import FormatError, Mat, Scalar, json_field
+from .tensor import RATIONAL, FormatError, Mat, Scalar, ShapeError, json_field
 
 
 class VariableRangeError(ValueError):
@@ -90,13 +92,14 @@ class Monomial:
     def variables(self) -> tuple:
         return tuple(v for v, _ in self.exps)
 
+    @cached_property
+    def _reads(self) -> tuple:
+        """The (row, column, exponent) reads of the product, 0-based."""
+        return tuple((i - 1, j - 1, e) for (i, j), e in self.exps)
+
     def eval(self, x: Mat) -> Scalar:
-        acc = Fraction(1) if x.backend == "rational" else 1.0
-        for (i, j), e in self.exps:
-            if i > x.rows or j > x.cols:
-                raise VariableRangeError(f"variable x_{i}_{j} outside {x.rows}x{x.cols} input")
-            acc = acc * x.at(i - 1, j - 1) ** e
-        return acc
+        _check_range((self._reads,), x)
+        return monomial_values((self,), x)[0]
 
     def __repr__(self):
         if not self.exps:
@@ -155,11 +158,12 @@ class Polynomial:
                 d[m] = d.get(m, Fraction(0)) + c1 * c2
         return Polynomial.from_terms(d)
 
+    @cached_property
+    def _table(self) -> "_Table":
+        return _Table(((self,),))
+
     def eval(self, x: Mat) -> Scalar:
-        acc = Fraction(0) if x.backend == "rational" else 0.0
-        for m, c in self.terms:
-            acc = acc + c * m.eval(x)
-        return acc
+        return self._table.eval(x)
 
     def __repr__(self):
         if not self.terms:
@@ -198,16 +202,151 @@ class PBForm:
         return {v for m in self.support() for v in m.variables()}
 
     @cached_property
-    def _indexed(self) -> tuple:
-        """The distinct polynomials, first use first, and the rows as indices into them."""
-        index: dict = {}
-        rows = tuple(tuple(index.setdefault(p, len(index)) for p in row) for row in self.rows)
-        return tuple(index), rows
+    def _table(self) -> "_Table":
+        return _Table(self.rows)
 
     def eval(self, x: Mat) -> Scalar:
-        polys, rows = self._indexed
-        values = [p.eval(x) for p in polys]
-        return max(min(values[i] for i in row) for row in rows)
+        return self._table.eval(x)
+
+
+# -- evaluation on integer numerators ------------------------------------------
+# A rational input is read as integer numerators over D, the lcm of its
+# denominators, so a monomial of degree k is an integer over D^k and no step
+# takes a gcd until the one `Fraction` of each result.  A float input is its
+# own numerators over 1, evaluated term by term in the polynomials' order.
+
+
+def _numerators(x: Mat) -> tuple:
+    """x as dense rows of integer numerators over D, the lcm of its
+    denominators; a float input is its own rows, over 1."""
+    if x.backend != RATIONAL:
+        return x.data, 1
+    den = math.lcm(*[v.denominator for row in x.nz for _, v in row])
+    rows = []
+    for row in x.nz:
+        out = [0] * x.cols
+        for j, v in row:
+            out[j] = v.numerator * (den // v.denominator)
+        rows.append(out)
+    return rows, den
+
+
+def _products(reads: Sequence, rows: Sequence, one) -> list:
+    """Per monomial, the product of its (row, column, exponent) reads of
+    `rows`, from `one` up."""
+    values = []
+    for monomial in reads:
+        v = one
+        for i, j, e in monomial:
+            v = v * rows[i][j] ** e
+        values.append(v)
+    return values
+
+
+class _Lowest:
+    """A numerator and denominator known to be coprime: `Fraction` takes a
+    `numbers.Rational`, whose terms are lowest by its contract, as it
+    stands."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_Lowest)
+
+
+def _fraction(num: int, den: int, base: int) -> Fraction:
+    """num / den in lowest terms, where every prime factor of den divides
+    base.  `Fraction(num, den)` takes gcd(num, den), whose first step
+    divides num by den: slow when both are long (3 of the 4.4 ms that
+    -2x + 3/7 x^4096 took at 99999999999/7 on a 2-vCPU Xeon VM).  A num
+    coprime to the short base is coprime to den, so a den longer than 64
+    bits is then taken as it stands."""
+    if den.bit_length() > 64 and math.gcd(num, base) == 1:
+        return Fraction(_Lowest(num, den))
+    return Fraction(num, den)
+
+
+def _check_range(reads: Sequence, x: Mat):
+    for monomial in reads:
+        for i, j, _ in monomial:
+            if i >= x.rows or j >= x.cols:
+                raise VariableRangeError(
+                    f"variable x_{i + 1}_{j + 1} outside {x.rows}x{x.cols} input")
+
+
+def monomial_values(monomials: Sequence[Monomial], x: Mat) -> list:
+    """Each monomial at x: a `Fraction` over D^k for degree k, one power of
+    D per distinct degree, or a float on a float input."""
+    rows, den = _numerators(x)
+    if x.backend != RATIONAL:
+        return _products([m._reads for m in monomials], rows, 1.0)
+    degrees = [m.degree for m in monomials]
+    powers = {k: den ** k for k in set(degrees)}
+    return [_fraction(v, powers[k], den) for v, k in
+            zip(_products([m._reads for m in monomials], rows, 1), degrees)]
+
+
+class _Table:
+    """A max-min form as integers, built once per form: its distinct
+    monomials in first-use order, as (row, column, exponent) reads, and the
+    power of D that lifts each to the form's degree s; its distinct
+    polynomials, as the monomials and integer coefficients over L, the lcm
+    of the form's coefficient denominators, of their terms in order; and
+    its rows, as indices into the polynomials."""
+
+    def __init__(self, rows: Sequence[Sequence[Polynomial]]):
+        polys: dict = {}
+        self.rows = tuple(tuple(polys.setdefault(p, len(polys)) for p in row) for row in rows)
+        monomials: dict = {}
+        terms = [[(monomials.setdefault(m, len(monomials)), c) for m, c in p.terms]
+                 for p in polys]
+        self.den = math.lcm(*[c.denominator for t in terms for _, c in t])
+        self.polys = tuple((tuple(k for k, _ in t),
+                            tuple(c.numerator * (self.den // c.denominator) for _, c in t))
+                           for t in terms)
+        self.reads = tuple(m._reads for m in monomials)
+        degrees = [m.degree for m in monomials]
+        self.degree = max(degrees, default=0)
+        self.lifts = tuple(self.degree - k for k in degrees)
+        # the distinct lifts, or none when every monomial is of degree s
+        self.steps = tuple(set(self.lifts)) if any(self.lifts) else ()
+
+    def polynomials(self, rows: Sequence, den: int, rational: bool) -> list:
+        """Each distinct polynomial at numerator rows over den: an integer
+        over L * den^s, or a float on a float input."""
+        if not rational:
+            # a / L is float(c): both round the same rational correctly
+            values = _products(self.reads, rows, 1.0)
+            out = []
+            for monomials, coefs in self.polys:
+                acc = 0.0
+                for k, a in zip(monomials, coefs):
+                    acc = acc + a / self.den * values[k]
+                out.append(acc)
+            return out
+        values = _products(self.reads, rows, 1)
+        if den != 1 and self.steps:
+            powers = {t: den ** t for t in self.steps}
+            values = [v * powers[t] for v, t in zip(values, self.lifts)]
+        get = values.__getitem__
+        return [sum(map(operator.mul, coefs, map(get, monomials)))
+                for monomials, coefs in self.polys]
+
+    def value(self, rows: Sequence, den: int, rational: bool) -> Scalar:
+        """The form at numerator rows over den; max and min compare the
+        numerators over their shared positive denominator."""
+        get = self.polynomials(rows, den, rational).__getitem__
+        best = max([min(map(get, row)) for row in self.rows])
+        if not rational:
+            return best
+        return _fraction(best, self.den * den ** self.degree, self.den * den)
+
+    def eval(self, x: Mat) -> Scalar:
+        _check_range(self.reads, x)
+        return self.value(*_numerators(x), x.backend == RATIONAL)
 
 
 def absorb(rows: Sequence[Sequence[Polynomial]]) -> PBForm:
@@ -485,7 +624,13 @@ class SplineGrid:
         return tuple(row[j - 1] for row in self.grid)
 
     def eval(self, x: Mat) -> Mat:
-        return Mat.dense(x.backend, tuple(tuple(f.eval(x) for f in row) for row in self.grid))
+        """The grid at an n x p input, its numerators taken once for every form."""
+        if x.shape != (self.n, self.p):
+            raise ShapeError(f"input {x.shape} does not match grid over {self.n}x{self.p}")
+        rows, den = _numerators(x)
+        rational = x.backend == RATIONAL
+        return Mat.dense(x.backend, tuple(tuple(f._table.value(rows, den, rational) for f in row)
+                                          for row in self.grid))
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .spline import Monomial
+from .spline import Monomial, monomial_values
 from .tensor import Mat, ShapeError
 
 
@@ -58,7 +58,7 @@ def veronese_eval(idx: VeroneseIndex, x: Mat) -> Mat:
     """Column vector of the monomial values, in index order."""
     if x.shape != (idx.n, idx.p):
         raise ShapeError(f"input {x.shape} does not match index over {idx.n}x{idx.p}")
-    return Mat.dense(x.backend, tuple((m.eval(x),) for m in idx.monomials))
+    return Mat.dense(x.backend, tuple((v,) for v in monomial_values(idx.monomials, x)))
 
 
 def factor_pair(m: Monomial, cap: int) -> tuple:

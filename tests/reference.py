@@ -10,8 +10,9 @@ head's output from first principles and compare.  A head is a
 and the writer of the per-head weights form, which only tests use, live
 here too, as do the max-min combinators as they were before forms were
 absorbed, the normal form built with them, the max-min readout net as
-it was before equal units were shared, and the block walk as it was
-before equal attention-map rows were shared.
+it was before equal units were shared, the block walk as it was
+before equal attention-map rows were shared, and the spline oracle as it
+was before it ran on integer numerators: a `Fraction` per step.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from unittest import mock
 
 from splineformer import spline
 from splineformer.compiler import CompiledEncoder, _layer, _sparse
-from splineformer.spline import PBForm, _check_size, _form_size
+from splineformer.spline import PBForm, VariableRangeError, _check_size, _form_size
 from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, Mat, ShapeError,
                                  _softmax_column, _softplus_scalar, add, mat_to_json, scale)
 from splineformer.transformer import (FeedForwardNet, _added, _affine, _feed, _image,
@@ -165,7 +166,7 @@ def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
     and be zero everywhere else (the off-column entries vanish)."""
     out = eval_encoder(compiled.blocks, x)
     for mon, col, row in compiled.layout.entries():
-        want = mon.eval(x)
+        want = monomial_eval(mon, x)
         for j in range(out.cols):
             have = out.at(row, j)
             if j == col - 1:
@@ -174,6 +175,44 @@ def check_layout_soundness(compiled: CompiledEncoder, x: Mat) -> bool:
             elif have != 0:
                 return False
     return True
+
+
+# -- the Fraction oracle ----------------------------------------------------------
+# `Monomial.eval`, `Polynomial.eval`, `PBForm.eval` and `SplineGrid.eval` as
+# they were before the spline oracle ran on integer numerators: every step a
+# `Fraction` (or a float on a float input), every variable read through
+# `Mat.at`.
+
+def monomial_eval(m, x: Mat):
+    acc = Fraction(1) if x.backend == "rational" else 1.0
+    for (i, j), e in m.exps:
+        if i > x.rows or j > x.cols:
+            raise VariableRangeError(f"variable x_{i}_{j} outside {x.rows}x{x.cols} input")
+        acc = acc * x.at(i - 1, j - 1) ** e
+    return acc
+
+
+def polynomial_eval(p, x: Mat):
+    acc = Fraction(0) if x.backend == "rational" else 0.0
+    for m, c in p.terms:
+        acc = acc + c * monomial_eval(m, x)
+    return acc
+
+
+def pbform_eval(f: PBForm, x: Mat):
+    index: dict = {}
+    rows = tuple(tuple(index.setdefault(p, len(index)) for p in row) for row in f.rows)
+    values = [polynomial_eval(p, x) for p in index]
+    return max(min(values[i] for i in row) for row in rows)
+
+
+def grid_eval(g, x: Mat) -> Mat:
+    return Mat.dense(x.backend, tuple(tuple(pbform_eval(f, x) for f in row) for row in g.grid))
+
+
+def veronese_column(idx, x: Mat) -> Mat:
+    """`veronese_eval` on the reference monomials."""
+    return Mat.dense(x.backend, tuple((monomial_eval(m, x),) for m in idx.monomials))
 
 
 # -- the per-head weights form -------------------------------------------------

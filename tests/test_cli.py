@@ -887,6 +887,16 @@ class TestExactSizeCaps:
         assert main(["eval", w, x]) == 0
         assert json.loads(capsys.readouterr().out) == [[f"{10 ** 4096}/{7 ** 4096}"]]
 
+    def test_verify_mixed_degrees_at_the_cap(self, tmp_path, capsys):
+        # -2 x + 3/7 x^4096: the oracle lifts x to the form's degree
+        spath, w = compile_to(tmp_path, {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "-2", "exps": {"x_1_1": 1}},
+            {"coef": "3/7", "exps": {"x_1_1": MAX_DEGREE}}]}]]})
+        capsys.readouterr()
+        assert main(["verify", w, spath, "--samples", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact"] is True and report["samples"] == 2
+
 
 class TestBatchedChecks:
     """`degree` runs each trial's line points as batched exact passes of

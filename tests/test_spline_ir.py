@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction as F
 
@@ -6,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splineformer import spline
 from splineformer.spline import (MAX_FORM_SIZE, FormSizeError, Monomial, PBForm,
                                  Polynomial, SplineGrid, UnsupportedProductError,
                                  VariableRangeError, absorb, const, emax, emin, eprod,
                                  escale, esum, eval_maxdef, expr_from_json, expr_to_json,
                                  grid_from_json, grid_to_json, normalize_to_pbform,
                                  pb_max, pb_min, pb_negate, pb_scale, pb_sum, var)
-from splineformer.tensor import Mat
+from splineformer.tensor import Mat, ShapeError
 from splineformer.verifier import random_rational_mat, trial_rng
+from splineformer.veronese import VeroneseIndex, veronese_eval
 
-from reference import unabsorbed_form
+from reference import (grid_eval, monomial_eval, pbform_eval, polynomial_eval, unabsorbed_form,
+                       veronese_column)
 
 
 def x(i, j=1):
@@ -72,14 +76,165 @@ class TestEvalPBForm:
                                   emin(var(1, 1), emax(var(2, 1), const(1)))))
         assert (len(f.rows), sum(map(len, f.rows))) == (64, 256)
         assert len({p for row in f.rows for p in row}) == 9
+        table = f._table
+        assert len(table.polys) == 9 and sum(map(len, table.rows)) == 256
         calls = []
-        polynomial_eval = Polynomial.eval
-        monkeypatch.setattr(Polynomial, "eval",
-                            lambda p, x: calls.append(p) or polynomial_eval(p, x))
-        x_in = mat([[F(3, 2)], [F(-1, 3)]])
-        want = max(min(polynomial_eval(p, x_in) for p in row) for row in f.rows)
-        assert f.eval(x_in) == want
-        assert len(calls) <= 9
+        polynomials = spline._Table.polynomials
+        monkeypatch.setattr(spline._Table, "polynomials",
+                            lambda t, *args: calls.append(polynomials(t, *args)) or calls[-1])
+        for x_in in (mat([[F(3, 2)], [F(-1, 3)]]), Mat.from_floats([[1.5], [-0.25]])):
+            calls.clear()
+            assert f.eval(x_in) == pbform_eval(f, x_in)
+            # one numerator per distinct polynomial, in one pass per call
+            assert [len(values) for values in calls] == [9]
+
+
+ABS_DOC = {"n": 1, "p": 1, "grid": [[{"op": "max", "args": [
+    {"op": "poly", "terms": [{"coef": "1", "exps": {"x_1_1": 1}}]},
+    {"op": "poly", "terms": [{"coef": "-1", "exps": {"x_1_1": 1}}]}]}]]}
+
+
+class TestEvalShapes:
+    def test_grid_rejects_an_input_of_another_shape(self):
+        g = grid_from_json(ABS_DOC)
+        for x_in in (mat([[-2, 1, 0], [3, 4, 5]]), mat([[1], [2]]), mat([[1, 2]])):
+            with pytest.raises(ShapeError, match="does not match grid over 1x1"):
+                g.eval(x_in)
+            with pytest.raises(ShapeError):
+                g.eval(x_in.to_float())
+        assert g.eval(mat([[-2]])) == mat([[2]])
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_forms_reject_a_variable_outside_the_input(self, backend):
+        xy = x(1, 1).mul(x(2, 3))
+        monomial = xy.terms[0][0]
+        evaluators = [PBForm.of_rows([[x(1)], [xy]]).eval, xy.eval, monomial.eval,
+                      Monomial.variable(1, 4).eval]
+        small = mat([[1, 2], [3, 4]])
+        if backend == "float":
+            small = small.to_float()
+        for evaluate in evaluators:
+            with pytest.raises(VariableRangeError, match="outside 2x2 input"):
+                evaluate(small)
+        with pytest.raises(VariableRangeError, match="x_2_3 outside 2x2"):
+            xy.eval(small)
+
+
+# polynomials of degree <= 8 over an n x p input, under nested max, min and sums
+@st.composite
+def leaves(draw, n, p):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = {(i, j): draw(st.integers(0, 8)) for i in range(1, n + 1) for j in range(1, p + 1)
+                if draw(st.booleans())}
+        if sum(exps.values()) <= 8:
+            terms[Monomial.from_dict(exps)] = F(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+    return Polynomial.from_terms(terms)
+
+
+@st.composite
+def lattice(draw, n, p, depth):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        leaf = draw(leaves(n, p))
+        return draw(st.sampled_from([leaf, const(F(draw(st.integers(-3, 3)), 2)),
+                                     escale(F(draw(st.integers(-4, 4)), 3), leaf)]))
+    args = [draw(lattice(n, p, depth - 1)) for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.sampled_from([emax, emin, esum]))(*args)
+
+
+@st.composite
+def grids(draw):
+    n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rows = [[normalize_to_pbform(draw(lattice(n, p, 2))) for _ in range(p)]
+            for _ in range(draw(st.integers(1, 2)))]
+    return SplineGrid(n, p, tuple(map(tuple, rows)))
+
+
+rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                                               st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def inputs(draw, n, p):
+    if draw(st.integers(0, 9)) == 0:
+        return Mat.zeros(n, p)
+    return Mat.rational([[draw(rationals) for _ in range(p)] for _ in range(n)])
+
+
+def assert_same(got, want):
+    """Equal values of the same type: exact `Fraction`s (in lowest terms, since
+    `Fraction` compares terms) or the very same floats."""
+    assert got == want and type(got) is type(want), (got, want)
+
+
+class TestIntegerOracle:
+    """The five evaluators on integer numerators equal the `Fraction`
+    reference exactly, and on a float input give the reference's floats."""
+
+    @settings(max_examples=60, deadline=2000, derandomize=True)
+    @given(data=st.data())
+    def test_evaluators_equal_the_reference(self, data):
+        g = data.draw(grids())
+        for x_in in (data.draw(inputs(g.n, g.p)), Mat.zeros(g.n, g.p)):
+            for xv in (x_in, x_in.to_float()):
+                assert g.eval(xv) == grid_eval(g, xv)
+                for f in itertools.chain.from_iterable(g.grid):
+                    assert_same(f.eval(xv), pbform_eval(f, xv))
+                    for poly in {q for row in f.rows for q in row}:
+                        assert_same(poly.eval(xv), polynomial_eval(poly, xv))
+                        for m in poly.support():
+                            assert_same(m.eval(xv), monomial_eval(m, xv))
+                k = data.draw(st.integers(1, 3))
+                idx = VeroneseIndex.for_matrix(g.n, g.p, k)
+                assert veronese_eval(idx, xv) == veronese_column(idx, xv)
+
+    def test_all_zero_and_negative_inputs(self):
+        g = SplineGrid(2, 1, ((normalize_to_pbform(emin(
+            esum(var(1, 1), escale(-3, var(2, 1))), emax(power(8, 2), const(F(-1, 2))))),),))
+        for x_in in (Mat.zeros(2, 1), mat([[F(-7, 3)], [F(-999999, 1000000)]]),
+                     mat([[0], [F(-1, 7)]])):
+            assert g.eval(x_in) == grid_eval(g, x_in)
+            assert g.eval(x_in.to_float()) == grid_eval(g, x_in.to_float())
+
+    def test_float_sums_keep_term_order(self):
+        # 1 + 1e16 - 1e16 is 0.0 in floats, term by term, and 1 the other way round
+        p = esum(const(1), var(1, 1), escale(-1, var(2, 1)))
+        g = SplineGrid(2, 1, ((normalize_to_pbform(p),),))
+        x_in = Mat.from_floats([[1e16], [1e16]])
+        assert g.eval(x_in) == grid_eval(g, x_in) == Mat.zeros(1, 1, "float")
+        assert g.grid[0][0].rows[0][0].eval(x_in) == 0.0
+
+
+class TestDegreeCap:
+    """-2 x mixed with 3/7 x^4096, at 99999999999/7: long numerators over a
+    long denominator, which the oracle reduces without a long division."""
+
+    TERMS = ({"coef": "-2", "exps": {"x_1_1": 1}}, {"coef": "3/7", "exps": {"x_1_1": 4096}})
+    X = mat([[F(99999999999, 7)]])
+
+    @pytest.mark.parametrize("op", ["poly", "max", "min"])
+    def test_value_equals_the_reference(self, op):
+        if op == "poly":
+            cell = {"op": "poly", "terms": list(self.TERMS)}
+        else:
+            cell = {"op": op, "args": [{"op": "poly", "terms": [t]} for t in self.TERMS]}
+        g = grid_from_json({"n": 1, "p": 1, "grid": [[cell]]})
+        got = g.eval(self.X)
+        assert got == grid_eval(g, self.X)
+        value = got.nz[0][0][1]
+        assert math.gcd(value.numerator, value.denominator) == 1
+        if op != "min":
+            assert value.numerator.bit_length() == 149675
+        assert g.grid[0][0].eval(self.X) == value
+
+    def test_results_sharing_a_factor_with_the_denominator(self):
+        # 7^4096 * x^4096 - 2x at x = 1/7 is 1 - 2/7: lifted to 7^4096, the
+        # numerator shares a factor 7^4095 with the denominator; x^4096 at
+        # 14/3 shares none
+        p = Polynomial.from_terms({Monomial.from_dict({(1, 1): 4096}): F(7 ** 4096),
+                                   Monomial.variable(1, 1): F(-2)})
+        assert p.eval(mat([[F(1, 7)]])) == F(5, 7)
+        assert power(4096).eval(mat([[F(14, 3)]])) == F(14 ** 4096, 3 ** 4096)
 
 
 class TestEvalMaxdef:
