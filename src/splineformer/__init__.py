@@ -1,8 +1,8 @@
 """Exact-arithmetic attention blocks, max-min spline compilation to
 encoder weights, and verification oracles."""
 
-from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
-                     DegenerateColumnError, Mat, ShapeError, matmul, stack_rows)
+from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, DegenerateColumnError,
+                     Mat, ShapeError, SizeError, matmul, stack_rows)
 from .spline import (FormSizeError, Monomial, ONE, PBForm, Polynomial,
                      SplineGrid, UnsupportedProductError, eval_maxdef,
                      normalize_to_pbform)

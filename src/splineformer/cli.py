@@ -18,11 +18,11 @@ import sys
 # compile_autoregressive is not called here; the benchmark's CLI probe
 # (bench/workloads.py, patch_cli) wraps it by name
 from .compiler import (CompileOptions, NotAutoregressiveError,  # noqa: F401
-                       ResourceLimitError, compile_autoregressive, compile_spline)
-from .spline import MAX_INPUT_ENTRIES, FormSizeError, grid_from_json
-from .tensor import (RATIONAL, BackendError, DegenerateColumnError, ShapeError, mat_from_json,
-                     mat_to_json)
-from .transformer import EncoderModel, PassSizeError, blocks_from_json, blocks_to_json
+                       compile_autoregressive, compile_spline)
+from .spline import MAX_INPUT_ENTRIES, grid_from_json
+from .tensor import (RATIONAL, BackendError, DegenerateColumnError, ShapeError, SizeError,
+                     mat_from_json, mat_to_json)
+from .transformer import EncoderModel, blocks_from_json, blocks_to_json
 from .verifier import (estimate_degree, oracle_equiv, random_rational_mat,
                        require_relu, smooth_convergence_table,
                        softmax_probability_check, trial_rng)
@@ -84,11 +84,21 @@ def _grid_of(text: str):
     return grid_from_json(json.loads(text))
 
 
+def _printed(build, *args):
+    """build(*args), the exact report of a command; an integer in it above
+    Python's limit on integer-to-string conversion (a ValueError from `str`,
+    a limit the CLI leaves as it is) raises SizeError."""
+    try:
+        return build(*args)
+    except ValueError:
+        raise SizeError("the exact result has an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits, above the limit for "
+                        f"printing one") from None
+
+
 def cmd_compile(args) -> int:
     try:
         spline = _grid_of(_read(args.spline))
-    except FormSizeError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read spline: {exc}")
     opts = CompileOptions(mode=args.mode, masked=args.masked)
@@ -96,9 +106,7 @@ def cmd_compile(args) -> int:
         compiled = compile_spline(spline, opts)
     except NotAutoregressiveError as exc:
         return _fail(EXIT_RESOURCE_ERROR, f"masked compile rejected: {exc}")
-    except ResourceLimitError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
-    payload = json.dumps(blocks_to_json(compiled.blocks), sort_keys=True) + "\n"
+    payload = json.dumps(_printed(blocks_to_json, compiled.blocks), sort_keys=True) + "\n"
     sidecar = json.dumps(compiled.sidecar_json(), sort_keys=True) + "\n"
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -113,15 +121,6 @@ def cmd_compile(args) -> int:
            "rows": compiled.stats["rows"], "depth": compiled.stats["depth"],
            "output": args.output})
     return EXIT_OK
-
-
-def _unprintable() -> int:
-    """The exit of a command whose exact report holds an integer above
-    Python's limit on integer-to-string conversion (a ValueError from `str`),
-    which is left as it is."""
-    return _fail(EXIT_RESOURCE_ERROR,
-                 f"the exact result has an integer of more than {sys.get_int_max_str_digits()} "
-                 f"digits, above the limit for printing one")
 
 
 def _finite(m) -> bool:
@@ -142,13 +141,11 @@ def _load_model(path: str):
 
 
 def _input_cap(model):
-    """The exit of a command that draws inputs of the model's shape when
-    that shape is above the spline cap, or None."""
+    """Raise SizeError when a command would draw inputs of the model's
+    shape and that shape is above the spline cap."""
     if model.n * model.p > MAX_INPUT_ENTRIES:
-        return _fail(EXIT_RESOURCE_ERROR,
-                     f"the weights read an input of {model.n} x {model.p} entries, above "
-                     f"the cap of {MAX_INPUT_ENTRIES} entries")
-    return None
+        raise SizeError(f"the weights read an input of {model.n} x {model.p} entries, above "
+                        f"the cap of {MAX_INPUT_ENTRIES} entries")
 
 
 def cmd_eval(args) -> int:
@@ -169,15 +166,9 @@ def cmd_eval(args) -> int:
     except DegenerateColumnError:
         # finite weights and inputs give a SoftMax column of -inf only by overflow
         return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
-    except PassSizeError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     if not _finite(out):
         return _fail(EXIT_INPUT_ERROR, "evaluation failed: the float pass overflowed")
-    try:
-        report = mat_to_json(out)
-    except ValueError:
-        return _unprintable()
-    _emit(report)
+    _emit(_printed(mat_to_json, out))
     return EXIT_OK
 
 
@@ -185,21 +176,13 @@ def cmd_verify(args) -> int:
     try:
         model = _load_model(args.weights)
         spline = _grid_of(_read(args.spline))
-    except FormSizeError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read inputs: {exc}")
     try:
         report = oracle_equiv(model, spline, args.samples, args.seed)
-    except PassSizeError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (ShapeError, BackendError, ValueError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"verification could not run: {exc}")
-    try:
-        obj = report.to_json()
-    except ValueError:
-        return _unprintable()
-    _emit(obj)
+    _emit(_printed(report.to_json))
     return EXIT_OK if report.exact else EXIT_VERIFY_FAILED
 
 
@@ -213,19 +196,15 @@ def cmd_degree(args) -> int:
         model = _load_model(args.weights)
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
-    if (code := _input_cap(model)) is not None:
-        return code
+    _input_cap(model)
     bound = args.bound if args.bound is not None else 3 ** len(model.blocks)
     max_deg = args.max_deg if args.max_deg is not None else bound + 2
     if max_deg + 2 > MAX_LINE_POINTS:
-        return _fail(EXIT_RESOURCE_ERROR,
-                     f"degree needs {max_deg + 2} model evaluations per trial, above the "
-                     f"cap of {MAX_LINE_POINTS}; pass a smaller --max-deg")
+        raise SizeError(f"degree needs {max_deg + 2} model evaluations per trial, above the "
+                        f"cap of {MAX_LINE_POINTS}; pass a smaller --max-deg")
     try:
         report = estimate_degree(model, max_deg=max_deg, trials=args.trials,
                                  seed=args.seed, bound=bound)
-    except PassSizeError as exc:
-        return _fail(EXIT_RESOURCE_ERROR, str(exc))
     except (ShapeError, BackendError) as exc:
         return _fail(EXIT_INPUT_ERROR, f"degree estimation could not run: {exc}")
     _emit(report.to_json())
@@ -237,8 +216,7 @@ def cmd_smooth(args) -> int:
         model = _load_model(args.weights)
     except INPUT_ERRORS as exc:
         return _fail(EXIT_INPUT_ERROR, f"cannot read weights: {exc}")
-    if (code := _input_cap(model)) is not None:
-        return code
+    _input_cap(model)
     # drawn as the checks read them, a pass's chunk at a time
     xs = (random_rational_mat(trial_rng(args.seed, t), model.n, model.p)
           for t in range(args.samples))
@@ -329,7 +307,11 @@ def main(argv=None) -> int:
             args.seed = int(env) if env else 42
         except ValueError:
             return _fail(EXIT_INPUT_ERROR, f"SPLINEFORMER_SEED must be an integer, got {env!r}")
-    return args.fn(args)
+    # every cap, on an input or on the work or result it asks for, is a SizeError
+    try:
+        return args.fn(args)
+    except SizeError as exc:
+        return _fail(EXIT_RESOURCE_ERROR, str(exc))
 
 
 if __name__ == "__main__":

@@ -15,13 +15,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .spline import ONE, Monomial, PBForm, SplineGrid
-from .tensor import RATIONAL, Mat, ShapeError, add, matmul
+from .tensor import RATIONAL, Mat, ShapeError, SizeError, add, matmul
 from .transformer import (EncoderBlock, FeedForwardNet, EncoderModel, MultiheadAttention, RELU,
                           pass_through)
 from .veronese import factor_pair, graded_lex_monomials
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(SizeError):
     """Faithful construction would exceed the intermediate row cap."""
 
 

@@ -17,7 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .tensor import RATIONAL, FormatError, Mat, Scalar, ShapeError, json_field
+from .tensor import (RATIONAL, FormatError, Mat, Scalar, ShapeError, SizeError, _parse_rational,
+                     json_field)
 
 
 class VariableRangeError(ValueError):
@@ -28,7 +29,7 @@ class UnsupportedProductError(ValueError):
     """Product whose factors both contain max/min; not reducible here."""
 
 
-class FormSizeError(RuntimeError):
+class FormSizeError(SizeError):
     """A spline document asks for more than a cap allows: a max-min form
     above MAX_FORM_SIZE, a monomial above MAX_DEGREE, or an input of more
     than MAX_INPUT_ENTRIES entries."""
@@ -664,12 +665,14 @@ def _parse_exponent(key: str, e) -> int:
 
 
 def _parse_coef(c) -> Fraction:
-    """Fraction(c) for a JSON coefficient; ValueError for any value that is
-    not a finite rational (a zero denominator, an infinity, a list, a bool)."""
+    """Fraction(c) for a JSON coefficient, a string read by the parser of
+    weight entries (SizeError above `tensor.MAX_LITERAL_EXPONENT`);
+    ValueError for any value that is not a finite rational (a zero
+    denominator, an infinity, a list, a bool)."""
     if isinstance(c, bool):
         raise ValueError(f"bad coefficient {c!r}: not a number")
     try:
-        return Fraction(c)
+        return _parse_rational(c) if isinstance(c, str) else Fraction(c)
     except (ZeroDivisionError, OverflowError, TypeError) as exc:
         raise ValueError(f"bad coefficient {c!r}: {exc}") from None
 

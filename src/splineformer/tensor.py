@@ -10,6 +10,7 @@ activates them in `transformer`, through the scalar helpers below.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +42,11 @@ class FormatError(ValueError):
     """A JSON document (weights or spline) is not shaped as its reader expects."""
 
 
+class SizeError(RuntimeError):
+    """An input, or work or a result it asks for, is above a size cap; the
+    CLI exits 3 on any of them."""
+
+
 def json_field(obj, key: str, kind, where: str):
     """obj[key], where obj must be a JSON object and the value a `kind`;
     a bool is one only when `kind` is bool (JSON true and false are not
@@ -53,11 +59,40 @@ def json_field(obj, key: str, kind, where: str):
     return value
 
 
+# the largest decimal exponent a rational literal may spell, 39456: its power
+# of ten fits the 2^17 bits an exact pass may carry (`transformer.MAX_PASS_BITS`).
+# `Fraction` builds that power before any later cap sees it, and "1e10000000"
+# alone takes seconds
+MAX_LITERAL_EXPONENT = int((1 << 17) * math.log10(2))
+
+# the exponent that ends a decimal literal, as `Fraction` spells it
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _above_literal_cap(digits: str) -> bool:
+    """Whether the exponent spelled by `digits` is above MAX_LITERAL_EXPONENT,
+    read digit by digit but for its last eight."""
+    digits = digits.replace("_", "")
+    return any(map(int, digits[:-8])) or int(digits[-8:]) > MAX_LITERAL_EXPONENT
+
+
 @lru_cache(maxsize=1024)
 def _parse_rational(text: str) -> Fraction:
     """Fraction(text), parsed once per distinct string: a weights file
     repeats a few strings many times, and a Fraction is immutable, so one
-    can be shared by every entry that spells it."""
+    can be shared by every entry that spells it.  A literal `Fraction`
+    reads whose exponent is above MAX_LITERAL_EXPONENT in magnitude raises
+    SizeError; a malformed one raises ValueError, as in `Fraction`."""
+    exp = _EXPONENT.search(text)
+    if exp and _above_literal_cap(exp[1]):
+        try:
+            Fraction(text[:exp.start()] + "e0")
+        except ValueError:
+            # malformed before its exponent: `Fraction` raises on it before it reads that
+            return Fraction(text)
+        spelled = text if len(text) <= 40 else text[:37] + "..."
+        raise SizeError(f"the rational literal {spelled!r} has a decimal exponent above "
+                        f"the cap of {MAX_LITERAL_EXPONENT} in magnitude")
     return Fraction(text)
 
 
@@ -306,7 +341,8 @@ def mat_from_json(obj) -> Mat:
     raises FormatError as it is met; of the other faults, an entry of the
     wrong type (BackendError) is reported first, then the first entry
     that does not parse or, in a float matrix, overflows, then ragged
-    rows (ShapeError)."""
+    rows (ShapeError).  A literal above MAX_LITERAL_EXPONENT raises
+    SizeError as it is met."""
     if type(obj) is not list:
         raise ShapeError(f"a matrix must be a list of rows, got {type(obj).__name__}")
     width = len(obj[0]) if obj and type(obj[0]) is list else 0

@@ -17,8 +17,8 @@ from itertools import accumulate, chain
 from typing import Sequence
 
 from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, FormatError, Mat, ShapeError,
-                     _softmax_column, _softplus_scalar, add, json_field, mat_from_json, scale,
-                     sparse_from_json, sparse_product, sparse_to_json, stack_rows)
+                     SizeError, _softmax_column, _softplus_scalar, add, json_field, mat_from_json,
+                     scale, sparse_from_json, sparse_product, sparse_to_json, stack_rows)
 
 
 @dataclass(frozen=True)
@@ -630,7 +630,7 @@ class DecoderBlock(EncoderBlock):
 MAX_PASS_BITS = 1 << 17
 
 
-class PassSizeError(ArithmeticError):
+class PassSizeError(SizeError, ArithmeticError):
     """An exact pass carries a number longer than `MAX_PASS_BITS` bits."""
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from splineformer import cli, spline as spline_module, transformer, verifier
 from splineformer.cli import MAX_LINE_POINTS, main
 from splineformer.spline import MAX_DEGREE, MAX_INPUT_ENTRIES
-from splineformer.tensor import Mat, mat_from_json, mat_to_json
+from splineformer.tensor import MAX_LITERAL_EXPONENT, Mat, mat_from_json, mat_to_json
 from splineformer.transformer import (EncoderBlock, EncoderModel, MultiheadAttention,
                                       PassSizeError, attention_head, blocks_from_json,
                                       blocks_to_float, blocks_to_json, eval_encoder)
@@ -838,6 +839,24 @@ class TestExactSizeCaps:
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
+    def test_compile_output_too_long_to_print(self, tmp_path, capsys):
+        # c x with c = 10^4300: the weights would hold its 4,301 digits
+        spline = copy.deepcopy(IDENTITY_SPLINE)
+        spline["grid"][0][0]["terms"][0]["coef"] = "1e4300"
+        spath = write(tmp_path / "spline.json", spline)
+        out = tmp_path / "w.json"
+        argv = ["compile", spath, "-o", str(out)]
+        err = one_line_exit_3(capsys, argv, self.LIMIT)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+        # neither the weights nor their layout is written
+        assert list(tmp_path.iterdir()) == [tmp_path / "spline.json"]
+        # a coefficient of 4,300 digits prints
+        spline["grid"][0][0]["terms"][0]["coef"] = "1e4299"
+        write(tmp_path / "spline.json", spline)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == str(out)
+
     def test_repeated_chain_hits_bit_cap(self, tmp_path, capsys):
         # 600 blocks; the bit length passes the cap in block 39, not at the end
         w = repeated_grid(tmp_path, 300)
@@ -896,6 +915,43 @@ class TestExactSizeCaps:
         assert main(["verify", w, spath, "--samples", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["exact"] is True and report["samples"] == 2
+
+
+class TestLiteralCap:
+    """A rational literal whose decimal exponent is above
+    `tensor.MAX_LITERAL_EXPONENT` in magnitude exits 3 with one stderr line
+    and nothing on stdout, before its power of ten is built, wherever a
+    literal is read: a weight, an `eval` input, a spline coefficient."""
+
+    # `Fraction` alone ran for over a minute on this literal
+    HUGE = "1e100000000"
+
+    def argv(self, tmp_path, where):
+        spath, w = compile_to(tmp_path, IDENTITY_SPLINE)
+        x = write(tmp_path / "x.json", [["3/2"]])
+        if where == "weight":
+            doc = json.loads(open(w).read())
+            doc["blocks"][0]["ffn"]["layers"][0]["A"]["rows"][0][0][1] = self.HUGE
+            return ["eval", write(tmp_path / "huge.json", doc), x]
+        if where == "input":
+            return ["eval", w, write(tmp_path / "huge.json", [[self.HUGE]])]
+        spline = copy.deepcopy(IDENTITY_SPLINE)
+        spline["grid"][0][0]["terms"][0]["coef"] = self.HUGE
+        spath = write(tmp_path / "huge.json", spline)
+        if where == "compile":
+            return ["compile", spath, "-o", str(tmp_path / "out.json")]
+        return ["verify", w, spath, "--samples", "2"]
+
+    @pytest.mark.parametrize("where", ["weight", "input", "compile", "verify"])
+    def test_exits_3_at_once(self, tmp_path, capsys, where):
+        argv = self.argv(tmp_path, where)
+        start = time.perf_counter()
+        err = one_line_exit_3(capsys, argv, repr(self.HUGE),
+                              f"above the cap of {MAX_LITERAL_EXPONENT} in magnitude")
+        assert time.perf_counter() - start < 1
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestBatchedChecks:

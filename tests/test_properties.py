@@ -6,8 +6,11 @@ import io
 import itertools
 import json
 import math
+import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +22,7 @@ from splineformer.compiler import (CompileOptions, compile_autoregressive, compi
 from splineformer.spline import (ONE, FormSizeError, Monomial, PBForm, Polynomial,
                                  UnsupportedProductError, absorb, emax, emin, eprod, escale, esum,
                                  eval_maxdef, grid_from_json, normalize_to_pbform)
-from splineformer.tensor import Mat
+from splineformer.tensor import MAX_LITERAL_EXPONENT, Mat
 from splineformer.transformer import blocks_to_json, eval_ffn
 from splineformer.verifier import (autoregressive_check, oracle_equiv, random_rational_mat,
                                    trial_rng)
@@ -406,3 +409,84 @@ class TestMutatedDocuments:
             assert report["first_failure"]["expected"] != report["first_failure"]["got"]
         elif code:
             assert out == "" and len(err.strip().splitlines()) == 1, err
+
+
+# -- exit codes of literal spellings ------------------------------------------------
+
+# Python's limit on the digits of an integer read from or printed to a string
+DIGITS = sys.get_int_max_str_digits()
+
+
+def near(centre):
+    return st.integers(centre - 2, centre + 2)
+
+
+# rational literals as a document may spell them: integers, a/b (b may be
+# 0), decimals, exponents near the print limit and near the literal cap (on
+# a mantissa "3/4", which `Fraction` refuses), an exponent of 4000 digits and
+# mantissas near the digit limit
+LITERALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(0, 99)),
+    st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 10 ** 6)),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-7", "2.5", "3/4"]),
+              st.one_of(*map(near, (DIGITS, -DIGITS, MAX_LITERAL_EXPONENT,
+                                    -MAX_LITERAL_EXPONENT)))),
+    st.just("1e" + "9" * 4000),
+    st.builds("{}{}".format, near(DIGITS).map(lambda k: "9" * k), st.sampled_from(["", "e1"])),
+)
+
+
+def rational_entries(doc) -> list:
+    """The positions of a document's entries spelled as rational strings."""
+    return [path for path in paths(doc)
+            if isinstance(v := reduce(lambda obj, key: obj[key], path, doc), str)
+            and re.fullmatch(r"-?\d+(/\d+)?", v)]
+
+
+def put(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    doc = copy.deepcopy(doc)
+    reduce(lambda obj, key: obj[key], path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+class TestLiteralForms:
+    """A literal in any place a document spells a rational ends in exit 0,
+    2 or 3, a failure as one stderr line with nothing on stdout."""
+
+    SETTINGS = settings(FIXTURED, max_examples=60, deadline=2000)
+
+    @SETTINGS
+    @given(data=st.data(), literal=LITERALS, which=st.sampled_from(["weights", "input"]))
+    def test_eval(self, tmp_path, data, literal, which):
+        k, weights = data.draw(st.sampled_from(WEIGHTS))
+        spline = SPLINES[k]
+        x = [["1/2"] * spline["p"] for _ in range(spline["n"])]
+        if which == "weights":
+            weights = put(weights, data.draw(st.sampled_from(rational_entries(weights))), literal)
+        else:
+            x = put(x, data.draw(st.sampled_from(rational_entries(x))), literal)
+        argv = ["eval", write(tmp_path / "m.json", weights), write(tmp_path / "x.json", x)]
+        code, out, err = run_with_report(argv)
+        assert_documented(code, err)
+        assert not code or out == ""
+
+    @SETTINGS
+    @given(data=st.data(), literal=LITERALS)
+    def test_compile_then_verify(self, tmp_path, data, literal):
+        doc = data.draw(st.sampled_from(SPLINES))
+        coefs = [path for path in paths(doc) if path and path[-1] == "coef"]
+        spath = write(tmp_path / "s.json", put(doc, data.draw(st.sampled_from(coefs)), literal))
+        weights = tmp_path / "w.json"
+        weights.unlink(missing_ok=True)
+        code, out, err = run_with_report(["compile", spath, "-o", str(weights)])
+        assert_documented(code, err)
+        if code:
+            assert out == "" and not weights.exists()
+            return
+        # weights compiled from the spline hold its values exactly
+        code, out, err = run_with_report(["verify", str(weights), spath, "--samples", "3"])
+        assert code in (0, 3), (code, err)
+        assert_documented(code, err)
+        assert not code or out == ""

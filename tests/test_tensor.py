@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splineformer.tensor import (FLOAT, NEG_INF, RATIONAL, BackendError,
-                                 DegenerateColumnError, FormatError, Mat, ShapeError, add,
-                                 mat_from_json, mat_to_json, matmul, scale,
+from splineformer.spline import grid_from_json
+from splineformer.tensor import (FLOAT, MAX_LITERAL_EXPONENT, NEG_INF, RATIONAL, BackendError,
+                                 DegenerateColumnError, FormatError, Mat, ShapeError, SizeError,
+                                 add, mat_from_json, mat_to_json, matmul, scale,
                                  _softplus_scalar, sparse_from_json, sparse_to_json, stack_rows)
+from splineformer.transformer import MAX_PASS_BITS
 from reference import (MaskedScores, apply_mask, relu, softmax_columns,
                        softplus_beta, sub)
 
@@ -334,6 +336,51 @@ def dense_product(a, b, zero):
                     acc[j] += c * v
         out.append(acc)
     return out
+
+
+# Python's limit on the digits of an integer read from a string
+DIGITS = sys.get_int_max_str_digits()
+
+
+class TestLiteralCap:
+    """A rational literal whose decimal exponent is above
+    MAX_LITERAL_EXPONENT in magnitude raises SizeError, in every reader of
+    rationals, before its power of ten is built."""
+
+    CAP = MAX_LITERAL_EXPONENT
+
+    def test_cap_fits_the_pass_budget(self):
+        assert (10 ** self.CAP).bit_length() <= MAX_PASS_BITS
+        assert (10 ** (self.CAP + 1)).bit_length() > MAX_PASS_BITS
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_boundary(self, sign):
+        value = F(10) ** int(f"{sign}{self.CAP}")
+        assert mat_from_json([[f"1e{sign}{self.CAP}"]]) == Mat.rational([[value]])
+        with pytest.raises(SizeError, match=f"above the cap of {self.CAP} in magnitude"):
+            mat_from_json([[f"1e{sign}{self.CAP + 1}"]])
+
+    @pytest.mark.parametrize("literal", ["1e100000000", " -2.5E+1_000_000 ", "1e" + "9" * 4000])
+    def test_every_reader(self, literal):
+        readers = [lambda v: mat_from_json([[v]]), lambda v: mat_from_json([[v, 0.5]]),
+                   lambda v: sparse_from_json({"cols": 1, "rows": [[[0, v]]]}),
+                   lambda v: grid_from_json({"n": 1, "p": 1, "grid": [[
+                       {"op": "poly", "terms": [{"coef": v, "exps": {}}]}]]})]
+        for read in readers:
+            with pytest.raises(SizeError):
+                read(literal)
+
+    @pytest.mark.parametrize("literal", [
+        "1/2e99999999",                        # malformed: no exponent on a ratio
+        "x1e99999999",                         # malformed before the exponent
+        "9" * (DIGITS + 1) + "e99999999",      # a mantissa above the digit limit
+        "1e" + "0" * DIGITS + "1"])            # a small exponent above the digit limit
+    def test_other_faults_stay_value_errors(self, literal):
+        with pytest.raises(ValueError):
+            mat_from_json([[literal]])
+
+    def test_leading_zeros_do_not_count(self):
+        assert mat_from_json([["1e" + "0" * 4000 + "3"]]) == Mat.rational([[1000]])
 
 
 class TestStorage:
