@@ -331,8 +331,10 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
     as 0.  SoftMax masks entries to -inf and acts column by column, through
     `tensor._softmax_column`.  Rows o to o + p of the result are the
     input's own, with entries in its columns only, so the pattern of a
-    batch is block-diagonal.  This is the only place an attention
-    activation is computed.
+    batch is block-diagonal.  Every float pass, every observed pass and
+    every group of d > 1 computes its activation here; an exact pass that
+    keeps no record takes each one-row group in factored form instead
+    (`_factored`).
     """
     act, o = [], 0
     for activation in stand_ins:
@@ -363,6 +365,36 @@ def _pattern(q: list, k: list, t: int, d: int, p: int, masked: bool, root,
                        for a in range(p)]
         o = end
     return act
+
+
+def _factored(q: list, k: list, v: list, p: int, masked: bool) -> list:
+    """One value row's output numerators through the pattern of a one-row
+    ReLU group, from its integer q, k and v rows, for a batch of inputs
+    side by side, p columns each, with no score block.  With d = 1,
+    relu(k_a q_b) is q_b relu(k_a) where q_b > 0 and q_b (-relu(-k_a))
+    where q_b < 0, so the output at column b is q_b times the sum of
+    v_a k_a over the keys a the column reads whose k_a has the sign of
+    q_b, and 0 where q_b is 0.  A column reads the keys of its own input,
+    only those at a <= b when masked, whose sums run as prefix sums.  The
+    terms are the integer products the pattern's entries would add,
+    grouped by key sign, so the sums are equal."""
+    acc = [0] * len(q)
+    for o in range(0, len(q), p):
+        cols = range(o, o + p)
+        pos = neg = 0
+        for b in cols:
+            if c := k[b]:
+                if c > 0:
+                    pos += v[b] * c
+                else:
+                    neg += v[b] * c
+            if masked and (w := q[b]):
+                acc[b] = w * (pos if w > 0 else neg)
+        if not masked:
+            for b in cols:
+                if w := q[b]:
+                    acc[b] = w * (pos if w > 0 else neg)
+    return acc
 
 
 def _handed(rows: list, index) -> list:
@@ -429,7 +461,7 @@ class AttentionPlan:
 
 
 def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, activations: Sequence = (None,)) -> tuple:
+            y: list, dy: int, activations: Sequence = (None,), record: bool = True) -> tuple:
     """The heads of a layer at once, on numerator rows, as `plan` says:
     keys and values read x (over dx), queries y (over dy), through `maps`
     (the plan's `stacked` or `floats`).  x and y hold a batch of
@@ -437,9 +469,10 @@ def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
     with activations[i] standing in for every head's own activation, or
     with each head's own where that is None.  Returns the output
     numerators, stacked in head order and batched as the input, their
-    shared denominator, and the pass's record: the plan's q, k and v rows,
-    as wide as the batch, and, in the plan's group order, each group's
-    block-diagonal activation rows (`_pattern`).
+    shared denominator, and, when `record` asks for it (else None), the
+    pass's record: the plan's q, k and v rows, as wide as the batch, and,
+    in the plan's group order, each group's block-diagonal activation rows
+    (`_pattern`).
 
     Only the plan's rows are computed: the query and key rows and patterns
     of its groups and its value rows.  When it covers fewer than all the
@@ -453,10 +486,17 @@ def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
     or the caller, so sharing them is exact.  Each group of heads forms
     its attention pattern once per pass (at the group's row offset); each
     head's value rows then multiply the nonzero activations of its group.
+    An exact pass with no record forms no pattern for a one-row group: its
+    value rows go through the group's factored form (`_factored`), which
+    adds the same integer products.
     """
-    if backend == RATIONAL and plan.rational_error:
-        raise BackendError(plan.rational_error)
-    zero = 0 if backend == RATIONAL else 0.0
+    exact = backend == RATIONAL
+    if exact:
+        error = plan.rational_error or next((f"{a.kind} attention needs the float backend"
+                                             for a in activations if a and a.kind != "relu"), None)
+        if error:
+            raise BackendError(error)
+    zero = 0 if exact else 0.0
     width = len(x[0])
     p = width // len(activations)
     (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
@@ -464,11 +504,17 @@ def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
     q = _handed(_affine(aq, bq, y, dy, zero), iq)
     k = _handed(_affine(ak, bk, x, dx, zero), ik)
     v = _handed(_affine(av, bv, x, dx, zero), iv)
-    acts = [_pattern(q, k, t, d, p, masked, root, activations, own, zero)
+    factored = exact and not record
+    acts = [None if factored and d == 1 else
+            _pattern(q, k, t, d, p, masked, root, activations, own, zero)
             for t, d, masked, root, own in plan.group_layout]
     out = []
     for vrow, g in zip(v, plan.row_groups):
         act = acts[g]
+        if act is None:
+            t, _, masked, _, _ = plan.group_layout[g]
+            out.append(_factored(q[t], k[t], vrow, p, masked))
+            continue
         acc = [zero] * width
         for a, c in enumerate(vrow):
             if c:
@@ -479,7 +525,7 @@ def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
         computed, out = out, [[zero] * width] * plan.out_rows
         for r, acc in zip(plan.rows, computed):
             out[r] = acc
-    return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts)
+    return out, dq * dy * dk * dx * dv * dx, (q, k, v, acts) if record else None
 
 
 def _check_self_input(mh: MultiheadAttention, shape: tuple):
@@ -495,7 +541,7 @@ def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     _require_backend("attention", mh.backends, x.backend)
     rows, den = _numerators(x)
     return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
-                                       rows, den, rows, den)[:2])
+                                       rows, den, rows, den, record=False)[:2])
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -507,7 +553,7 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
         raise ShapeError("cross-attention inputs must share the sequence length")
     _require_backend("attention", mh.backends, x.backend, y.backend)
     return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
-                                       *_numerators(x), *_numerators(y))[:2])
+                                       *_numerators(x), *_numerators(y), record=False)[:2])
 
 
 @dataclass(frozen=True)
@@ -650,7 +696,9 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     With no observer, each block runs the plan of the attention rows its
     net reads (`EncoderBlock.plan`), which leaves the carried rows and
     denominator as they are: `_reduced` leaves the lcm of the entries'
-    reduced denominators, whatever the images sat over.
+    reduced denominators, whatever the images sat over.  Nor does it ask
+    `_attend` for a record, so an exact pass takes its one-row groups in
+    factored form, which adds the same integers.
 
     A rational pass reads the integer caches (`stacked`, `sparse`); a float
     pass reads their float image (`floats`), so rational weights run in
@@ -675,7 +723,8 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
             maps, layers = plan.stacked, blk.ffn.sparse
         else:
             maps, layers = plan.floats, blk.ffn.floats
-        y, dy, record = _attend(plan, maps, backend, rows, den, rows, den, activations)
+        y, dy, record = _attend(plan, maps, backend, rows, den, rows, den, activations,
+                                observer is not None)
         y, dy = _feed(layers, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)

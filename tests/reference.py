@@ -1,11 +1,15 @@
 """Dense reference operations the tests check the package against.
 
-The package computes every attention activation in one place, the
-stacked kernel `transformer._pattern`.  The operations here spell the
-same mask and activations out matrix by matrix, with the dense helpers
-and model adapters that only tests need, so that a test can build a
-head's output from first principles and compare.  A head is a
-`MultiheadAttention` of one head; the compiler's single-head builders,
+The package computes attention activations in the stacked kernel
+`transformer._pattern`, except that an exact pass with no observer takes
+each one-row ReLU group in factored form (`transformer._factored`), with
+no score block.  `unshared_walk` always forms the pattern, so the tests
+that compare the pass with it check the factored form too.  The
+operations here spell the same mask and activations out matrix by
+matrix, with the dense helpers and model adapters that only tests need,
+so that a test can build a head's output from first principles and
+compare.  A head is a `MultiheadAttention` of one head; the compiler's
+single-head builders,
 `replace_head`, which also rebuilds such a head's group with new flags,
 and the writer of the per-head weights form, which only tests use, live
 here too, as do the max-min combinators as they were before forms were
@@ -357,14 +361,19 @@ def unshared_maxmin_ffn(forms: Sequence[tuple], width: int) -> FeedForwardNet:
 def unshared_walk(blocks, x: Mat, observer=None, activations: Sequence = (None,)) -> Mat:
     """`transformer._walk` with every stored query, key and value row
     computed on its own, from the image of all the stored rows, as before
-    equal rows were shared; the observer gets the same record."""
+    equal rows were shared, and every group's pattern formed; the observer
+    gets the same record, and an exact walk refuses what the pass refuses."""
     backend, exact = x.backend, x.backend == RATIONAL
     zero = 0 if exact else 0.0
     rows, den = _numerators(x)
     for blk in blocks:
         mh = blk.attn
-        if exact and mh.rational_error:
-            raise BackendError(mh.rational_error)
+        if exact:
+            error = mh.rational_error or next((f"{a.kind} attention needs the float backend"
+                                               for a in activations if a and a.kind != "relu"),
+                                              None)
+            if error:
+                raise BackendError(error)
         maps = [_image(a.nz, b.nz, mh.p, exact) for a, b in zip(mh.mats[::2], mh.mats[1::2])]
         q, k, v = (_affine(a, b, rows, den, zero) for a, b, _ in maps)
         width = len(rows[0])

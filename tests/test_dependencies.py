@@ -182,8 +182,9 @@ def test_scan_sees_through_a_shadowing_local():
 
 def test_reference_walk_builds_its_own_rows():
     # `reference.unshared_walk` computes every stored row from the images
-    # of the stored maps; were it to read the pass's plan, the tests that
-    # compare the two would compare the plan with itself
+    # of the stored maps and forms every group's pattern; were it to read
+    # the pass's plan or its factored kernel, the tests that compare the two
+    # would compare the pass with itself
     reads = names_read(parse(Path(__file__).resolve().parent / "reference.py"))
-    assert {"_image", "mats", "group_layout"} <= set(reads)
-    assert not {"plan", "AttentionPlan", "_handed"} & set(reads)
+    assert {"_image", "mats", "group_layout", "_pattern"} <= set(reads)
+    assert not {"plan", "AttentionPlan", "_handed", "_attend", "_factored"} & set(reads)

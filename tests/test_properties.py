@@ -490,3 +490,102 @@ class TestLiteralForms:
         assert code in (0, 3), (code, err)
         assert_documented(code, err)
         assert not code or out == ""
+
+
+# -- exit codes of mutated weight chains -------------------------------------------
+
+# softplus betas at the ends of the float range: the least subnormal, the
+# least normal and the largest float, and near them
+EXTREME_BETAS = [5e-324, sys.float_info.min, 1e-300, 1e300, sys.float_info.max]
+FACTORS = [Fraction(0), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(10 ** 12),
+           Fraction(1, 10 ** 12)]
+
+
+def objects_with(doc, key) -> list:
+    """The positions of the objects of doc that hold key."""
+    return [path for path in paths(doc)
+            if isinstance(obj := reduce(lambda o, k: o[k], path, doc), dict) and key in obj]
+
+
+@st.composite
+def chain_mutations(draw, doc):
+    """A weights document with one to three drawn edits, in turn: its block
+    chain (of two blocks or more) cut to a nonempty part at either end, or
+    repeated, all entries under a drawn
+    position (one entry, a row, a matrix, a block or all of them) scaled by
+    a factor, 0 and -1 among them, a group's or head's `masked` or
+    `scaled` flag or a block's `residual` flag flipped, or a group's or
+    head's activation made softplus with a beta at the float extremes."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "repeat", "scale", "flag", "beta"]))
+        blocks = doc["blocks"]
+        if kind == "truncate":
+            if len(blocks) < 2:
+                continue
+            k = draw(st.integers(1, len(blocks) - 1))
+            doc["blocks"] = draw(st.sampled_from([blocks[:k], blocks[k:]]))
+        elif kind == "repeat":
+            doc["blocks"] = copy.deepcopy(blocks * draw(st.integers(2, 3)))
+        elif kind == "scale":
+            entries = rational_entries(doc)
+            if not entries:
+                continue
+            path = draw(st.sampled_from(entries))
+            prefix = path[:draw(st.integers(1, len(path)))]
+            factor = draw(st.sampled_from(FACTORS))
+            for at in entries:
+                if at[:len(prefix)] == prefix:
+                    value = Fraction(reduce(lambda o, k: o[k], at, doc)) * factor
+                    doc = put(doc, at, str(value))
+        elif kind == "flag":
+            flag = draw(st.sampled_from(["masked", "scaled", "residual"]))
+            holders = objects_with(doc, "activation" if flag != "residual" else "ffn")
+            if not holders:
+                continue
+            obj = reduce(lambda o, k: o[k], draw(st.sampled_from(holders)), doc)
+            obj[flag] = not obj.get(flag, False)
+        else:
+            holders = objects_with(doc, "activation")
+            if not holders:
+                continue
+            obj = reduce(lambda o, k: o[k], draw(st.sampled_from(holders)), doc)
+            obj["activation"], obj["beta"] = "softplus", draw(st.sampled_from(EXTREME_BETAS))
+    return doc
+
+
+class TestChainMutations:
+    """Weights compiled from a spline, their chains truncated or repeated,
+    entries scaled, flags flipped and betas pushed to the float extremes:
+    every command ends in exit 0, 2 or 3, a failure as one stderr line with
+    nothing on stdout.  Exit 1 comes from `verify` alone, and the input of
+    its first failure gives, through `eval`, the output it reports.  A
+    flipped `masked` flag sends weights the compiler never made through
+    the masked branch of the exact pass."""
+
+    @settings(FIXTURED, max_examples=60, deadline=3000)
+    @given(data=st.data())
+    def test_exit_codes(self, tmp_path, data):
+        k, weights = data.draw(st.sampled_from(WEIGHTS))
+        weights = write(tmp_path / "m.json", data.draw(chain_mutations(weights)))
+        spline = SPLINES[k]
+        x = write(tmp_path / "x.json", [["1/2", "-3"][:spline["p"]]] * spline["n"])
+        for argv in (["eval", weights, x], ["eval", weights, x, "--backend", "float"],
+                     ["degree", weights, "--trials", "2", "--max-deg", "4", "--seed", "0"],
+                     ["smooth", weights, "--samples", "1", "--seed", "0"]):
+            code, out, err = run_with_report(argv)
+            assert_documented(code, err)
+            assert not code or out == ""
+        verify = ["verify", weights, write(tmp_path / "s.json", spline),
+                  "--samples", "3", "--seed", "0"]
+        code, out, err = run_with_report(verify)
+        if code != 1:
+            assert_documented(code, err)
+            assert not code or out == ""
+            return
+        failure = json.loads(out)["first_failure"]
+        assert failure["expected"] != failure["got"]
+        witness = write(tmp_path / "w.json", failure["X"])
+        code, out, err = run_with_report(["eval", weights, witness])
+        assert code == 0, err
+        assert json.loads(out) == failure["got"]

@@ -1,9 +1,11 @@
 import gc
 import math
 import random
+import sys
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 
 import reference
 from splineformer import transformer
-from splineformer.compiler import CompileOptions, build_eps2, compile_spline
+from splineformer.compiler import (CompileOptions, build_eps2, compile_autoregressive,
+                                   compile_spline)
 from splineformer.spline import grid_from_json
-from splineformer.tensor import (FLOAT, BackendError, DegenerateColumnError, Mat, ShapeError,
-                                 add, matmul, scale, stack_rows)
+from splineformer.tensor import (FLOAT, RATIONAL, BackendError, DegenerateColumnError, Mat,
+                                 ShapeError, add, matmul, scale, stack_rows)
 from splineformer.transformer import (Activation, DecoderBlock,
                                       EncDecStack, EncDecStage, EncoderBlock,
                                       FeedForwardNet,
@@ -24,8 +27,8 @@ from splineformer.transformer import (Activation, DecoderBlock,
                                       eval_encdec,
                                       eval_encoder, eval_ffn, eval_multihead,
                                       eval_multihead_encdec,
-                                      softplus, _attend, _walk)
-from splineformer.transformer import EncoderModel, _image, _reduced
+                                      softplus, _attend, _carry, _walk)
+from splineformer.transformer import EncoderModel, _image, _numerators, _reduced
 from splineformer.verifier import PASS_COLUMNS, random_rational_mat, trial_rng
 from reference import (apply_mask, broadcast_cols, identity_ffn, per_head_json, relu,
                        replace_head, softmax_columns,
@@ -1351,3 +1354,172 @@ class TestExactBatch:
             one = _walk(blocks, x)
             assert all(isinstance(v, F) for row in one.data for v in row)
             assert [row[i * p:i * p + p] for row in got.data] == list(one.data)
+
+
+# -- one-row ReLU groups in factored form --------------------------------------
+
+SIGNED = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def one_row_layers(draw, n, n_q, p, mixed=False):
+    """A layer over one to three drawn groups of one-row ReLU heads, each
+    masked or not, with signed rational Q, K and V entries and biases, not
+    only the compiler's one-hot K rows; `mixed` adds a group of d = 2.
+    Every group has a head, and up to two more heads share drawn groups."""
+    def mat(rows, cols):
+        return Mat.rational(draw(st.lists(st.lists(SIGNED, min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)))
+
+    m = draw(st.integers(1, 2))
+    dims = [1] * draw(st.integers(1, 3)) + [2] * mixed
+    patterns = [dict(a_q=mat(d, n_q), b_q=mat(d, p), a_k=mat(d, n), b_k=mat(d, p),
+                     masked=draw(st.booleans())) for d in dims]
+    heads = [attention_head(a_v=mat(m, n), b_v=mat(m, p), **pattern) for pattern in patterns]
+    heads += [attention_head(a_v=mat(m, n), b_v=mat(m, p), **draw(st.sampled_from(patterns)))
+              for _ in range(draw(st.integers(0, 2)))]
+    return MultiheadAttention.of(draw(st.permutations(heads)))
+
+
+@st.composite
+def one_row_chains(draw):
+    """Two or three blocks of `one_row_layers` over p = 1 to 4, one of them
+    mixed, each residual or not, with `random_ffn` nets; a batch of one to
+    five rational inputs and a stand-in None or ReLU for each."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(2, 3))
+    mixed = draw(st.integers(0, count - 1))
+    blocks, n0 = [], n
+    for i in range(count):
+        mh = draw(one_row_layers(n, n, p, mixed=i == mixed))
+        residual = draw(st.booleans())
+        out = n if residual else draw(st.integers(1, 3))
+        blocks.append(EncoderBlock(mh, random_ffn(rng, mh.out_rows, out), residual))
+        n = out
+    xs = [sparse_random_mat(rng, n0, p) for _ in range(draw(st.integers(1, 5)))]
+    stand_ins = draw(st.lists(st.sampled_from([None, Activation("relu")]),
+                              min_size=len(xs), max_size=len(xs)))
+    return blocks, xs, stand_ins
+
+
+def factored_rows(blocks):
+    """How many value rows an unobserved exact pass takes through the
+    factored form of their one-row group."""
+    return sum(blk.plan.group_layout[g][1] == 1 for blk in blocks for g in blk.plan.row_groups)
+
+
+class TestFactoredKernel:
+    """An exact pass with no record takes each one-row ReLU group in
+    factored form, with no score block; it must carry what the walk that
+    forms every pattern carries, numerators and denominator bit for bit."""
+
+    @given(case=one_row_chains())
+    @settings(max_examples=60, deadline=2000)
+    def test_pass_equals_reference_walk(self, case):
+        blocks, xs, stand_ins = case
+        x = side_by_side(xs)
+        with mock.patch.object(transformer, "_factored", wraps=transformer._factored) as kernel:
+            got = carried(_walk, blocks, x, None, stand_ins)
+        assert kernel.call_count == factored_rows(blocks)
+        assert got == carried(unshared_walk, blocks, x, None, stand_ins)
+
+    @given(data=st.data(), n=st.integers(1, 3), n_q=st.integers(1, 3), p=st.integers(1, 4),
+           batch=st.integers(1, 5), mixed=st.booleans())
+    @settings(max_examples=60, deadline=2000)
+    def test_layer_passes(self, data, n, n_q, p, batch, mixed):
+        mh = data.draw(one_row_layers(n, n_q, p, mixed))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        xs = [sparse_random_mat(rng, n, p) for _ in range(batch)]
+        ys = [sparse_random_mat(rng, n_q, p) for _ in range(batch)]
+        assert eval_multihead_encdec(mh, xs[0], ys[0]) == reference_attention(mh, xs[0], ys[0])
+        if n == n_q:
+            assert eval_multihead(mh, xs[0]) == reference_attention(mh, xs[0], xs[0])
+        # a batch's numerators and denominator are the pattern path's, bit for bit
+        args = (mh.plan, mh.plan.stacked, RATIONAL, *_numerators(side_by_side(xs)),
+                *_numerators(side_by_side(ys)), (None,) * batch)
+        fast = _attend(*args, record=False)
+        assert fast[2] is None
+        assert repr(fast[:2]) == repr(_attend(*args, record=True)[:2])
+
+    def test_masked_prefix(self):
+        # one masked head over p = 3 with keys (1, -2, 3) and queries
+        # (2, -1, 0): column b reads keys a <= b of its query's sign only
+        one = rmat([[1]])
+        mh = attention_head(a_q=rmat([[0]]), b_q=rmat([[2, -1, 0]]), a_k=rmat([[0]]),
+                            b_k=rmat([[1, -2, 3]]), a_v=one, b_v=rmat([[0, 0, 0]]), masked=True)
+        x = rmat([[5, 7, 11]])
+        # v k = (5, -14, 33): column 0 reads 5, column 1 the negative key -14
+        assert eval_multihead(mh, x).data == ((10, 14, 0),)
+        assert eval_multihead(mh, x) == reference_attention(mh, x, x)
+
+
+class TestExactStandIns:
+    """An exact pass runs only ReLU; a stand-in of another activation is
+    refused as a group of that activation is, before any row is formed."""
+
+    @pytest.mark.parametrize("stand_in", [softplus(10.0), Activation("softmax")],
+                             ids=["softplus", "softmax"])
+    def test_refused(self, stand_in):
+        rng = random.Random(f"exact-stand-in:{stand_in.kind}")
+        blocks = random_chain(rng, 2, 2, 1, 1)
+        x = sparse_random_mat(rng, 2, 2)
+        message = f"^{stand_in.kind} attention needs the float backend$"
+        for stand_ins, observer in (((stand_in,), None), ((None, stand_in), None),
+                                    ((stand_in,), Recorder())):
+            batch = side_by_side([x] * len(stand_ins))
+            with pytest.raises(BackendError, match=message):
+                _carry(blocks, batch, observer, stand_ins)
+            with pytest.raises(BackendError, match=message):
+                unshared_walk(blocks, batch, observer, stand_ins)
+        # the same stand-in runs in floats
+        assert _walk(blocks, x.to_float(), activations=(stand_in,)).backend == FLOAT
+
+
+def benchmark_models():
+    """(name, blocks) of every model the benchmark runs exact passes on:
+    the suite's splines compiled pruned, the 2x2 grid faithful and auto,
+    the masked 1x3 grid auto and faithful `build_eps2(1, 2)`."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    pruned = CompileOptions(mode="pruned")
+    for name, masked, spec in workloads.SUITE:
+        compile_fn = compile_autoregressive if masked else compile_spline
+        yield name, compile_fn(grid_from_json(spec), pruned).blocks
+    for mode in ("faithful", "auto"):
+        yield f"grid2x2-{mode}", compile_spline(grid_from_json(workloads.GRID_2X2),
+                                                CompileOptions(mode=mode)).blocks
+    yield "masked1x3", compile_autoregressive(grid_from_json(workloads.GRID_MASKED),
+                                              CompileOptions(mode="auto")).blocks
+    yield "eps2-1x2", build_eps2(1, 2, CompileOptions(mode="faithful")).blocks
+
+
+class TestFactoredPath:
+    """Every head the compiler emits is a one-row ReLU head, so no exact,
+    unobserved pass on a benchmark model forms a score block; an observed
+    pass and a float pass still do."""
+
+    def test_benchmark_models_form_no_pattern(self):
+        rng = random.Random("factored-path")
+        names = []
+        for name, blocks in benchmark_models():
+            names.append(name)
+            n, p = blocks[0].attn.n, blocks[0].attn.p
+            xs = [sparse_random_mat(rng, n, p) for _ in range(3)]
+            with mock.patch.object(transformer, "_pattern", wraps=transformer._pattern) as pattern:
+                single = eval_encoder(blocks, xs[0])
+                batch = _walk(blocks, side_by_side(xs), activations=(None,) * 3)
+                layer = eval_multihead(blocks[0].attn, xs[0])
+                assert pattern.call_count == 0, name
+                assert _walk(blocks, xs[0], Recorder()) == single
+                assert pattern.call_count > 0, name
+                called = pattern.call_count
+                EncoderModel(blocks)(xs[0].to_float())
+                assert pattern.call_count > called, name
+            assert [row[:p] for row in batch.data] == list(single.data)
+            assert layer == reference_attention(blocks[0].attn, xs[0], xs[0])
+        assert len(names) == 15
