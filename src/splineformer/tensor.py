@@ -59,11 +59,15 @@ def json_field(obj, key: str, kind, where: str):
     return value
 
 
+# the most bits a numerator or the denominator that an exact pass carries out
+# of a block may take (`transformer._carry`); a monomial of the top spline
+# degree (`spline.MAX_DEGREE`) at sampled inputs carries at most about a third
+MAX_PASS_BITS = 1 << 17
+
 # the largest decimal exponent a rational literal may spell, 39456: its power
-# of ten fits the 2^17 bits an exact pass may carry (`transformer.MAX_PASS_BITS`).
-# `Fraction` builds that power before any later cap sees it, and "1e10000000"
-# alone takes seconds
-MAX_LITERAL_EXPONENT = int((1 << 17) * math.log10(2))
+# of ten fits in MAX_PASS_BITS bits.  `Fraction` builds that power before any
+# later cap sees it, and "1e10000000" alone takes seconds
+MAX_LITERAL_EXPONENT = int(MAX_PASS_BITS * math.log10(2))
 
 # the exponent that ends a decimal literal, as `Fraction` spells it
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")

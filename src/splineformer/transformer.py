@@ -16,9 +16,10 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Sequence
 
-from .tensor import (FLOAT, NEG_INF, RATIONAL, BackendError, FormatError, Mat, ShapeError,
-                     SizeError, _softmax_column, _softplus_scalar, add, json_field, mat_from_json,
-                     scale, sparse_from_json, sparse_product, sparse_to_json, stack_rows)
+from .tensor import (FLOAT, MAX_PASS_BITS, NEG_INF, RATIONAL, BackendError, FormatError, Mat,
+                     ShapeError, SizeError, _softmax_column, _softplus_scalar, add, json_field,
+                     mat_from_json, scale, sparse_from_json, sparse_product, sparse_to_json,
+                     stack_rows)
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,8 @@ def softplus(beta: float) -> Activation:
 _HEAD_MATS = ("a_q", "b_q", "a_k", "b_k", "a_v", "b_v")
 
 
-def _backends(mats) -> frozenset:
-    return frozenset(m.backend for m in mats)
-
-
-def _require_backend(op: str, weights: frozenset, *inputs: str):
-    found = weights | set(inputs)
+def _require_backend(op: str, weights: str, *inputs: str):
+    found = {weights, *inputs}
     if len(found) != 1:
         raise BackendError(f"{op}: mixed backends {'/'.join(sorted(found))}")
 
@@ -183,7 +180,7 @@ class MultiheadAttention:
         for h in heads[1:]:
             if (h.n, h.n_q, h.p, h.m) != (h0.n, h0.n_q, h0.p, h0.m):
                 raise ShapeError("heads must share input shape and output rows")
-        if len(_backends(h.a_q for h in heads)) > 1:
+        if len({h.backend for h in heads}) > 1:
             heads = [h.to_float() for h in heads]
         index, firsts, table = {}, [], []
         for h in heads:
@@ -198,7 +195,7 @@ class MultiheadAttention:
                    table, [h.groups[0] for h in firsts])
 
     def __post_init__(self):
-        if len(_backends(self.mats)) > 1:
+        if len({m.backend for m in self.mats}) > 1:
             for name in _HEAD_MATS:
                 object.__setattr__(self, name, getattr(self, name).to_float())
         table, groups = tuple(self.table), tuple(self.groups)
@@ -230,8 +227,8 @@ class MultiheadAttention:
         return self.a_q, self.b_q, self.a_k, self.b_k, self.a_v, self.b_v
 
     @property
-    def backends(self) -> frozenset:
-        return frozenset((self.a_q.backend,))
+    def backend(self) -> str:
+        return self.a_q.backend
 
     @cached_property
     def group_layout(self) -> tuple:
@@ -420,7 +417,7 @@ class AttentionPlan:
         # what a pass reads of the layer, copied, so that a layer and the
         # plan it keeps form no reference cycle and are freed by refcount
         self.p, self.out_rows, self.rational_error = attn.p, attn.out_rows, attn.rational_error
-        self.exact, self.rows, m = FLOAT not in attn.backends, tuple(rows), attn.m
+        self.exact, self.rows, m = attn.backend == RATIONAL, tuple(rows), attn.m
         self.groups = tuple(sorted({attn.table[r // m] for r in self.rows}))
         layout, qk = [], []
         for g in self.groups:
@@ -460,18 +457,19 @@ class AttentionPlan:
         return _magnitudes(self.floats)
 
 
-def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
-            y: list, dy: int, activations: Sequence = (None,), record: bool = True) -> tuple:
-    """The heads of a layer at once, on numerator rows, as `plan` says:
-    keys and values read x (over dx), queries y (over dy), through `maps`
-    (the plan's `stacked` or `floats`).  x and y hold a batch of
-    len(activations) inputs side by side, each its p columns; input i runs
-    with activations[i] standing in for every head's own activation, or
-    with each head's own where that is None.  Returns the output
-    numerators, stacked in head order and batched as the input, their
-    shared denominator, and, when `record` asks for it (else None), the
-    pass's record: the plan's q, k and v rows, as wide as the batch, and,
-    in the plan's group order, each group's block-diagonal activation rows
+def _attend(plan: AttentionPlan, backend: str, x: list, dx: int, y: list, dy: int,
+            activations: Sequence = (None,), record: bool = True) -> tuple:
+    """The heads of a layer at once, on numerator rows, as `plan` says: keys
+    and values read x (over dx), queries y (over dy), through the image
+    `backend` picks: the plan's `stacked` on rationals, else its `floats`.
+    The caller refuses a rational pass over float weights.  x and y hold a
+    batch of len(activations) inputs side by side, each its p columns; input
+    i runs with activations[i] standing in for every head's own activation,
+    or with each head's own where that is None.  Returns the output
+    numerators, stacked in head order and batched as the input, their shared
+    denominator, and, when `record` asks for it (else None), the pass's
+    record: the plan's q, k and v rows, as wide as the batch, and, in the
+    plan's group order, each group's block-diagonal activation rows
     (`_pattern`).
 
     Only the plan's rows are computed: the query and key rows and patterns
@@ -499,7 +497,7 @@ def _attend(plan: AttentionPlan, maps: tuple, backend: str, x: list, dx: int,
     zero = 0 if exact else 0.0
     width = len(x[0])
     p = width // len(activations)
-    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = maps
+    (aq, bq, dq), (ak, bk, dk), (av, bv, dv) = plan.stacked if exact else plan.floats
     iq, ik, iv = plan.index
     q = _handed(_affine(aq, bq, y, dy, zero), iq)
     k = _handed(_affine(ak, bk, x, dx, zero), ik)
@@ -538,10 +536,10 @@ def _check_self_input(mh: MultiheadAttention, shape: tuple):
 def eval_multihead(mh: MultiheadAttention, x: Mat) -> Mat:
     """Self-attention on an n x p input; masking happens before the activation."""
     _check_self_input(mh, x.shape)
-    _require_backend("attention", mh.backends, x.backend)
+    _require_backend("attention", mh.backend, x.backend)
     rows, den = _numerators(x)
-    return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
-                                       rows, den, rows, den, record=False)[:2])
+    return _to_mat(x.backend, *_attend(mh.plan, x.backend, rows, den, rows, den,
+                                       record=False)[:2])
 
 
 def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
@@ -551,21 +549,25 @@ def eval_multihead_encdec(mh: MultiheadAttention, x: Mat, y: Mat) -> Mat:
                          f"head expects rows {mh.n}/{mh.n_q}")
     if x.cols != mh.p or y.cols != mh.p:
         raise ShapeError("cross-attention inputs must share the sequence length")
-    _require_backend("attention", mh.backends, x.backend, y.backend)
-    return _to_mat(x.backend, *_attend(mh.plan, mh.plan.stacked, x.backend,
-                                       *_numerators(x), *_numerators(y), record=False)[:2])
+    _require_backend("attention", mh.backend, x.backend, y.backend)
+    return _to_mat(x.backend, *_attend(mh.plan, x.backend, *_numerators(x), *_numerators(y),
+                                       record=False)[:2])
 
 
 @dataclass(frozen=True)
 class FeedForwardNet:
     """Chain of affine layers (A, column-vector b) with ReLU in between;
-    the final layer is affine with no activation.  Applied columnwise."""
+    the final layer is affine with no activation.  Applied columnwise.  A
+    net whose matrices mix backends is stored as its float image."""
 
     layers: tuple
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("feed-forward net needs at least one layer")
+        if len({m.backend for layer in self.layers for m in layer}) > 1:
+            object.__setattr__(self, "layers", tuple((a.to_float(), b.to_float())
+                                                     for a, b in self.layers))
         for a, b in self.layers:
             if b.rows != a.rows or b.cols != 1:
                 raise ShapeError(f"bias {b.shape} does not fit layer of {a.rows} rows")
@@ -590,16 +592,20 @@ class FeedForwardNet:
         """Number of affine layers."""
         return len(self.layers)
 
+    @property
+    def backend(self) -> str:
+        return self.layers[0][0].backend
+
     @cached_property
     def sparse(self) -> tuple:
         """Per layer, the `_image` of its affine map, exact unless the
         weights are floats; built on the first evaluation and kept."""
-        return self._layers(FLOAT not in self.backends)
+        return self._layers(self.backend == RATIONAL)
 
     @cached_property
     def floats(self) -> tuple:
         """`sparse` in floats, over 1, as `AttentionPlan.floats`."""
-        return self.sparse if FLOAT in self.backends else self._layers(False)
+        return self.sparse if self.backend == FLOAT else self._layers(False)
 
     @cached_property
     def magnitudes(self) -> tuple:
@@ -609,15 +615,12 @@ class FeedForwardNet:
     def _layers(self, exact: bool) -> tuple:
         return tuple(_image(a.nz, b.nz, b.cols, exact) for a, b in self.layers)
 
-    @cached_property
-    def backends(self) -> frozenset:
-        return _backends(m for layer in self.layers for m in layer)
 
-
-def _feed(layers: tuple, backend: str, x: list, dx: int) -> tuple:
-    """A net, given as its `sparse` or `floats` layers, on numerator rows
-    over dx: output numerators and denominator."""
-    zero = 0 if backend == RATIONAL else 0.0
+def _feed(ffn: FeedForwardNet, backend: str, x: list, dx: int) -> tuple:
+    """A net on numerator rows over dx, through the image `backend` picks
+    (`sparse` on rationals, else `floats`): output numerators and
+    denominator.  The caller refuses a rational pass over float weights."""
+    zero, layers = (0, ffn.sparse) if backend == RATIONAL else (0.0, ffn.floats)
     last = len(layers) - 1
     for idx, (rows, bias, den) in enumerate(layers):
         out = _affine(rows, bias, x, dx, zero)
@@ -629,8 +632,8 @@ def _feed(layers: tuple, backend: str, x: list, dx: int) -> tuple:
 def eval_ffn(ffn: FeedForwardNet, x: Mat) -> Mat:
     if x.rows != ffn.in_dim:
         raise ShapeError(f"ffn expects {ffn.in_dim} input rows, got {x.rows}")
-    _require_backend("ffn", ffn.backends, x.backend)
-    return _to_mat(x.backend, *_feed(ffn.sparse, x.backend, *_numerators(x)))
+    _require_backend("ffn", ffn.backend, x.backend)
+    return _to_mat(x.backend, *_feed(ffn, x.backend, *_numerators(x)))
 
 
 @dataclass(frozen=True)
@@ -670,12 +673,6 @@ class DecoderBlock(EncoderBlock):
             raise ValueError("decoder blocks require every head to be masked")
 
 
-# the most bits a numerator or the denominator that an exact pass carries
-# out of a block may take; a monomial of the top spline degree
-# (`spline.MAX_DEGREE`) at sampled inputs carries at most about a third
-MAX_PASS_BITS = 1 << 17
-
-
 class PassSizeError(SizeError, ArithmeticError):
     """An exact pass carries a number longer than `MAX_PASS_BITS` bits."""
 
@@ -700,17 +697,19 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
     `_attend` for a record, so an exact pass takes its one-row groups in
     factored form, which adds the same integers.
 
-    A rational pass reads the integer caches (`stacked`, `sparse`); a float
-    pass reads their float image (`floats`), so rational weights run in
-    floats with no float copy of the matrices.  An `observer` is called
-    once per block and pass, after its net and residual, as
-    `observer(blk, q, k, v, acts)`: the record `_attend` returns, whose q,
-    k and v hold one row per stored row and span the batch, and whose
-    activation rows are block-diagonal, input i in rows and columns i * p
-    to i * p + p.  The observer reads the record and never mutates it.
-    The caller checks the weights' backends.
+    A rational input runs the exact pass, which first refuses weights that
+    are not rational (BackendError); a float input runs over any weights.
+    Each kernel reads the image its backend picks (`_attend`, `_feed`), so
+    rational weights run in floats with no float copy.  An `observer` is
+    called once per block and pass, after its net and residual, as
+    `observer(blk, q, k, v, acts)`: the record `_attend` returns, whose q, k
+    and v hold one row per stored row and span the batch, and whose
+    activation rows are block-diagonal, input i in rows and columns i * p to
+    i * p + p.  The observer reads the record and never mutates it.
     """
     backend, batch = x.backend, len(activations)
+    if backend == RATIONAL:
+        _check_backends(blocks, RATIONAL)
     rows, den = _numerators(x)
     for i, blk in enumerate(blocks):
         try:
@@ -719,13 +718,9 @@ def _carry(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
             raise ShapeError(f"block {i}: {exc}") from exc
         # an observer's record holds every row
         plan = blk.plan if observer is None else blk.attn.plan
-        if backend == RATIONAL:
-            maps, layers = plan.stacked, blk.ffn.sparse
-        else:
-            maps, layers = plan.floats, blk.ffn.floats
-        y, dy, record = _attend(plan, maps, backend, rows, den, rows, den, activations,
+        y, dy, record = _attend(plan, backend, rows, den, rows, den, activations,
                                 observer is not None)
-        y, dy = _feed(layers, backend, y, dy)
+        y, dy = _feed(blk.ffn, backend, y, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)
@@ -750,14 +745,16 @@ def _walk(blocks: Sequence[EncoderBlock], x: Mat, observer=None,
 def _check_backends(blocks: Sequence[EncoderBlock], backend: str):
     """Raise BackendError unless every weight matrix of blocks has `backend`."""
     for blk in blocks:
-        _require_backend("attention", blk.attn.backends, backend)
-        _require_backend("ffn", blk.ffn.backends, backend)
+        _require_backend("attention", blk.attn.backend, backend)
+        _require_backend("ffn", blk.ffn.backend, backend)
 
 
 def eval_encoder(blocks: Sequence[EncoderBlock], x: Mat) -> Mat:
     """Compose blocks left to right; an empty list is the identity.  Every
-    weight matrix must share the input's backend."""
-    _check_backends(blocks, x.backend)
+    weight matrix must share the input's backend: the walk refuses other
+    weights on a rational input, and this a float input on other weights."""
+    if x.backend != RATIONAL:
+        _check_backends(blocks, x.backend)
     return _walk(blocks, x)
 
 
@@ -802,7 +799,7 @@ def eval_encdec(stack: EncDecStack, x: Mat, y: Mat) -> Mat:
 
 class EncoderModel:
     """A block chain as a model of inferred input shape.  A rational input
-    runs the exact pass (`eval_encoder`, which refuses weights of another
+    runs the exact pass (`_walk`, which refuses weights of another
     backend); any other input, or a model whose `activation` stands in for
     every attention activation (the nets stay ReLU), runs one float pass
     over the float image of `blocks`."""
@@ -817,9 +814,8 @@ class EncoderModel:
         self.p = attn.p
 
     def __call__(self, x: Mat) -> Mat:
-        if x.backend == RATIONAL and self.activation is None:
-            return eval_encoder(self.blocks, x)
-        return _walk(self.blocks, x.to_float(), activations=(self.activation,))
+        exact = x.backend == RATIONAL and self.activation is None
+        return _walk(self.blocks, x if exact else x.to_float(), activations=(self.activation,))
 
 
 def pass_through(a: Mat, b: Mat) -> tuple:

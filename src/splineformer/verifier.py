@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .spline import SplineGrid
 from .tensor import (DegenerateColumnError, Mat, ShapeError, add, mat_to_json,
                      nonzero_rows, scale, sparse_product)
-from .transformer import (RELU, SOFTMAX, Activation, EncoderModel, _carry, _check_backends,
-                          _handed, _numerators, _walk)
+from .transformer import (RELU, SOFTMAX, Activation, EncoderModel, _carry, _handed,
+                          _numerators, _walk)
 
 
 # -- seeded rational sampling -------------------------------------------------
@@ -68,18 +68,15 @@ def _exact_outputs(model, xs: Iterable[Mat]) -> tuple:
     """The outputs of `model` at the rational inputs xs, side by side in
     order, as numerator rows over one shared denominator (a float output
     is its own numerators, over 1).  A model that carries `blocks` and no
-    stand-in `activation` gets the backend check `eval_encoder` makes and
-    one exact pass per chunk of xs (`_chunks`); any other model is called
-    once per input."""
+    stand-in `activation` gets one exact pass per chunk of xs (`_chunks`),
+    which refuses weights that are not rational (`_carry`); any other
+    model is called once per input."""
     blocks = getattr(model, "blocks", None)
     if blocks is None or getattr(model, "activation", None) is not None:
         parts = [_numerators(model(x)) for x in xs]
     else:
-        parts = []
-        for chunk in _chunks(xs, 1):
-            batch = _side_by_side(chunk)
-            _check_backends(blocks, batch.backend)
-            parts.append(_carry(blocks, batch, activations=(None,) * len(chunk)))
+        parts = [_carry(blocks, _side_by_side(chunk), activations=(None,) * len(chunk))
+                 for chunk in _chunks(xs, 1)]
     if len(parts) == 1:
         return parts[0]
     den = math.lcm(*(d for _, d in parts))

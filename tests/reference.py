@@ -390,7 +390,7 @@ def unshared_walk(blocks, x: Mat, observer=None, activations: Sequence = (None,)
                             acc[b] += c * w
                 out.append(acc)
         dy = math.prod(d for *_, d in maps) * den ** 3
-        y, dy = _feed(blk.ffn.sparse if exact else blk.ffn.floats, backend, out, dy)
+        y, dy = _feed(blk.ffn, backend, out, dy)
         if blk.residual:
             y, dy = _added(y, dy, rows, den)
         rows, den = _reduced(y, dy)

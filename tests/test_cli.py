@@ -515,9 +515,14 @@ class TestDocumentShape:
         {"n": 1, "p": False, "grid": [[CELL]]},
         {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
             {"coef": True, "exps": {"x_1_1": 1}}]}]]},
+        {"n": 2, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "1", "exps": {"x_3_1": 1}}]}]]},
+        {"n": 1, "p": 1, "grid": [[{"op": "poly", "terms": [
+            {"coef": "1", "exps": {"y_1_1": 1}}]}]]},
     ], ids=["grid-number", "top-level-list", "cell-number", "row-object", "terms-number",
             "term-number", "exps-number", "args-number", "op-number", "n-0", "n-minus-1",
-            "p-0", "n-2.7", "n-1.0", "n-true", "n-string", "p-false", "coef-true"])
+            "p-0", "n-2.7", "n-1.0", "n-true", "n-string", "p-false", "coef-true",
+            "variable-past-n", "variable-key-y"])
     def test_malformed_spline_exits_2(self, tmp_path, capsys, spline):
         spath = write(tmp_path / "bad.json", spline)
         one_line_exit_2(capsys, ["compile", spath, "-o", str(tmp_path / "w.json")])
@@ -525,6 +530,14 @@ class TestDocumentShape:
         _, out = compile_to(tmp_path, IDENTITY_SPLINE, name="ok.json")
         capsys.readouterr()
         one_line_exit_2(capsys, ["verify", out, spath, "--samples", "1"])
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        spath = write(tmp_path / "s.json", IDENTITY_SPLINE)
+        missing = tmp_path / "missing"
+        err = one_line_exit_2(capsys, ["compile", spath, "-o", str(missing / "w.json")])
+        assert err.startswith("cannot write output:")
+        # neither the weights nor their layout sidecar is written anywhere
+        assert not missing.exists() and sorted(os.listdir(tmp_path)) == ["s.json"]
 
     @pytest.mark.parametrize("beta", ["NaN", "1e400", "1" + "0" * 400, "true", "0", "-2",
                                       "\"10\"", "null"])

@@ -188,3 +188,9 @@ def test_reference_walk_builds_its_own_rows():
     reads = names_read(parse(Path(__file__).resolve().parent / "reference.py"))
     assert {"_image", "mats", "group_layout", "_pattern"} <= set(reads)
     assert not {"plan", "AttentionPlan", "_handed", "_attend", "_factored"} & set(reads)
+
+
+def test_the_walk_alone_checks_backends():
+    # an exact pass refuses weights that are not rational in `_carry`; a
+    # caller that checked too would keep a second copy of the rule
+    assert "_check_backends" not in names_read(parse(SRC / "splineformer" / "verifier.py"))

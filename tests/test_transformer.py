@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -602,7 +602,7 @@ class TestWeightJson:
         head = scalar_head(a_q=Mat.from_floats([[0.5]]))
         mixed = (EncoderBlock(MultiheadAttention.of((head,)), FeedForwardNet((
             (rmat([[F(1, 3)]]), Mat.from_floats([[0.25]])),))),)
-        assert mixed[0].attn.backends == {FLOAT}
+        assert mixed[0].attn.backend == FLOAT
         assert blocks_from_json(blocks_to_json(mixed)) == mixed
 
     def test_layer_form_holds_each_group_once(self):
@@ -693,6 +693,56 @@ class TestFloatImage:
             with pytest.raises(BackendError):
                 eval_encoder(blocks, x)
             assert _walk(blocks, x) == eval_encoder(blocks_to_float(blocks), x)
+
+
+class TestWalkBackendRule:
+    """The walk owns the backend rule: an exact pass over weights that are
+    not rational raises `eval_encoder`'s BackendError before any arithmetic,
+    on a single input, a batch or an observed pass; a float pass runs over
+    weights of either backend."""
+
+    @staticmethod
+    def float_weights(blocks, which):
+        """blocks in floats, or with the last block's net alone in floats."""
+        if which == "all":
+            return blocks_to_float(blocks)
+        return (*blocks[:-1], replace(blocks[-1], ffn=blocks_to_float(blocks[-1:])[0].ffn))
+
+    @pytest.mark.parametrize("which,text", [("all", "attention: mixed backends float/rational"),
+                                            ("net", "ffn: mixed backends float/rational")])
+    def test_exact_walk_refuses_float_weights(self, which, text):
+        rng = random.Random(f"walk-backends:{which}")
+        blocks = self.float_weights(random_chain(rng, 2, 2, 2, 2), which)
+        xs = [sparse_random_mat(rng, 2, 2) for _ in range(3)]
+        with pytest.raises(BackendError) as refused:
+            eval_encoder(blocks, xs[0])
+        assert str(refused.value) == text
+        passes = [lambda: _carry(blocks, xs[0]), lambda: _walk(blocks, xs[0]),
+                  lambda: _carry(blocks, side_by_side(xs), activations=(None,) * 3),
+                  lambda: _walk(blocks, xs[0], Recorder()),
+                  lambda: EncoderModel(blocks)(xs[0])]
+        for run in passes:
+            with mock.patch.object(transformer, "_attend", wraps=transformer._attend) as kernel:
+                with pytest.raises(BackendError, match=f"^{text}$"):
+                    run()
+            assert kernel.call_count == 0
+        # the float pass reads the float image of the same weights
+        x = xs[0].to_float()
+        assert _walk(blocks, x) == eval_encoder(blocks_to_float(blocks), x)
+
+    def test_mixed_net_is_stored_as_its_float_image(self):
+        a, b = rmat([[F(1, 3), 0], [2, F(-1, 7)]]), Mat.from_floats([[0.25], [0.0]])
+        ffn = FeedForwardNet(((a, b),))
+        assert ffn.layers == ((a.to_float(), b),) and ffn.backend == FLOAT
+        head = scalar_head(a_v=rmat([[1], [2]]), b_v=rmat([[0], [0]]))
+        blk = EncoderBlock(MultiheadAttention.of((head,)), ffn)
+        twin = blocks_to_float([blk])[0].ffn
+        assert ffn.sparse == ffn.floats == twin.sparse == twin.floats
+        # a float input runs, as on a mixed layer; a rational one is refused
+        x = Mat.from_floats([[0.5], [-2.0]])
+        assert eval_ffn(ffn, x) == eval_ffn(twin, x)
+        with pytest.raises(BackendError, match="^ffn: mixed backends float/rational$"):
+            eval_ffn(ffn, rmat([[1], [2]]))
 
 
 KERNEL_ACTIVATIONS = [Activation("relu"), softplus(0.5), softplus(10.0), softplus(1e6),
@@ -900,8 +950,7 @@ class TestGroupedHeads:
                 split = []
                 for h in blk.attn.heads:
                     one = MultiheadAttention.of((h,))
-                    split.append(_attend(one.plan, one.plan.floats, FLOAT, rows, 1, rows, 1,
-                                         (activation,))[2])
+                    split.append(_attend(one.plan, FLOAT, rows, 1, rows, 1, (activation,))[2])
                 firsts = [split[blk.attn.table.index(g)] for g in range(len(blk.attn.groups))]
                 assert len(acts) == len(blk.attn.groups)
                 assert acts == [act for _, _, _, (act,) in firsts]
@@ -1414,8 +1463,11 @@ class TestFactoredKernel:
     factored form, with no score block; it must carry what the walk that
     forms every pattern carries, numerators and denominator bit for bit."""
 
+    # no shrinking: shrinking a failing three-block chain under the
+    # deadline takes minutes, and the first failing chain is witness enough
     @given(case=one_row_chains())
-    @settings(max_examples=60, deadline=2000)
+    @settings(max_examples=60, deadline=2000,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_pass_equals_reference_walk(self, case):
         blocks, xs, stand_ins = case
         x = side_by_side(xs)
@@ -1436,7 +1488,7 @@ class TestFactoredKernel:
         if n == n_q:
             assert eval_multihead(mh, xs[0]) == reference_attention(mh, xs[0], xs[0])
         # a batch's numerators and denominator are the pattern path's, bit for bit
-        args = (mh.plan, mh.plan.stacked, RATIONAL, *_numerators(side_by_side(xs)),
+        args = (mh.plan, RATIONAL, *_numerators(side_by_side(xs)),
                 *_numerators(side_by_side(ys)), (None,) * batch)
         fast = _attend(*args, record=False)
         assert fast[2] is None

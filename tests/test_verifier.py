@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from splineformer import verifier
 from splineformer.compiler import CompileOptions, build_eps2, compile_spline
 from splineformer.spline import PBForm, Polynomial, SplineGrid, grid_from_json
-from splineformer.tensor import FLOAT, Mat, add, matmul, stack_rows
+from splineformer.tensor import FLOAT, BackendError, Mat, add, mat_from_json, matmul, stack_rows
 from splineformer.transformer import (Activation, EncoderBlock,
                                       EncoderModel, FeedForwardNet,
                                       MultiheadAttention, _walk, attention_head,
@@ -165,6 +165,21 @@ class TestAutoregressiveCheck:
         a, b = model(X), model(Xp)
         assert a.at(0, col - 1) != b.at(0, col - 1)
 
+    def test_failing_report_serializes_its_witness(self):
+        # output column c reads input column c + 1, after every prefix
+        def shifted(X):
+            return Mat.rational([list(row[1:]) + [0] for row in X.data])
+        model = FnModel(shifted, 2, 3)
+        obj = autoregressive_check(model, 10, 4).to_json()
+        assert obj["passed"] is False and obj["kind"] == "autoregressive"
+        witness = obj["witness"]
+        X, Xp = mat_from_json(witness["X"]), mat_from_json(witness["X_prime"])
+        j, col = witness["prefix"], witness["column"]
+        assert 1 <= col <= j < model.p
+        assert [row[:j] for row in X.data] == [row[:j] for row in Xp.data]
+        a, b = model(X), model(Xp)
+        assert any(a.at(r, col - 1) != b.at(r, col - 1) for r in range(model.n))
+
     def test_columnwise_map_passes(self):
         model = FnModel(lambda X: X, 2, 2)
         assert autoregressive_check(model, 50, 3).passed
@@ -208,6 +223,14 @@ class TestEstimateDegree:
         model = FnModel(lambda X: Mat.rational([[X.at(0, 0) ** 4]]), 1, 1)
         rep = estimate_degree(model, max_deg=2, trials=10, seed=8)
         assert rep.modal_degree == 3  # >= max_deg marker
+
+    def test_exact_checks_refuse_float_weights(self):
+        # a batched check reaches the exact walk, which refuses them itself
+        blocks = blocks_to_float(random_chain(random.Random("degree-floats"), 1, 2, 1, 1))
+        for check in (lambda m: estimate_degree(m, max_deg=3, trials=1, seed=1),
+                      lambda m: autoregressive_check(m, 1, 1)):
+            with pytest.raises(BackendError, match="^attention: mixed backends float/rational$"):
+                check(EncoderModel(blocks))
 
     def test_single_encoder_block_within_cubic_bound(self):
         rng = random.Random(20)
